@@ -3,13 +3,14 @@
 
 Usage:
   check_serve_regression.py TRAJECTORY \
-      [--metric NAME --min X]... [--max-regress FACTOR]
+      --metric NAME [--min X] [--metric NAME [--min X]]... \
+      [--max-regress FACTOR]
 
 TRAJECTORY is a BENCH_<name>.json written by the Banner() hook in
 bench_common.h: one compact JSON object per line with "bench", "scale",
 "build_type" and a flat "metrics" map (the serve benches record
 throughput in img/s and latency percentiles in ms; higher-is-better
-metrics like `pipeline_speedup` are the ones worth gating).
+metrics like `batch_speedup` are the ones worth gating).
 
 Only records tagged "build_type":"release" participate — debug timings
 are not comparable (bench/run_all.sh refuses to produce them by
@@ -19,7 +20,7 @@ baseline.
 
 Two checks per --metric, both higher-is-better:
   --min X             absolute floor: fail when fresh < X. This is the
-                      primary gate (e.g. pipeline_speedup >= 1.3): a
+                      primary gate (e.g. batch_speedup >= 1.0): a
                       ratio of two numbers measured on the SAME machine
                       in the SAME run, so it carries no hardware delta.
   --max-regress F     relative: fail when fresh < baseline / F
@@ -69,18 +70,17 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trajectory")
     parser.add_argument("--metric", action="append", default=[],
-                        help="metric name to gate (repeatable; default "
-                             "pipeline_speedup)")
+                        required=True,
+                        help="metric name to gate (repeatable)")
     parser.add_argument("--min", action="append", type=float, default=[],
                         dest="mins",
                         help="absolute floor for the matching --metric "
-                             "(positional pairing; default 1.3 for the "
-                             "default metric)")
+                             "(positional pairing)")
     parser.add_argument("--max-regress", type=float, default=3.0,
                         help="fail when fresh < baseline / FACTOR")
     args = parser.parse_args()
-    metrics = args.metric or ["pipeline_speedup"]
-    mins = args.mins or ([1.3] if not args.metric else [])
+    metrics = args.metric
+    mins = args.mins
     if len(mins) not in (0, len(metrics)):
         print("error: give one --min per --metric, or none", file=sys.stderr)
         return 2

@@ -114,7 +114,6 @@ all_benches=(
   bench_fig9_num_affinities
   bench_ablation_inference
   bench_serve_latency
-  bench_serve_multitask
   bench_serve_pipeline
   bench_micro_kernels
 )

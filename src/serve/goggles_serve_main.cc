@@ -8,14 +8,10 @@
 ///   goggles_serve --artifact PATH --artifact-dir DIR  # both: PATH serves
 ///                                                     # task-less requests
 ///
+/// Requests run through a staged flowgraph (decode → extract → infer →
+/// encode); the flags below shape it.
+///
 /// Options:
-///   --workers N             worker threads for the monolithic path
-///                           (default 2; only used with --no-pipeline)
-///   --queue N               bounded request-queue capacity, and the
-///                           default pipeline admission cap (default 64)
-///   --no-pipeline           run the monolithic worker pool instead of
-///                           the staged flowgraph (also
-///                           GOGGLES_PIPELINE=0; pipeline is default)
 ///   --pipeline-decode N     decode-stage threads (default 1; also
 ///                           GOGGLES_PIPELINE_DECODE_THREADS)
 ///   --pipeline-extract N    extraction-stage threads (default 2; also
@@ -33,21 +29,12 @@
 ///                           batch waits up to N us for stragglers
 ///                           before extracting (default 0 = never wait;
 ///                           also GOGGLES_PIPELINE_BATCH_WAIT)
-///   --pipeline-admission N  in-flight request cap (default = --queue;
-///                           also GOGGLES_PIPELINE_ADMISSION)
+///   --pipeline-admission N  in-flight request cap (default 64; also
+///                           GOGGLES_PIPELINE_ADMISSION)
 ///   --pipeline-reject       shed over-capacity requests with an
 ///                           immediate error response instead of
 ///                           stalling the reader (also
 ///                           GOGGLES_PIPELINE_REJECT=1)
-///   --coalesce              enable cross-request micro-batching of
-///                           `label` requests on the monolithic path
-///                           (default off; also GOGGLES_COALESCE=1; the
-///                           pipeline batches natively in its
-///                           extraction stage)
-///   --coalesce-window-us N  micro-batching window (default 2000; also
-///                           GOGGLES_COALESCE_WINDOW_US)
-///   --coalesce-batch N      max coalesced batch size (default 16; also
-///                           GOGGLES_COALESCE_MAX_BATCH)
 ///   --task-budget-mb N      approximate-memory budget for resident
 ///                           tasks; LRU eviction beyond it (default 0 =
 ///                           unlimited; also GOGGLES_TASK_BUDGET_MB)
@@ -137,16 +124,15 @@ long long EnvRangedInt(const char* name, long long fallback,
 void PrintUsage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s (--artifact PATH | --artifact-dir DIR) [--workers N]\n"
-      "       [--queue N] [--no-pipeline] [--pipeline-decode N]\n"
-      "       [--pipeline-extract N] [--pipeline-infer N]\n"
-      "       [--pipeline-encode N] [--pipeline-queue N]\n"
-      "       [--pipeline-batch N] [--pipeline-batch-wait N]\n"
-      "       [--pipeline-admission N]\n"
-      "       [--pipeline-reject] [--coalesce] [--coalesce-window-us N]\n"
-      "       [--coalesce-batch N] [--task-budget-mb N] [--max-tasks N]\n"
+      "usage: %s (--artifact PATH | --artifact-dir DIR)\n"
+      "       [--pipeline-decode N] [--pipeline-extract N]\n"
+      "       [--pipeline-infer N] [--pipeline-encode N]\n"
+      "       [--pipeline-queue N] [--pipeline-batch N]\n"
+      "       [--pipeline-batch-wait N] [--pipeline-admission N]\n"
+      "       [--pipeline-reject] [--task-budget-mb N] [--max-tasks N]\n"
       "       [--request-deadline-ms N] [--pipeline-watchdog-ms N]\n"
-      "Serves newline-delimited JSON labeling requests on stdin/stdout.\n"
+      "Serves newline-delimited JSON labeling requests on stdin/stdout\n"
+      "through a staged decode -> extract -> infer -> encode flowgraph.\n"
       "Ops: {\"op\":\"stats\"} | {\"op\":\"label\",\"image\":{...}} |\n"
       "     {\"op\":\"label_batch\",\"images\":[...]} |\n"
       "     {\"op\":\"list_tasks\"} | {\"op\":\"load\",\"task\":T} |\n"
@@ -166,12 +152,6 @@ int main(int argc, char** argv) {
   std::string artifact_path;
   std::string artifact_dir = GetEnvOr("GOGGLES_ARTIFACT_DIR", "");
   serve::ServiceConfig config;
-  config.coalesce.enabled = GetEnvIntOr("GOGGLES_COALESCE", 0) != 0;
-  config.coalesce.window_micros = EnvRangedInt(
-      "GOGGLES_COALESCE_WINDOW_US", config.coalesce.window_micros, 1,
-      10'000'000);
-  config.coalesce.max_batch = static_cast<int>(EnvRangedInt(
-      "GOGGLES_COALESCE_MAX_BATCH", config.coalesce.max_batch, 1, 4096));
   // Pipeline knobs share the library-side strict env loader so the
   // service tests cover exactly the parsing the binary uses; out-of-
   // range values are clamped by the Service constructor.
@@ -196,22 +176,6 @@ int main(int argc, char** argv) {
       artifact_path = argv[++i];
     } else if (arg == "--artifact-dir" && has_value) {
       artifact_dir = argv[++i];
-    } else if (arg == "--workers" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 1024, &value)) {
-        std::fprintf(stderr, "error: --workers expects 1..1024, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      config.num_workers = static_cast<int>(value);
-    } else if (arg == "--queue" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 1 << 20, &value)) {
-        std::fprintf(stderr, "error: --queue expects 1..%d, got '%s'\n",
-                     1 << 20, argv[i]);
-        return 2;
-      }
-      config.queue_capacity = static_cast<size_t>(value);
-    } else if (arg == "--no-pipeline") {
-      config.pipeline.enabled = false;
     } else if (arg == "--pipeline-decode" && has_value) {
       if (!ParsePositiveInt(argv[++i], 256, &value)) {
         std::fprintf(stderr,
@@ -283,25 +247,6 @@ int main(int argc, char** argv) {
       config.pipeline.admission_capacity = static_cast<int>(value);
     } else if (arg == "--pipeline-reject") {
       config.pipeline.reject_on_full = true;
-    } else if (arg == "--coalesce") {
-      config.coalesce.enabled = true;
-    } else if (arg == "--coalesce-window-us" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 10'000'000, &value)) {
-        std::fprintf(stderr,
-                     "error: --coalesce-window-us expects 1..10000000, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      config.coalesce.window_micros = value;
-    } else if (arg == "--coalesce-batch" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 4096, &value)) {
-        std::fprintf(stderr, "error: --coalesce-batch expects 1..4096, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      config.coalesce.max_batch = static_cast<int>(value);
     } else if (arg == "--task-budget-mb" && has_value) {
       if (!ParsePositiveInt(argv[++i], 1 << 20, &value)) {
         std::fprintf(stderr, "error: --task-budget-mb expects 1..%d, "
@@ -382,40 +327,23 @@ int main(int argc, char** argv) {
                                                         registry_config);
   }
 
-  // The service clamps the coalescing batch to the worker count (more
-  // in-flight label requests cannot exist); surface that so a user who
-  // asked for a bigger batch knows what is actually in effect.
-  if (!config.pipeline.enabled && config.coalesce.enabled &&
-      config.coalesce.max_batch > config.num_workers) {
-    std::fprintf(stderr,
-                 "note: coalesce batch %d exceeds --workers %d; effective "
-                 "batch is %d (raise --workers for bigger batches)\n",
-                 config.coalesce.max_batch, config.num_workers,
-                 config.num_workers);
-    config.coalesce.max_batch = config.num_workers;
-  }
-
   std::fprintf(
       stderr,
       "{\"ok\":true,\"ready\":true,\"artifact\":\"%s\","
-      "\"artifact_dir\":\"%s\",\"workers\":%d,\"pipeline\":%s,"
+      "\"artifact_dir\":\"%s\","
       "\"pipeline_threads\":[%d,%d,%d,%d],\"pipeline_batch\":%d,"
       "\"pipeline_batch_wait_us\":%lld,"
-      "\"pipeline_admission\":%d,\"pipeline_reject\":%s,\"coalesce\":%s,"
-      "\"coalesce_batch\":%d,\"coalesce_window_us\":%lld,"
+      "\"pipeline_admission\":%d,\"pipeline_reject\":%s,"
       "\"task_budget_bytes\":%llu,\"isa\":\"%s\","
       "\"request_deadline_ms\":%lld,\"watchdog_ms\":%lld,"
       "\"failpoints\":%s,\"startup_seconds\":%.2f}\n",
-      artifact_path.c_str(), artifact_dir.c_str(), config.num_workers,
-      config.pipeline.enabled ? "true" : "false",
+      artifact_path.c_str(), artifact_dir.c_str(),
       config.pipeline.decode_threads, config.pipeline.extract_threads,
       config.pipeline.infer_threads, config.pipeline.encode_threads,
       config.pipeline.max_batch,
       static_cast<long long>(config.pipeline.batch_wait_micros),
       config.pipeline.admission_capacity,
       config.pipeline.reject_on_full ? "true" : "false",
-      config.coalesce.enabled ? "true" : "false", config.coalesce.max_batch,
-      static_cast<long long>(config.coalesce.window_micros),
       static_cast<unsigned long long>(registry_config.memory_budget_bytes),
       goggles::IsaTierName(goggles::ActiveIsaTier()),
       static_cast<long long>(config.request_deadline_micros / 1000),

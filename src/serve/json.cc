@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 namespace goggles::serve {
 namespace {
@@ -252,12 +251,11 @@ class Parser {
     const char* last = text_.data() + pos_;
     double value = 0.0;
     const auto [end, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || end != last || !std::isfinite(value) ||
-        (value != 0.0 &&
-         std::fabs(value) < std::numeric_limits<double>::min())) {
-      // Over- and underflowing literals (1e999 -> inf, 1e-310 ->
-      // subnormal) are rejected rather than fed into the model as
-      // degenerate values, matching the historical strtod/ERANGE gate.
+    if (ec != std::errc() || end != last || !std::isfinite(value)) {
+      // Literals beyond double range (1e999, 1e-400) are rejected
+      // rather than fed into the model as inf or a silent zero.
+      // Subnormals (9.88e-324) parse: Dump emits them for tiny soft
+      // labels, so every dumped document must parse back.
       return Status::InvalidArgument("json: malformed number '" +
                                      text_.substr(start, pos_ - start) + "'");
     }

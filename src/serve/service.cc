@@ -1,8 +1,8 @@
 #include "serve/service.h"
 
 #include <cmath>
+#include <cstring>
 #include <map>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -11,7 +11,6 @@
 #include "util/clock.h"
 #include "util/env.h"
 #include "util/failpoint.h"
-#include "util/parallel.h"
 #include "util/pipeline.h"
 
 namespace goggles::serve {
@@ -95,20 +94,32 @@ JsonValue SessionShapeJson(const Session& session, JsonValue response) {
   return response;
 }
 
-}  // namespace
+/// FNV-1a over an image's dimensions and raw pixel bytes: the extract
+/// stage's duplicate-grouping key, always confirmed by SamePixels.
+uint64_t HashImageContent(const data::Image& image) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix_bytes = [&hash](const void* data, size_t bytes) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      hash ^= p[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  const int dims[3] = {image.channels, image.height, image.width};
+  mix_bytes(dims, sizeof(dims));
+  mix_bytes(image.pixels.data(), image.pixels.size() * sizeof(float));
+  return hash;
+}
 
-namespace {
+/// Exact shape + pixel-byte equality.
+bool SamePixels(const data::Image& a, const data::Image& b) {
+  return a.channels == b.channels && a.height == b.height &&
+         a.width == b.width &&
+         std::memcmp(a.pixels.data(), b.pixels.data(),
+                     a.pixels.size() * sizeof(float)) == 0;
+}
 
 ServiceConfig NormalizeConfig(ServiceConfig config) {
-  if (config.num_workers < 1) config.num_workers = 1;
-  if (config.queue_capacity < 1) config.queue_capacity = 1;
-  // At most num_workers `label` requests are ever in flight, so a larger
-  // coalescing batch can never fill — without this clamp the batch
-  // leader would sleep out its whole window waiting for joiners that
-  // cannot exist.
-  if (config.coalesce.max_batch > config.num_workers) {
-    config.coalesce.max_batch = config.num_workers;
-  }
   PipelineOptions& p = config.pipeline;
   if (p.decode_threads < 1) p.decode_threads = 1;
   if (p.extract_threads < 1) p.extract_threads = 1;
@@ -117,9 +128,7 @@ ServiceConfig NormalizeConfig(ServiceConfig config) {
   if (p.queue_capacity < 1) p.queue_capacity = 1;
   if (p.max_batch < 1) p.max_batch = 1;
   if (p.batch_wait_micros < 0) p.batch_wait_micros = 0;
-  if (p.admission_capacity < 1) {
-    p.admission_capacity = static_cast<int>(config.queue_capacity);
-  }
+  if (p.admission_capacity < 1) p.admission_capacity = 1;
   if (p.watchdog_budget_micros < 0) p.watchdog_budget_micros = 0;
   if (config.request_deadline_micros < 0) config.request_deadline_micros = 0;
   return config;
@@ -129,7 +138,6 @@ ServiceConfig NormalizeConfig(ServiceConfig config) {
 
 PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults) {
   PipelineOptions p = defaults;
-  p.enabled = GetEnvIntOr("GOGGLES_PIPELINE", p.enabled ? 1 : 0) != 0;
   p.decode_threads = static_cast<int>(
       GetEnvIntOr("GOGGLES_PIPELINE_DECODE_THREADS", p.decode_threads));
   p.extract_threads = static_cast<int>(
@@ -156,18 +164,14 @@ PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults) {
 }
 
 Service::Service(std::shared_ptr<const Session> session, ServiceConfig config)
-    : session_(std::move(session)), config_(NormalizeConfig(config)) {
-  coalescer_ = std::make_unique<Coalescer>(config_.coalesce);
-}
+    : session_(std::move(session)), config_(NormalizeConfig(config)) {}
 
 Service::Service(std::shared_ptr<SessionRegistry> registry,
                  std::shared_ptr<const Session> default_session,
                  ServiceConfig config)
     : registry_(std::move(registry)),
       session_(std::move(default_session)),
-      config_(NormalizeConfig(config)) {
-  coalescer_ = std::make_unique<Coalescer>(config_.coalesce);
-}
+      config_(NormalizeConfig(config)) {}
 
 Result<std::shared_ptr<const Session>> Service::ResolveSession(
     const JsonValue& request) const {
@@ -266,7 +270,7 @@ JsonValue Service::HandleRequest(const JsonValue& request) const {
   if (op->str() == "stats") {
     // Field order matters for the single-artifact mode: the response must
     // stay byte-compatible with the original one-session protocol, so
-    // gateway/coalescer fields are only appended in their modes.
+    // gateway fields are only appended in gateway mode.
     JsonValue response = JsonValue::MakeObject();
     response.Set("ok", JsonValue(true));
     Result<std::shared_ptr<const Session>> session = ResolveSession(request);
@@ -307,22 +311,8 @@ JsonValue Service::HandleRequest(const JsonValue& request) const {
                    JsonValue(static_cast<double>(stats.temps_reaped)));
       response.Set("registry", std::move(registry));
     }
-    if (config_.coalesce.enabled) {
-      const CoalescerStats stats = coalescer_->stats();
-      JsonValue coalescer = JsonValue::MakeObject();
-      coalescer.Set("requests", JsonValue(static_cast<double>(stats.requests)));
-      coalescer.Set("batches", JsonValue(static_cast<double>(stats.batches)));
-      coalescer.Set("coalesced",
-                    JsonValue(static_cast<double>(stats.coalesced)));
-      coalescer.Set("deduped",
-                    JsonValue(static_cast<double>(stats.deduped)));
-      coalescer.Set("max_batch_size",
-                    JsonValue(static_cast<double>(stats.max_batch_size)));
-      response.Set("coalescer", std::move(coalescer));
-    }
-    // Live flowgraph snapshot — present only while a pipelined Run is
-    // active, so direct HandleLine callers and the monolithic path keep
-    // their original byte layout.
+    // Live flowgraph snapshot — present only while a Run is active, so
+    // direct HandleLine callers keep their original byte layout.
     std::function<JsonValue()> pipeline_fn;
     {
       std::lock_guard<std::mutex> lock(pipeline_stats_mu_);
@@ -348,7 +338,7 @@ JsonValue Service::HandleRequest(const JsonValue& request) const {
       errors_.fetch_add(1);
       return ErrorResponse(image.status());
     }
-    Result<OnlineLabel> label = coalescer_->Label(*session, *image);
+    Result<OnlineLabel> label = (*session)->LabelOne(*image);
     if (!label.ok()) {
       errors_.fetch_add(1);
       return ErrorResponse(label.status());
@@ -504,120 +494,11 @@ std::string Service::HandleLine(const std::string& line) const {
 
 void Service::RequestStop() {
   stop_requested_.store(true);
-  // Rouse a pipelined reader parked on admission control; a reader
-  // blocked inside std::getline is the caller's job to interrupt (the
-  // serve binary does it with a signal that EINTRs the read).
+  // Rouse a reader parked on admission control; a reader blocked inside
+  // std::getline is the caller's job to interrupt (the serve binary does
+  // it with a signal that EINTRs the read).
   std::lock_guard<std::mutex> lock(run_wake_mu_);
   if (run_wake_cv_ != nullptr) run_wake_cv_->notify_all();
-}
-
-Status Service::Run(std::istream& in, std::ostream& out) {
-  if (stop_requested_.load()) return Status::OK();
-  if (config_.pipeline.enabled) return RunPipelined(in, out);
-  return RunMonolithic(in, out);
-}
-
-Status Service::RunMonolithic(std::istream& in, std::ostream& out) {
-  struct WorkItem {
-    uint64_t seq = 0;
-    std::string line;
-    int64_t admit_micros = 0;  ///< deadline epoch (reader accept time)
-  };
-  const int64_t deadline_micros = config_.request_deadline_micros;
-  BoundedQueue<WorkItem> queue(config_.queue_capacity);
-
-  // Completed responses, reassembled into input order by the writer.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::map<uint64_t, std::string> done;
-  bool producers_finished = false;
-  uint64_t total_enqueued = 0;
-
-  // The reorder buffer is bounded too: a worker won't take new work
-  // while `done` holds queue_capacity finished responses (e.g. when the
-  // stdout consumer stalls), so total buffered responses stay at
-  // queue_capacity + num_workers. Blocking before Pop — never before the
-  // insert — keeps the writer's next-in-order response reachable.
-  const size_t max_done = config_.queue_capacity;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(config_.num_workers));
-  for (int w = 0; w < config_.num_workers; ++w) {
-    workers.emplace_back([this, &queue, &done_mu, &done_cv, &done,
-                          max_done, deadline_micros] {
-      // Once the worker pool alone covers the cores, the per-request
-      // kernels (backbone GEMMs, batched scoring) would only
-      // oversubscribe — pin them to this thread. With fewer workers than
-      // cores the kernels keep their internal parallelism so a single
-      // in-flight request can still use the whole machine.
-      std::optional<ScopedSerialKernels> serial_kernels;
-      if (config_.num_workers >= DefaultNumThreads()) serial_kernels.emplace();
-      while (true) {
-        {
-          std::unique_lock<std::mutex> lock(done_mu);
-          done_cv.wait(lock, [&] { return done.size() < max_done; });
-        }
-        std::optional<WorkItem> item = queue.Pop();
-        if (!item.has_value()) break;
-        std::string response;
-        if (deadline_micros > 0 &&
-            MonotonicMicros() - item->admit_micros > deadline_micros) {
-          // The request aged out while queued — shed it instead of
-          // spending extraction work on an answer nobody is waiting for.
-          requests_served_.fetch_add(1);
-          errors_.fetch_add(1);
-          response = ErrorResponse("request deadline exceeded",
-                                   StatusCode::kDeadlineExceeded)
-                         .Dump();
-        } else {
-          response = HandleLine(item->line);
-        }
-        {
-          std::lock_guard<std::mutex> lock(done_mu);
-          done.emplace(item->seq, std::move(response));
-        }
-        done_cv.notify_all();
-      }
-    });
-  }
-
-  std::thread writer([&] {
-    uint64_t next = 0;
-    std::unique_lock<std::mutex> lock(done_mu);
-    while (true) {
-      done_cv.wait(lock, [&] {
-        return done.count(next) > 0 ||
-               (producers_finished && next >= total_enqueued);
-      });
-      if (done.count(next) == 0) break;  // all input handled
-      std::string response = std::move(done[next]);
-      done.erase(next);
-      ++next;
-      done_cv.notify_all();  // frees workers blocked on the done bound
-      lock.unlock();
-      out << response << "\n" << std::flush;
-      lock.lock();
-    }
-  });
-
-  std::string line;
-  uint64_t seq = 0;
-  while (!stop_requested_.load() && std::getline(in, line)) {
-    if (line.empty()) continue;  // tolerate blank lines between requests
-    queue.Push(WorkItem{seq++, std::move(line), MonotonicMicros()});
-    line.clear();
-  }
-  queue.Close();
-  for (std::thread& t : workers) t.join();
-  {
-    std::lock_guard<std::mutex> lock(done_mu);
-    producers_finished = true;
-    total_enqueued = seq;
-  }
-  done_cv.notify_all();
-  writer.join();
-
-  if (!out.good()) return Status::IOError("Service::Run: output write failed");
-  return Status::OK();
 }
 
 namespace {
@@ -641,7 +522,8 @@ struct PipeItem {
 
 }  // namespace
 
-Status Service::RunPipelined(std::istream& in, std::ostream& out) {
+Status Service::Run(std::istream& in, std::ostream& out) {
+  if (stop_requested_.load()) return Status::OK();
   const PipelineOptions& popt = config_.pipeline;
   const uint64_t admission_cap =
       static_cast<uint64_t>(popt.admission_capacity);
@@ -784,7 +666,7 @@ Status Service::RunPipelined(std::istream& in, std::ostream& out) {
             }
           }
           // Dedup identical pixels inside the group: score once, share
-          // the (bit-identical) row — same trick as the Coalescer.
+          // the (bit-identical) row.
           std::vector<size_t> unique_of(members.size(), 0);
           std::vector<size_t> unique_members;
           std::vector<uint64_t> hashes;
@@ -860,7 +742,7 @@ Status Service::RunPipelined(std::istream& in, std::ostream& out) {
       });
 
   // Stage 4 — encode: serialize the label response (same field order as
-  // the monolithic path, byte for byte).
+  // HandleRequest's label branch, byte for byte).
   pipe.AddStage(
       {"encode", popt.encode_threads, popt.queue_capacity, popt.max_batch},
       [](std::vector<PipeItem>& items) {

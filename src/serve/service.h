@@ -3,16 +3,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <istream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <ostream>
 #include <string>
 
-#include "serve/coalescer.h"
 #include "serve/json.h"
 #include "serve/registry.h"
 #include "serve/session.h"
@@ -21,26 +18,20 @@
 /// \brief The `goggles_serve` request loop: newline-delimited JSON
 /// requests in, one JSON response line per request out (in input order).
 ///
-/// Two execution modes share one protocol:
-///  - **Pipelined** (default): requests flow through a staged flowgraph
-///    (decode → extract → infer → encode, util/pipeline.h) over
-///    lock-free SPSC queues. The extraction stage drains whatever label
-///    requests are queued (up to `pipeline.max_batch`), groups them by
-///    (session, shape), dedups identical pixels, and scores each group
-///    with ONE batched `Session::BuildQueryRows` call — cross-request
-///    micro-batching with zero added window latency; the GEMM-bound
-///    extraction stage overlaps the EM-posterior inference stage across
-///    requests. Admission control bounds in-flight requests at the
-///    reader (block, or reject with a clean error response).
-///  - **Monolithic** (`pipeline.enabled = false`): the original flat
-///    worker pool over a bounded MPMC queue, each worker running
-///    decode→extract→infer→encode end to end (optionally through the
-///    window-based Coalescer).
-/// Responses are bit-identical between the modes at any thread/stage
-/// configuration — the batched GEMM scorer accumulates each output row
-/// in a fixed order independent of batch shape, so grouped extraction
-/// row i equals the singleton extraction of image i, and inference is
-/// row-independent.
+/// Run() pushes requests through a staged flowgraph (decode → extract →
+/// infer → encode, util/pipeline.h) over lock-free SPSC queues. The
+/// extraction stage drains whatever label requests are queued (up to
+/// `pipeline.max_batch`), groups them by (session, shape), dedups
+/// identical pixels, and scores each group with ONE batched
+/// `Session::BuildQueryRows` call; the GEMM-bound extraction stage
+/// overlaps the EM-posterior inference stage across requests. Admission
+/// control bounds in-flight requests at the reader (block, or reject
+/// with a clean error response).
+/// Responses are bit-identical to the serial HandleLine() path at any
+/// thread/stage configuration — the batched GEMM scorer accumulates each
+/// output row in a fixed order independent of batch shape, so grouped
+/// extraction row i equals the singleton extraction of image i, and
+/// inference is row-independent.
 ///
 /// Protocol (one JSON object per line; docs/serve_protocol.md has the
 /// full specification):
@@ -56,67 +47,8 @@
 
 namespace goggles::serve {
 
-/// \brief Bounded multi-producer/multi-consumer queue. Push blocks while
-/// the queue is full (backpressure); Pop blocks while it is empty and
-/// returns nullopt once the queue is closed and drained.
-template <typename T>
-class BoundedQueue {
- public:
-  /// \brief Queue holding at most `capacity` items before Push blocks.
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
-
-  /// \brief False iff the queue was closed before the item was accepted.
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [this] { return closed_ || queue_.size() < capacity_; });
-    if (closed_) return false;
-    queue_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// \brief Blocks until an item is available (or the queue is closed
-  /// and drained, yielding nullopt).
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(queue_.front());
-    queue_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// \brief Closes the queue: pending items still drain, new Push calls
-  /// are refused, blocked producers/consumers wake.
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  /// \brief Items currently queued.
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable not_full_, not_empty_;
-  std::deque<T> queue_;
-  size_t capacity_;
-  bool closed_ = false;
-};
-
 /// \brief Staged-flowgraph tuning for Run() (see util/pipeline.h).
 struct PipelineOptions {
-  /// Master switch: true routes Run() through the staged flowgraph,
-  /// false through the original monolithic worker pool. Results are
-  /// bit-identical either way.
-  bool enabled = true;
   /// Threads for the parse/validate/route stage (also handles non-label
   /// ops end to end).
   int decode_threads = 1;
@@ -135,13 +67,11 @@ struct PipelineOptions {
   int max_batch = 8;
   /// Bounded extract-stage batch-gather window in microseconds: a
   /// worker holding a partial batch parks up to this long for more
-  /// arrivals before extracting (the pipelined analogue of the
-  /// monolithic Coalescer's window — trades latency for dedup/GEMM
+  /// arrivals before extracting (trades latency for dedup/GEMM
   /// amortization). 0 (default) = extract whatever is queued at once.
   int64_t batch_wait_micros = 0;
-  /// Admission cap on in-flight requests (submitted minus written);
-  /// <= 0 means "use ServiceConfig::queue_capacity".
-  int admission_capacity = 0;
+  /// Admission cap on in-flight requests (submitted minus written).
+  int admission_capacity = 64;
   /// true: a request arriving with `admission_capacity` already in
   /// flight gets an immediate {"ok":false,...} response instead of
   /// stalling the reader (load-shedding mode).
@@ -154,9 +84,9 @@ struct PipelineOptions {
 };
 
 /// \brief Overlays the `GOGGLES_PIPELINE*` environment knobs on
-/// `defaults`: GOGGLES_PIPELINE (0 disables), _DECODE_THREADS,
-/// _EXTRACT_THREADS, _INFER_THREADS, _ENCODE_THREADS, _QUEUE,
-/// _MAX_BATCH, _BATCH_WAIT, _ADMISSION, _REJECT. Values go through the strict env
+/// `defaults`: GOGGLES_PIPELINE_DECODE_THREADS, _EXTRACT_THREADS,
+/// _INFER_THREADS, _ENCODE_THREADS, _QUEUE, _MAX_BATCH, _BATCH_WAIT,
+/// _ADMISSION, _REJECT, _WATCHDOG_MS. Values go through the strict env
 /// parser (util/env.h): malformed or trailing-garbage values warn and
 /// fall back to the default; range clamping happens when the Service is
 /// constructed.
@@ -164,20 +94,7 @@ PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults = {});
 
 /// \brief Service tuning knobs.
 struct ServiceConfig {
-  /// Worker threads handling requests in monolithic mode. Each worker's
-  /// labeling call already fans out over ParallelFor internally, so a
-  /// small pool suffices to keep the machine busy while hiding
-  /// per-request latency.
-  int num_workers = 2;
-  /// Bounded request-queue capacity (backpressure threshold); also the
-  /// default pipeline admission cap.
-  size_t queue_capacity = 64;
-  /// Cross-request micro-batching of `label` requests (see coalescer.h).
-  /// Off by default, and only used by the monolithic path — the staged
-  /// pipeline batches naturally in its extraction stage without the
-  /// window latency.
-  CoalescerConfig coalesce;
-  /// Staged-flowgraph execution of Run() (on by default).
+  /// Stage shape, batching and admission of Run()'s flowgraph.
   PipelineOptions pipeline;
   /// Per-request deadline measured from admission (the reader accepting
   /// the request line) to response encode. A request that overruns it is
@@ -185,13 +102,13 @@ struct ServiceConfig {
   /// "deadline_exceeded"} instead of its result — stages check the
   /// deadline before starting expensive work, so a stalled stage sheds
   /// queued work instead of processing stale requests. 0 (default) =
-  /// no deadline. Applies to both execution modes.
+  /// no deadline.
   int64_t request_deadline_micros = 0;
 };
 
 /// \brief Serves labeling requests — either against one fitted Session
 /// (the original single-artifact mode) or as a multi-task gateway over a
-/// SessionRegistry, with optional cross-request micro-batching.
+/// SessionRegistry.
 class Service {
  public:
   /// \brief Single-artifact service: every request hits `session`;
@@ -214,9 +131,10 @@ class Service {
   std::string HandleLine(const std::string& line) const;
 
   /// \brief Pumps `in` to exhaustion: reads request lines, runs them
-  /// through the staged flowgraph (or the monolithic worker pool when
-  /// `pipeline.enabled` is false), writes responses to `out` in input
-  /// order. Returns after every response is flushed.
+  /// through the staged flowgraph (decode → extract → infer → encode
+  /// over SPSC crossbars, with reader-side admission control), writes
+  /// responses to `out` in input order. Returns after every response is
+  /// flushed.
   Status Run(std::istream& in, std::ostream& out);
 
   /// \brief Graceful-drain trigger (thread-safe, callable from a signal
@@ -234,9 +152,6 @@ class Service {
 
   /// \brief Requests shed by reject-on-full admission control.
   uint64_t requests_rejected() const { return pipeline_rejected_.load(); }
-
-  /// \brief The micro-batcher (stats inspection; never null).
-  const Coalescer& coalescer() const { return *coalescer_; }
 
   /// \brief The normalized configuration the service runs with.
   const ServiceConfig& config() const { return config_; }
@@ -256,21 +171,13 @@ class Service {
   /// answers error_code "unimplemented". `list` always works.
   JsonValue HandleFailpointOp(const JsonValue& request) const;
 
-  /// The original flat worker pool over a bounded MPMC queue.
-  Status RunMonolithic(std::istream& in, std::ostream& out);
-
-  /// The staged flowgraph (decode → extract → infer → encode) over SPSC
-  /// crossbars, with reader-side admission control.
-  Status RunPipelined(std::istream& in, std::ostream& out);
-
   std::shared_ptr<SessionRegistry> registry_;   // null in single mode
   std::shared_ptr<const Session> session_;      // may be null in gateway mode
   ServiceConfig config_;
-  std::unique_ptr<Coalescer> coalescer_;
   mutable std::atomic<uint64_t> requests_served_{0};
   mutable std::atomic<uint64_t> errors_{0};
   mutable std::atomic<uint64_t> pipeline_rejected_{0};
-  /// Set for the duration of a pipelined Run: snapshots the live
+  /// Set for the duration of a Run: snapshots the live
   /// flowgraph for the `stats` op's "pipeline" section.
   mutable std::mutex pipeline_stats_mu_;
   mutable std::function<JsonValue()> pipeline_stats_fn_;

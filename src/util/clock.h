@@ -1,18 +1,13 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <thread>
 
 /// \file clock.h
-/// \brief Monotonic-clock helpers for deadline arithmetic (the serving
-/// micro-batcher's coalescing window, bench timestamps), plus an
-/// injectable Clock seam so timing-window code paths can be driven
-/// deterministically from tests with FakeClock.
+/// \brief Monotonic-clock helpers for deadline arithmetic (pipeline
+/// batch-gather windows, request deadlines, retry backoff, bench
+/// timestamps).
 
 namespace goggles {
 
@@ -38,87 +33,5 @@ inline std::chrono::steady_clock::time_point SteadyTimePointFromMicros(
 inline void SleepForMicros(int64_t micros) {
   if (micros > 0) std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
-
-/// \brief Injectable time source for code with timing windows (the
-/// coalescer's batching window). Production code uses SteadyClock (the
-/// real monotonic clock); tests inject FakeClock and advance time
-/// explicitly, so window-expiry behavior is asserted deterministically
-/// instead of raced against the scheduler.
-class Clock {
- public:
-  virtual ~Clock() = default;
-
-  /// \brief Current time in microseconds from a fixed arbitrary epoch.
-  virtual int64_t NowMicros() = 0;
-
-  /// \brief Blocks on `cv` until `pred()` holds or this clock reaches
-  /// `deadline_micros`. Must be called with `lock` held; `pred` is only
-  /// evaluated under the lock. Returns `pred()` at wakeup, mirroring
-  /// `condition_variable::wait_until`.
-  virtual bool WaitUntil(std::condition_variable& cv,
-                         std::unique_lock<std::mutex>& lock,
-                         int64_t deadline_micros,
-                         std::function<bool()> pred) = 0;
-};
-
-/// \brief The real monotonic clock (MonotonicMicros / cv::wait_until).
-class SteadyClock final : public Clock {
- public:
-  int64_t NowMicros() override { return MonotonicMicros(); }
-
-  bool WaitUntil(std::condition_variable& cv,
-                 std::unique_lock<std::mutex>& lock, int64_t deadline_micros,
-                 std::function<bool()> pred) override {
-    return cv.wait_until(lock, SteadyTimePointFromMicros(deadline_micros),
-                         std::move(pred));
-  }
-};
-
-/// \brief Process-wide SteadyClock singleton, the default everywhere a
-/// Clock* is accepted.
-inline Clock* SteadyClockInstance() {
-  static SteadyClock clock;
-  return &clock;
-}
-
-/// \brief Manually-advanced clock for tests. NowMicros() returns a value
-/// that only moves when Advance()/SetMicros() is called. WaitUntil
-/// releases the lock and polls in short real-time slices, so a test can
-/// hold a waiter at a fake deadline indefinitely and then release it
-/// with a single Advance() past the deadline — no wall-clock margins.
-class FakeClock final : public Clock {
- public:
-  explicit FakeClock(int64_t start_micros = 0) : now_(start_micros) {}
-
-  int64_t NowMicros() override {
-    return now_.load(std::memory_order_acquire);
-  }
-
-  /// \brief Moves fake time forward by `micros` (negative is ignored).
-  void Advance(int64_t micros) {
-    if (micros > 0) now_.fetch_add(micros, std::memory_order_acq_rel);
-  }
-
-  /// \brief Jumps fake time to an absolute value.
-  void SetMicros(int64_t micros) {
-    now_.store(micros, std::memory_order_release);
-  }
-
-  bool WaitUntil(std::condition_variable& cv,
-                 std::unique_lock<std::mutex>& lock, int64_t deadline_micros,
-                 std::function<bool()> pred) override {
-    // Poll with short real waits: each slice wakes on notify or after
-    // 200us of real time, then re-checks pred and the *fake* deadline.
-    // Correctness never depends on the slice length, only liveness.
-    while (!pred()) {
-      if (NowMicros() >= deadline_micros) return pred();
-      cv.wait_for(lock, std::chrono::microseconds(200));
-    }
-    return true;
-  }
-
- private:
-  std::atomic<int64_t> now_;
-};
 
 }  // namespace goggles

@@ -46,9 +46,8 @@ void ParallelForChunked(int64_t begin, int64_t end,
 
 /// \brief RAII marker: while alive on this thread, ParallelFor* runs
 /// serially (as if num_threads == 1). For coarse-grained worker threads
-/// (e.g. the serving worker pool with num_workers > 1) that already
-/// saturate the cores — the fine-grained kernel parallelism below them
-/// would only oversubscribe.
+/// that already saturate the cores — the fine-grained kernel parallelism
+/// below them would only oversubscribe.
 class ScopedSerialKernels {
  public:
   ScopedSerialKernels();

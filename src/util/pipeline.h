@@ -77,8 +77,7 @@ struct PipelineStageConfig {
   /// release it immediately). 0 (default) = process whatever is
   /// available at once. Trades up to this much latency for larger
   /// batches — the amortization knob for stages whose per-batch work
-  /// dedupes or fuses (the serve extract stage), exactly analogous to
-  /// the monolithic Coalescer's window.
+  /// dedupes or fuses (the serve extract stage).
   int64_t batch_wait_micros = 0;
 };
 

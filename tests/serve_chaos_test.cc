@@ -546,12 +546,15 @@ TEST_F(ServeChaosTest, WatchdogFlagsStalledStage) {
   EXPECT_GE(stats[0].stalls, 1u) << "40ms call vs 5ms budget must be flagged";
 }
 
-// ---- Scenario 10: per-request deadlines in both execution modes -----------
+// ---- Scenario 10: per-request deadlines at every stage shape ---------------
 
-TEST_F(ServeChaosTest, ExpiredDeadlineAnswersDeadlineExceededInBothModes) {
-  for (const bool pipelined : {true, false}) {
+TEST_F(ServeChaosTest, ExpiredDeadlineAnswersDeadlineExceededAtAnyShape) {
+  // Default stages, and one extract consumer gathering a batch: the
+  // deadline check must shed the request either way.
+  for (const int extract_threads : {2, 1}) {
     serve::ServiceConfig config;
-    config.pipeline.enabled = pipelined;
+    config.pipeline.extract_threads = extract_threads;
+    config.pipeline.batch_wait_micros = extract_threads == 1 ? 5000 : 0;
     config.request_deadline_micros = 1;  // everything is overdue on arrival
     serve::Service service(*session_, config);
     std::vector<std::string> responses =
@@ -559,7 +562,7 @@ TEST_F(ServeChaosTest, ExpiredDeadlineAnswersDeadlineExceededInBothModes) {
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_FALSE(IsOkResponse(responses[0]));
     EXPECT_EQ(ErrorCodeOf(responses[0]), "deadline_exceeded")
-        << (pipelined ? "pipelined: " : "monolithic: ") << responses[0];
+        << "extract_threads " << extract_threads << ": " << responses[0];
   }
 }
 

@@ -16,8 +16,9 @@
 
 /// The staged serving flowgraph: the SPSC queue primitive, the pipeline
 /// executor (flow, batching, drain, backpressure, stats), and the
-/// Service-level guarantees — pipelined responses bit-identical to the
-/// serial path at multiple stage/thread configurations, reject-mode
+/// Service-level guarantees — Run() responses bit-identical to serial
+/// HandleLine() calls at multiple stage/thread/batching configurations,
+/// grouped extraction errors reaching every member, reject-mode
 /// admission control answering (not hanging), and the `stats` op's
 /// pipeline section.
 
@@ -267,7 +268,6 @@ TEST(PipelineTest, StageWorkersRunUnderTheKernelBudget) {
 // ---- PipelineOptions env / normalization ----------------------------------
 
 TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
-  setenv("GOGGLES_PIPELINE", "0", 1);
   setenv("GOGGLES_PIPELINE_EXTRACT_THREADS", "7", 1);
   setenv("GOGGLES_PIPELINE_MAX_BATCH", "junk", 1);   // malformed
   setenv("GOGGLES_PIPELINE_QUEUE", "128trailing", 1);  // trailing garbage
@@ -276,7 +276,6 @@ TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
   setenv("GOGGLES_PIPELINE_REJECT", "1", 1);
   serve::PipelineOptions defaults;
   serve::PipelineOptions opts = serve::PipelineOptionsFromEnv(defaults);
-  EXPECT_FALSE(opts.enabled);
   EXPECT_EQ(opts.extract_threads, 7);
   EXPECT_EQ(opts.max_batch, defaults.max_batch)
       << "malformed env value must fall back, not parse loosely";
@@ -291,7 +290,6 @@ TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
   serve::PipelineOptions opts2 = serve::PipelineOptionsFromEnv(defaults);
   EXPECT_EQ(opts2.batch_wait_micros, defaults.batch_wait_micros);
 
-  unsetenv("GOGGLES_PIPELINE");
   unsetenv("GOGGLES_PIPELINE_EXTRACT_THREADS");
   unsetenv("GOGGLES_PIPELINE_MAX_BATCH");
   unsetenv("GOGGLES_PIPELINE_BATCH_WAIT");
@@ -301,20 +299,20 @@ TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
 
   // With nothing set, the defaults pass through untouched.
   serve::PipelineOptions clean = serve::PipelineOptionsFromEnv(defaults);
-  EXPECT_EQ(clean.enabled, defaults.enabled);
+  EXPECT_EQ(clean.admission_capacity, defaults.admission_capacity);
   EXPECT_EQ(clean.extract_threads, defaults.extract_threads);
   EXPECT_EQ(clean.max_batch, defaults.max_batch);
 }
 
 TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
+  EXPECT_EQ(serve::ServiceConfig().pipeline.admission_capacity, 64);
   serve::ServiceConfig config;
-  config.queue_capacity = 32;
   config.pipeline.decode_threads = 0;
   config.pipeline.extract_threads = -4;
   config.pipeline.max_batch = 0;
   config.pipeline.batch_wait_micros = -500;
   config.pipeline.queue_capacity = -1;
-  config.pipeline.admission_capacity = 0;  // "use queue_capacity"
+  config.pipeline.admission_capacity = 0;
   serve::Service service(std::shared_ptr<const serve::Session>(), config);
   const serve::PipelineOptions& p = service.config().pipeline;
   EXPECT_EQ(p.decode_threads, 1);
@@ -322,7 +320,7 @@ TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
   EXPECT_EQ(p.max_batch, 1);
   EXPECT_EQ(p.batch_wait_micros, 0) << "negative gather window clamps to 0";
   EXPECT_EQ(p.queue_capacity, 1);
-  EXPECT_EQ(p.admission_capacity, 32);
+  EXPECT_EQ(p.admission_capacity, 1);
 }
 
 // ---- Service: pipelined Run vs serial -------------------------------------
@@ -406,13 +404,41 @@ class ServePipelineTest : public ::testing::Test {
     return input.str();
   }
 
-  static std::string RunWith(const serve::ServiceConfig& config) {
-    serve::Service service(*session_, config);
+  static std::string RunWith(
+      const serve::ServiceConfig& config,
+      const std::shared_ptr<const serve::Session>& session = *session_) {
+    serve::Service service(session, config);
     std::istringstream in(RequestStream());
     std::ostringstream out;
     Status status = service.Run(in, out);
     EXPECT_TRUE(status.ok()) << status;
     return out.str();
+  }
+
+  /// The serial oracle: every request line through HandleLine, one at a
+  /// time, on a fresh service.
+  static std::string SerialReference() {
+    serve::Service service(*session_);
+    std::istringstream in(RequestStream());
+    std::string expected;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty()) continue;
+      expected += service.HandleLine(line) + "\n";
+    }
+    return expected;
+  }
+
+  /// Extraction forced to group: one extract consumer that gathers every
+  /// label request of the stream into a single batch (max_batch covers
+  /// the stream, and the gather window only ends at end of stream), so
+  /// the duplicate-image dedup and the mixed-shape split run every time.
+  static serve::ServiceConfig ForcedGrouping() {
+    serve::ServiceConfig config;
+    config.pipeline.extract_threads = 1;
+    config.pipeline.max_batch = 64;
+    config.pipeline.batch_wait_micros = 60'000'000;
+    return config;
   }
 
   static std::shared_ptr<const serve::Session>* session_;
@@ -421,16 +447,11 @@ class ServePipelineTest : public ::testing::Test {
 std::shared_ptr<const serve::Session>* ServePipelineTest::session_ = nullptr;
 
 TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
-  // Reference: the monolithic path, one worker — strictly serial.
-  serve::ServiceConfig serial;
-  serial.pipeline.enabled = false;
-  serial.num_workers = 1;
-  const std::string expected = RunWith(serial);
+  const std::string expected = SerialReference();
   ASSERT_FALSE(expected.empty());
 
   // Config 1: default stage shape (1/2/1/1 threads, batch 8).
   serve::ServiceConfig narrow;
-  ASSERT_TRUE(narrow.pipeline.enabled) << "pipeline must be the default";
 
   // Config 2: wide stages, small queues + batches — maximal reordering
   // pressure and intra-stage concurrency.
@@ -452,6 +473,30 @@ TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
       << "wide pipeline diverged from the serial path";
   EXPECT_EQ(RunWith(tight), expected)
       << "admission-throttled pipeline diverged from the serial path";
+  EXPECT_EQ(RunWith(ForcedGrouping()), expected)
+      << "grouped, deduped extraction diverged from the serial path";
+}
+
+TEST_F(ServePipelineTest, GroupedExtractionErrorReachesEveryMember) {
+  // An unfitted session fails the one batched extraction call its group
+  // makes; every label request in that group must still get its own
+  // error line, in order, with nothing dropped.
+  const std::string out = RunWith(ForcedGrouping(),
+                                  std::make_shared<const serve::Session>());
+  std::istringstream lines(out);
+  std::string line;
+  int total = 0;
+  while (std::getline(lines, line)) {
+    auto response = serve::JsonValue::Parse(line);
+    ASSERT_TRUE(response.ok()) << line;
+    EXPECT_FALSE(response->Find("ok")->bool_value()) << line;
+    EXPECT_TRUE(response->Find("error_code")->is_string()) << line;
+    ++total;
+  }
+  std::istringstream requests(RequestStream());
+  int expected_lines = 0;
+  while (std::getline(requests, line)) expected_lines += line.empty() ? 0 : 1;
+  EXPECT_EQ(total, expected_lines);
 }
 
 TEST_F(ServePipelineTest, RejectOnFullAnswersCleanlyInsteadOfHanging) {

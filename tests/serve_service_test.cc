@@ -1,9 +1,8 @@
 #include "serve/service.h"
 
-#include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,14 +11,13 @@
 #include "nn/vgg.h"
 #include "serve/json.h"
 
-/// The NDJSON front-end: JSON round-trips, bounded-queue semantics, the
-/// request loop end-to-end against a fitted session, and the multi-task
-/// gateway (task routing, registry ops, cross-request coalescing).
+/// The NDJSON front-end: JSON round-trips, the request loop end-to-end
+/// against a fitted session, and the multi-task gateway (task routing,
+/// registry ops, batched extraction across tasks).
 
 namespace goggles {
 namespace {
 
-using serve::BoundedQueue;
 using serve::JsonValue;
 
 // ---- JSON -----------------------------------------------------------------
@@ -72,61 +70,30 @@ TEST(JsonTest, MalformedInputsAreRejectedNotCrashed) {
   }
 }
 
+TEST(JsonTest, SubnormalsRoundTripAndOutOfRangeLiteralsAreRejected) {
+  // The gateway dumps tiny soft labels as subnormals; what Dump emits
+  // must parse back to the same bits.
+  const double subnormal = 9.8813129168249309e-324;
+  ASSERT_TRUE(std::fpclassify(subnormal) == FP_SUBNORMAL);
+  JsonValue soft = JsonValue::MakeArray();
+  soft.Append(JsonValue(subnormal));
+  soft.Append(JsonValue(-1e-310));
+  auto reparsed = JsonValue::Parse(soft.Dump());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(reparsed->items()[0].number(), subnormal);
+  EXPECT_EQ(reparsed->items()[1].number(), -1e-310);
+  EXPECT_EQ(reparsed->Dump(), soft.Dump());
+
+  // Literals outside double range stay errors, never inf or a silent 0.
+  for (const char* text : {"1e-400", "-1e-400", "1e999", "[-1e999]"}) {
+    EXPECT_FALSE(JsonValue::Parse(text).ok()) << "accepted: " << text;
+  }
+}
+
 TEST(JsonTest, DeepNestingHitsTheDepthGuard) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(JsonValue::Parse(deep).ok());
-}
-
-// ---- BoundedQueue ---------------------------------------------------------
-
-TEST(BoundedQueueTest, FifoAndCloseDrain) {
-  BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.Push(1));
-  EXPECT_TRUE(queue.Push(2));
-  queue.Close();
-  EXPECT_FALSE(queue.Push(3));  // closed
-  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.Pop(), std::optional<int>(2));
-  EXPECT_EQ(queue.Pop(), std::nullopt);  // drained
-}
-
-TEST(BoundedQueueTest, PushBlocksUntilCapacityFrees) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    queue.Push(2);  // blocks until the consumer pops
-    second_pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(queue.Pop(), std::optional<int>(2));
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumers) {
-  BoundedQueue<int> queue(8);
-  constexpr int kPerProducer = 200;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&queue] {
-      for (int i = 0; i < kPerProducer; ++i) queue.Push(i);
-    });
-  }
-  std::atomic<int> consumed{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (queue.Pop().has_value()) consumed.fetch_add(1);
-    });
-  }
-  for (auto& t : producers) t.join();
-  queue.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(consumed.load(), 3 * kPerProducer);
 }
 
 // ---- Service --------------------------------------------------------------
@@ -257,8 +224,10 @@ TEST_F(ServeServiceTest, MalformedRequestsReturnErrorsNotCrashes) {
 
 TEST_F(ServeServiceTest, RunPreservesInputOrderAcrossWorkers) {
   serve::ServiceConfig config;
-  config.num_workers = 3;
-  config.queue_capacity = 2;  // force backpressure
+  config.pipeline.decode_threads = 2;
+  config.pipeline.extract_threads = 3;
+  config.pipeline.infer_threads = 2;
+  config.pipeline.admission_capacity = 2;  // force backpressure
   serve::Service service(*session_, config);
 
   std::ostringstream input;
@@ -301,13 +270,12 @@ TEST_F(ServeServiceTest, RunPreservesInputOrderAcrossWorkers) {
   EXPECT_EQ(service.requests_served(), 8u);
 }
 
-TEST_F(ServeServiceTest, RunWithCoalescingPreservesOrderAndResults) {
+TEST_F(ServeServiceTest, RunWithBatchedExtractionPreservesOrderAndResults) {
   serve::ServiceConfig config;
-  config.num_workers = 4;
-  config.queue_capacity = 16;
-  config.coalesce.enabled = true;
-  config.coalesce.max_batch = 4;
-  config.coalesce.window_micros = 20000;
+  config.pipeline.extract_threads = 1;
+  config.pipeline.max_batch = 4;
+  config.pipeline.batch_wait_micros = 20000;
+  config.pipeline.admission_capacity = 16;
   serve::Service service(*session_, config);
 
   std::ostringstream input;
@@ -321,7 +289,7 @@ TEST_F(ServeServiceTest, RunWithCoalescingPreservesOrderAndResults) {
   std::ostringstream out;
   ASSERT_TRUE(service.Run(in, out).ok());
 
-  // Coalesced or not, every response must be bit-identical to its
+  // Batched or not, every response must be bit-identical to its
   // singleton LabelOne and arrive in input order.
   std::istringstream lines(out.str());
   std::string line;
@@ -524,12 +492,13 @@ TEST_F(ServeGatewayTest, StatsForANamedTaskReportsItsShape) {
 }
 
 TEST_F(ServeGatewayTest, RunRoutesAcrossTasksInOrder) {
+  // Alternating tasks inside one extraction batch: grouping must split
+  // by session, never score a request against the other task's pool.
   serve::ServiceConfig config;
-  config.num_workers = 3;
-  config.queue_capacity = 4;
-  config.coalesce.enabled = true;
-  config.coalesce.max_batch = 4;
-  config.coalesce.window_micros = 5000;
+  config.pipeline.extract_threads = 1;
+  config.pipeline.max_batch = 4;
+  config.pipeline.batch_wait_micros = 5000;
+  config.pipeline.admission_capacity = 4;
   serve::RegistryConfig registry_config;
   registry_config.artifact_dir = *dir_;
   auto registry = std::make_shared<serve::SessionRegistry>(*extractor_,

@@ -137,7 +137,8 @@ TEST(ConvTest, ShapeValidation) {
 TEST(ConvTest, FusedBatchPathIsBitIdenticalToPerImage) {
   // The small-spatial batched-inference path (one fused GEMM over every
   // image's im2col columns) must reproduce the per-image path bit for
-  // bit: the serving coalescer depends on batch-vs-singleton equality.
+  // bit: the serve extract stage's grouped extraction depends on
+  // batch-vs-singleton equality.
   Rng rng(20260727);
   for (const int64_t hw : {2, 4, 8}) {  // all <= the fused threshold
     Tensor x = Tensor::RandomNormal({8, 24, hw, hw}, 1.0f, &rng);

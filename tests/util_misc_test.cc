@@ -246,48 +246,6 @@ TEST(ParallelTest, SerialKernelsMarkerBeatsTheBudget) {
   EXPECT_EQ(PeakConcurrency(8), 1) << "depth marker must force serial";
 }
 
-TEST(ClockTest, FakeClockOnlyMovesWhenAdvanced) {
-  FakeClock clock(100);
-  EXPECT_EQ(clock.NowMicros(), 100);
-  clock.Advance(-5);  // ignored
-  EXPECT_EQ(clock.NowMicros(), 100);
-  clock.Advance(900);
-  EXPECT_EQ(clock.NowMicros(), 1000);
-  clock.SetMicros(42);
-  EXPECT_EQ(clock.NowMicros(), 42);
-  EXPECT_EQ(SteadyClockInstance(), SteadyClockInstance());
-}
-
-TEST(ClockTest, FakeClockWaitUntilReleasesOnAdvanceOrPredicate) {
-  FakeClock clock;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ready = false;
-
-  // Deadline release: the waiter must return (with pred false) once fake
-  // time passes the deadline, regardless of notifications.
-  std::thread deadline_waiter([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    EXPECT_FALSE(clock.WaitUntil(cv, lock, 500, [&] { return ready; }));
-  });
-  clock.Advance(501);
-  deadline_waiter.join();
-
-  // Predicate release: an un-advanced clock holds the waiter until the
-  // predicate flips.
-  std::thread pred_waiter([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    EXPECT_TRUE(
-        clock.WaitUntil(cv, lock, 1 << 30, [&] { return ready; }));
-  });
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    ready = true;
-  }
-  cv.notify_all();
-  pred_waiter.join();
-}
-
 TEST(ParallelTest, BudgetedWorkersStillCoverTheWholeRange) {
   ScopedKernelThreadBudget budget(2);
   const int64_t n = 4099;
