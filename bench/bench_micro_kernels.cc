@@ -113,30 +113,44 @@ void BM_CosineKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_CosineKernel)->Arg(8)->Arg(64)->Arg(512);
 
-/// Eq. 2 inner loop: one prototype against all positions of a filter map.
-void BM_PrototypeAffinityScore(benchmark::State& state) {
-  const int area = static_cast<int>(state.range(0));
-  const int channels = 32;
+/// Eq. 2 as the serving path runs it: one query's positions at one tap
+/// against every prototype of a pool-480 task (480 images x top-10), via
+/// the fused scorer over the packed panel. Args: area, channels,
+/// prototypes — the three largest taps of the VggMini backbone.
+void BM_PrototypeMaxScores(benchmark::State& state) {
+  const int64_t area = state.range(0);
+  const int64_t channels = state.range(1);
+  const int64_t protos = state.range(2);
   Rng rng(5);
-  std::vector<float> positions(static_cast<size_t>(area) * channels);
-  std::vector<float> proto(static_cast<size_t>(channels));
+  std::vector<float> positions(static_cast<size_t>(area * channels));
+  std::vector<float> rows(static_cast<size_t>(protos * channels));
   for (auto& v : positions) v = static_cast<float>(rng.Gaussian());
-  for (auto& v : proto) v = static_cast<float>(rng.Gaussian());
-  NormalizeF(proto.data(), channels);
-  for (int p = 0; p < area; ++p) {
-    NormalizeF(positions.data() + static_cast<size_t>(p) * channels, channels);
+  for (auto& v : rows) v = static_cast<float>(rng.Gaussian());
+  for (int64_t p = 0; p < area; ++p) {
+    NormalizeF(positions.data() + p * channels, channels);
   }
+  for (int64_t q = 0; q < protos; ++q) {
+    NormalizeF(rows.data() + q * channels, channels);
+  }
+  std::vector<float> panel(
+      static_cast<size_t>(PrototypePanelFloats(protos, channels)), 0.0f);
+  PackPrototypePanel(rows.data(), protos, channels, 0, panel.data());
+  std::vector<float> best(static_cast<size_t>(protos));
   for (auto _ : state) {
-    float best = -1.0f;
-    for (int p = 0; p < area; ++p) {
-      best = std::max(best,
-                      DotF(positions.data() + static_cast<size_t>(p) * channels,
-                           proto.data(), channels));
-    }
-    benchmark::DoNotOptimize(best);
+    PrototypeMaxScores(positions.data(), area, channels, panel.data(), protos,
+                       best.data());
+    benchmark::DoNotOptimize(best.data());
   }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(area * channels * protos),
+      benchmark::Counter::kIsIterationInvariantRate,
+      benchmark::Counter::kIs1000);
 }
-BENCHMARK(BM_PrototypeAffinityScore)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_PrototypeMaxScores)
+    ->Args({256, 8, 4800})
+    ->Args({64, 16, 4800})
+    ->Args({16, 32, 4800})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_DiagonalGmmFit(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

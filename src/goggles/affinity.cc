@@ -114,6 +114,22 @@ Status PrototypeAffinitySource::Restore(std::vector<LayerData> layers,
           "PrototypeAffinitySource::Restore: per-image cache size does not "
           "match the pool size");
     }
+    if (data.channels < 1) {
+      return Status::InvalidArgument(
+          "PrototypeAffinitySource::Restore: need at least one channel");
+    }
+    for (int j = 0; j < num_images; ++j) {
+      const int np = data.num_prototypes[static_cast<size_t>(j)];
+      if (np < 0 || data.prototypes[static_cast<size_t>(j)].size() !=
+                        static_cast<size_t>(np) *
+                            static_cast<size_t>(data.channels)) {
+        return Status::InvalidArgument(StrFormat(
+            "PrototypeAffinitySource::Restore: image %d has %zu prototype "
+            "floats for %d prototypes of %d channels",
+            j, data.prototypes[static_cast<size_t>(j)].size(), np,
+            data.channels));
+      }
+    }
   }
   layers_ = std::move(layers);
   num_images_ = num_images;
@@ -152,14 +168,15 @@ void PrototypeAffinitySource::BuildPackedPrototypes() {
           pack.offsets[static_cast<size_t>(j)] +
           data.num_prototypes[static_cast<size_t>(j)];
     }
-    const int64_t total = pack.offsets.back();
-    pack.data.resize(static_cast<size_t>(total * data.channels));
+    pack.data.assign(static_cast<size_t>(PrototypePanelFloats(
+                         pack.offsets.back(), data.channels)),
+                     0.0f);
     for (int64_t j = 0; j < n; ++j) {
       // Per-image prototype rows are already L2-normalized and contiguous.
-      std::copy(data.prototypes[static_cast<size_t>(j)].begin(),
-                data.prototypes[static_cast<size_t>(j)].end(),
-                pack.data.begin() + pack.offsets[static_cast<size_t>(j)] *
-                                        data.channels);
+      PackPrototypePanel(data.prototypes[static_cast<size_t>(j)].data(),
+                         data.num_prototypes[static_cast<size_t>(j)],
+                         data.channels, pack.offsets[static_cast<size_t>(j)],
+                         pack.data.data());
     }
   }
 }
@@ -182,86 +199,42 @@ Status PrototypeAffinitySource::ScoreLayerInto(
   const int64_t area = static_cast<int64_t>(positions_of(0).size()) /
                        std::max<int64_t>(c, 1);
 
-  if (num_protos == 0) {
-    // No pool image has a prototype at this layer: every score is 0.
-    for (int64_t i = 0; i < m; ++i) {
-      double* row = out->RowPtr(i);
-      for (int f = layer; f < num_functions; f += num_layers_total) {
-        std::fill(row + static_cast<int64_t>(f) * n,
-                  row + static_cast<int64_t>(f) * n + n, 0.0);
-      }
-    }
-    return Status::OK();
-  }
-
-  // Bound the per-worker buffers — both the stacked positions
-  // (block * area * c floats) and the score matrix (block * area *
-  // num_protos floats) — to keep the working set cache- and
-  // memory-friendly.
-  constexpr int64_t kScoreBufferFloats = int64_t{1} << 21;  // 8 MiB
-  const int64_t floats_per_image =
-      std::max<int64_t>(1, area * std::max(c, num_protos));
-  const int64_t block_images =
-      std::max<int64_t>(1, kScoreBufferFloats / floats_per_image);
-
   Status status = Status::OK();
   std::mutex status_mutex;
   ParallelForChunked(0, m, [&](int64_t lo, int64_t hi) {
-    std::vector<float> stacked, scores, best;
-    for (int64_t b0 = lo; b0 < hi; b0 += block_images) {
-      const int64_t mb = std::min(block_images, hi - b0);
-      stacked.resize(static_cast<size_t>(mb * area * c));
-      for (int64_t i = 0; i < mb; ++i) {
-        const std::vector<float>& pos = positions_of(b0 + i);
-        if (static_cast<int64_t>(pos.size()) != area * c) {
-          std::lock_guard<std::mutex> guard(status_mutex);
-          status = Status::InvalidArgument(StrFormat(
-              "ScoreLayerInto: layer %d instance %lld position size %zu != "
-              "area*channels %lld — all instances of one call must share "
-              "one resolution",
-              layer, static_cast<long long>(b0 + i), pos.size(),
-              static_cast<long long>(area * c)));
-          return;
-        }
-        std::copy(pos.begin(), pos.end(),
-                  stacked.begin() + static_cast<size_t>(i * area * c));
+    std::vector<float> best(static_cast<size_t>(num_protos));
+    for (int64_t i = lo; i < hi; ++i) {
+      const std::vector<float>& pos = positions_of(i);
+      if (static_cast<int64_t>(pos.size()) != area * c) {
+        std::lock_guard<std::mutex> guard(status_mutex);
+        status = Status::InvalidArgument(StrFormat(
+            "ScoreLayerInto: layer %d instance %lld position size %zu != "
+            "area*channels %lld — all instances of one call must share "
+            "one resolution",
+            layer, static_cast<long long>(i), pos.size(),
+            static_cast<long long>(area * c)));
+        return;
       }
-      // scores[(i*area + p), q] = <position p of instance i, prototype q>:
-      // one GEMM over the packed prototype panel. Serial inside — the
-      // instance loop above is already the parallel axis.
-      scores.resize(static_cast<size_t>(mb * area * num_protos));
-      SGemmWithThreads(false, true, mb * area, num_protos, c, 1.0f,
-                       stacked.data(), c, pack.data.data(), c, 0.0f,
-                       scores.data(), num_protos, /*num_threads=*/1);
-      // Eq. 2 max over positions, in ascending-position order (the exact
-      // reduction order of the scalar Score()/ScoreQuery() path).
-      best.assign(static_cast<size_t>(mb * num_protos), -1.0f);
-      for (int64_t i = 0; i < mb; ++i) {
-        float* bi = best.data() + i * num_protos;
-        const float* srows = scores.data() + i * area * num_protos;
-        for (int64_t p = 0; p < area; ++p) {
-          const float* srow = srows + p * num_protos;
-          for (int64_t q = 0; q < num_protos; ++q) {
-            if (srow[q] > bi[q]) bi[q] = srow[q];
-          }
-        }
-      }
+      // Eq. 2 against every pool prototype at once: the kernel folds the
+      // max over positions into its register tile, so the positions x
+      // prototypes score matrix is never stored. Serial inside — the
+      // instance loop is already the parallel axis.
+      PrototypeMaxScores(pos.data(), area, c, pack.data.data(), num_protos,
+                         best.data());
       // Scatter into A[i, f*N + j] with the z-wrap for images that have
       // fewer than Z unique prototypes.
-      for (int64_t i = 0; i < mb; ++i) {
-        const float* bi = best.data() + i * num_protos;
-        double* row = out->RowPtr(b0 + i);
-        for (int f = layer; f < num_functions; f += num_layers_total) {
-          const int z = f / num_layers_total;
-          double* dst = row + static_cast<int64_t>(f) * n;
-          for (int64_t j = 0; j < n; ++j) {
-            const int np = data.num_prototypes[static_cast<size_t>(j)];
-            dst[j] = np == 0
-                         ? 0.0
-                         : static_cast<double>(
-                               bi[pack.offsets[static_cast<size_t>(j)] +
-                                  z % np]);
-          }
+      double* row = out->RowPtr(i);
+      for (int f = layer; f < num_functions; f += num_layers_total) {
+        const int z = f / num_layers_total;
+        double* dst = row + static_cast<int64_t>(f) * n;
+        for (int64_t j = 0; j < n; ++j) {
+          const int np = data.num_prototypes[static_cast<size_t>(j)];
+          dst[j] = np == 0
+                       ? 0.0
+                       : static_cast<double>(
+                             best[static_cast<size_t>(
+                                 pack.offsets[static_cast<size_t>(j)] +
+                                 z % np)]);
         }
       }
     }

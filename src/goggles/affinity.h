@@ -93,13 +93,16 @@ class PrototypeAffinitySource {
   const std::vector<LayerData>& layers() const { return layers_; }
 
   /// \brief Approximate resident size of the prepared caches in bytes
-  /// (position vectors, prototypes, and the packed GEMM panels). Feeds
+  /// (position vectors, prototypes, and the packed prototype panels). Feeds
   /// the serving registry's LRU memory budget.
   uint64_t ApproxMemoryBytes() const;
 
   /// \brief Restores a prepared state previously captured via layers(),
   /// bypassing feature extraction (serving artifact import). The layer
-  /// count must match the extractor's pool-layer count.
+  /// count must match the extractor's pool-layer count, and every layer
+  /// needs channels >= 1 and, per image, a non-negative prototype count
+  /// with exactly that many rows of `channels` floats (InvalidArgument
+  /// otherwise).
   Status Restore(std::vector<LayerData> layers, int num_images,
                  uint64_t fingerprint);
 
@@ -126,28 +129,32 @@ class PrototypeAffinitySource {
   /// \brief Batched pool-side scoring: fills columns f < `num_functions`
   /// of the affinity matrix `a` (layout A[i, f*N + j], §2.2) for the
   /// round-robin library ordering (function f = layer f % L, prototype
-  /// rank f / L). Instead of one dot product per (position, prototype)
-  /// pair, each layer runs one GEMM of the stacked position vectors
-  /// against the packed prototype panel followed by a max-reduction over
-  /// positions — and duplicate prototypes (the z-wrap for images with
-  /// fewer than Z unique prototypes) are scored once instead of once per
-  /// wrapped z. `a` must be pre-sized to at least num_functions * N cols.
+  /// rank f / L). Each layer runs the fused scorer (PrototypeMaxScores,
+  /// tensor/gemm.h) once per instance against the packed prototype panel:
+  /// the max over positions is folded into the kernel's register tile, so
+  /// no positions x prototypes score matrix is stored — and duplicate
+  /// prototypes (the z-wrap for images with fewer than Z unique
+  /// prototypes) are scored once instead of once per wrapped z. `a` must
+  /// be pre-sized to at least num_functions * N cols.
   Status ScorePoolRowsInto(int num_functions, Matrix* a) const;
 
   /// \brief Batched query-side scoring: the M x (num_functions * N) row
   /// block for `queries` in the same layout (and with the same
   /// float->double cast) as ScorePoolRowsInto. Both sides run the same
-  /// GEMM kernel with the same per-element accumulation order, so a query
-  /// identical to a pool image reproduces its fit-time scores bit for bit.
+  /// fused kernel, whose scores are bit-identical to SGemm followed by a
+  /// max over ascending positions. Row i depends only on query i, and a
+  /// query identical to a pool image reproduces its fit-time scores bit
+  /// for bit.
   Result<Matrix> ScoreQueryRowsBatched(
       const std::vector<QueryFeatures>& queries, int num_functions) const;
 
  private:
-  /// Per-layer prototypes of all pool images packed into one contiguous
-  /// panel (GEMM right-hand side). Derived from `layers_` by Prepare() and
-  /// Restore(); never persisted.
+  /// Per-layer prototypes of all pool images packed into one panel in the
+  /// 16-column k-major layout of PackPrototypePanel (tensor/gemm.h), the
+  /// same at every ISA tier. Built in one pass from `layers_` by Prepare()
+  /// and Restore(); never persisted.
   struct PackedPrototypes {
-    std::vector<float> data;       ///< total_protos x channels, row-major
+    std::vector<float> data;       ///< PrototypePanelFloats(total, channels)
     std::vector<int64_t> offsets;  ///< n+1; image j owns [offsets[j], offsets[j+1])
   };
 

@@ -43,7 +43,7 @@ Result<Matrix> GogglesPipeline::BuildAffinity(
   Matrix a(n, static_cast<int64_t>(fns.size()) * n);
   if (num_library > 0) {
     GOGGLES_RETURN_NOT_OK(library_.source->Prepare(images));
-    // The library block goes through the batched GEMM scorer — the same
+    // The library block goes through the fused Eq. 2 scorer — the same
     // kernel (and accumulation order) the serving path uses for query
     // rows, so a served image reproduces its fit-time scores bit for bit.
     GOGGLES_RETURN_NOT_OK(library_.source->ScorePoolRowsInto(

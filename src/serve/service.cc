@@ -625,8 +625,9 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // requests arrived together by (session, shape), dedups identical
   // pixels, and runs ONE batched extraction+scoring call per group.
   // Row i of a grouped extraction is bit-identical to extracting image
-  // i alone (fixed ascending-k GEMM accumulation), so slicing the
-  // group's rows back out changes nothing versus singleton calls.
+  // i alone (per-image scoring, fixed ascending-k accumulation), so
+  // slicing the group's rows back out changes nothing versus singleton
+  // calls.
   pipe.AddStage(
       {"extract", popt.extract_threads, popt.queue_capacity,
        popt.max_batch, popt.batch_wait_micros},

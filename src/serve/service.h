@@ -28,8 +28,8 @@
 /// control bounds in-flight requests at the reader (block, or reject
 /// with a clean error response).
 /// Responses are bit-identical to the serial HandleLine() path at any
-/// thread/stage configuration — the batched GEMM scorer accumulates each
-/// output row in a fixed order independent of batch shape, so grouped
+/// thread/stage configuration — the scorer computes each output row on
+/// its own, in a fixed order independent of batch shape, so grouped
 /// extraction row i equals the singleton extraction of image i, and
 /// inference is row-independent.
 ///

@@ -42,10 +42,10 @@ Result<Matrix> Session::BuildQueryRows(
     return Status::InvalidArgument("Session::BuildQueryRows: no images");
   }
   // The backbone forwards run concurrently (const inference path inside
-  // the possibly shared extractor); the batched scorer then labels the
-  // whole request batch with one GEMM per pool layer against the packed
-  // prototype panel — the same kernel the fitting run used, so scores for
-  // pool-identical images reproduce bit for bit.
+  // the possibly shared extractor); the scorer then runs one fused GEMM +
+  // max per image and pool layer against the packed prototype panel — the
+  // same kernel the fitting run used, so scores for pool-identical images
+  // reproduce bit for bit.
   GOGGLES_ASSIGN_OR_RETURN(
       std::vector<PrototypeAffinitySource::QueryFeatures> queries,
       source_->ExtractQueryFeatures(images));

@@ -38,9 +38,9 @@ struct OnlineLabel {
 /// Labeling entry points are const and may be called from multiple
 /// threads: the backbone forward pass goes through the extractor's
 /// lock-free const inference path — N sessions sharing one backbone scale
-/// with cores — and affinity scoring (one GEMM per pool layer against the
-/// packed prototype panel) and posterior evaluation also run lock-free in
-/// parallel.
+/// with cores — and affinity scoring (one fused GEMM + max per pool layer
+/// against the packed prototype panel) and posterior evaluation also run
+/// lock-free in parallel.
 class Session {
  public:
   Session() = default;
@@ -65,11 +65,11 @@ class Session {
 
   /// \brief Extraction half of LabelBatch: builds the M x (alpha *
   /// pool_size) affinity rows for `images` through the batched
-  /// extractor + GEMM scorer, without running inference. The staged
+  /// extractor + fused scorer, without running inference. The staged
   /// serving pipeline calls this from its extraction stage and feeds
   /// the rows (possibly sliced per image) to InferRows downstream.
-  /// Row i depends only on image i — the GEMM accumulates in a fixed
-  /// ascending-k order independent of batch shape — so slicing rows
+  /// Row i depends only on image i — the scorer runs once per image and
+  /// accumulates in a fixed ascending-k order — so slicing rows
   /// out of a grouped extraction is bit-identical to extracting each
   /// image alone.
   Result<Matrix> BuildQueryRows(const std::vector<data::Image>& images) const;
@@ -108,7 +108,7 @@ class Session {
   }
 
   /// \brief Approximate resident size of the fitted state in bytes
-  /// (prototype/position caches, packed GEMM panels, fitted models, pool
+  /// (prototype/position caches, packed prototype panels, fitted models, pool
   /// labels). The multi-task registry charges this against its LRU memory
   /// budget when deciding evictions.
   uint64_t ApproxMemoryBytes() const;

@@ -66,6 +66,24 @@ void DGemmWithPackedA(const DGemmPackedA& packed_a, bool transpose_b,
                              num_threads);
 }
 
+void PackPrototypePanel(const float* rows, int64_t count, int64_t channels,
+                        int64_t first, float* panel) {
+  constexpr int64_t kNR = kPrototypePanelCols;
+  for (int64_t r = 0; r < count; ++r) {
+    const int64_t q = first + r;
+    float* dst = panel + q / kNR * kNR * channels + q % kNR;
+    const float* src = rows + r * channels;
+    for (int64_t k = 0; k < channels; ++k) dst[k * kNR] = src[k];
+  }
+}
+
+void PrototypeMaxScores(const float* positions, int64_t area,
+                        int64_t channels, const float* panel,
+                        int64_t num_protos, float* best) {
+  ActiveKernels().prototype_max_scores(positions, area, channels, panel,
+                                       num_protos, best);
+}
+
 void DGemmReference(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                     int64_t k, double alpha, const double* a, int64_t lda,
                     const double* b, int64_t ldb, double beta, double* c,

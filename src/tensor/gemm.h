@@ -4,9 +4,10 @@
 #include <vector>
 
 /// \file gemm.h
-/// \brief Packed cache-blocked GEMM in single precision (conv, linear,
-/// batched prototype-affinity scoring) and double precision (the EM fit
-/// cores of the hierarchical generative model).
+/// \brief Packed cache-blocked GEMM in single precision (conv, linear)
+/// and double precision (the EM fit cores of the hierarchical generative
+/// model), plus the fused Eq. 2 prototype scorer (PrototypeMaxScores),
+/// which folds the max over positions into the GEMM register tile.
 ///
 /// The implementation is a cache-blocked, register-tiled, panel-packing
 /// kernel (BLIS-style): op(A) and op(B) are repacked into contiguous
@@ -116,6 +117,40 @@ DGemmPackedA DGemmPackOperandA(bool transpose_a, int64_t m, int64_t k,
 void DGemmWithPackedA(const DGemmPackedA& packed_a, bool transpose_b,
                       int64_t n, const double* b, int64_t ldb, double beta,
                       double* c, int64_t ldc, int num_threads = 0);
+
+/// \brief Column count of a prototype panel, the right-hand operand of
+/// PrototypeMaxScores. Prototypes are grouped 16 at a time and each group
+/// is stored k-major: element k of prototype q sits at
+/// `panel[(q / 16) * 16 * channels + k * 16 + q % 16]`. Columns past the
+/// last prototype are zero. The layout is the same at every ISA tier.
+inline constexpr int64_t kPrototypePanelCols = 16;
+
+/// \brief Floats of a panel holding `num_protos` prototypes of `channels`.
+inline int64_t PrototypePanelFloats(int64_t num_protos, int64_t channels) {
+  return (num_protos + kPrototypePanelCols - 1) / kPrototypePanelCols *
+         kPrototypePanelCols * channels;
+}
+
+/// \brief Writes `count` row-major prototypes (count x channels) into
+/// panel columns [first, first + count). One pass over `rows`; the
+/// padding columns are not touched, so `panel` must start zeroed.
+void PackPrototypePanel(const float* rows, int64_t count, int64_t channels,
+                        int64_t first, float* panel);
+
+/// \brief Fused Eq. 2 scorer: for every prototype q < num_protos,
+/// `best[q]` is the max over the `area` position rows (area x channels,
+/// row-major) of their dot product with prototype q of `panel`.
+///
+/// Bit-identical to SGemm(false, true, area, num_protos, channels, 1,
+/// positions, channels, prototypes, channels, 0, scores, num_protos)
+/// followed by a running max over ascending positions that starts at -1
+/// and takes a score only when it is `>` the max, so NaN scores never
+/// win. No score matrix is stored: each register tile of dot products is
+/// folded into the max as soon as it is complete. Serial; callers
+/// parallelize over instances.
+void PrototypeMaxScores(const float* positions, int64_t area,
+                        int64_t channels, const float* panel,
+                        int64_t num_protos, float* best);
 
 /// \brief Serial scalar reference with DGemm's exact accumulation
 /// semantics: per C element, one std::fma-accumulated partial sum per

@@ -36,6 +36,10 @@ struct TensorKernels {
                               int64_t n, const double* b, int64_t ldb,
                               double beta, double* c, int64_t ldc,
                               int num_threads);
+  /// Fused Eq. 2 scorer behind PrototypeMaxScores (gemm.h).
+  void (*prototype_max_scores)(const float* positions, int64_t area,
+                               int64_t channels, const float* panel,
+                               int64_t num_protos, float* best);
   /// C[m,n] (int32, row-major, fully overwritten) = A[m,k] * B[k,n],
   /// both int8 row-major. Exact integer accumulation; |a|,|b| <= 127 and
   /// k <= 2^17 stay far from int32 overflow.

@@ -167,7 +167,7 @@ TEST_F(AffinityTest, PrepareDetectsSameCountContentChange) {
   }
 }
 
-// The batched GEMM scorer must agree with the scalar ScoreQuery path —
+// The fused batched scorer must agree with the scalar ScoreQuery path —
 // including for query images whose resolution (and hence filter-map
 // area) differs from the pool's, which the scalar path always supported.
 TEST_F(AffinityTest, BatchedQueryScoringMatchesScalarAcrossResolutions) {
@@ -208,6 +208,48 @@ TEST_F(AffinityTest, BatchedQueryScoringMatchesScalarAcrossResolutions) {
       }
     }
   }
+}
+
+// Restore is public, so it must reject caches whose prototype vectors do
+// not match their declared shape before packing them into the panel.
+class AffinityRestoreTest : public AffinityTest {
+ protected:
+  void SetUp() override {
+    AffinityTest::SetUp();
+    PrototypeAffinitySource prepared(extractor_, 3);
+    ASSERT_TRUE(prepared.Prepare(images_).ok());
+    layers_ = prepared.layers();
+    fingerprint_ = prepared.fingerprint();
+  }
+
+  Status RestoreLayers(std::vector<PrototypeAffinitySource::LayerData> layers) {
+    PrototypeAffinitySource source(extractor_, 3);
+    return source.Restore(std::move(layers),
+                          static_cast<int>(images_.size()), fingerprint_);
+  }
+
+  std::vector<PrototypeAffinitySource::LayerData> layers_;
+  uint64_t fingerprint_ = 0;
+};
+
+TEST_F(AffinityRestoreTest, AcceptsPreparedLayers) {
+  EXPECT_TRUE(RestoreLayers(layers_).ok());
+}
+
+TEST_F(AffinityRestoreTest, RejectsNonPositiveChannels) {
+  layers_[1].channels = 0;
+  EXPECT_EQ(RestoreLayers(layers_).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(AffinityRestoreTest, RejectsNegativePrototypeCount) {
+  layers_[2].num_prototypes[3] = -1;
+  layers_[2].prototypes[3].clear();
+  EXPECT_EQ(RestoreLayers(layers_).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(AffinityRestoreTest, RejectsPrototypeVectorOfWrongLength) {
+  layers_[0].prototypes[4].push_back(0.5f);
+  EXPECT_EQ(RestoreLayers(layers_).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(VectorCosineAffinityTest, MatchesCosine) {

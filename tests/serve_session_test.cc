@@ -165,6 +165,46 @@ TEST_F(ServeSessionTest, MaxFunctionsTruncationIsHonoredOnline) {
   }
 }
 
+/// FNV-1a over the raw bits of a matrix's doubles.
+uint64_t HashMatrixBits(const Matrix& m) {
+  uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  for (size_t i = 0; i < static_cast<size_t>(m.size()) * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+// Golden scores: the bits of the pool affinity matrix, of the query rows
+// for held-out images and the resulting hard labels, recorded once and
+// hard-coded. The other tests only compare one path of this build against
+// another; this one catches any drift in the Eq. 2 scorer's bits. The
+// numerical contract (tensor/gemm.h) makes the values portable across
+// ISA tiers.
+TEST_F(ServeSessionTest, GoldenScoresAndLabels) {
+  GogglesPipeline pipeline(MakeExtractor(), config_);
+  auto pool_affinity = pipeline.BuildAffinity(pool_);
+  ASSERT_TRUE(pool_affinity.ok()) << pool_affinity.status();
+  ASSERT_EQ(pool_affinity->cols(), 15 * 14);
+  EXPECT_EQ(HashMatrixBits(*pool_affinity), 0x2b2daf55a696a0b7ull);
+
+  const PrototypeAffinitySource& source = *pipeline.library().source;
+  auto queries = source.ExtractQueryFeatures(held_out_);
+  ASSERT_TRUE(queries.ok()) << queries.status();
+  auto query_rows = source.ScoreQueryRowsBatched(*queries, 15);
+  ASSERT_TRUE(query_rows.ok()) << query_rows.status();
+  EXPECT_EQ(HashMatrixBits(*query_rows), 0x9867bdf6e800afb7ull);
+
+  auto session = serve::Session::Fit(extractor_, pool_, dev_indices_,
+                                     dev_labels_, 2, config_);
+  ASSERT_TRUE(session.ok()) << session.status();
+  EXPECT_EQ(session->pool_result().hard_labels,
+            (std::vector<int>{1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1}));
+  auto held_out = session->InferRows(*query_rows);
+  ASSERT_TRUE(held_out.ok()) << held_out.status();
+  EXPECT_EQ(held_out->hard_labels, (std::vector<int>{0, 1, 1, 0}));
+}
+
 TEST_F(ServeSessionTest, InvalidInputsAreRejected) {
   serve::Session unfitted;
   EXPECT_FALSE(unfitted.LabelBatch(held_out_).ok());

@@ -15,7 +15,9 @@
 /// all four transpose combinations x non-tight lda/ldb/ldc strides x
 /// alpha/beta in {0, 1, 0.5} x sizes straddling the packing tile
 /// boundaries — plus BLAS-semantics regressions (NaN propagation, the
-/// alpha == 0 shortcut) and a multi-thread bit-determinism check.
+/// alpha == 0 shortcut) and a multi-thread bit-determinism check. The
+/// fused Eq. 2 scorer (PrototypeMaxScores) is checked bit for bit against
+/// SGemmReference followed by the max over positions.
 
 namespace goggles {
 namespace {
@@ -246,6 +248,104 @@ TEST(SGemmDeterminismTest, MatchesNaiveOrderForSmallK) {
           << ") matches neither the fma nor the plain ascending-k order";
     }
   }
+}
+
+/// Eq. 2 by the unfused route: the full SGemmReference score matrix, then
+/// a running max over ascending positions from -1 that takes a score only
+/// when it is `>` the max.
+std::vector<float> UnfusedMaxScores(const std::vector<float>& positions,
+                                    int64_t area, int64_t c,
+                                    const std::vector<float>& protos,
+                                    int64_t np) {
+  std::vector<float> scores(static_cast<size_t>(area * np));
+  SGemmReference(false, true, area, np, c, 1.0f, positions.data(), c,
+                 protos.data(), c, 0.0f, scores.data(), np);
+  std::vector<float> best(static_cast<size_t>(np), -1.0f);
+  for (int64_t p = 0; p < area; ++p) {
+    for (int64_t q = 0; q < np; ++q) {
+      const float s = scores[static_cast<size_t>(p * np + q)];
+      if (s > best[static_cast<size_t>(q)]) best[static_cast<size_t>(q)] = s;
+    }
+  }
+  return best;
+}
+
+/// The fused scorer over a panel packed in two pieces (the way the
+/// affinity source packs one image's prototypes after another).
+std::vector<float> FusedMaxScores(const std::vector<float>& positions,
+                                  int64_t area, int64_t c,
+                                  const std::vector<float>& protos,
+                                  int64_t np) {
+  std::vector<float> panel(static_cast<size_t>(PrototypePanelFloats(np, c)),
+                           0.0f);
+  const int64_t head = np / 3;
+  PackPrototypePanel(protos.data(), head, c, 0, panel.data());
+  PackPrototypePanel(protos.data() + head * c, np - head, c, head,
+                     panel.data());
+  std::vector<float> best(static_cast<size_t>(np), 0.0f);
+  PrototypeMaxScores(positions.data(), area, c, panel.data(), np,
+                     best.data());
+  return best;
+}
+
+void ExpectFusedMatchesUnfused(const std::vector<float>& positions,
+                               int64_t area, int64_t c,
+                               const std::vector<float>& protos, int64_t np) {
+  const std::vector<float> want =
+      UnfusedMaxScores(positions, area, c, protos, np);
+  const std::vector<float> got = FusedMaxScores(positions, area, c, protos, np);
+  ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+            0)
+      << "area " << area << " channels " << c << " prototypes " << np;
+}
+
+// Shapes cross the position tile (1, 3, 8, 9, 256 rows), the k-block
+// (300 > kGemmKChunk channels) and the 16-column panel (15, 16, 17).
+TEST(PrototypeMaxScoresTest, BitIdenticalToSGemmThenMax) {
+  Rng rng(47);
+  for (int64_t area : {1, 3, 8, 9, 256}) {
+    for (int64_t c : {1, 8, 64, 300}) {
+      for (int64_t np : {1, 15, 16, 17, 1000}) {
+        ExpectFusedMatchesUnfused(
+            RandomVec(static_cast<size_t>(area * c), &rng), area, c,
+            RandomVec(static_cast<size_t>(np * c), &rng), np);
+      }
+    }
+  }
+}
+
+// NaN and Inf inputs (a NaN score never beats the running max), signed
+// zeros (0.0f + -0.0f is +0.0f, so a zero score is always +0) and exact
+// ties between repeated positions.
+TEST(PrototypeMaxScoresTest, SpecialValuesMatchSGemmThenMax) {
+  Rng rng(48);
+  const int64_t area = 19, c = 24, np = 37;
+  std::vector<float> positions =
+      RandomVec(static_cast<size_t>(area * c), &rng);
+  std::vector<float> protos = RandomVec(static_cast<size_t>(np * c), &rng);
+  positions[2 * c + 5] = kNaN;                 // position 2 scores NaN
+  positions[7 * c + 1] = kInf;                 // position 7 scores +-Inf
+  protos[3 * c + 4] = kNaN;                    // prototype 3 scores NaN only
+  protos[5 * c + 1] = 0.0f;                    // Inf * 0 = NaN at position 7
+  for (int64_t k = 0; k < c; ++k) {
+    protos[static_cast<size_t>(9 * c + k)] = -0.0f;  // prototype 9: all -0
+    positions[static_cast<size_t>(11 * c + k)] =
+        positions[static_cast<size_t>(4 * c + k)];   // position 11 ties 4
+    positions[static_cast<size_t>(12 * c + k)] =
+        k % 2 == 0 ? 0.0f : -0.0f;                   // position 12: zeros
+  }
+  ExpectFusedMatchesUnfused(positions, area, c, protos, np);
+  const std::vector<float> got = FusedMaxScores(positions, area, c, protos, np);
+  EXPECT_EQ(got[3], -1.0f);  // every score NaN: the max never moves
+  EXPECT_FALSE(std::signbit(got[9]));
+  EXPECT_EQ(got[9], 0.0f);
+
+  // A position block where every score is NaN leaves every max at -1.
+  std::vector<float> nan_positions(static_cast<size_t>(9 * c), kNaN);
+  const std::vector<float> all_nan =
+      FusedMaxScores(nan_positions, 9, c, protos, np);
+  for (float v : all_nan) EXPECT_EQ(v, -1.0f);
+  ExpectFusedMatchesUnfused(nan_positions, 9, c, protos, np);
 }
 
 }  // namespace
