@@ -33,13 +33,22 @@
 /// item is processed immediately, a burst is processed together.
 ///
 /// Waiting is done on per-consumer doorbells (mutex + condvar + an
-/// atomic `sleeping` flag): producers ring only when the consumer
-/// advertised it was parking, and a short self-healing `wait_for`
-/// timeout covers the residual flag race. Backpressure propagates
-/// upstream edge by edge: an internal producer blocked on a full
-/// downstream queue spins/sleeps (counted in stats); the *external*
-/// Submit() caller chooses block-vs-reject, which is where admission
-/// control lives.
+/// atomic `sleeping` flag), and wakeups are exact. A parking consumer
+/// raises the flag, then re-checks its queues; a producer publishes its
+/// push (or Close()), then takes the flag down and notifies if it was
+/// up. Both flag operations are seq_cst read-modify-writes of the same
+/// atomic, so the later one sees the earlier: either the producer finds
+/// the flag up, or the consumer's re-check finds the item (a Dekker
+/// pairing). An idle consumer therefore sleeps with no timeout; the only
+/// timed wait is the batch-gather window, held only with a partial
+/// batch. The condition this relies on: every push onto an edge and
+/// every Close() of an edge is followed by a Ring() of that edge's
+/// consumer.
+///
+/// Backpressure propagates upstream edge by edge: an internal producer
+/// blocked on a full downstream queue spins/sleeps (counted in stats);
+/// the *external* Submit() caller chooses block-vs-reject, which is
+/// where admission control lives.
 ///
 /// Shutdown cascades: Drain() closes stage 0's input queues; each
 /// worker, after its inputs are closed and drained, closes the crossbar
@@ -105,17 +114,36 @@ struct PipelineStageStats {
 
 namespace pipeline_internal {
 
-/// \brief Per-consumer parking spot. The consumer advertises it is
-/// about to sleep via `sleeping` (seq_cst), re-checks its queues, then
-/// waits; producers ring only when the flag is up. The bounded wait in
-/// the consumer self-heals the unavoidable advertise/check race.
+/// \brief Doorbell::Wait() deadline meaning "until rung".
+constexpr int64_t kNoDeadline = -1;
+
+/// \brief Per-consumer parking spot. The consumer raises `sleeping`
+/// with Park(), re-checks its queues, then waits until a producer's
+/// Ring() takes the flag down. Park() and Ring() are seq_cst RMWs of
+/// `sleeping`, so whichever runs second reads the other's effect: a
+/// producer that pushed (or closed an edge) before ringing is either
+/// seen by the consumer's re-check or finds the flag up and notifies.
+/// No ring is lost, so no wait needs a timeout to recover one.
 struct Doorbell {
   std::mutex mu;
   std::condition_variable cv;
   std::atomic<bool> sleeping{false};
 
-  /// \brief Producer side: wake the consumer if it advertised parking.
+  /// \brief Producer side, called after every push onto and every
+  /// Close() of one of this consumer's edges: takes the flag down and
+  /// wakes the consumer if it was up.
   void Ring();
+
+  /// \brief Consumer side: raises the flag. The caller then re-checks
+  /// its queues and, if they offer nothing, calls Wait().
+  void Park() { sleeping.exchange(true, std::memory_order_seq_cst); }
+
+  /// \brief Sleeps until a Ring(), or until the MonotonicMicros()
+  /// `deadline` unless it is kNoDeadline; then lowers the flag.
+  void Wait(int64_t deadline);
+
+  /// \brief Lowers the flag without waiting (the re-check found work).
+  void Unpark() { sleeping.store(false, std::memory_order_relaxed); }
 };
 
 /// \brief Kernel-thread budget for each stage worker: an even split of
@@ -127,10 +155,6 @@ int AutoKernelBudget(int total_pipeline_threads);
 /// \brief Microseconds an internal producer sleeps between retries on a
 /// full downstream edge.
 constexpr int64_t kProducerRetrySleepMicros = 50;
-
-/// \brief Upper bound on a parked consumer's wait slice; bounds the
-/// cost of a lost doorbell ring to well under a millisecond.
-constexpr int64_t kConsumerParkSliceMicros = 500;
 
 }  // namespace pipeline_internal
 
@@ -405,19 +429,14 @@ class Pipeline {
       return all_inputs_finished();
     };
 
-    // Park on the doorbell for at most `slice` microseconds using the
-    // advertise / re-check protocol: the seq_cst store/load pair with
-    // Ring() closes the lost-wakeup window; the bounded wait self-heals
-    // anything that slips through.
-    auto park = [&](int64_t slice) {
-      db.sleeping.store(true, std::memory_order_seq_cst);
-      if (!work_or_exit_ready()) {
-        std::unique_lock<std::mutex> lock(db.mu);
-        if (db.sleeping.load(std::memory_order_relaxed)) {
-          db.cv.wait_for(lock, std::chrono::microseconds(slice));
-        }
+    // Advertise, re-check, then wait (see Doorbell).
+    auto park = [&](int64_t deadline) {
+      db.Park();
+      if (work_or_exit_ready()) {
+        db.Unpark();
+      } else {
+        db.Wait(deadline);
       }
-      db.sleeping.store(false, std::memory_order_relaxed);
     };
 
     const int64_t batch_wait = st.config.batch_wait_micros;
@@ -426,7 +445,7 @@ class Pipeline {
       gather();
       if (batch.empty()) {
         if (all_inputs_finished()) break;
-        park(pipeline_internal::kConsumerParkSliceMicros);
+        park(pipeline_internal::kNoDeadline);
         continue;
       }
       if (batch.size() < max_batch && batch_wait > 0 &&
@@ -441,10 +460,8 @@ class Pipeline {
           gather();
           if (batch.size() > before) continue;
           if (all_inputs_finished()) break;
-          const int64_t remaining = deadline - MonotonicMicros();
-          if (remaining <= 0) break;
-          park(std::min(remaining,
-                        pipeline_internal::kConsumerParkSliceMicros));
+          if (MonotonicMicros() >= deadline) break;
+          park(deadline);
         }
       }
       st.items.fetch_add(batch.size(), std::memory_order_relaxed);

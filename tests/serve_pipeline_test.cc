@@ -1,11 +1,15 @@
 #include "util/pipeline.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -15,7 +19,8 @@
 #include "util/spsc_queue.h"
 
 /// The staged serving flowgraph: the SPSC queue primitive, the pipeline
-/// executor (flow, batching, drain, backpressure, stats), and the
+/// executor (flow, batching, drain, backpressure, stats, exact
+/// doorbell wakeups: an idle graph sleeps, no ring is ever lost), and the
 /// Service-level guarantees — Run() responses bit-identical to serial
 /// HandleLine() calls at multiple stage/thread/batching configurations,
 /// grouped extraction errors reaching every member, reject-mode
@@ -263,6 +268,100 @@ TEST(PipelineTest, StageWorkersRunUnderTheKernelBudget) {
   EXPECT_GE(pipe.KernelBudget(), 1);
   EXPECT_EQ(observed.load(), pipe.KernelBudget())
       << "stage worker did not install the executor's kernel budget";
+}
+
+long VoluntaryContextSwitches() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw;
+}
+
+TEST(PipelineTest, IdleFlowgraphSleeps) {
+  // The serve graph's shape (decode 1, extract 2, infer 1, encode 1) with
+  // no-op stages. Once idle, every worker must sleep until rung: a timed
+  // park would wake each worker thousands of times per second. The sink's
+  // state is declared first so it outlives the pipeline's final Drain().
+  std::atomic<int> sunk{0};
+  Pipeline<int> pipe;
+  const auto noop = [](std::vector<int>&) {};
+  pipe.AddStage({"decode", 1, 64, 1}, noop);
+  pipe.AddStage({"extract", 2, 64, 8}, noop);
+  pipe.AddStage({"infer", 1, 64, 1}, noop);
+  pipe.AddStage({"encode", 1, 64, 1}, noop);
+  pipe.Start([&](int&&) { sunk.fetch_add(1); });
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(pipe.Submit(int(i), true));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
+  ASSERT_EQ(sunk.load(), 4);
+
+  const long before = VoluntaryContextSwitches();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const long switches = VoluntaryContextSwitches() - before;
+  EXPECT_LE(switches, 20)
+      << "idle flowgraph woke " << switches << " times in 300 ms";
+  pipe.Drain();
+  EXPECT_EQ(sunk.load(), 4);
+}
+
+// Round trips one item at a time: each item is submitted only after the
+// previous one reached the sink, so every consumer parks between items
+// and each hop is a fresh park/ring handshake. The submitter spins on the
+// sink's counter, so in a one-stage graph the next Submit races the
+// worker's own return to park — the window a lost ring needs. Idle waits
+// have no timeout, so one lost ring stalls the graph; the in-test
+// deadline turns that into a failure with the count reached.
+void PingPong(int num_stages, int64_t stage2_batch_wait_micros) {
+  constexpr int kRoundTrips = 20000;
+  // Declared before the pipeline: after a failed ASSERT its destructor
+  // drains the stuck item into the sink.
+  std::atomic<int> returned{0};
+  std::atomic<bool> values_ok{true};
+  Pipeline<int> pipe;
+  for (int s = 0; s < num_stages; ++s) {
+    PipelineStageConfig config{"s" + std::to_string(s), s == 1 ? 2 : 1, 4,
+                               4};
+    if (s == 1) config.batch_wait_micros = stage2_batch_wait_micros;
+    pipe.AddStage(std::move(config), [](std::vector<int>& items) {
+      for (int& v : items) ++v;
+    });
+  }
+  pipe.Start([&](int&& v) {
+    if (v != returned.load(std::memory_order_relaxed) * 10 + num_stages) {
+      values_ok.store(false);
+    }
+    returned.fetch_add(1, std::memory_order_release);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  for (int i = 0; i < kRoundTrips; ++i) {
+    ASSERT_TRUE(pipe.Submit(i * 10, /*block=*/true));
+    for (int spins = 1; returned.load(std::memory_order_acquire) <= i;
+         ++spins) {
+      if (spins % 1024 != 0) continue;  // react within nanoseconds
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "lost a ring: only " << returned.load() << " of "
+          << kRoundTrips << " round trips completed before the deadline";
+      std::this_thread::yield();
+    }
+  }
+  pipe.Drain();
+  EXPECT_EQ(returned.load(), kRoundTrips);
+  EXPECT_TRUE(values_ok.load())
+      << "an item skipped a stage or arrived out of turn";
+}
+
+TEST(PipelineTest, PingPongNeverLosesARing) {
+  {
+    SCOPED_TRACE("4 stages, no gather window");
+    PingPong(4, 0);
+  }
+  {
+    SCOPED_TRACE("4 stages, stage 2 gather window");
+    PingPong(4, 20);
+  }
+  {
+    SCOPED_TRACE("1 stage: every Submit races the worker's park");
+    PingPong(1, 0);
+  }
 }
 
 // ---- PipelineOptions env / normalization ----------------------------------
