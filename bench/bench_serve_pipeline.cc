@@ -343,7 +343,7 @@ void RunExperiment() {
 
 void BM_PipelineSubmitDrain(benchmark::State& state) {
   // Executor overhead floor: items through a 4-stage pipeline with no-op
-  // stage bodies (queue hops + doorbells only, no model work).
+  // stage bodies (lane pushes, pops and wakeups only, no model work).
   const int items = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Pipeline<int> pipe;

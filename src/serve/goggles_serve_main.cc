@@ -9,7 +9,8 @@
 ///                                                     # task-less requests
 ///
 /// Requests run through a staged flowgraph (decode → extract → infer →
-/// encode); the flags below shape it.
+/// encode) in which every stage worker reads one intake lane, bounded by
+/// the admission cap; the flags below shape it.
 ///
 /// Options:
 ///   --pipeline-decode N     decode-stage threads (default 1; also
@@ -20,8 +21,6 @@
 ///                           GOGGLES_PIPELINE_INFER_THREADS)
 ///   --pipeline-encode N     encode-stage threads (default 1; also
 ///                           GOGGLES_PIPELINE_ENCODE_THREADS)
-///   --pipeline-queue N      per-edge SPSC queue capacity (default 64;
-///                           also GOGGLES_PIPELINE_QUEUE)
 ///   --pipeline-batch N      extraction-stage micro-batch cap (default
 ///                           8; also GOGGLES_PIPELINE_MAX_BATCH)
 ///   --pipeline-batch-wait N extraction-stage batch-gather window in
@@ -29,8 +28,9 @@
 ///                           batch waits up to N us for stragglers
 ///                           before extracting (default 0 = never wait;
 ///                           also GOGGLES_PIPELINE_BATCH_WAIT)
-///   --pipeline-admission N  in-flight request cap (default 64; also
-///                           GOGGLES_PIPELINE_ADMISSION)
+///   --pipeline-admission N  in-flight request cap, which also bounds
+///                           every stage worker's intake lane (default
+///                           64; also GOGGLES_PIPELINE_ADMISSION)
 ///   --pipeline-reject       shed over-capacity requests with an
 ///                           immediate error response instead of
 ///                           stalling the reader (also
@@ -99,40 +99,19 @@ bool ParsePositiveInt(const char* text, long long max_value,
   return true;
 }
 
-/// Env-var twin of the flag parsing: same strict parse and the same
-/// bounds as the corresponding CLI flag. Out-of-range or malformed
-/// values warn on stderr and fall back to `fallback` (the repo's
-/// env-knob policy: never silently truncate).
-long long EnvRangedInt(const char* name, long long fallback,
-                       long long min_value, long long max_value) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || value < min_value ||
-      value > max_value) {
-    std::fprintf(stderr,
-                 "warning: %s='%s' is not an integer in [%lld, %lld]; "
-                 "using %lld\n",
-                 name, text, min_value, max_value, fallback);
-    return fallback;
-  }
-  return value;
-}
-
 void PrintUsage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s (--artifact PATH | --artifact-dir DIR)\n"
       "       [--pipeline-decode N] [--pipeline-extract N]\n"
       "       [--pipeline-infer N] [--pipeline-encode N]\n"
-      "       [--pipeline-queue N] [--pipeline-batch N]\n"
-      "       [--pipeline-batch-wait N] [--pipeline-admission N]\n"
+      "       [--pipeline-batch N] [--pipeline-batch-wait N]\n"
+      "       [--pipeline-admission N]\n"
       "       [--pipeline-reject] [--task-budget-mb N] [--max-tasks N]\n"
       "       [--request-deadline-ms N] [--pipeline-watchdog-ms N]\n"
       "Serves newline-delimited JSON labeling requests on stdin/stdout\n"
-      "through a staged decode -> extract -> infer -> encode flowgraph.\n"
+      "through a staged decode -> extract -> infer -> encode flowgraph;\n"
+      "--pipeline-admission also bounds each stage worker's intake lane.\n"
       "Ops: {\"op\":\"stats\"} | {\"op\":\"label\",\"image\":{...}} |\n"
       "     {\"op\":\"label_batch\",\"images\":[...]} |\n"
       "     {\"op\":\"list_tasks\"} | {\"op\":\"load\",\"task\":T} |\n"
@@ -152,21 +131,20 @@ int main(int argc, char** argv) {
   std::string artifact_path;
   std::string artifact_dir = GetEnvOr("GOGGLES_ARTIFACT_DIR", "");
   serve::ServiceConfig config;
-  // Pipeline knobs share the library-side strict env loader so the
-  // service tests cover exactly the parsing the binary uses; out-of-
-  // range values are clamped by the Service constructor.
+  // Pipeline knobs share the library-side ranged env loader so the
+  // service tests cover exactly the parsing the binary uses.
   config.pipeline = serve::PipelineOptionsFromEnv(config.pipeline);
   config.request_deadline_micros =
-      EnvRangedInt("GOGGLES_REQUEST_DEADLINE_MS",
-                   config.request_deadline_micros / 1000, 0, 3'600'000) *
+      GetEnvRangedIntOr("GOGGLES_REQUEST_DEADLINE_MS",
+                        config.request_deadline_micros / 1000, 0, 3'600'000) *
       1000;
   serve::RegistryConfig registry_config;
   registry_config.memory_budget_bytes =
       static_cast<uint64_t>(
-          EnvRangedInt("GOGGLES_TASK_BUDGET_MB", 0, 0, 1 << 20))
+          GetEnvRangedIntOr("GOGGLES_TASK_BUDGET_MB", 0, 0, 1 << 20))
       << 20;
   registry_config.max_resident_tasks = static_cast<size_t>(
-      EnvRangedInt("GOGGLES_MAX_TASKS", 0, 0, 1 << 20));
+      GetEnvRangedIntOr("GOGGLES_MAX_TASKS", 0, 0, 1 << 20));
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -208,14 +186,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       config.pipeline.encode_threads = static_cast<int>(value);
-    } else if (arg == "--pipeline-queue" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 1 << 20, &value)) {
-        std::fprintf(stderr, "error: --pipeline-queue expects 1..%d, "
-                     "got '%s'\n",
-                     1 << 20, argv[i]);
-        return 2;
-      }
-      config.pipeline.queue_capacity = static_cast<int>(value);
     } else if (arg == "--pipeline-batch" && has_value) {
       if (!ParsePositiveInt(argv[++i], 4096, &value)) {
         std::fprintf(stderr, "error: --pipeline-batch expects 1..4096, "

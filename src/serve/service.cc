@@ -125,7 +125,6 @@ ServiceConfig NormalizeConfig(ServiceConfig config) {
   if (p.extract_threads < 1) p.extract_threads = 1;
   if (p.infer_threads < 1) p.infer_threads = 1;
   if (p.encode_threads < 1) p.encode_threads = 1;
-  if (p.queue_capacity < 1) p.queue_capacity = 1;
   if (p.max_batch < 1) p.max_batch = 1;
   if (p.batch_wait_micros < 0) p.batch_wait_micros = 0;
   if (p.admission_capacity < 1) p.admission_capacity = 1;
@@ -138,27 +137,28 @@ ServiceConfig NormalizeConfig(ServiceConfig config) {
 
 PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults) {
   PipelineOptions p = defaults;
-  p.decode_threads = static_cast<int>(
-      GetEnvIntOr("GOGGLES_PIPELINE_DECODE_THREADS", p.decode_threads));
-  p.extract_threads = static_cast<int>(
-      GetEnvIntOr("GOGGLES_PIPELINE_EXTRACT_THREADS", p.extract_threads));
-  p.infer_threads = static_cast<int>(
-      GetEnvIntOr("GOGGLES_PIPELINE_INFER_THREADS", p.infer_threads));
-  p.encode_threads = static_cast<int>(
-      GetEnvIntOr("GOGGLES_PIPELINE_ENCODE_THREADS", p.encode_threads));
-  p.queue_capacity = static_cast<int>(
-      GetEnvIntOr("GOGGLES_PIPELINE_QUEUE", p.queue_capacity));
-  p.max_batch =
-      static_cast<int>(GetEnvIntOr("GOGGLES_PIPELINE_MAX_BATCH", p.max_batch));
-  p.batch_wait_micros =
-      GetEnvIntOr("GOGGLES_PIPELINE_BATCH_WAIT", p.batch_wait_micros);
-  p.admission_capacity = static_cast<int>(
-      GetEnvIntOr("GOGGLES_PIPELINE_ADMISSION", p.admission_capacity));
+  // The bounds are the `goggles_serve` flags' bounds.
+  const auto threads = [](const char* name, int fallback) {
+    return static_cast<int>(GetEnvRangedIntOr(name, fallback, 1, 256));
+  };
+  p.decode_threads =
+      threads("GOGGLES_PIPELINE_DECODE_THREADS", p.decode_threads);
+  p.extract_threads =
+      threads("GOGGLES_PIPELINE_EXTRACT_THREADS", p.extract_threads);
+  p.infer_threads = threads("GOGGLES_PIPELINE_INFER_THREADS", p.infer_threads);
+  p.encode_threads =
+      threads("GOGGLES_PIPELINE_ENCODE_THREADS", p.encode_threads);
+  p.max_batch = static_cast<int>(
+      GetEnvRangedIntOr("GOGGLES_PIPELINE_MAX_BATCH", p.max_batch, 1, 4096));
+  p.batch_wait_micros = GetEnvRangedIntOr(
+      "GOGGLES_PIPELINE_BATCH_WAIT", p.batch_wait_micros, 0, 10'000'000);
+  p.admission_capacity = static_cast<int>(GetEnvRangedIntOr(
+      "GOGGLES_PIPELINE_ADMISSION", p.admission_capacity, 1, 1 << 20));
   p.reject_on_full =
       GetEnvIntOr("GOGGLES_PIPELINE_REJECT", p.reject_on_full ? 1 : 0) != 0;
   p.watchdog_budget_micros =
-      GetEnvIntOr("GOGGLES_PIPELINE_WATCHDOG_MS",
-                  p.watchdog_budget_micros / 1000) *
+      GetEnvRangedIntOr("GOGGLES_PIPELINE_WATCHDOG_MS",
+                        p.watchdog_budget_micros / 1000, 0, 3'600'000) *
       1000;
   return p;
 }
@@ -527,6 +527,9 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   const PipelineOptions& popt = config_.pipeline;
   const uint64_t admission_cap =
       static_cast<uint64_t>(popt.admission_capacity);
+  // In-flight requests never exceed the admission cap, so lanes bounded
+  // by it never fill; the reader alone waits, at admission.
+  const int lane_capacity = popt.admission_capacity;
   const int64_t deadline_micros = config_.request_deadline_micros;
   // True once the request aged past its deadline; stages call this
   // before starting expensive work so a stalled stage sheds its queue
@@ -562,8 +565,8 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   pipe.AddStage(
       // max_batch lets one wake drain every queued line (no gather
       // window) — items are still parsed one by one, the batching only
-      // amortizes doorbell wakeups under load.
-      {"decode", popt.decode_threads, popt.queue_capacity, popt.max_batch},
+      // amortizes lane wakeups under load.
+      {"decode", popt.decode_threads, lane_capacity, popt.max_batch},
       [this, &expired, &deadline_response](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.decode");
         for (PipeItem& item : items) {
@@ -629,7 +632,7 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // slicing the group's rows back out changes nothing versus singleton
   // calls.
   pipe.AddStage(
-      {"extract", popt.extract_threads, popt.queue_capacity,
+      {"extract", popt.extract_threads, lane_capacity,
        popt.max_batch, popt.batch_wait_micros},
       [this, &expired, &deadline_response](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.extract");
@@ -715,7 +718,7 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // row under its session's fitted hierarchical model. Items are
   // inferred independently; the batch only amortizes wakeups.
   pipe.AddStage(
-      {"infer", popt.infer_threads, popt.queue_capacity, popt.max_batch},
+      {"infer", popt.infer_threads, lane_capacity, popt.max_batch},
       [this, &expired, &deadline_response](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.infer");
         for (PipeItem& item : items) {
@@ -745,7 +748,7 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // Stage 4 — encode: serialize the label response (same field order as
   // HandleRequest's label branch, byte for byte).
   pipe.AddStage(
-      {"encode", popt.encode_threads, popt.queue_capacity, popt.max_batch},
+      {"encode", popt.encode_threads, lane_capacity, popt.max_batch},
       [](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.encode");
         for (PipeItem& item : items) {

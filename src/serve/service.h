@@ -19,14 +19,14 @@
 /// requests in, one JSON response line per request out (in input order).
 ///
 /// Run() pushes requests through a staged flowgraph (decode → extract →
-/// infer → encode, util/pipeline.h) over lock-free SPSC queues. The
-/// extraction stage drains whatever label requests are queued (up to
-/// `pipeline.max_batch`), groups them by (session, shape), dedups
-/// identical pixels, and scores each group with ONE batched
-/// `Session::BuildQueryRows` call; the GEMM-bound extraction stage
-/// overlaps the EM-posterior inference stage across requests. Admission
-/// control bounds in-flight requests at the reader (block, or reject
-/// with a clean error response).
+/// infer → encode, util/pipeline.h) in which every stage worker reads
+/// one mutex-guarded intake lane. The extraction stage drains whatever
+/// label requests are queued (up to `pipeline.max_batch`), groups them
+/// by (session, shape), dedups identical pixels, and scores each group
+/// with ONE batched `Session::BuildQueryRows` call; the GEMM-bound
+/// extraction stage overlaps the EM-posterior inference stage across
+/// requests. Admission control bounds in-flight requests at the reader
+/// (block, or reject with a clean error response).
 /// Responses are bit-identical to the serial HandleLine() path at any
 /// thread/stage configuration — the scorer computes each output row on
 /// its own, in a fixed order independent of batch shape, so grouped
@@ -59,8 +59,6 @@ struct PipelineOptions {
   int infer_threads = 1;
   /// Threads for the response-encode stage.
   int encode_threads = 1;
-  /// Capacity of each SPSC crossbar edge between stages.
-  int queue_capacity = 64;
   /// Max label requests the extraction stage groups into one batched
   /// scoring call. With `batch_wait_micros` == 0, grouping never waits —
   /// it takes what is queued.
@@ -70,7 +68,8 @@ struct PipelineOptions {
   /// arrivals before extracting (trades latency for dedup/GEMM
   /// amortization). 0 (default) = extract whatever is queued at once.
   int64_t batch_wait_micros = 0;
-  /// Admission cap on in-flight requests (submitted minus written).
+  /// Admission cap on in-flight requests (submitted minus written). It
+  /// also bounds every stage worker's intake lane, so no lane can fill.
   int admission_capacity = 64;
   /// true: a request arriving with `admission_capacity` already in
   /// flight gets an immediate {"ok":false,...} response instead of
@@ -85,11 +84,11 @@ struct PipelineOptions {
 
 /// \brief Overlays the `GOGGLES_PIPELINE*` environment knobs on
 /// `defaults`: GOGGLES_PIPELINE_DECODE_THREADS, _EXTRACT_THREADS,
-/// _INFER_THREADS, _ENCODE_THREADS, _QUEUE, _MAX_BATCH, _BATCH_WAIT,
-/// _ADMISSION, _REJECT, _WATCHDOG_MS. Values go through the strict env
-/// parser (util/env.h): malformed or trailing-garbage values warn and
-/// fall back to the default; range clamping happens when the Service is
-/// constructed.
+/// _INFER_THREADS, _ENCODE_THREADS, _MAX_BATCH, _BATCH_WAIT, _ADMISSION,
+/// _REJECT, _WATCHDOG_MS. Values go through the strict ranged env parser
+/// (util/env.h) with the `goggles_serve` flags' bounds: malformed,
+/// trailing-garbage or out-of-range values warn and fall back to the
+/// default.
 PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults = {});
 
 /// \brief Service tuning knobs.
@@ -132,7 +131,7 @@ class Service {
 
   /// \brief Pumps `in` to exhaustion: reads request lines, runs them
   /// through the staged flowgraph (decode → extract → infer → encode
-  /// over SPSC crossbars, with reader-side admission control), writes
+  /// over per-worker lanes, with reader-side admission control), writes
   /// responses to `out` in input order. Returns after every response is
   /// flushed.
   Status Run(std::istream& in, std::ostream& out);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 /// \file env.h
@@ -12,6 +13,12 @@ std::string GetEnvOr(const std::string& name, const std::string& fallback);
 
 /// \brief Integer-valued environment variable with fallback.
 int64_t GetEnvIntOr(const std::string& name, int64_t fallback);
+
+/// \brief Integer-valued environment variable that must also lie in
+/// [`min_value`, `max_value`]. Malformed or out-of-range values log a
+/// warning and return `fallback`, never a truncated or clamped value.
+int64_t GetEnvRangedIntOr(const std::string& name, int64_t fallback,
+                          int64_t min_value, int64_t max_value);
 
 /// \brief Double-valued environment variable with fallback.
 double GetEnvDoubleOr(const std::string& name, double fallback);

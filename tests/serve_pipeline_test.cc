@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
@@ -16,11 +17,10 @@
 #include "data/raster.h"
 #include "nn/vgg.h"
 #include "serve/service.h"
-#include "util/spsc_queue.h"
 
-/// The staged serving flowgraph: the SPSC queue primitive, the pipeline
-/// executor (flow, batching, drain, backpressure, stats, exact
-/// doorbell wakeups: an idle graph sleeps, no ring is ever lost), and the
+/// The staged serving flowgraph: the pipeline executor (flow, batching,
+/// drain, backpressure, stats, exact lane wakeups: an idle graph and a
+/// blocked producer sleep, no wakeup is ever lost), and the
 /// Service-level guarantees — Run() responses bit-identical to serial
 /// HandleLine() calls at multiple stage/thread/batching configurations,
 /// grouped extraction errors reaching every member, reject-mode
@@ -29,81 +29,6 @@
 
 namespace goggles {
 namespace {
-
-// ---- SpscQueue ------------------------------------------------------------
-
-TEST(SpscQueueTest, FifoWithWraparound) {
-  SpscQueue<int> queue(4);
-  EXPECT_EQ(queue.capacity(), 4u);
-  // Several full fill/drain cycles exercise index wrap past capacity.
-  int next_push = 0;
-  int next_pop = 0;
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    for (int i = 0; i < 4; ++i) {
-      int v = next_push++;
-      EXPECT_TRUE(queue.TryPush(v));
-    }
-    int overflow = 999;
-    EXPECT_FALSE(queue.TryPush(overflow)) << "push into a full queue";
-    EXPECT_EQ(overflow, 999) << "failed push must leave the item intact";
-    for (int i = 0; i < 4; ++i) {
-      int out = -1;
-      ASSERT_TRUE(queue.TryPop(&out));
-      EXPECT_EQ(out, next_pop++);
-    }
-    int empty_out = -1;
-    EXPECT_FALSE(queue.TryPop(&empty_out)) << "pop from an empty queue";
-  }
-}
-
-TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscQueue<int>(64).capacity(), 64u);
-  EXPECT_EQ(SpscQueue<int>(65).capacity(), 128u);
-}
-
-TEST(SpscQueueTest, CloseIsALatchThatStillDrains) {
-  SpscQueue<int> queue(4);
-  int v = 7;
-  ASSERT_TRUE(queue.TryPush(v));
-  EXPECT_FALSE(queue.closed());
-  queue.Close();
-  EXPECT_TRUE(queue.closed());
-  int refused = 8;
-  EXPECT_FALSE(queue.TryPush(refused)) << "push after Close";
-  int out = -1;
-  EXPECT_TRUE(queue.TryPop(&out)) << "queued items must drain after Close";
-  EXPECT_EQ(out, 7);
-  EXPECT_FALSE(queue.TryPop(&out));
-  EXPECT_TRUE(queue.Empty());
-}
-
-TEST(SpscQueueTest, ConcurrentProducerConsumerPreservesOrder) {
-  SpscQueue<int> queue(8);
-  constexpr int kItems = 200000;
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) {
-      int v = i;
-      while (!queue.TryPush(v)) std::this_thread::yield();
-    }
-    queue.Close();
-  });
-  int expected = 0;
-  int out = -1;
-  while (true) {
-    if (queue.TryPop(&out)) {
-      ASSERT_EQ(out, expected) << "SPSC order violated";
-      ++expected;
-    } else if (queue.closed() && queue.Empty()) {
-      break;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(expected, kItems);
-}
 
 // ---- Pipeline executor ----------------------------------------------------
 
@@ -302,6 +227,48 @@ TEST(PipelineTest, IdleFlowgraphSleeps) {
   EXPECT_EQ(sunk.load(), 4);
 }
 
+TEST(PipelineTest, BlockedProducerSleeps) {
+  // Stage 2 is gated shut, so a blocking Submit soon finds every lane
+  // full. The parked producer must sleep until a lane has room, not poll.
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  std::atomic<int> sunk{0};
+  Pipeline<int> pipe;
+  pipe.AddStage({"first", 1, 2, 1}, [](std::vector<int>&) {});
+  pipe.AddStage({"gated", 1, 2, 1}, [&](std::vector<int>&) {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return gate_open; });
+  });
+  pipe.Start([&](int&&) { sunk.fetch_add(1); });
+  constexpr int kItems = 32;  // far more than the graph can hold
+  std::thread producer([&] {
+    for (int i = 0; i < kItems; ++i) pipe.Submit(int(i), /*block=*/true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pipe.Stats()[0].backpressured == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(pipe.Stats()[0].backpressured, 1u) << "producer never blocked";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
+
+  const long before = VoluntaryContextSwitches();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const long switches = VoluntaryContextSwitches() - before;
+  EXPECT_LE(switches, 20)
+      << "blocked producer woke " << switches << " times in 300 ms";
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  producer.join();
+  pipe.Drain();
+  EXPECT_EQ(sunk.load(), kItems);
+}
+
 // Round trips one item at a time: each item is submitted only after the
 // previous one reached the sink, so every consumer parks between items
 // and each hop is a fresh park/ring handshake. The submitter spins on the
@@ -369,19 +336,17 @@ TEST(PipelineTest, PingPongNeverLosesARing) {
 TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
   setenv("GOGGLES_PIPELINE_EXTRACT_THREADS", "7", 1);
   setenv("GOGGLES_PIPELINE_MAX_BATCH", "junk", 1);   // malformed
-  setenv("GOGGLES_PIPELINE_QUEUE", "128trailing", 1);  // trailing garbage
   setenv("GOGGLES_PIPELINE_BATCH_WAIT", "2500", 1);
-  setenv("GOGGLES_PIPELINE_ADMISSION", "9", 1);
+  setenv("GOGGLES_PIPELINE_ADMISSION", "128trailing", 1);  // trailing garbage
   setenv("GOGGLES_PIPELINE_REJECT", "1", 1);
   serve::PipelineOptions defaults;
   serve::PipelineOptions opts = serve::PipelineOptionsFromEnv(defaults);
   EXPECT_EQ(opts.extract_threads, 7);
   EXPECT_EQ(opts.max_batch, defaults.max_batch)
       << "malformed env value must fall back, not parse loosely";
-  EXPECT_EQ(opts.queue_capacity, defaults.queue_capacity)
+  EXPECT_EQ(opts.admission_capacity, defaults.admission_capacity)
       << "trailing garbage must be rejected by the strict parser";
   EXPECT_EQ(opts.batch_wait_micros, 2500);
-  EXPECT_EQ(opts.admission_capacity, 9);
   EXPECT_TRUE(opts.reject_on_full);
 
   // Malformed batch-wait falls back to the default like the others.
@@ -392,7 +357,6 @@ TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
   unsetenv("GOGGLES_PIPELINE_EXTRACT_THREADS");
   unsetenv("GOGGLES_PIPELINE_MAX_BATCH");
   unsetenv("GOGGLES_PIPELINE_BATCH_WAIT");
-  unsetenv("GOGGLES_PIPELINE_QUEUE");
   unsetenv("GOGGLES_PIPELINE_ADMISSION");
   unsetenv("GOGGLES_PIPELINE_REJECT");
 
@@ -403,6 +367,31 @@ TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
   EXPECT_EQ(clean.max_batch, defaults.max_batch);
 }
 
+TEST(PipelineOptionsTest, EnvOverlayRejectsOutOfRangeValues) {
+  // Each value parses as an integer but lies outside the bounds the
+  // `goggles_serve` flags accept; it must fall back to the default, not
+  // wrap, overflow or clamp.
+  serve::PipelineOptions defaults;
+  defaults.watchdog_budget_micros = 5000;
+  const char* kThreads = "GOGGLES_PIPELINE_EXTRACT_THREADS";
+  const char* kWatchdog = "GOGGLES_PIPELINE_WATCHDOG_MS";
+  for (const char* value : {"4294967297", "100000", "0"}) {
+    setenv(kThreads, value, 1);
+    EXPECT_EQ(serve::PipelineOptionsFromEnv(defaults).extract_threads,
+              defaults.extract_threads)
+        << kThreads << "=" << value;
+  }
+  unsetenv(kThreads);
+  // Milliseconds whose microsecond product overflows int64_t.
+  setenv(kWatchdog, "9223372036854776", 1);
+  EXPECT_EQ(serve::PipelineOptionsFromEnv(defaults).watchdog_budget_micros,
+            defaults.watchdog_budget_micros);
+  setenv(kWatchdog, "3600000", 1);  // the upper bound itself is accepted
+  EXPECT_EQ(serve::PipelineOptionsFromEnv(defaults).watchdog_budget_micros,
+            int64_t{3'600'000'000});
+  unsetenv(kWatchdog);
+}
+
 TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
   EXPECT_EQ(serve::ServiceConfig().pipeline.admission_capacity, 64);
   serve::ServiceConfig config;
@@ -410,7 +399,6 @@ TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
   config.pipeline.extract_threads = -4;
   config.pipeline.max_batch = 0;
   config.pipeline.batch_wait_micros = -500;
-  config.pipeline.queue_capacity = -1;
   config.pipeline.admission_capacity = 0;
   serve::Service service(std::shared_ptr<const serve::Session>(), config);
   const serve::PipelineOptions& p = service.config().pipeline;
@@ -418,7 +406,6 @@ TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
   EXPECT_EQ(p.extract_threads, 1);
   EXPECT_EQ(p.max_batch, 1);
   EXPECT_EQ(p.batch_wait_micros, 0) << "negative gather window clamps to 0";
-  EXPECT_EQ(p.queue_capacity, 1);
   EXPECT_EQ(p.admission_capacity, 1);
 }
 
@@ -552,14 +539,13 @@ TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
   // Config 1: default stage shape (1/2/1/1 threads, batch 8).
   serve::ServiceConfig narrow;
 
-  // Config 2: wide stages, small queues + batches — maximal reordering
-  // pressure and intra-stage concurrency.
+  // Config 2: wide stages, small batches — maximal reordering pressure
+  // and intra-stage concurrency.
   serve::ServiceConfig wide;
   wide.pipeline.decode_threads = 2;
   wide.pipeline.extract_threads = 3;
   wide.pipeline.infer_threads = 2;
   wide.pipeline.encode_threads = 2;
-  wide.pipeline.queue_capacity = 2;
   wide.pipeline.max_batch = 3;
 
   // Config 3: tight admission (blocking backpressure on the reader).
