@@ -29,22 +29,23 @@ struct GmmState {
   std::vector<double> weights;
 };
 
-/// N x 2D augmented design matrix [x² | x]: carrying the squares next to
-/// the values lets one product produce both Gaussian dot-product terms of
-/// the E-step AND both raw moments of the M-step. Computed once per Fit
-/// and shared read-only across restarts.
-Matrix AugmentWithSquares(const Matrix& x) {
-  const int64_t n = x.rows(), d = x.cols();
-  Matrix xaug(n, 2 * d);
+/// N x 2D augmented design matrix [x² | x] of the D columns of `x` from
+/// `col_begin` on: carrying the squares next to the values lets one
+/// product produce both Gaussian dot-product terms of the E-step AND both
+/// raw moments of the M-step. `xaug` is reshaped only when its shape
+/// differs, so a reused workspace does not allocate.
+void AugmentWithSquares(const Matrix& x, int64_t col_begin, int64_t d,
+                        Matrix* xaug) {
+  const int64_t n = x.rows();
+  if (xaug->rows() != n || xaug->cols() != 2 * d) *xaug = Matrix(n, 2 * d);
   for (int64_t i = 0; i < n; ++i) {
-    const double* row = x.RowPtr(i);
-    double* out = xaug.RowPtr(i);
+    const double* row = x.RowPtr(i) + col_begin;
+    double* out = xaug->RowPtr(i);
     for (int64_t j = 0; j < d; ++j) {
       out[j] = row[j] * row[j];
       out[d + j] = row[j];
     }
   }
-  return xaug;
 }
 
 /// Per-iteration E-step operands (Eq. 6 with diagonal covariance,
@@ -101,7 +102,7 @@ double EStep(const em::FitOperand& xaug, const GmmState& state,
 void MStep(const em::FitOperand& xaug, const Matrix& log_resp,
            double var_floor, em::Engine engine, Matrix* resp, Matrix* moments,
            std::vector<double>* nk, GmmState* state) {
-  const int64_t n = xaug.rows, d = xaug.cols / 2;
+  const int64_t n = xaug.raw.rows(), d = xaug.raw.cols() / 2;
   const int64_t k = state->means.rows();
   em::ExpInto(log_resp, resp);
   em::ColumnSums(*resp, nk);
@@ -119,9 +120,10 @@ void MStep(const em::FitOperand& xaug, const Matrix& log_resp,
 }
 
 /// Random-point initialization: distinct data rows as means, global column
-/// variance as the shared initial variance.
-GmmState InitState(const Matrix& x, int k, Rng* rng, double var_floor) {
-  const int64_t n = x.rows(), d = x.cols();
+/// variance as the shared initial variance. Reads x from the plain half
+/// of the augmented design.
+GmmState InitState(const Matrix& xaug, int k, Rng* rng, double var_floor) {
+  const int64_t n = xaug.rows(), d = xaug.cols() / 2;
   GmmState state;
   state.means = Matrix(k, d);
   state.variances = Matrix(k, d);
@@ -130,21 +132,32 @@ GmmState InitState(const Matrix& x, int k, Rng* rng, double var_floor) {
   std::vector<int> picks = rng->SampleWithoutReplacement(
       static_cast<int>(n), k);
   for (int c = 0; c < k; ++c) {
-    const double* row = x.RowPtr(picks[static_cast<size_t>(c)]);
+    const double* row = xaug.RowPtr(picks[static_cast<size_t>(c)]) + d;
     for (int64_t j = 0; j < d; ++j) state.means(c, j) = row[j];
   }
 
-  std::vector<double> col_mean = ColumnMeans(x);
+  std::vector<double> col_mean = ColumnMeans(xaug);
   for (int64_t j = 0; j < d; ++j) {
     double acc = 0.0;
     for (int64_t i = 0; i < n; ++i) {
-      const double diff = x(i, j) - col_mean[static_cast<size_t>(j)];
+      const double diff =
+          xaug(i, d + j) - col_mean[static_cast<size_t>(d + j)];
       acc += diff * diff;
     }
     const double var = std::max(acc / static_cast<double>(n), var_floor);
     for (int c = 0; c < k; ++c) state.variances(c, j) = var;
   }
   return state;
+}
+
+/// Posterior epilogue shared by FitPredict and PredictProba: `proba`
+/// holds the N x K product xaug · panelᵀ and is log-softmaxed with the
+/// offsets folded in, then exponentiated, in place.
+void PosteriorFromProduct(const std::vector<double>& offsets,
+                          Matrix* proba) {
+  em::LogSoftmaxRowsInPlace(offsets, proba);
+  double* data = proba->data();
+  for (int64_t i = 0; i < proba->size(); ++i) data[i] = std::exp(data[i]);
 }
 
 }  // namespace
@@ -192,6 +205,13 @@ Status DiagonalGmm::SetParameters(Matrix means, Matrix variances,
 }
 
 Status DiagonalGmm::Fit(const Matrix& x) {
+  em::FitOperand workspace;
+  return FitPredict(x, 0, x.cols(), &workspace, nullptr);
+}
+
+Status DiagonalGmm::FitPredict(const Matrix& x, int64_t col_begin,
+                               int64_t dims, em::FitOperand* workspace,
+                               Matrix* posterior) {
   if (x.rows() < config_.num_components) {
     return Status::InvalidArgument(
         "DiagonalGmm::Fit: fewer samples than components");
@@ -199,14 +219,18 @@ Status DiagonalGmm::Fit(const Matrix& x) {
   if (config_.num_components < 1) {
     return Status::InvalidArgument("DiagonalGmm::Fit: need >= 1 component");
   }
+  if (col_begin < 0 || dims < 1 || col_begin + dims > x.cols()) {
+    return Status::InvalidArgument(
+        "DiagonalGmm::Fit: column slice out of range");
+  }
 
   const em::Engine engine =
       config_.use_gemm ? em::Engine::kGemm : em::Engine::kReference;
   // Both product orientations of the design matrix are packed once and
-  // shared read-only across restarts and iterations (the unpacked
-  // augmentation is released as soon as the packs exist).
-  const em::FitOperand xop =
-      em::PackFitOperand(AugmentWithSquares(x), engine);
+  // shared read-only across restarts, iterations and the posterior.
+  AugmentWithSquares(x, col_begin, dims, &workspace->raw);
+  em::PackFitOperand(engine, workspace);
+  const em::FitOperand& xop = *workspace;
   const Rng rng(config_.seed);
   const int num_restarts = std::max(1, config_.num_restarts);
 
@@ -224,8 +248,8 @@ Status DiagonalGmm::Fit(const Matrix& x) {
   ParallelFor(0, num_restarts, [&](int64_t restart) {
     Rng restart_rng = rng.Fork(static_cast<uint64_t>(restart));
     RestartFit& out = restarts[static_cast<size_t>(restart)];
-    out.state =
-        InitState(x, config_.num_components, &restart_rng, config_.var_floor);
+    out.state = InitState(xop.raw, config_.num_components, &restart_rng,
+                          config_.var_floor);
 
     Matrix log_resp, resp, panel, moments;
     std::vector<double> offsets, nk;
@@ -262,6 +286,19 @@ Status DiagonalGmm::Fit(const Matrix& x) {
     ll_history_ = std::move(winner.history);
   }
   final_ll_ = best_ll;
+  if (posterior == nullptr) return Status::OK();
+
+  // PredictProba of the same slice, minus its re-augmentation: the fitted
+  // parameters' E-step product against the packed design, which is
+  // bit-identical to PredictProba's unpacked DGemm (gemm.h).
+  if (means_.rows() == 0) {
+    return Status::Internal("DiagonalGmm::FitPredict: model not fitted");
+  }
+  Matrix panel;
+  std::vector<double> offsets;
+  BuildGaussianPanel(means_, variances_, weights_, &panel, &offsets);
+  em::ProductNT(xop, panel, engine, posterior);
+  PosteriorFromProduct(offsets, posterior);
   return Status::OK();
 }
 
@@ -275,7 +312,8 @@ Result<Matrix> DiagonalGmm::PredictProba(const Matrix& x) const {
   }
   const em::Engine engine =
       config_.use_gemm ? em::Engine::kGemm : em::Engine::kReference;
-  const Matrix xaug = AugmentWithSquares(x);
+  Matrix xaug;
+  AugmentWithSquares(x, 0, x.cols(), &xaug);
   Matrix panel;
   std::vector<double> offsets;
   BuildGaussianPanel(means_, variances_, weights_, &panel, &offsets);
@@ -283,9 +321,7 @@ Result<Matrix> DiagonalGmm::PredictProba(const Matrix& x) const {
   // exponentiated in place (no throwaway E-step buffer + copy).
   Matrix proba;
   em::ProductNT(xaug, panel, engine, &proba);
-  em::LogSoftmaxRowsInPlace(offsets, &proba);
-  double* data = proba.data();
-  for (int64_t i = 0; i < proba.size(); ++i) data[i] = std::exp(data[i]);
+  PosteriorFromProduct(offsets, &proba);
   return proba;
 }
 

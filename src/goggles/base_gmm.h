@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "goggles/em_core.h"
 #include "linalg/matrix.h"
 #include "util/status.h"
 
@@ -42,6 +43,19 @@ class DiagonalGmm {
 
   /// \brief Fits the mixture to `x` (rows = samples).
   Status Fit(const Matrix& x);
+
+  /// \brief Fits the mixture to columns [col_begin, col_begin + dims) of
+  /// `x` and, when `posterior` is non-null, writes the fitted model's
+  /// PredictProba of that slice into it, bit for bit.
+  ///
+  /// `workspace` receives the augmented design [x² | x] of the slice and
+  /// its packed forms. One workspace serves any number of sequential fits
+  /// (not concurrent ones); a fit of the same shape as the previous one
+  /// allocates nothing for it. The posterior is one more E-step against
+  /// the fit's own packed design. Fit(x) is
+  /// FitPredict(x, 0, x.cols(), &fresh_workspace, nullptr).
+  Status FitPredict(const Matrix& x, int64_t col_begin, int64_t dims,
+                    em::FitOperand* workspace, Matrix* posterior);
 
   /// \brief Installs externally-stored parameters (serving artifacts),
   /// making PredictProba available without a Fit() call. `means` and

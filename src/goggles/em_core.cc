@@ -16,26 +16,18 @@ void EnsureShape(int64_t rows, int64_t cols, Matrix* m) {
 
 }  // namespace
 
-FitOperand PackFitOperand(Matrix m, Engine engine) {
-  FitOperand op;
-  op.rows = m.rows();
-  op.cols = m.cols();
-  if (engine == Engine::kGemm) {
-    // The packs carry all the data; `m` is dropped on return so the
-    // operand costs one copy per orientation, not two plus the raw.
-    op.fwd = DGemmPackOperandA(/*transpose_a=*/false, m.rows(), m.cols(),
-                               m.data(), m.cols());
-    op.transposed = DGemmPackOperandA(/*transpose_a=*/true, m.cols(),
-                                      m.rows(), m.data(), m.cols());
-  } else {
-    op.raw = std::move(m);
-  }
-  return op;
+void PackFitOperand(Engine engine, FitOperand* op) {
+  if (engine != Engine::kGemm) return;
+  const Matrix& m = op->raw;
+  DGemmPackOperandAInto(/*transpose_a=*/false, m.rows(), m.cols(), m.data(),
+                        m.cols(), &op->fwd);
+  DGemmPackOperandAInto(/*transpose_a=*/true, m.cols(), m.rows(), m.data(),
+                        m.cols(), &op->transposed);
 }
 
 void ProductNT(const FitOperand& x, const Matrix& b, Engine engine,
                Matrix* out) {
-  const int64_t n = x.rows, d = x.cols, k = b.rows();
+  const int64_t n = x.raw.rows(), d = x.raw.cols(), k = b.rows();
   EnsureShape(n, k, out);
   if (engine == Engine::kGemm) {
     DGemmWithPackedA(x.fwd, /*transpose_b=*/true, k, b.data(), d, 0.0,
@@ -60,7 +52,7 @@ void ProductNT(const Matrix& a, const Matrix& b, Engine engine, Matrix* out) {
 
 void ProductTB(const FitOperand& x, const Matrix& b, Engine engine,
                Matrix* out) {
-  const int64_t n = x.rows, d = x.cols, k = b.cols();
+  const int64_t n = x.raw.rows(), d = x.raw.cols(), k = b.cols();
   EnsureShape(d, k, out);
   if (engine == Engine::kGemm) {
     DGemmWithPackedA(x.transposed, /*transpose_b=*/false, k, b.data(), k, 0.0,

@@ -35,22 +35,18 @@ enum class Engine {
 /// skinny per-iteration products (the other operand has K = #components
 /// columns) the transposing repack of this operand would dominate the
 /// whole call, so both product orientations are packed up front and
-/// shared read-only across restarts. On the GEMM engine the packs carry
-/// all the data and `raw` is released (the operand then costs 2x the
-/// design matrix — one copy per orientation); the reference engine keeps
-/// `raw` and builds no packs.
+/// shared read-only across restarts. Both engines keep `raw`; only the
+/// GEMM engine builds the packs. An operand can be refilled for the next
+/// fit: a same-shape design reuses every buffer without allocating.
 struct FitOperand {
-  Matrix raw;               ///< design matrix; empty on the GEMM engine
+  Matrix raw;               ///< design matrix
   DGemmPackedA fwd;         ///< packed op(A) = design (E-step product)
   DGemmPackedA transposed;  ///< packed op(A) = design^T (M-step product)
-  int64_t rows = 0;         ///< design-matrix rows (valid on both engines)
-  int64_t cols = 0;         ///< design-matrix columns
 };
 
-/// \brief Builds the engine's form of the design matrix: packed panels
-/// (GEMM engine, `m` released afterwards) or the matrix itself
-/// (reference engine, moved into the operand).
-FitOperand PackFitOperand(Matrix m, Engine engine);
+/// \brief Builds the engine's form of `op->raw`: both packs on the GEMM
+/// engine, in their existing storage; nothing on the reference engine.
+void PackFitOperand(Engine engine, FitOperand* op);
 
 /// \brief out = design * b^T for b (k x d); out is reshaped to n x k
 /// only when its shape differs (reusable across EM iterations).

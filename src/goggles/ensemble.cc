@@ -61,7 +61,7 @@ double EStep(const em::FitOperand& b, const BernoulliState& state,
 void MStep(const em::FitOperand& b, const Matrix& log_resp, double smoothing,
            em::Engine engine, Matrix* resp, Matrix* sums,
            std::vector<double>* nk, BernoulliState* state) {
-  const int64_t n = b.rows, l = b.cols;
+  const int64_t n = b.raw.rows(), l = b.raw.cols();
   const int64_t k = state->params.rows();
   em::ExpInto(log_resp, resp);
   em::ColumnSums(*resp, nk);
@@ -127,10 +127,10 @@ Status BernoulliMixture::Fit(const Matrix& b) {
   const em::Engine engine =
       config_.use_gemm ? em::Engine::kGemm : em::Engine::kReference;
   // Both product orientations of the (constant) LP matrix are packed once
-  // and shared read-only across restarts and iterations. The copy handed
-  // to the operand is transient on the GEMM engine (released once the
-  // packs exist).
-  const em::FitOperand bop = em::PackFitOperand(b, engine);
+  // and shared read-only across restarts and iterations.
+  em::FitOperand bop;
+  bop.raw = b;
+  em::PackFitOperand(engine, &bop);
   const Rng rng(config_.seed);
   const int num_restarts = std::max(1, config_.num_restarts);
 

@@ -57,7 +57,10 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
   // ---- Base layer: one diagonal GMM per affinity function (§4.1). ----
   // Fitting the alpha base models is embarrassingly parallel (the paper
   // notes base models "can be parallelized using different slices of the
-  // affinity matrix").
+  // affinity matrix"). Each chunk of functions owns one workspace, so the
+  // augmented design and its packs are allocated once per chunk and
+  // reused by every function in it; each fit reads its N-column slice in
+  // place and leaves its posterior in lps[f].
   std::vector<Matrix> lps(static_cast<size_t>(alpha));
   // Fitted GMM parameters (2*alpha*K*N doubles) are only retained when a
   // caller asked for the fitted model.
@@ -66,23 +69,18 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
   std::vector<Status> statuses(static_cast<size_t>(alpha), Status::OK());
   GmmConfig base_config = config_.base;
   base_config.num_components = num_classes;
-  ParallelFor(0, alpha, [&](int64_t f) {
-    Matrix block = affinity.Block(0, f * n, n, n);
-    GmmConfig cfg = base_config;
-    cfg.seed = base_config.seed + static_cast<uint64_t>(f) * 7919;
-    DiagonalGmm gmm(cfg);
-    Status st = gmm.Fit(block);
-    if (!st.ok()) {
-      statuses[static_cast<size_t>(f)] = st;
-      return;
+  ParallelForChunked(0, alpha, [&](int64_t f_begin, int64_t f_end) {
+    em::FitOperand workspace;
+    for (int64_t f = f_begin; f < f_end; ++f) {
+      GmmConfig cfg = base_config;
+      cfg.seed = base_config.seed + static_cast<uint64_t>(f) * 7919;
+      DiagonalGmm gmm(cfg);
+      statuses[static_cast<size_t>(f)] = gmm.FitPredict(
+          affinity, f * n, n, &workspace, &lps[static_cast<size_t>(f)]);
+      if (fitted_out != nullptr && statuses[static_cast<size_t>(f)].ok()) {
+        gmms[static_cast<size_t>(f)] = std::move(gmm);
+      }
     }
-    Result<Matrix> proba = gmm.PredictProba(block);
-    if (!proba.ok()) {
-      statuses[static_cast<size_t>(f)] = proba.status();
-      return;
-    }
-    lps[static_cast<size_t>(f)] = std::move(*proba);
-    if (fitted_out != nullptr) gmms[static_cast<size_t>(f)] = std::move(gmm);
   });
   for (const Status& st : statuses) GOGGLES_RETURN_NOT_OK(st);
 

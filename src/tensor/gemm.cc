@@ -46,8 +46,13 @@ void DGemm(bool transpose_a, bool transpose_b, int64_t m, int64_t n, int64_t k,
 DGemmPackedA DGemmPackOperandA(bool transpose_a, int64_t m, int64_t k,
                                const double* a, int64_t lda) {
   DGemmPackedA packed;
-  ActiveKernels().dgemm_pack_a(transpose_a, m, k, a, lda, &packed);
+  DGemmPackOperandAInto(transpose_a, m, k, a, lda, &packed);
   return packed;
+}
+
+void DGemmPackOperandAInto(bool transpose_a, int64_t m, int64_t k,
+                           const double* a, int64_t lda, DGemmPackedA* out) {
+  ActiveKernels().dgemm_pack_a(transpose_a, m, k, a, lda, out);
 }
 
 void DGemmWithPackedA(const DGemmPackedA& packed_a, bool transpose_b,

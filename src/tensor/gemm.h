@@ -12,8 +12,8 @@
 /// The implementation is a cache-blocked, register-tiled, panel-packing
 /// kernel (BLIS-style): op(A) and op(B) are repacked into contiguous
 /// micro-panels once per cache block, and an MR x NR register micro-kernel
-/// runs over the packed data. Macro row-tiles are distributed across worker
-/// threads with ParallelForChunked. Packing scratch is thread_local and
+/// runs over the packed data. Macro row-tiles are distributed across the
+/// kernel pool with ParallelForChunked. Packing scratch is thread_local and
 /// grow-only (a fresh allocation per call showed up in the EM fit cores'
 /// thousands of small products; a long-lived thread retains up to a few MB
 /// of panel scratch until it exits). Concurrent GEMM calls from different
@@ -109,6 +109,11 @@ struct DGemmPackedA {
 /// micro-panel layout consumed by DGemmWithPackedA.
 DGemmPackedA DGemmPackOperandA(bool transpose_a, int64_t m, int64_t k,
                                const double* a, int64_t lda);
+
+/// \brief DGemmPackOperandA into an existing operand: `out`'s storage is
+/// reused, so repacking a same-shape operand does not allocate.
+void DGemmPackOperandAInto(bool transpose_a, int64_t m, int64_t k,
+                           const double* a, int64_t lda, DGemmPackedA* out);
 
 /// \brief C = packed_a * op(B) + beta * C. Bit-identical to the
 /// corresponding DGemm call with alpha == 1 — same packing layout, same

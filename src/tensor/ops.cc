@@ -93,10 +93,9 @@ void Col2Im(const float* col, int64_t channels, int64_t height, int64_t width,
 namespace {
 
 /// Reusable per-thread im2col scratch, grown to the high-water mark and
-/// never shrunk. On long-lived threads (the serving worker pool, the
-/// caller's thread in serial forwards) repeated convolutions stop
-/// allocating after the first call; short-lived ParallelFor workers
-/// still amortize it across every image of their chunk. The retained
+/// never shrunk. Every thread that runs convolutions is long-lived (the
+/// kernel pool's workers, serve stage workers, the caller's thread), so
+/// repeated convolutions stop allocating after the first call. The retained
 /// footprint is bounded by the largest conv working set the thread has
 /// run (col_rows * out_area floats, 2x for backward).
 std::vector<float>& Im2ColScratch(int64_t min_size) {
@@ -145,9 +144,12 @@ Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
   // im2col scratch per worker); smaller batches keep the images serial
   // so every image's GEMM can use all cores (nested parallelism inside
   // an image worker would collapse to serial, see ParallelForChunked).
-  // Per-element GEMM results are thread-count-independent, so the output
-  // is bit-identical either way.
-  const int total_threads = DefaultNumThreads();
+  // The width is the one a ParallelFor from this thread would get, so a
+  // nested or budgeted call (a serve stage worker at budget 1) sees its
+  // real width and takes the fused path below. Per-element GEMM results
+  // are thread-count-independent, so the output is bit-identical either
+  // way.
+  const int total_threads = EffectiveNumThreads();
   const bool image_parallel = total_threads > 1 && n >= total_threads;
   const int gemm_threads = image_parallel ? 1 : 0;
 

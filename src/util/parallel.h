@@ -5,6 +5,13 @@
 
 /// \file parallel.h
 /// \brief Minimal data-parallel helpers used by the compute kernels.
+///
+/// Every ParallelFor* call that fans out runs on one process-wide pool of
+/// DefaultNumThreads() - 1 long-lived workers, created on first use: no
+/// call spawns a thread. The calling thread runs the first chunk itself
+/// and keeps claiming its own call's chunks until none are left, so
+/// concurrent callers share the pool without deadlock. A call made from
+/// inside a chunk runs inline.
 
 namespace goggles {
 
@@ -21,11 +28,20 @@ int DefaultNumThreads();
 /// use DefaultNumThreads().
 int ComputeDefaultNumThreads();
 
-/// \brief Runs `fn(i)` for every i in [begin, end) across worker threads.
+/// \brief How many chunks a ParallelFor* call from this thread asking for
+/// `num_threads` (<= 0 = DefaultNumThreads()) would split into, before
+/// capping by the range length: 1 inside a chunk or under
+/// ScopedSerialKernels, otherwise `num_threads` capped by the active
+/// ScopedKernelThreadBudget. Kernels that pick a strategy by width ask
+/// this, not DefaultNumThreads().
+int EffectiveNumThreads(int num_threads = 0);
+
+/// \brief Runs `fn(i)` for every i in [begin, end) on the kernel pool.
 ///
-/// The range is split into contiguous chunks, one batch per worker. `fn`
-/// must be safe to invoke concurrently for distinct indices. Falls back to
-/// a serial loop when the range is small or one thread is requested.
+/// The range is split into EffectiveNumThreads(num_threads) contiguous
+/// chunks; the caller runs one of them. `fn` must be safe to invoke
+/// concurrently for distinct indices. Falls back to a serial loop when
+/// the range is small or one thread is requested.
 void ParallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t)>& fn,
                  int num_threads = 0);
@@ -33,13 +49,15 @@ void ParallelFor(int64_t begin, int64_t end,
 /// \brief Runs `fn(chunk_begin, chunk_end)` over disjoint chunks covering
 /// [begin, end). Useful when per-iteration work is tiny.
 ///
-/// Nested parallelism collapses to serial: a call made from inside a
-/// ParallelFor* worker (or under a ScopedSerialKernels marker) runs the
-/// whole range on the calling thread instead of spawning another layer
-/// of threads — kernels that parallelize internally (SGemm, conv) can be
-/// called freely from already-parallel code without oversubscription.
-/// All in-repo kernels are bit-deterministic across thread counts, so
-/// the collapse never changes results.
+/// Chunk boundaries depend only on the range and the effective width,
+/// never on which thread runs a chunk. Nested parallelism collapses to
+/// serial: a call made from inside a chunk (or under a
+/// ScopedSerialKernels marker) runs the whole range on the calling thread
+/// instead of queueing more pool work — kernels that parallelize
+/// internally (SGemm, conv) can be called freely from already-parallel
+/// code without oversubscription. All in-repo kernels are
+/// bit-deterministic across thread counts, so the collapse never changes
+/// results.
 void ParallelForChunked(int64_t begin, int64_t end,
                         const std::function<void(int64_t, int64_t)>& fn,
                         int num_threads = 0);
@@ -57,7 +75,8 @@ class ScopedSerialKernels {
 };
 
 /// \brief RAII executor-aware token: while alive on this thread,
-/// ParallelFor* spawns at most `max_threads` workers (1 = fully serial,
+/// ParallelFor* splits into at most `max_threads` chunks, so it occupies
+/// at most `max_threads - 1` pool workers (1 = fully serial,
 /// the ScopedSerialKernels behavior). Budgets compose by taking the
 /// minimum, so a stage worker that grants its kernels 4 threads cannot
 /// be widened again by nested code asking for more.
@@ -67,7 +86,7 @@ class ScopedSerialKernels {
 /// ~cores/N collapse to the machine width instead of oversubscribing
 /// N x cores the way unbudgeted nested ParallelFor would. The binary
 /// ScopedSerialKernels marker still wins when present (depth beats
-/// budget): a worker inside another ParallelFor never re-forks.
+/// budget): a chunk inside another ParallelFor never fans out again.
 class ScopedKernelThreadBudget {
  public:
   explicit ScopedKernelThreadBudget(int max_threads);

@@ -8,6 +8,8 @@
 
 #include "goggles/base_gmm.h"
 #include "goggles/ensemble.h"
+#include "goggles/hierarchical.h"
+#include "goggles/mapping.h"
 #include "tensor/gemm.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -23,7 +25,10 @@
 ///      the scalar-reference engine, and at serial vs parallel execution
 ///      (ScopedSerialKernels forces 1-thread kernels and serial restarts);
 ///  (c) DGemm passes the same transpose/alpha/beta/NaN semantics sweep as
-///      tensor_gemm_test.cc does for SGemm.
+///      tensor_gemm_test.cc does for SGemm;
+///  (d) the posterior HierarchicalLabeler::Fit computes from each base
+///      fit's packed design equals DiagonalGmm::PredictProba on the same
+///      affinity block, on both engines.
 
 namespace goggles {
 namespace {
@@ -409,6 +414,49 @@ TEST(EmThreadInvarianceTest, GmmFitBitIdenticalInsideWorkerThread) {
                         static_cast<size_t>(top_level.means().size()) *
                             sizeof(double)),
             0);
+}
+
+// The base layer's fit-time posterior comes from the fit's own packed
+// design (DiagonalGmm::FitPredict), not from a second augmentation: it
+// must equal the fitted model's PredictProba on the function's block,
+// mapped the same way, bit for bit.
+TEST(EmThreadInvarianceTest, FitTimePosteriorMatchesPredictProba) {
+  Rng rng(24);
+  const int64_t n = 40, alpha = 3;
+  Matrix affinity = RandomMatrix(n, alpha * n, &rng);
+  std::vector<int> dev_indices, dev_labels;
+  for (int i = 0; i < 8; ++i) {
+    dev_indices.push_back(i);
+    dev_labels.push_back(i % 2);
+  }
+  for (const bool use_gemm : {true, false}) {
+    HierarchicalConfig config;
+    config.base.use_gemm = use_gemm;
+    config.base.max_iters = 15;
+    config.ensemble.use_gemm = use_gemm;
+    FittedHierarchicalModel fitted;
+    Result<LabelingResult> result = HierarchicalLabeler(config).Fit(
+        affinity, dev_indices, dev_labels, /*num_classes=*/2, &fitted);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(static_cast<int64_t>(result->base_label_predictions.size()),
+              alpha);
+    for (int64_t f = 0; f < alpha; ++f) {
+      Result<Matrix> proba =
+          fitted.base_models[static_cast<size_t>(f)].PredictProba(
+              affinity.Block(0, f * n, n, n));
+      ASSERT_TRUE(proba.ok());
+      const Matrix expected =
+          ApplyMapping(*proba, fitted.base_mappings[static_cast<size_t>(f)]);
+      const Matrix& got =
+          result->base_label_predictions[static_cast<size_t>(f)];
+      ASSERT_EQ(got.rows(), expected.rows());
+      ASSERT_EQ(got.cols(), expected.cols());
+      EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                            static_cast<size_t>(got.size()) * sizeof(double)),
+                0)
+          << "function " << f << " use_gemm=" << use_gemm;
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,13 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <utility>
+
+#include <pthread.h>
+#include <signal.h>
 
 #include <gtest/gtest.h>
 
@@ -254,6 +260,73 @@ TEST(ParallelTest, BudgetedWorkersStillCoverTheWholeRange) {
   for (int64_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << i;
   }
+}
+
+TEST(ParallelTest, WorkersPersistAcrossCalls) {
+  // Every fan-out runs on the same long-lived pool workers plus the
+  // calling thread; a spawn-per-call implementation shows new threads
+  // call after call. The C library recycles the id of an exited thread,
+  // so each thread also draws a serial number on its first chunk.
+  static std::atomic<int> next_serial{0};
+  std::mutex mu;
+  std::set<std::pair<std::thread::id, int>> threads;
+  for (int call = 0; call < 200; ++call) {
+    ParallelForChunked(0, 64, [&](int64_t, int64_t) {
+      thread_local const int serial = next_serial++;
+      std::lock_guard<std::mutex> lock(mu);
+      threads.emplace(std::this_thread::get_id(), serial);
+    });
+  }
+  EXPECT_LE(static_cast<int>(threads.size()), DefaultNumThreads());
+}
+
+TEST(ParallelTest, ConcurrentCallersShareThePool) {
+  // Several external threads fan out at once, some of them budgeted:
+  // each call must cover its own range exactly once and return.
+  constexpr int kCallers = 8;
+  constexpr int kCalls = 500;
+  constexpr int64_t kRange = 97;
+  std::atomic<int> bad_calls{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([t, &bad_calls] {
+      std::vector<std::atomic<int>> hits(kRange);
+      for (int call = 0; call < kCalls; ++call) {
+        for (auto& h : hits) h.store(0);
+        auto body = [&](int64_t i) { hits[static_cast<size_t>(i)]++; };
+        if ((t + call) % 3 == 0) {
+          ScopedKernelThreadBudget budget(2);
+          ParallelFor(0, kRange, body);
+        } else {
+          ParallelFor(0, kRange, body);
+        }
+        for (auto& h : hits) {
+          if (h.load() != 1) {
+            bad_calls++;
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad_calls.load(), 0);
+}
+
+TEST(ParallelTest, PoolWorkersBlockSignals) {
+  // A SIGTERM sent to the process must reach the thread that waits for
+  // it, so pool workers block every signal whatever the caller's mask.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> unblocked{0};
+  ParallelForChunked(0, 64, [&](int64_t, int64_t) {
+    if (std::this_thread::get_id() == caller) return;
+    sigset_t mask;
+    pthread_sigmask(SIG_BLOCK, nullptr, &mask);
+    if (!sigismember(&mask, SIGTERM) || !sigismember(&mask, SIGINT)) {
+      unblocked++;
+    }
+  });
+  EXPECT_EQ(unblocked.load(), 0);
 }
 
 TEST(TableTest, RendersAlignedColumns) {
