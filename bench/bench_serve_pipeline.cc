@@ -4,7 +4,10 @@
 ///
 /// A session is fitted once; then the same stream of R `label` requests
 /// is replayed through `serve::Service::Run` with extraction micro-batch
-/// 1 and 8, on a unique and a duplicate-heavy ("hot") stream.
+/// 1 and 8, on a unique and a duplicate-heavy ("hot") stream. Batch 8
+/// groups whatever is queued and never waits for more. Each row is
+/// replayed kReplays times, the two rows alternating which goes first,
+/// and every figure is the median over a row's replays.
 ///
 /// In-flight concurrency is pinned to C (admission_capacity) in every
 /// row, so the throughput and latency numbers compare the batching, not
@@ -15,9 +18,9 @@
 /// stamp vectors pair up index-for-index.
 ///
 /// Metrics land in BENCH_serve_pipeline.json via the bench_common.h hook;
-/// the headline metric is `batch_speedup` = batch-8 img/s divided by
-/// batch-1 img/s on the hot stream, same run, gated at >= 1.0x by
-/// bench/check_serve_regression.py in CI.
+/// the headline metric is `batch_speedup` = median batch-8 img/s divided
+/// by median batch-1 img/s on the hot stream, same run, gated at >= 1.0x
+/// by bench/check_serve_regression.py in CI.
 
 #include <benchmark/benchmark.h>
 
@@ -44,6 +47,10 @@ namespace {
 // with C == max_batch the batching stage would hold every admitted item
 // and starve its own intake.
 constexpr int kInFlight = 16;
+
+// Measured replays per row and stream. Odd, so each median is one replay;
+// single replays of this short stream spread too widely to gate on.
+constexpr int kReplays = 7;
 
 /// \brief Input streambuf serving one request line per underflow and
 /// stamping the instant the reader consumed it.
@@ -219,7 +226,7 @@ void RunExperiment() {
   const std::string hot_stream = make_stream(2);
 
   // In-flight bounded by admission_capacity; batch 1 disables extraction
-  // micro-batching, batch 8 enables it with a 2 ms gather window.
+  // micro-batching, batch 8 groups whatever is queued.
   serve::ServiceConfig pipe1;
   pipe1.pipeline.admission_capacity = kInFlight;
   pipe1.pipeline.max_batch = 1;
@@ -229,7 +236,6 @@ void RunExperiment() {
   pipe1.pipeline.extract_threads = 1;
   serve::ServiceConfig pipe8 = pipe1;
   pipe8.pipeline.max_batch = 8;
-  pipe8.pipeline.batch_wait_micros = 2000;
 
   struct NamedRow {
     const char* label;
@@ -255,26 +261,42 @@ void RunExperiment() {
       {"workload", "mode", "wall (s)", "img/s", "p50 (ms)", "p99 (ms)"});
   double img_per_s[2][2] = {};
   for (int w = 0; w < 2; ++w) {
+    const std::string& stream = *workloads[w].stream;
+    // Warm-up replays outside the timers (first-touch allocation, thread
+    // spin-up), then kReplays rounds in which the two rows swap order.
+    for (const NamedRow& row : rows) {
+      ReplayStream(session, *row.config, stream, requests);
+    }
+    std::vector<RowResult> results[2];
+    for (int round = 0; round < kReplays; ++round) {
+      for (int k = 0; k < 2; ++k) {
+        const int r = round % 2 == 0 ? k : 1 - k;
+        results[r].push_back(
+            ReplayStream(session, *rows[r].config, stream, requests));
+      }
+    }
     for (int r = 0; r < 2; ++r) {
+      const auto median = [&](double RowResult::*field) {
+        std::vector<double> values;
+        for (const RowResult& result : results[r]) {
+          values.push_back(result.*field);
+        }
+        return Percentile(std::move(values), 0.5);
+      };
       const NamedRow& row = rows[r];
-      // Warm-up replay outside the timers (first-touch allocation, thread
-      // spin-up), then the measured replay.
-      ReplayStream(session, *row.config, *workloads[w].stream, requests);
-      const RowResult result =
-          ReplayStream(session, *row.config, *workloads[w].stream, requests);
-      img_per_s[w][r] = result.img_per_s;
+      img_per_s[w][r] = median(&RowResult::img_per_s);
       table.AddRow({workloads[w].label, row.label,
-                    StrFormat("%.3f", result.seconds),
-                    StrFormat("%.1f", result.img_per_s),
-                    StrFormat("%.2f", result.p50_ms),
-                    StrFormat("%.2f", result.p99_ms)});
+                    StrFormat("%.3f", median(&RowResult::seconds)),
+                    StrFormat("%.1f", img_per_s[w][r]),
+                    StrFormat("%.2f", median(&RowResult::p50_ms)),
+                    StrFormat("%.2f", median(&RowResult::p99_ms))});
       const std::string prefix =
           std::string(workloads[w].metric_prefix) + row.metric_prefix;
-      RecordBenchMetric(prefix + "img_per_s", result.img_per_s);
-      RecordBenchMetric(prefix + "p50_ms", result.p50_ms);
-      RecordBenchMetric(prefix + "p99_ms", result.p99_ms);
-      std::printf("  [%s / %s done]\n", workloads[w].label, row.label);
+      RecordBenchMetric(prefix + "img_per_s", img_per_s[w][r]);
+      RecordBenchMetric(prefix + "p50_ms", median(&RowResult::p50_ms));
+      RecordBenchMetric(prefix + "p99_ms", median(&RowResult::p99_ms));
     }
+    std::printf("  [%s done]\n", workloads[w].label);
   }
 
   // Headline: extraction micro-batch 8 against batch 1 on the
@@ -284,6 +306,7 @@ void RunExperiment() {
       img_per_s[1][1] / std::max(img_per_s[1][0], 1e-9);
   RecordBenchMetric("in_flight", kInFlight);
   RecordBenchMetric("requests", requests);
+  RecordBenchMetric("replays", kReplays);
   RecordBenchMetric("batch_speedup", batch_speedup);
 
   // fault_recovery: the same unique stream with ~1% of requests replaced
@@ -330,10 +353,11 @@ void RunExperiment() {
 
   table.Print();
   std::printf(
-      "batch_speedup (hot stream, batch 8 vs batch 1): %.2fx\n"
+      "batch_speedup (hot stream, median batch 8 vs batch 1 over %d "
+      "replays): %.2fx\n"
       "Batch 8 fuses queued extractions into one deduped, batched GEMM;\n"
       "responses remain bit-identical to the serial path in every row.\n",
-      batch_speedup);
+      kReplays, batch_speedup);
   std::printf(
       "fault_recovery (unique stream, %d/%d requests malformed): "
       "%.1f img/s, p99 %.2f ms, error rate %.3f\n",

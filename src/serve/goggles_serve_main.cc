@@ -10,7 +10,10 @@
 ///
 /// Requests run through a staged flowgraph (decode → extract → infer →
 /// encode) in which every stage worker reads one intake lane, bounded by
-/// the admission cap; the flags below shape it.
+/// the admission cap, and runs its kernels serially on its own thread;
+/// the flags below shape it. Every numeric flag accepts the same range
+/// as its environment twin, so `0` turns off a deadline, watchdog or
+/// task cap that the environment set.
 ///
 /// Options:
 ///   --pipeline-decode N     decode-stage threads (default 1; also
@@ -21,13 +24,11 @@
 ///                           GOGGLES_PIPELINE_INFER_THREADS)
 ///   --pipeline-encode N     encode-stage threads (default 1; also
 ///                           GOGGLES_PIPELINE_ENCODE_THREADS)
-///   --pipeline-batch N      extraction-stage micro-batch cap (default
-///                           8; also GOGGLES_PIPELINE_MAX_BATCH)
-///   --pipeline-batch-wait N extraction-stage batch-gather window in
-///                           microseconds: a worker holding a partial
-///                           batch waits up to N us for stragglers
-///                           before extracting (default 0 = never wait;
-///                           also GOGGLES_PIPELINE_BATCH_WAIT)
+///   --pipeline-batch N      requests a stage worker takes per wakeup;
+///                           the extraction stage groups them into
+///                           batched scoring calls, never waiting for
+///                           more (default 8; also
+///                           GOGGLES_PIPELINE_MAX_BATCH)
 ///   --pipeline-admission N  in-flight request cap, which also bounds
 ///                           every stage worker's intake lane (default
 ///                           64; also GOGGLES_PIPELINE_ADMISSION)
@@ -83,15 +84,15 @@
 
 namespace {
 
-/// Strict positive-integer parse (no trailing garbage, no overflow) —
-/// same policy as the repo's env-knob parsing in util/env.cc.
-bool ParsePositiveInt(const char* text, long long max_value,
-                      long long* out) {
+/// Strict ranged integer parse (no trailing garbage, no overflow) — the
+/// same policy and bounds as the env twins (GetEnvRangedIntOr).
+bool ParseIntInRange(const char* text, long long min_value,
+                     long long max_value, long long* out) {
   if (text == nullptr || *text == '\0') return false;
   char* end = nullptr;
   errno = 0;
   const long long value = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || value < 1 ||
+  if (errno != 0 || end == text || *end != '\0' || value < min_value ||
       value > max_value) {
     return false;
   }
@@ -105,8 +106,7 @@ void PrintUsage(const char* argv0) {
       "usage: %s (--artifact PATH | --artifact-dir DIR)\n"
       "       [--pipeline-decode N] [--pipeline-extract N]\n"
       "       [--pipeline-infer N] [--pipeline-encode N]\n"
-      "       [--pipeline-batch N] [--pipeline-batch-wait N]\n"
-      "       [--pipeline-admission N]\n"
+      "       [--pipeline-batch N] [--pipeline-admission N]\n"
       "       [--pipeline-reject] [--task-budget-mb N] [--max-tasks N]\n"
       "       [--request-deadline-ms N] [--pipeline-watchdog-ms N]\n"
       "Serves newline-delimited JSON labeling requests on stdin/stdout\n"
@@ -150,105 +150,50 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     long long value = 0;
+    // Reads the flag's value into `value`; the ranges are the env twins'.
+    const auto value_in = [&](long long min_value, long long max_value) {
+      if (ParseIntInRange(argv[++i], min_value, max_value, &value)) {
+        return true;
+      }
+      std::fprintf(stderr, "error: %s expects %lld..%lld, got '%s'\n",
+                   arg.c_str(), min_value, max_value, argv[i]);
+      return false;
+    };
     if (arg == "--artifact" && has_value) {
       artifact_path = argv[++i];
     } else if (arg == "--artifact-dir" && has_value) {
       artifact_dir = argv[++i];
     } else if (arg == "--pipeline-decode" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 256, &value)) {
-        std::fprintf(stderr,
-                     "error: --pipeline-decode expects 1..256, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
+      if (!value_in(1, 256)) return 2;
       config.pipeline.decode_threads = static_cast<int>(value);
     } else if (arg == "--pipeline-extract" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 256, &value)) {
-        std::fprintf(stderr,
-                     "error: --pipeline-extract expects 1..256, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
+      if (!value_in(1, 256)) return 2;
       config.pipeline.extract_threads = static_cast<int>(value);
     } else if (arg == "--pipeline-infer" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 256, &value)) {
-        std::fprintf(stderr,
-                     "error: --pipeline-infer expects 1..256, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
+      if (!value_in(1, 256)) return 2;
       config.pipeline.infer_threads = static_cast<int>(value);
     } else if (arg == "--pipeline-encode" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 256, &value)) {
-        std::fprintf(stderr,
-                     "error: --pipeline-encode expects 1..256, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
+      if (!value_in(1, 256)) return 2;
       config.pipeline.encode_threads = static_cast<int>(value);
     } else if (arg == "--pipeline-batch" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 4096, &value)) {
-        std::fprintf(stderr, "error: --pipeline-batch expects 1..4096, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
+      if (!value_in(1, 4096)) return 2;
       config.pipeline.max_batch = static_cast<int>(value);
-    } else if (arg == "--pipeline-batch-wait" && has_value) {
-      // 0 is meaningful here (never wait), so accept it explicitly.
-      if (std::string(argv[i + 1]) == "0") {
-        ++i;
-        value = 0;
-      } else if (!ParsePositiveInt(argv[++i], 10'000'000, &value)) {
-        std::fprintf(stderr,
-                     "error: --pipeline-batch-wait expects 0..10000000, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      config.pipeline.batch_wait_micros = value;
     } else if (arg == "--pipeline-admission" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 1 << 20, &value)) {
-        std::fprintf(stderr, "error: --pipeline-admission expects 1..%d, "
-                     "got '%s'\n",
-                     1 << 20, argv[i]);
-        return 2;
-      }
+      if (!value_in(1, 1 << 20)) return 2;
       config.pipeline.admission_capacity = static_cast<int>(value);
     } else if (arg == "--pipeline-reject") {
       config.pipeline.reject_on_full = true;
     } else if (arg == "--task-budget-mb" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 1 << 20, &value)) {
-        std::fprintf(stderr, "error: --task-budget-mb expects 1..%d, "
-                     "got '%s'\n",
-                     1 << 20, argv[i]);
-        return 2;
-      }
+      if (!value_in(0, 1 << 20)) return 2;
       registry_config.memory_budget_bytes = static_cast<uint64_t>(value) << 20;
     } else if (arg == "--max-tasks" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 1 << 20, &value)) {
-        std::fprintf(stderr, "error: --max-tasks expects 1..%d, got '%s'\n",
-                     1 << 20, argv[i]);
-        return 2;
-      }
+      if (!value_in(0, 1 << 20)) return 2;
       registry_config.max_resident_tasks = static_cast<size_t>(value);
     } else if (arg == "--request-deadline-ms" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 3'600'000, &value)) {
-        std::fprintf(stderr,
-                     "error: --request-deadline-ms expects 1..3600000, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
+      if (!value_in(0, 3'600'000)) return 2;
       config.request_deadline_micros = value * 1000;
     } else if (arg == "--pipeline-watchdog-ms" && has_value) {
-      if (!ParsePositiveInt(argv[++i], 3'600'000, &value)) {
-        std::fprintf(stderr,
-                     "error: --pipeline-watchdog-ms expects 1..3600000, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
+      if (!value_in(0, 3'600'000)) return 2;
       config.pipeline.watchdog_budget_micros = value * 1000;
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(argv[0]);
@@ -302,7 +247,6 @@ int main(int argc, char** argv) {
       "{\"ok\":true,\"ready\":true,\"artifact\":\"%s\","
       "\"artifact_dir\":\"%s\","
       "\"pipeline_threads\":[%d,%d,%d,%d],\"pipeline_batch\":%d,"
-      "\"pipeline_batch_wait_us\":%lld,"
       "\"pipeline_admission\":%d,\"pipeline_reject\":%s,"
       "\"task_budget_bytes\":%llu,\"isa\":\"%s\","
       "\"request_deadline_ms\":%lld,\"watchdog_ms\":%lld,"
@@ -311,7 +255,6 @@ int main(int argc, char** argv) {
       config.pipeline.decode_threads, config.pipeline.extract_threads,
       config.pipeline.infer_threads, config.pipeline.encode_threads,
       config.pipeline.max_batch,
-      static_cast<long long>(config.pipeline.batch_wait_micros),
       config.pipeline.admission_capacity,
       config.pipeline.reject_on_full ? "true" : "false",
       static_cast<unsigned long long>(registry_config.memory_budget_bytes),

@@ -126,7 +126,6 @@ ServiceConfig NormalizeConfig(ServiceConfig config) {
   if (p.infer_threads < 1) p.infer_threads = 1;
   if (p.encode_threads < 1) p.encode_threads = 1;
   if (p.max_batch < 1) p.max_batch = 1;
-  if (p.batch_wait_micros < 0) p.batch_wait_micros = 0;
   if (p.admission_capacity < 1) p.admission_capacity = 1;
   if (p.watchdog_budget_micros < 0) p.watchdog_budget_micros = 0;
   if (config.request_deadline_micros < 0) config.request_deadline_micros = 0;
@@ -134,6 +133,55 @@ ServiceConfig NormalizeConfig(ServiceConfig config) {
 }
 
 }  // namespace
+
+std::vector<Result<Matrix>> BuildGroupedQueryRows(
+    const std::vector<ExtractRequest>& requests) {
+  std::vector<Result<Matrix>> rows(requests.size(),
+                                   Status::Internal("not extracted"));
+  std::vector<bool> grouped(requests.size(), false);
+  for (size_t lead = 0; lead < requests.size(); ++lead) {
+    if (grouped[lead]) continue;
+    const Session& session = *requests[lead].session;
+    const data::Image& shape = *requests[lead].image;
+    // Members that can stack into one extraction tensor. Identical
+    // pixels are scored once and share the (bit-identical) row.
+    std::vector<size_t> members;
+    std::vector<size_t> unique_of;  // member -> its image in `images`
+    std::vector<data::Image> images;
+    std::vector<uint64_t> hashes;
+    for (size_t i = lead; i < requests.size(); ++i) {
+      const data::Image& img = *requests[i].image;
+      if (grouped[i] || requests[i].session != &session ||
+          img.channels != shape.channels || img.height != shape.height ||
+          img.width != shape.width) {
+        continue;
+      }
+      grouped[i] = true;
+      members.push_back(i);
+      const uint64_t hash = HashImageContent(img);
+      size_t u = 0;
+      while (u < images.size() &&
+             !(hashes[u] == hash && SamePixels(images[u], img))) {
+        ++u;
+      }
+      if (u == images.size()) {
+        images.push_back(img);
+        hashes.push_back(hash);
+      }
+      unique_of.push_back(u);
+    }
+    const Result<Matrix> group_rows = session.BuildQueryRows(images);
+    for (size_t m = 0; m < members.size(); ++m) {
+      if (!group_rows.ok()) {
+        rows[members[m]] = group_rows.status();
+      } else {
+        rows[members[m]] = group_rows->Block(
+            static_cast<int64_t>(unique_of[m]), 0, 1, group_rows->cols());
+      }
+    }
+  }
+  return rows;
+}
 
 PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults) {
   PipelineOptions p = defaults;
@@ -150,8 +198,6 @@ PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults) {
       threads("GOGGLES_PIPELINE_ENCODE_THREADS", p.encode_threads);
   p.max_batch = static_cast<int>(
       GetEnvRangedIntOr("GOGGLES_PIPELINE_MAX_BATCH", p.max_batch, 1, 4096));
-  p.batch_wait_micros = GetEnvRangedIntOr(
-      "GOGGLES_PIPELINE_BATCH_WAIT", p.batch_wait_micros, 0, 10'000'000);
   p.admission_capacity = static_cast<int>(GetEnvRangedIntOr(
       "GOGGLES_PIPELINE_ADMISSION", p.admission_capacity, 1, 1 << 20));
   p.reject_on_full =
@@ -563,9 +609,9 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // in place via the shared HandleRequest path, preserving the serial
   // semantics (and counters) exactly.
   pipe.AddStage(
-      // max_batch lets one wake drain every queued line (no gather
-      // window) — items are still parsed one by one, the batching only
-      // amortizes lane wakeups under load.
+      // max_batch lets one wake drain every queued line — items are
+      // still parsed one by one, the batching only amortizes lane
+      // wakeups under load.
       {"decode", popt.decode_threads, lane_capacity, popt.max_batch},
       [this, &expired, &deadline_response](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.decode");
@@ -624,21 +670,16 @@ Status Service::Run(std::istream& in, std::ostream& out) {
         }
       });
 
-  // Stage 2 — extract: the batching stage. Groups whatever label
-  // requests arrived together by (session, shape), dedups identical
-  // pixels, and runs ONE batched extraction+scoring call per group.
-  // Row i of a grouped extraction is bit-identical to extracting image
-  // i alone (per-image scoring, fixed ascending-k accumulation), so
-  // slicing the group's rows back out changes nothing versus singleton
-  // calls.
+  // Stage 2 — extract: the batching stage. Hands every label request
+  // of the batch to BuildGroupedQueryRows, whose row i is bit-identical
+  // to extracting image i alone.
   pipe.AddStage(
-      {"extract", popt.extract_threads, lane_capacity,
-       popt.max_batch, popt.batch_wait_micros},
+      {"extract", popt.extract_threads, lane_capacity, popt.max_batch},
       [this, &expired, &deadline_response](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.extract");
-        std::vector<size_t> pending;
-        for (size_t i = 0; i < items.size(); ++i) {
-          PipeItem& item = items[i];
+        std::vector<PipeItem*> pending;
+        std::vector<ExtractRequest> requests;
+        for (PipeItem& item : items) {
           if (!item.is_label || item.done) continue;
           if (expired(item)) {
             errors_.fetch_add(1);
@@ -648,69 +689,20 @@ Status Service::Run(std::istream& in, std::ostream& out) {
             item.image = data::Image();
             continue;
           }
-          pending.push_back(i);
+          pending.push_back(&item);
+          requests.push_back({item.session.get(), &item.image});
         }
-        std::vector<bool> grouped(items.size(), false);
-        for (size_t gi = 0; gi < pending.size(); ++gi) {
-          const size_t lead = pending[gi];
-          if (grouped[lead]) continue;
-          // Members that can stack into one extraction tensor.
-          std::vector<size_t> members;
-          for (size_t gj = gi; gj < pending.size(); ++gj) {
-            const size_t idx = pending[gj];
-            if (grouped[idx]) continue;
-            const PipeItem& a = items[lead];
-            const PipeItem& b = items[idx];
-            if (a.session.get() == b.session.get() &&
-                a.image.channels == b.image.channels &&
-                a.image.height == b.image.height &&
-                a.image.width == b.image.width) {
-              members.push_back(idx);
-              grouped[idx] = true;
-            }
-          }
-          // Dedup identical pixels inside the group: score once, share
-          // the (bit-identical) row.
-          std::vector<size_t> unique_of(members.size(), 0);
-          std::vector<size_t> unique_members;
-          std::vector<uint64_t> hashes;
-          for (size_t m = 0; m < members.size(); ++m) {
-            const data::Image& img = items[members[m]].image;
-            const uint64_t hash = HashImageContent(img);
-            size_t group = unique_members.size();
-            for (size_t u = 0; u < unique_members.size(); ++u) {
-              if (hashes[u] == hash &&
-                  SamePixels(items[unique_members[u]].image, img)) {
-                group = u;
-                break;
-              }
-            }
-            if (group == unique_members.size()) {
-              unique_members.push_back(members[m]);
-              hashes.push_back(hash);
-            }
-            unique_of[m] = group;
-          }
-          std::vector<data::Image> images;
-          images.reserve(unique_members.size());
-          for (size_t u : unique_members) images.push_back(items[u].image);
-          Result<Matrix> rows =
-              items[lead].session->BuildQueryRows(images);
-          if (!rows.ok()) {
-            for (size_t m : members) {
-              errors_.fetch_add(1);
-              items[m].response =
-                  ErrorResponse(rows.status()).Dump();
-              items[m].done = true;
-            }
+        std::vector<Result<Matrix>> rows = BuildGroupedQueryRows(requests);
+        for (size_t i = 0; i < pending.size(); ++i) {
+          PipeItem& item = *pending[i];
+          if (!rows[i].ok()) {
+            errors_.fetch_add(1);
+            item.response = ErrorResponse(rows[i].status()).Dump();
+            item.done = true;
             continue;
           }
-          for (size_t m = 0; m < members.size(); ++m) {
-            PipeItem& item = items[members[m]];
-            item.rows = rows->Block(static_cast<int64_t>(unique_of[m]), 0,
-                                    1, rows->cols());
-            item.image = data::Image();  // pixels no longer needed
-          }
+          item.rows = std::move(*rows[i]);
+          item.image = data::Image();  // pixels no longer needed
         }
       });
 

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "serve/json.h"
 #include "serve/registry.h"
@@ -20,12 +21,12 @@
 ///
 /// Run() pushes requests through a staged flowgraph (decode → extract →
 /// infer → encode, util/pipeline.h) in which every stage worker reads
-/// one mutex-guarded intake lane. The extraction stage drains whatever
-/// label requests are queued (up to `pipeline.max_batch`), groups them
-/// by (session, shape), dedups identical pixels, and scores each group
-/// with ONE batched `Session::BuildQueryRows` call; the GEMM-bound
-/// extraction stage overlaps the EM-posterior inference stage across
-/// requests. Admission control bounds in-flight requests at the reader
+/// one mutex-guarded intake lane. The extraction stage takes whatever
+/// label requests are queued (up to `pipeline.max_batch`) and hands
+/// them to BuildGroupedQueryRows(): ONE batched
+/// `Session::BuildQueryRows` call per (session, shape) group, identical
+/// pixels scored once. The GEMM-bound extraction stage overlaps the
+/// EM-posterior inference stage across requests. Admission control bounds in-flight requests at the reader
 /// (block, or reject with a clean error response).
 /// Responses are bit-identical to the serial HandleLine() path at any
 /// thread/stage configuration — the scorer computes each output row on
@@ -59,15 +60,10 @@ struct PipelineOptions {
   int infer_threads = 1;
   /// Threads for the response-encode stage.
   int encode_threads = 1;
-  /// Max label requests the extraction stage groups into one batched
-  /// scoring call. With `batch_wait_micros` == 0, grouping never waits —
-  /// it takes what is queued.
+  /// Max requests a stage worker takes per wakeup; the extraction stage
+  /// groups them into batched scoring calls. Grouping never waits — it
+  /// takes what is queued.
   int max_batch = 8;
-  /// Bounded extract-stage batch-gather window in microseconds: a
-  /// worker holding a partial batch parks up to this long for more
-  /// arrivals before extracting (trades latency for dedup/GEMM
-  /// amortization). 0 (default) = extract whatever is queued at once.
-  int64_t batch_wait_micros = 0;
   /// Admission cap on in-flight requests (submitted minus written). It
   /// also bounds every stage worker's intake lane, so no lane can fill.
   int admission_capacity = 64;
@@ -84,12 +80,29 @@ struct PipelineOptions {
 
 /// \brief Overlays the `GOGGLES_PIPELINE*` environment knobs on
 /// `defaults`: GOGGLES_PIPELINE_DECODE_THREADS, _EXTRACT_THREADS,
-/// _INFER_THREADS, _ENCODE_THREADS, _MAX_BATCH, _BATCH_WAIT, _ADMISSION,
-/// _REJECT, _WATCHDOG_MS. Values go through the strict ranged env parser
+/// _INFER_THREADS, _ENCODE_THREADS, _MAX_BATCH, _ADMISSION, _REJECT,
+/// _WATCHDOG_MS. Values go through the strict ranged env parser
 /// (util/env.h) with the `goggles_serve` flags' bounds: malformed,
 /// trailing-garbage or out-of-range values warn and fall back to the
 /// default.
 PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults = {});
+
+/// \brief One label request as the extraction stage sees it: the session
+/// it routes to and its decoded image (both borrowed, both non-null).
+struct ExtractRequest {
+  const Session* session = nullptr;
+  const data::Image* image = nullptr;
+};
+
+/// \brief The extraction stage's body. Groups `requests` by (session,
+/// image shape), scores identical pixels inside a group once, runs ONE
+/// Session::BuildQueryRows per group and slices the rows back out.
+/// Element i is request i's 1 x F affinity row — bit-identical to
+/// `BuildQueryRows({*requests[i].image})`, because the scorer computes
+/// each row on its own — or, when its group's call fails, that call's
+/// error (every member of the group gets it).
+std::vector<Result<Matrix>> BuildGroupedQueryRows(
+    const std::vector<ExtractRequest>& requests);
 
 /// \brief Service tuning knobs.
 struct ServiceConfig {

@@ -145,8 +145,8 @@ Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
   // so every image's GEMM can use all cores (nested parallelism inside
   // an image worker would collapse to serial, see ParallelForChunked).
   // The width is the one a ParallelFor from this thread would get, so a
-  // nested or budgeted call (a serve stage worker at budget 1) sees its
-  // real width and takes the fused path below. Per-element GEMM results
+  // nested call or a serial one (a serve stage worker) sees its real
+  // width and takes the fused path below. Per-element GEMM results
   // are thread-count-independent, so the output is bit-identical either
   // way.
   const int total_threads = EffectiveNumThreads();

@@ -37,9 +37,6 @@ namespace {
 // running a ParallelFor* chunk, on a pool worker, or under a
 // ScopedSerialKernels marker.
 thread_local int t_serial_kernel_depth = 0;
-// > 0 caps how many chunks ParallelFor* may split into from this thread
-// (ScopedKernelThreadBudget); 0 = unlimited. Depth beats budget.
-thread_local int t_kernel_thread_budget = 0;
 
 /// One ParallelForChunked call in flight: [begin, end) in `num_chunks`
 /// chunks of `chunk` indices (the last may be shorter). Lives on the
@@ -171,28 +168,11 @@ class KernelPool {
 
 int EffectiveNumThreads(int num_threads) {
   if (t_serial_kernel_depth > 0) return 1;
-  if (num_threads <= 0) num_threads = DefaultNumThreads();
-  if (t_kernel_thread_budget > 0) {
-    num_threads = std::min(num_threads, t_kernel_thread_budget);
-  }
-  return num_threads;
+  return num_threads > 0 ? num_threads : DefaultNumThreads();
 }
 
 ScopedSerialKernels::ScopedSerialKernels() { ++t_serial_kernel_depth; }
 ScopedSerialKernels::~ScopedSerialKernels() { --t_serial_kernel_depth; }
-
-ScopedKernelThreadBudget::ScopedKernelThreadBudget(int max_threads)
-    : previous_(t_kernel_thread_budget) {
-  if (max_threads < 1) max_threads = 1;
-  t_kernel_thread_budget =
-      previous_ > 0 ? std::min(previous_, max_threads) : max_threads;
-}
-
-ScopedKernelThreadBudget::~ScopedKernelThreadBudget() {
-  t_kernel_thread_budget = previous_;
-}
-
-int ScopedKernelThreadBudget::Current() { return t_kernel_thread_budget; }
 
 void ParallelForChunked(int64_t begin, int64_t end,
                         const std::function<void(int64_t, int64_t)>& fn,

@@ -31,9 +31,8 @@ int ComputeDefaultNumThreads();
 /// \brief How many chunks a ParallelFor* call from this thread asking for
 /// `num_threads` (<= 0 = DefaultNumThreads()) would split into, before
 /// capping by the range length: 1 inside a chunk or under
-/// ScopedSerialKernels, otherwise `num_threads` capped by the active
-/// ScopedKernelThreadBudget. Kernels that pick a strategy by width ask
-/// this, not DefaultNumThreads().
+/// ScopedSerialKernels, otherwise `num_threads`. Kernels that pick a
+/// strategy by width ask this, not DefaultNumThreads().
 int EffectiveNumThreads(int num_threads = 0);
 
 /// \brief Runs `fn(i)` for every i in [begin, end) on the kernel pool.
@@ -65,41 +64,15 @@ void ParallelForChunked(int64_t begin, int64_t end,
 /// \brief RAII marker: while alive on this thread, ParallelFor* runs
 /// serially (as if num_threads == 1). For coarse-grained worker threads
 /// that already saturate the cores — the fine-grained kernel parallelism
-/// below them would only oversubscribe.
+/// below them would only oversubscribe. Every serve stage worker
+/// (util/pipeline.h) runs under one: a request's kernels stay on the
+/// worker that took it, and the stage thread counts set the serve width.
 class ScopedSerialKernels {
  public:
   ScopedSerialKernels();
   ~ScopedSerialKernels();
   ScopedSerialKernels(const ScopedSerialKernels&) = delete;
   ScopedSerialKernels& operator=(const ScopedSerialKernels&) = delete;
-};
-
-/// \brief RAII executor-aware token: while alive on this thread,
-/// ParallelFor* splits into at most `max_threads` chunks, so it occupies
-/// at most `max_threads - 1` pool workers (1 = fully serial,
-/// the ScopedSerialKernels behavior). Budgets compose by taking the
-/// minimum, so a stage worker that grants its kernels 4 threads cannot
-/// be widened again by nested code asking for more.
-///
-/// The serving flowgraph (util/pipeline.h) installs one of these on
-/// every stage worker: N stage threads each running kernels capped at
-/// ~cores/N collapse to the machine width instead of oversubscribing
-/// N x cores the way unbudgeted nested ParallelFor would. The binary
-/// ScopedSerialKernels marker still wins when present (depth beats
-/// budget): a chunk inside another ParallelFor never fans out again.
-class ScopedKernelThreadBudget {
- public:
-  explicit ScopedKernelThreadBudget(int max_threads);
-  ~ScopedKernelThreadBudget();
-  ScopedKernelThreadBudget(const ScopedKernelThreadBudget&) = delete;
-  ScopedKernelThreadBudget& operator=(const ScopedKernelThreadBudget&) =
-      delete;
-
-  /// \brief The budget active on this thread (0 = unlimited).
-  static int Current();
-
- private:
-  int previous_;
 };
 
 }  // namespace goggles

@@ -34,9 +34,13 @@
 /// Every wait is a predicate wait under the lane's mutex, so no wakeup
 /// can be lost. Idle workers (on `not_empty`) and producers that find
 /// every lane full (on `not_full`, counted as backpressure) wait with
-/// no timeout; the only timed wait is the batch-gather window, held
-/// only with a partial batch. The external Submit() caller chooses
-/// block-vs-reject, which is where admission control lives.
+/// no timeout; the only timed wait is the opt-in stall watchdog's. The
+/// external Submit() caller chooses block-vs-reject, which is where
+/// admission control lives.
+///
+/// A worker only takes, runs and pushes: it runs its stage function
+/// under ScopedSerialKernels, so the kernels inside stay on the worker
+/// and the stage thread counts alone set how wide the graph runs.
 ///
 /// Shutdown cascades: Drain() closes stage 0's lanes; each exiting
 /// worker decrements the open-producer count of every lane of the next
@@ -58,16 +62,9 @@ struct PipelineStageConfig {
   /// Bound of EACH worker's intake lane (clamped to >= 1). Lanes
   /// allocate on demand, so a large bound costs nothing until used.
   int queue_capacity = 64;
-  /// Max items handed to one stage-function call. With
-  /// `batch_wait_micros` == 0 workers never wait to fill a batch —
-  /// this only caps how much of a burst is grouped.
+  /// Max items handed to one stage-function call. Workers never wait
+  /// to fill a batch — this only caps how much of a burst is grouped.
   int max_batch = 1;
-  /// Bounded batch-gather window: a worker holding a PARTIAL batch
-  /// waits up to this long for more arrivals (a full batch or a closed
-  /// intake release it at once). 0 (default) = process whatever is
-  /// available. Trades latency for larger batches in stages whose
-  /// per-batch work dedupes or fuses (the serve extract stage).
-  int64_t batch_wait_micros = 0;
 };
 
 /// \brief Snapshot of one stage's counters for the `stats` op.
@@ -91,18 +88,6 @@ struct PipelineStageStats {
   /// stuck call counts once, not once per watchdog sweep.
   uint64_t stalls = 0;
 };
-
-namespace pipeline_internal {
-
-/// \brief Kernel-thread budget for each stage worker: an even split of
-/// the machine width across all pipeline threads, floored at 1. Keeps
-/// nested ParallelFor inside stage functions at ~machine width total
-/// instead of stages x width.
-inline int AutoKernelBudget(int total_pipeline_threads) {
-  return std::max(1, DefaultNumThreads() / std::max(1, total_pipeline_threads));
-}
-
-}  // namespace pipeline_internal
 
 /// \brief Fixed linear flowgraph of batch-capable stages, one intake
 /// lane per worker. Build with AddStage (in flow order), then Start,
@@ -138,7 +123,6 @@ class Pipeline {
     if (config.num_threads < 1) config.num_threads = 1;
     if (config.queue_capacity < 1) config.queue_capacity = 1;
     if (config.max_batch < 1) config.max_batch = 1;
-    if (config.batch_wait_micros < 0) config.batch_wait_micros = 0;
     auto stage = std::make_unique<Stage>();
     stage->config = std::move(config);
     stage->fn = std::move(fn);
@@ -150,7 +134,6 @@ class Pipeline {
     if (started_ || stages_.empty()) return;
     started_ = true;
     sink_ = std::move(sink);
-    kernel_budget_ = pipeline_internal::AutoKernelBudget(TotalThreads());
     for (size_t s = 0; s < stages_.size(); ++s) {
       Stage& st = *stages_[s];
       const int producers = s == 0 ? 1 : stages_[s - 1]->config.num_threads;
@@ -225,16 +208,6 @@ class Pipeline {
     }
     return out;
   }
-
-  /// \brief Sum of worker threads across stages.
-  int TotalThreads() const {
-    int n = 0;
-    for (const auto& s : stages_) n += s->config.num_threads;
-    return n;
-  }
-
-  /// \brief Kernel-thread budget each worker installs (0 before Start).
-  int KernelBudget() const { return kernel_budget_; }
 
  private:
   /// One stage worker's intake. `items` and `open_producers` are guarded
@@ -319,39 +292,26 @@ class Pipeline {
   }
 
   void WorkerLoop(size_t stage_idx, size_t worker) {
-    ScopedKernelThreadBudget budget(kernel_budget_);
+    ScopedSerialKernels serial_kernels;
     Stage& st = *stages_[stage_idx];
     Lane& lane = *st.lanes[worker];
     Stage* next = stage_idx + 1 < stages_.size()
                       ? stages_[stage_idx + 1].get()
                       : nullptr;
     const size_t max_batch = static_cast<size_t>(st.config.max_batch);
-    const int64_t batch_wait = st.config.batch_wait_micros;
     std::vector<Item> batch;
     batch.reserve(max_batch);
     uint64_t downstream_rr = worker;
-    const auto ready = [&lane] {
-      return !lane.items.empty() || lane.open_producers == 0;
-    };
 
     while (true) {
       batch.clear();
       {
         std::unique_lock<std::mutex> lock(lane.mu);
-        lane.not_empty.wait(lock, ready);
+        lane.not_empty.wait(lock, [&lane] {
+          return !lane.items.empty() || lane.open_producers == 0;
+        });
         TakeLocked(lane, batch, max_batch);
         if (batch.empty()) break;  // closed and drained
-        if (batch_wait > 0) {
-          // Gather window: hold the partial batch for stragglers until
-          // it is full, the lane closes or the deadline passes. What lands
-          // in one batch never affects results, only amortization.
-          const auto deadline =
-              SteadyTimePointFromMicros(MonotonicMicros() + batch_wait);
-          while (batch.size() < max_batch && lane.open_producers > 0 &&
-                 lane.not_empty.wait_until(lock, deadline, ready)) {
-            TakeLocked(lane, batch, max_batch);
-          }
-        }
       }
       st.items.fetch_add(batch.size(), std::memory_order_relaxed);
       st.batches.fetch_add(1, std::memory_order_relaxed);
@@ -407,7 +367,6 @@ class Pipeline {
   bool started_ = false;
   bool drained_ = false;
   uint64_t submit_rr_ = 0;
-  int kernel_budget_ = 0;
   int64_t watchdog_budget_micros_ = 0;
   std::thread watchdog_thread_;
   std::mutex watchdog_mu_;

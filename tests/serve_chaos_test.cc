@@ -549,12 +549,11 @@ TEST_F(ServeChaosTest, WatchdogFlagsStalledStage) {
 // ---- Scenario 10: per-request deadlines at every stage shape ---------------
 
 TEST_F(ServeChaosTest, ExpiredDeadlineAnswersDeadlineExceededAtAnyShape) {
-  // Default stages, and one extract consumer gathering a batch: the
-  // deadline check must shed the request either way.
+  // Default stages, and one extract consumer: the deadline check must
+  // shed the request either way.
   for (const int extract_threads : {2, 1}) {
     serve::ServiceConfig config;
     config.pipeline.extract_threads = extract_threads;
-    config.pipeline.batch_wait_micros = extract_threads == 1 ? 5000 : 0;
     config.request_deadline_micros = 1;  // everything is overdue on arrival
     serve::Service service(*session_, config);
     std::vector<std::string> responses =

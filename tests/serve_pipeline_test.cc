@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -23,7 +24,8 @@
 /// blocked producer sleep, no wakeup is ever lost), and the
 /// Service-level guarantees — Run() responses bit-identical to serial
 /// HandleLine() calls at multiple stage/thread/batching configurations,
-/// grouped extraction errors reaching every member, reject-mode
+/// grouped extraction rows bit-identical to singleton ones and its
+/// errors reaching every member of the group, reject-mode
 /// admission control answering (not hanging), and the `stats` op's
 /// pipeline section.
 
@@ -104,27 +106,6 @@ TEST(PipelineTest, BatchingNeverExceedsMaxBatch) {
   EXPECT_GE(batches.load(), 25) << "max_batch=4 needs >= 100/4 calls";
 }
 
-TEST(PipelineTest, BatchWaitWindowReleasesAtEndOfStream) {
-  // A 10-second gather window must NOT make Drain take 10 seconds: the
-  // intake closing releases any parked partial batch immediately.
-  Pipeline<int> pipe;
-  std::atomic<int> batches{0};
-  pipe.AddStage({"patient", 1, 16, 8, /*batch_wait_micros=*/10'000'000},
-                [&](std::vector<int>&) { batches.fetch_add(1); });
-  std::atomic<int> sunk{0};
-  pipe.Start([&](int&&) { sunk.fetch_add(1); });
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pipe.Submit(int(i), /*block=*/true));
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  pipe.Drain();
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_EQ(sunk.load(), 3);
-  EXPECT_GE(batches.load(), 1);
-  EXPECT_LT(elapsed, std::chrono::seconds(5))
-      << "end-of-stream must break the gather window, not wait it out";
-}
-
 TEST(PipelineTest, NonBlockingSubmitRejectsWhenFullThenRecovers) {
   Pipeline<int> pipe;
   std::atomic<bool> release{false};
@@ -181,18 +162,19 @@ TEST(PipelineTest, StatsCountItemsBatchesAndDepth) {
   EXPECT_EQ(stats[0].queue_capacity, 8u);
 }
 
-TEST(PipelineTest, StageWorkersRunUnderTheKernelBudget) {
+TEST(PipelineTest, StageWorkersRunKernelsSerially) {
+  // A stage worker runs its kernels on its own thread, whatever the
+  // machine width and the stage's thread count.
   Pipeline<int> pipe;
   std::atomic<int> observed{-1};
   pipe.AddStage({"check", 2, 4, 1}, [&](std::vector<int>&) {
-    observed.store(ScopedKernelThreadBudget::Current());
+    observed.store(EffectiveNumThreads());
   });
   pipe.Start([](int&&) {});
   ASSERT_TRUE(pipe.Submit(1, /*block=*/true));
   pipe.Drain();
-  EXPECT_GE(pipe.KernelBudget(), 1);
-  EXPECT_EQ(observed.load(), pipe.KernelBudget())
-      << "stage worker did not install the executor's kernel budget";
+  EXPECT_EQ(observed.load(), 1)
+      << "stage worker kernels must run under ScopedSerialKernels";
 }
 
 long VoluntaryContextSwitches() {
@@ -276,7 +258,7 @@ TEST(PipelineTest, BlockedProducerSleeps) {
 // worker's own return to park — the window a lost ring needs. Idle waits
 // have no timeout, so one lost ring stalls the graph; the in-test
 // deadline turns that into a failure with the count reached.
-void PingPong(int num_stages, int64_t stage2_batch_wait_micros) {
+void PingPong(int num_stages) {
   constexpr int kRoundTrips = 20000;
   // Declared before the pipeline: after a failed ASSERT its destructor
   // drains the stuck item into the sink.
@@ -284,12 +266,10 @@ void PingPong(int num_stages, int64_t stage2_batch_wait_micros) {
   std::atomic<bool> values_ok{true};
   Pipeline<int> pipe;
   for (int s = 0; s < num_stages; ++s) {
-    PipelineStageConfig config{"s" + std::to_string(s), s == 1 ? 2 : 1, 4,
-                               4};
-    if (s == 1) config.batch_wait_micros = stage2_batch_wait_micros;
-    pipe.AddStage(std::move(config), [](std::vector<int>& items) {
-      for (int& v : items) ++v;
-    });
+    pipe.AddStage({"s" + std::to_string(s), s == 1 ? 2 : 1, 4, 4},
+                  [](std::vector<int>& items) {
+                    for (int& v : items) ++v;
+                  });
   }
   pipe.Start([&](int&& v) {
     if (v != returned.load(std::memory_order_relaxed) * 10 + num_stages) {
@@ -318,16 +298,12 @@ void PingPong(int num_stages, int64_t stage2_batch_wait_micros) {
 
 TEST(PipelineTest, PingPongNeverLosesARing) {
   {
-    SCOPED_TRACE("4 stages, no gather window");
-    PingPong(4, 0);
-  }
-  {
-    SCOPED_TRACE("4 stages, stage 2 gather window");
-    PingPong(4, 20);
+    SCOPED_TRACE("4 stages");
+    PingPong(4);
   }
   {
     SCOPED_TRACE("1 stage: every Submit races the worker's park");
-    PingPong(1, 0);
+    PingPong(1);
   }
 }
 
@@ -336,7 +312,6 @@ TEST(PipelineTest, PingPongNeverLosesARing) {
 TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
   setenv("GOGGLES_PIPELINE_EXTRACT_THREADS", "7", 1);
   setenv("GOGGLES_PIPELINE_MAX_BATCH", "junk", 1);   // malformed
-  setenv("GOGGLES_PIPELINE_BATCH_WAIT", "2500", 1);
   setenv("GOGGLES_PIPELINE_ADMISSION", "128trailing", 1);  // trailing garbage
   setenv("GOGGLES_PIPELINE_REJECT", "1", 1);
   serve::PipelineOptions defaults;
@@ -346,17 +321,10 @@ TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
       << "malformed env value must fall back, not parse loosely";
   EXPECT_EQ(opts.admission_capacity, defaults.admission_capacity)
       << "trailing garbage must be rejected by the strict parser";
-  EXPECT_EQ(opts.batch_wait_micros, 2500);
   EXPECT_TRUE(opts.reject_on_full);
-
-  // Malformed batch-wait falls back to the default like the others.
-  setenv("GOGGLES_PIPELINE_BATCH_WAIT", "2.5ms", 1);
-  serve::PipelineOptions opts2 = serve::PipelineOptionsFromEnv(defaults);
-  EXPECT_EQ(opts2.batch_wait_micros, defaults.batch_wait_micros);
 
   unsetenv("GOGGLES_PIPELINE_EXTRACT_THREADS");
   unsetenv("GOGGLES_PIPELINE_MAX_BATCH");
-  unsetenv("GOGGLES_PIPELINE_BATCH_WAIT");
   unsetenv("GOGGLES_PIPELINE_ADMISSION");
   unsetenv("GOGGLES_PIPELINE_REJECT");
 
@@ -398,14 +366,12 @@ TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
   config.pipeline.decode_threads = 0;
   config.pipeline.extract_threads = -4;
   config.pipeline.max_batch = 0;
-  config.pipeline.batch_wait_micros = -500;
   config.pipeline.admission_capacity = 0;
   serve::Service service(std::shared_ptr<const serve::Session>(), config);
   const serve::PipelineOptions& p = service.config().pipeline;
   EXPECT_EQ(p.decode_threads, 1);
   EXPECT_EQ(p.extract_threads, 1);
   EXPECT_EQ(p.max_batch, 1);
-  EXPECT_EQ(p.batch_wait_micros, 0) << "negative gather window clamps to 0";
   EXPECT_EQ(p.admission_capacity, 1);
 }
 
@@ -459,9 +425,20 @@ class ServePipelineTest : public ::testing::Test {
     session.status().Abort("Session::Fit");
     session_ = new std::shared_ptr<const serve::Session>(
         std::make_shared<const serve::Session>(std::move(*session)));
+    // A second task: another pool and dev labelling, so another fit.
+    for (size_t i = 0; i < pool.size(); ++i) {
+      pool[i] = PatternImage(static_cast<int>(i) + 1);
+    }
+    auto other = serve::Session::Fit(extractor, pool, {0, 1, 2, 3},
+                                     {1, 0, 1, 0}, 2, goggles_config);
+    other.status().Abort("Session::Fit other");
+    other_ = new serve::Session(std::move(*other));
   }
 
-  static void TearDownTestSuite() { delete session_; }
+  static void TearDownTestSuite() {
+    delete other_;
+    delete session_;
+  }
 
   /// A request mix that exercises every pipeline path: singleton labels,
   /// duplicate images (extract-stage dedup), a second shape (separate
@@ -515,22 +492,12 @@ class ServePipelineTest : public ::testing::Test {
     return expected;
   }
 
-  /// Extraction forced to group: one extract consumer that gathers every
-  /// label request of the stream into a single batch (max_batch covers
-  /// the stream, and the gather window only ends at end of stream), so
-  /// the duplicate-image dedup and the mixed-shape split run every time.
-  static serve::ServiceConfig ForcedGrouping() {
-    serve::ServiceConfig config;
-    config.pipeline.extract_threads = 1;
-    config.pipeline.max_batch = 64;
-    config.pipeline.batch_wait_micros = 60'000'000;
-    return config;
-  }
-
   static std::shared_ptr<const serve::Session>* session_;
+  static serve::Session* other_;
 };
 
 std::shared_ptr<const serve::Session>* ServePipelineTest::session_ = nullptr;
+serve::Session* ServePipelineTest::other_ = nullptr;
 
 TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
   const std::string expected = SerialReference();
@@ -558,15 +525,59 @@ TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
       << "wide pipeline diverged from the serial path";
   EXPECT_EQ(RunWith(tight), expected)
       << "admission-throttled pipeline diverged from the serial path";
-  EXPECT_EQ(RunWith(ForcedGrouping()), expected)
-      << "grouped, deduped extraction diverged from the serial path";
 }
 
-TEST_F(ServePipelineTest, GroupedExtractionErrorReachesEveryMember) {
-  // An unfitted session fails the one batched extraction call its group
-  // makes; every label request in that group must still get its own
-  // error line, in order, with nothing dropped.
-  const std::string out = RunWith(ForcedGrouping(),
+TEST_F(ServePipelineTest, GroupedQueryRowsMatchSingletonRowsBitForBit) {
+  // One crafted extract batch, so grouping happens every run without
+  // waiting for arrivals: duplicates, two shapes, two fitted sessions
+  // and an unfitted one. Every row must equal its singleton extraction
+  // bit for bit; the unfitted session's one failing call must reach
+  // every member of its group.
+  const serve::Session& a = **session_;
+  const serve::Session& b = *other_;
+  const serve::Session unfitted{};
+  const data::Image dup = PatternImage(41);
+  const data::Image p50 = PatternImage(50);
+  const data::Image p51 = PatternImage(51);
+  data::Image small(3, 16, 16, 0.4f);
+  data::DrawFilledCircle(&small, 8, 8, 5, {1.0f, 0.3f, 0.2f});
+  const std::vector<serve::ExtractRequest> requests = {
+      {&a, &dup},      {&b, &dup},   {&a, &small}, {&unfitted, &p50},
+      {&a, &p50},      {&a, &dup},   {&b, &small}, {&unfitted, &dup},
+      {&a, &small},    {&b, &p51},   {&b, &dup},   {&unfitted, &small},
+      {&unfitted, &p50}};
+  const std::vector<Result<Matrix>> rows =
+      serve::BuildGroupedQueryRows(requests);
+  ASSERT_EQ(rows.size(), requests.size());
+  int failed = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const Result<Matrix> single =
+        requests[i].session->BuildQueryRows({*requests[i].image});
+    if (requests[i].session == &unfitted) {
+      ASSERT_FALSE(single.ok());
+      ASSERT_FALSE(rows[i].ok());
+      EXPECT_EQ(rows[i].status(), single.status());
+      ++failed;
+      continue;
+    }
+    ASSERT_TRUE(single.ok()) << single.status();
+    ASSERT_TRUE(rows[i].ok()) << rows[i].status();
+    ASSERT_EQ(rows[i]->rows(), 1);
+    ASSERT_EQ(rows[i]->cols(), single->cols());
+    EXPECT_EQ(std::memcmp(rows[i]->data(), single->data(),
+                          static_cast<size_t>(single->cols()) *
+                              sizeof(double)),
+              0);
+  }
+  EXPECT_EQ(failed, 4);
+  EXPECT_TRUE(serve::BuildGroupedQueryRows({}).empty());
+}
+
+TEST_F(ServePipelineTest, UnfittedSessionErrorReachesEveryRequest) {
+  // An unfitted session fails every extraction call; every request must
+  // still get its own error line, in order, with nothing dropped.
+  const std::string out = RunWith(serve::ServiceConfig(),
                                   std::make_shared<const serve::Session>());
   std::istringstream lines(out);
   std::string line;

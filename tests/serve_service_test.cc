@@ -274,7 +274,6 @@ TEST_F(ServeServiceTest, RunWithBatchedExtractionPreservesOrderAndResults) {
   serve::ServiceConfig config;
   config.pipeline.extract_threads = 1;
   config.pipeline.max_batch = 4;
-  config.pipeline.batch_wait_micros = 20000;
   config.pipeline.admission_capacity = 16;
   serve::Service service(*session_, config);
 
@@ -492,12 +491,12 @@ TEST_F(ServeGatewayTest, StatsForANamedTaskReportsItsShape) {
 }
 
 TEST_F(ServeGatewayTest, RunRoutesAcrossTasksInOrder) {
-  // Alternating tasks inside one extraction batch: grouping must split
-  // by session, never score a request against the other task's pool.
+  // Alternating tasks, often inside one extraction batch: grouping must
+  // split by session, never score a request against the other task's
+  // pool (serve_pipeline_test forces the mixed batch directly).
   serve::ServiceConfig config;
   config.pipeline.extract_threads = 1;
   config.pipeline.max_batch = 4;
-  config.pipeline.batch_wait_micros = 5000;
   config.pipeline.admission_capacity = 4;
   serve::RegistryConfig registry_config;
   registry_config.artifact_dir = *dir_;

@@ -167,23 +167,23 @@ TEST(ConvTest, FusedBatchPathIsBitIdenticalToPerImage) {
   }
 }
 
-TEST(ConvTest, BudgetedBatchIsBitIdenticalToUnbudgeted) {
+TEST(ConvTest, SerialBatchIsBitIdenticalToParallel) {
   // Conv2dForward picks its strategy from the width a ParallelFor would
-  // really get: under a budget of 1 (a serve stage worker) a batch of 8
-  // takes the fused path instead of the serial per-image loop. Either
-  // way the output bits are the same.
+  // really get: under ScopedSerialKernels (a serve stage worker) a batch
+  // of 8 takes the fused path instead of the serial per-image loop.
+  // Either way the output bits are the same.
   Rng rng(20261017);
   Tensor x = Tensor::RandomNormal({8, 3, 8, 8}, 1.0f, &rng);
   Tensor w = Tensor::RandomNormal({16, 3, 3, 3}, 0.5f, &rng);
   Tensor b = Tensor::RandomNormal({16}, 0.1f, &rng);
   Result<Tensor> wide = Conv2dForward(x, w, b, {1, 1});
   ASSERT_TRUE(wide.ok());
-  ScopedKernelThreadBudget budget(1);
+  ScopedSerialKernels serial;
   ASSERT_EQ(EffectiveNumThreads(), 1);
-  Result<Tensor> budgeted = Conv2dForward(x, w, b, {1, 1});
-  ASSERT_TRUE(budgeted.ok());
-  ASSERT_EQ(budgeted->NumElements(), wide->NumElements());
-  EXPECT_EQ(std::memcmp(budgeted->data(), wide->data(),
+  Result<Tensor> narrow = Conv2dForward(x, w, b, {1, 1});
+  ASSERT_TRUE(narrow.ok());
+  ASSERT_EQ(narrow->NumElements(), wide->NumElements());
+  EXPECT_EQ(std::memcmp(narrow->data(), wide->data(),
                         static_cast<size_t>(wide->NumElements()) *
                             sizeof(float)),
             0);
