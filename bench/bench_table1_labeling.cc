@@ -19,7 +19,6 @@
 #include "goggles/base_gmm.h"
 #include "goggles/hierarchical.h"
 #include "goggles/pipeline.h"
-#include "quant_gate.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -126,7 +125,6 @@ void RunExperiment() {
   const BenchScale scale = GetBenchScale();
   Banner("Table 1 — labeling accuracy on the training split (percent)", scale);
   eval::RunnerContext ctx = MakeBenchContext();
-  GateQuantizedExtraction(&ctx, scale);
 
   std::map<std::string, std::map<std::string, Cell>> rows;
   WallTimer timer;

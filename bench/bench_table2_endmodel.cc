@@ -11,7 +11,6 @@
 
 #include "baselines/end_model.h"
 #include "bench_common.h"
-#include "quant_gate.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -85,7 +84,6 @@ void RunExperiment() {
   Banner("Table 2 — end model accuracy on the held-out test set (percent)",
          scale);
   eval::RunnerContext ctx = MakeBenchContext();
-  GateQuantizedExtraction(&ctx, scale);
 
   std::map<std::string, std::map<std::string, Cell>> rows;
   WallTimer timer;

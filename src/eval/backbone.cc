@@ -42,39 +42,6 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-/// Options override first, then GOGGLES_EXTRACT_PRECISION (unknown value
-/// warns and falls back to f32), else f32.
-ConvPrecision ResolveExtractPrecision(const BackboneOptions& options) {
-  if (options.extract_precision.has_value()) {
-    return *options.extract_precision;
-  }
-  const std::string env = GetEnvOr("GOGGLES_EXTRACT_PRECISION", "");
-  if (env.empty()) return ConvPrecision::kF32;
-  ConvPrecision parsed = ConvPrecision::kF32;
-  if (!ParseConvPrecisionName(env, &parsed)) {
-    GOGGLES_LOG(WARNING) << "GOGGLES_EXTRACT_PRECISION=\"" << env
-                         << "\" is not a precision name (f32|bf16|int8); "
-                            "using f32";
-  }
-  return parsed;
-}
-
-/// Applies the resolved precision to a freshly built extractor.
-std::shared_ptr<features::FeatureExtractor> FinishExtractor(
-    const BackboneOptions& options, nn::VggMini model) {
-  auto extractor =
-      std::make_shared<features::FeatureExtractor>(std::move(model));
-  const ConvPrecision precision = ResolveExtractPrecision(options);
-  if (precision != ConvPrecision::kF32) {
-    extractor->SetInferencePrecision(precision);
-    if (options.verbose) {
-      GOGGLES_LOG(INFO) << "extractor conv inference precision: "
-                        << ConvPrecisionName(precision);
-    }
-  }
-  return extractor;
-}
-
 }  // namespace
 
 Result<std::shared_ptr<features::FeatureExtractor>> GetPretrainedExtractor(
@@ -95,7 +62,7 @@ Result<std::shared_ptr<features::FeatureExtractor>> GetPretrainedExtractor(
         GOGGLES_LOG(INFO) << "loaded cached backbone: " << cache_path;
       }
       if (train_accuracy != nullptr) *train_accuracy = -1.0;  // unknown
-      return FinishExtractor(options, std::move(model));
+      return std::make_shared<features::FeatureExtractor>(std::move(model));
     }
     GOGGLES_LOG(WARNING) << "cache load failed (" << st.ToString()
                          << "); retraining";
@@ -134,7 +101,7 @@ Result<std::shared_ptr<features::FeatureExtractor>> GetPretrainedExtractor(
       GOGGLES_LOG(WARNING) << "backbone cache write failed: " << st.ToString();
     }
   }
-  return FinishExtractor(options, std::move(model));
+  return std::make_shared<features::FeatureExtractor>(std::move(model));
 }
 
 }  // namespace goggles::eval

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "features/extractor.h"
@@ -30,12 +29,6 @@ struct BackboneOptions {
   /// caching.
   std::string cache_dir = "/tmp/goggles_cache";
   bool verbose = false;
-  /// Conv inference precision of the returned extractor. When unset, the
-  /// GOGGLES_EXTRACT_PRECISION env var (f32|bf16|int8) decides; an unknown
-  /// env value warns and falls back to f32. Pretraining itself always runs
-  /// f32 — this only requantizes the extractor handed back (and the cached
-  /// weights on disk stay f32, so the cache key is precision-independent).
-  std::optional<ConvPrecision> extract_precision;
 };
 
 /// \brief Trains (or loads from cache) the SynthNet backbone and wraps it

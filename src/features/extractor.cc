@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "nn/layers.h"
-
 namespace goggles::features {
 namespace {
 
@@ -110,15 +108,6 @@ Result<Matrix> FeatureExtractor::PenultimateFeatures(
     }
   }
   return out;
-}
-
-void FeatureExtractor::SetInferencePrecision(ConvPrecision precision) {
-  inference_precision_ = precision;
-  for (int i = 0; i < backbone_.net.num_layers(); ++i) {
-    if (auto* conv = dynamic_cast<nn::Conv2D*>(backbone_.net.layer(i))) {
-      conv->SetInferencePrecision(precision);
-    }
-  }
 }
 
 }  // namespace goggles::features

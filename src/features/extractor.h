@@ -6,7 +6,6 @@
 #include "data/image.h"
 #include "linalg/matrix.h"
 #include "nn/vgg.h"
-#include "tensor/ops.h"
 #include "util/status.h"
 
 /// \file extractor.h
@@ -54,23 +53,11 @@ class FeatureExtractor {
   Result<Matrix> PenultimateFeatures(const std::vector<data::Image>& images,
                                      int batch_size = 16) const;
 
-  /// \brief Requantizes every Conv2D layer's inference weights to
-  /// `precision` (kF32 restores full precision). A backbone mutation:
-  /// must not overlap with concurrent extraction calls. The quantized
-  /// modes sit outside the f32 bit-identity contract — gate them with a
-  /// labeling-agreement check (see bench/quant_gate.h) before trusting
-  /// downstream labels.
-  void SetInferencePrecision(ConvPrecision precision);
-
-  /// \brief Precision the Conv2D inference path currently runs at.
-  ConvPrecision inference_precision() const { return inference_precision_; }
-
   const nn::VggMini& backbone() const { return backbone_; }
   nn::VggMini* mutable_backbone() { return &backbone_; }
 
  private:
   nn::VggMini backbone_;
-  ConvPrecision inference_precision_ = ConvPrecision::kF32;
 };
 
 }  // namespace goggles::features

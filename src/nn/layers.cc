@@ -25,19 +25,7 @@ Result<Tensor> Conv2D::Forward(const Tensor& x) {
 }
 
 Result<Tensor> Conv2D::ForwardInference(const Tensor& x) const {
-  if (inference_precision_ != ConvPrecision::kF32) {
-    return Conv2dForwardQuantized(x, qweights_, bias_.value, params_);
-  }
   return Conv2dForward(x, weight_.value, bias_.value, params_);
-}
-
-void Conv2D::SetInferencePrecision(ConvPrecision precision) {
-  inference_precision_ = precision;
-  if (precision == ConvPrecision::kF32) {
-    qweights_ = QuantizedConvWeights();  // drop the stale payload
-    return;
-  }
-  qweights_ = QuantizeConvWeights(weight_.value, precision);
 }
 
 Result<Tensor> Conv2D::Backward(const Tensor& grad_output) {

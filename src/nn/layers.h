@@ -32,22 +32,11 @@ class Conv2D : public Layer {
 
   int64_t out_channels() const { return weight_.value.dim(0); }
 
-  /// \brief Switches the INFERENCE path to a quantized weight format
-  /// (kBf16 or kInt8; kF32 restores the default). Quantizes the current
-  /// weights once, so call after training / weight loading. Training
-  /// (Forward/Backward) always stays f32. Not thread-safe against
-  /// concurrent ForwardInference calls — flip precision before serving.
-  void SetInferencePrecision(ConvPrecision precision);
-
-  ConvPrecision inference_precision() const { return inference_precision_; }
-
  private:
   Conv2dParams params_;
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;
-  ConvPrecision inference_precision_ = ConvPrecision::kF32;
-  QuantizedConvWeights qweights_;  ///< valid iff precision != kF32
 };
 
 /// \brief Square-window max pooling.

@@ -183,10 +183,6 @@ Result<std::shared_ptr<const Session>> SessionRegistry::Acquire(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (Entry* entry = cache_.Get(task)) {
-      if (!config_.hot_reload) {
-        hits_.fetch_add(1);
-        return entry->session;
-      }
       stale = entry->session;
       loaded_signature = entry->signature;
     }

@@ -46,9 +46,6 @@ struct RegistryConfig {
   uint64_t memory_budget_bytes = 0;
   /// Maximum number of resident tasks. 0 = unlimited.
   size_t max_resident_tasks = 0;
-  /// Re-stat the artifact file on every Acquire() and reload the session
-  /// when the file's (mtime, size) signature changed since it was loaded.
-  bool hot_reload = true;
   /// Retry policy for transient artifact-load failures (I/O errors and
   /// loads that raced a concurrent publish). NotFound / corrupt-format
   /// errors are not retried. `max_attempts <= 1` disables retries.
@@ -100,8 +97,9 @@ class SessionRegistry {
                   RegistryConfig config);
 
   /// \brief Resolves a task name to its fitted session, loading the
-  /// artifact on a cold miss and hot-reloading when the file changed (if
-  /// enabled). The returned shared_ptr stays valid across later
+  /// artifact on a cold miss and hot-reloading when the file's (mtime,
+  /// size) signature changed since it was loaded (re-stat on every call).
+  /// The returned shared_ptr stays valid across later
   /// evictions/unloads/reloads of the task. Hot reloads are
   /// opportunistic: when the changed file fails to load (torn write,
   /// corruption), the resident session keeps serving and the reload is

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <thread>
 #include <utility>
@@ -75,6 +76,12 @@ Result<data::Image> ParseImage(const JsonValue& value) {
     const JsonValue& px = pixels->items()[i];
     if (!px.is_number()) {
       return Status::InvalidArgument("pixels must all be numbers");
+    }
+    // A double beyond the float range has no float value (the cast is
+    // undefined behavior), so it cannot be a pixel.
+    if (std::fabs(px.number()) > std::numeric_limits<float>::max()) {
+      return Status::InvalidArgument(
+          "pixels must lie within the float range (|v| <= FLT_MAX)");
     }
     image.pixels[i] = static_cast<float>(px.number());
   }

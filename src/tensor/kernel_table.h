@@ -17,10 +17,8 @@
 
 namespace goggles {
 
-/// \brief Function-pointer table of one ISA tier's kernels. All f32/f64
-/// entries are bit-identical across tiers (fixed-order std::fma
-/// accumulation); the int8 entry accumulates exactly in int32, so it is
-/// trivially identical across tiers too.
+/// \brief Function-pointer table of one ISA tier's kernels. All entries
+/// are bit-identical across tiers (fixed-order std::fma accumulation).
 struct TensorKernels {
   void (*sgemm)(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                 int64_t k, float alpha, const float* a, int64_t lda,
@@ -40,12 +38,6 @@ struct TensorKernels {
   void (*prototype_max_scores)(const float* positions, int64_t area,
                                int64_t channels, const float* panel,
                                int64_t num_protos, float* best);
-  /// C[m,n] (int32, row-major, fully overwritten) = A[m,k] * B[k,n],
-  /// both int8 row-major. Exact integer accumulation; |a|,|b| <= 127 and
-  /// k <= 2^17 stay far from int32 overflow.
-  void (*s8gemm_s32)(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                     int64_t lda, const int8_t* b, int64_t ldb, int32_t* c,
-                     int64_t ldc);
   float (*dot_f)(const float* a, const float* b, int64_t n);
   float (*squared_distance_f)(const float* a, const float* b, int64_t n);
   /// One fused pass computing dot(a,b), |a|^2 and |b|^2.

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "tensor/gemm.h"
-#include "tensor/kernel_table.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
 
@@ -215,187 +213,6 @@ Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
         }
       },
       image_parallel ? total_threads : 1);
-  return y;
-}
-
-const char* ConvPrecisionName(ConvPrecision precision) {
-  switch (precision) {
-    case ConvPrecision::kF32:
-      return "f32";
-    case ConvPrecision::kBf16:
-      return "bf16";
-    case ConvPrecision::kInt8:
-      return "int8";
-  }
-  return "unknown";
-}
-
-bool ParseConvPrecisionName(const std::string& name, ConvPrecision* out) {
-  for (const ConvPrecision p : {ConvPrecision::kF32, ConvPrecision::kBf16,
-                                ConvPrecision::kInt8}) {
-    if (name == ConvPrecisionName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
-uint16_t F32ToBf16(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  if ((bits & 0x7fffffffu) > 0x7f800000u) {
-    // NaN: truncate but force a mantissa bit so it stays a (quiet) NaN.
-    return static_cast<uint16_t>((bits >> 16) | 0x0040u);
-  }
-  // Round to nearest, ties to even on the kept 16 bits.
-  const uint32_t rounding = 0x7fffu + ((bits >> 16) & 1u);
-  return static_cast<uint16_t>((bits + rounding) >> 16);
-}
-
-float Bf16ToF32(uint16_t bits16) {
-  const uint32_t bits = static_cast<uint32_t>(bits16) << 16;
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-QuantizedConvWeights QuantizeConvWeights(const Tensor& w,
-                                         ConvPrecision precision) {
-  QuantizedConvWeights out;
-  out.precision = precision;
-  out.shape = w.shape();
-  const int64_t total = w.NumElements();
-  const float* src = w.data();
-  if (precision == ConvPrecision::kBf16) {
-    out.bf16.resize(static_cast<size_t>(total));
-    for (int64_t i = 0; i < total; ++i) out.bf16[i] = F32ToBf16(src[i]);
-  } else if (precision == ConvPrecision::kInt8) {
-    const int64_t oc = w.dim(0);
-    const int64_t per_channel = total / std::max<int64_t>(oc, 1);
-    out.q8.resize(static_cast<size_t>(total));
-    out.scale.resize(static_cast<size_t>(oc));
-    for (int64_t o = 0; o < oc; ++o) {
-      const float* row = src + o * per_channel;
-      float absmax = 0.0f;
-      for (int64_t i = 0; i < per_channel; ++i) {
-        absmax = std::max(absmax, std::fabs(row[i]));
-      }
-      // Symmetric per-out-channel scale; an all-zero channel quantizes to
-      // zeros with scale 0, which dequantizes exactly to zero.
-      const float scale = absmax / 127.0f;
-      const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
-      out.scale[static_cast<size_t>(o)] = scale;
-      int8_t* qrow = out.q8.data() + o * per_channel;
-      for (int64_t i = 0; i < per_channel; ++i) {
-        const long q = lrintf(row[i] * inv);
-        qrow[i] = static_cast<int8_t>(
-            std::min<long>(127, std::max<long>(-127, q)));
-      }
-    }
-  }
-  return out;
-}
-
-Result<Tensor> Conv2dForwardQuantized(const Tensor& x,
-                                      const QuantizedConvWeights& w,
-                                      const Tensor& b,
-                                      const Conv2dParams& params) {
-  if (w.shape.size() != 4) {
-    return Status::InvalidArgument("conv2d quant: w must be [OC, C, KH, KW]");
-  }
-  const int64_t oc = w.shape[0], wc = w.shape[1];
-  const int64_t kh = w.shape[2], kw = w.shape[3];
-  const int64_t wtotal = oc * wc * kh * kw;
-
-  if (w.precision == ConvPrecision::kBf16) {
-    if (static_cast<int64_t>(w.bf16.size()) != wtotal) {
-      return Status::InvalidArgument("conv2d quant: bf16 weight size mismatch");
-    }
-    // Expand once and reuse the f32 path: bf16 is a storage format here,
-    // compute stays f32 (and therefore bit-identical across ISA tiers).
-    Tensor wf(w.shape);
-    float* dst = wf.data();
-    for (int64_t i = 0; i < wtotal; ++i) dst[i] = Bf16ToF32(w.bf16[i]);
-    return Conv2dForward(x, wf, b, params);
-  }
-  if (w.precision != ConvPrecision::kInt8) {
-    return Status::InvalidArgument(
-        "conv2d quant: weights carry no quantized payload (f32 precision); "
-        "use Conv2dForward");
-  }
-  if (static_cast<int64_t>(w.q8.size()) != wtotal ||
-      static_cast<int64_t>(w.scale.size()) != oc) {
-    return Status::InvalidArgument("conv2d quant: int8 weight size mismatch");
-  }
-  if (x.ndim() != 4) {
-    return Status::InvalidArgument("conv2d quant: x must be NCHW");
-  }
-  if (x.dim(1) != wc) {
-    return Status::InvalidArgument("conv2d quant: channel mismatch");
-  }
-  if (b.NumElements() != oc) {
-    return Status::InvalidArgument(
-        "conv2d quant: bias size must equal out-channels");
-  }
-  const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
-  const int64_t oh = ConvOutDim(h, kh, params.stride, params.pad);
-  const int64_t ow = ConvOutDim(wd, kw, params.stride, params.pad);
-  if (oh <= 0 || ow <= 0) {
-    return Status::InvalidArgument("conv2d quant: output would be empty");
-  }
-
-  Tensor y({n, oc, oh, ow});
-  const int64_t col_rows = c * kh * kw;
-  const int64_t out_area = oh * ow;
-
-  // Every per-image step is order-independent (absmax), exact (int32
-  // accumulation) or a fixed per-element float sequence (quantize,
-  // dequantize), so the output is bit-identical for any thread count and
-  // any batch composition: the activation scale is PER IMAGE, never per
-  // batch, which keeps a batched forward equal to singleton forwards
-  // (the serve micro-batching contract).
-  ParallelForChunked(0, n, [&](int64_t begin, int64_t end) {
-    std::vector<float>& col = Im2ColScratch(col_rows * out_area);
-    static thread_local std::vector<int8_t> qcol;
-    static thread_local std::vector<int32_t> acc;
-    if (static_cast<int64_t>(qcol.size()) < col_rows * out_area) {
-      qcol.resize(static_cast<size_t>(col_rows * out_area));
-    }
-    if (static_cast<int64_t>(acc.size()) < oc * out_area) {
-      acc.resize(static_cast<size_t>(oc * out_area));
-    }
-    for (int64_t i = begin; i < end; ++i) {
-      Im2Col(x.data() + i * c * h * wd, c, h, wd, kh, kw, params.stride,
-             params.pad, col.data());
-      const int64_t cols_total = col_rows * out_area;
-      float absmax = 0.0f;
-      for (int64_t j = 0; j < cols_total; ++j) {
-        absmax = std::max(absmax, std::fabs(col[static_cast<size_t>(j)]));
-      }
-      const float a_scale = absmax / 127.0f;
-      const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
-      for (int64_t j = 0; j < cols_total; ++j) {
-        const long q = lrintf(col[static_cast<size_t>(j)] * inv);
-        qcol[static_cast<size_t>(j)] = static_cast<int8_t>(
-            std::min<long>(127, std::max<long>(-127, q)));
-      }
-      // acc [oc, out_area] = q8(w) [oc, col_rows] * qcol, exact in int32.
-      ActiveKernels().s8gemm_s32(oc, out_area, col_rows, w.q8.data(),
-                                 col_rows, qcol.data(), out_area, acc.data(),
-                                 out_area);
-      float* yi = y.data() + i * oc * out_area;
-      for (int64_t o = 0; o < oc; ++o) {
-        const float dequant = w.scale[static_cast<size_t>(o)] * a_scale;
-        const float bias = b[o];
-        const int32_t* arow = acc.data() + o * out_area;
-        float* dst = yi + o * out_area;
-        for (int64_t p = 0; p < out_area; ++p) {
-          dst[p] = std::fma(static_cast<float>(arow[p]), dequant, bias);
-        }
-      }
-    }
-  });
   return y;
 }
 

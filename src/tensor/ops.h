@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -57,64 +56,6 @@ void Col2Im(const float* col, int64_t channels, int64_t height, int64_t width,
 /// \param b bias   [OC]
 Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
                              const Conv2dParams& params);
-
-/// \brief Inference precision of the quantized convolution path
-/// (GOGGLES_EXTRACT_PRECISION). kF32 is the default full-precision path;
-/// the quantized modes trade feature fidelity for speed/footprint and sit
-/// explicitly OUTSIDE the f32 bit-identity contract (their outputs differ
-/// from kF32), though each mode is itself deterministic and bit-identical
-/// across ISA tiers: bf16 rounding is exact, the int8 products accumulate
-/// exactly in int32, and every float epilogue is a fixed per-element
-/// operation sequence.
-enum class ConvPrecision : int {
-  kF32 = 0,
-  kBf16 = 1,  ///< weights stored bf16 (round-to-nearest-even), f32 compute
-  kInt8 = 2,  ///< int8 weight/activation products, f32 accumulation epilogue
-};
-
-/// \brief Lower-case mode name ("f32", "bf16", "int8") — the exact
-/// spelling GOGGLES_EXTRACT_PRECISION accepts.
-const char* ConvPrecisionName(ConvPrecision precision);
-
-/// \brief Strict parse of a GOGGLES_EXTRACT_PRECISION value. Returns
-/// false (leaving `*out` untouched) for anything but the exact names.
-bool ParseConvPrecisionName(const std::string& name, ConvPrecision* out);
-
-/// \brief f32 -> bf16 with round-to-nearest-even (NaN kept quiet).
-uint16_t F32ToBf16(float v);
-
-/// \brief bf16 -> f32 (exact).
-float Bf16ToF32(uint16_t bits);
-
-/// \brief Conv weights pre-quantized for one inference precision.
-/// Built once per layer (QuantizeConvWeights); read-only afterwards, so
-/// concurrent forwards may share it.
-struct QuantizedConvWeights {
-  ConvPrecision precision = ConvPrecision::kF32;
-  std::vector<int64_t> shape;  ///< [OC, C, KH, KW]
-  std::vector<uint16_t> bf16;  ///< kBf16: weight bits, same layout as f32
-  std::vector<int8_t> q8;      ///< kInt8: symmetric per-out-channel values
-  std::vector<float> scale;    ///< kInt8: per-out-channel dequant scales
-};
-
-/// \brief Quantizes conv weights [OC, C, KH, KW] for `precision`.
-/// kInt8 uses symmetric per-out-channel scales (absmax / 127, values
-/// clamped to [-127, 127]); kBf16 rounds each weight to nearest-even.
-QuantizedConvWeights QuantizeConvWeights(const Tensor& w,
-                                         ConvPrecision precision);
-
-/// \brief Quantized twin of Conv2dForward (kBf16 or kInt8 weights).
-///
-/// kBf16 expands the stored weights to f32 and runs the standard im2col
-/// + SGemm path. kInt8 additionally quantizes each image's im2col
-/// columns with a PER-IMAGE symmetric activation scale (so a batched
-/// forward stays bit-identical to singleton forwards — the serve
-/// batching contract), runs the int8 GEMM with exact int32 accumulation,
-/// and dequantizes into f32 with the bias added in the same pass.
-Result<Tensor> Conv2dForwardQuantized(const Tensor& x,
-                                      const QuantizedConvWeights& w,
-                                      const Tensor& b,
-                                      const Conv2dParams& params);
 
 /// \brief Gradients of a conv2d w.r.t. input, weight and bias.
 struct Conv2dGrads {

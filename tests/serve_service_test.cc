@@ -222,6 +222,44 @@ TEST_F(ServeServiceTest, MalformedRequestsReturnErrorsNotCrashes) {
       << "mixed-shape batch accepted";
 }
 
+// A pixel whose magnitude exceeds FLT_MAX has no float value (the cast
+// would be undefined behaviour and in practice yields ±inf), so it is an
+// invalid request on both entry points, with the same bytes; the largest
+// finite floats still label.
+TEST_F(ServeServiceTest, PixelsOutsideTheFloatRangeAreRejected) {
+  serve::Service service(*session_);
+  const std::string base = ImageToJson(PatternImage(13));
+  const std::string first_pixel = R"("pixels":[)";
+  const size_t at = base.find(first_pixel);
+  ASSERT_NE(at, std::string::npos);
+  const size_t begin = at + first_pixel.size();
+  const size_t end = base.find(',', begin);
+  auto with_first_pixel = [&](const std::string& literal) {
+    return std::string(R"({"op":"label","image":)") +
+           base.substr(0, begin) + literal + base.substr(end) + "}";
+  };
+
+  for (const char* literal : {"1e300", "-1e39"}) {
+    const std::string line = with_first_pixel(literal);
+    const std::string direct = service.HandleLine(line);
+    auto response = JsonValue::Parse(direct);
+    ASSERT_TRUE(response.ok()) << direct;
+    EXPECT_FALSE(response->Find("ok")->bool_value()) << "accepted " << literal;
+    ASSERT_NE(response->Find("error_code"), nullptr) << direct;
+    EXPECT_EQ(response->Find("error_code")->str(), "invalid_argument");
+
+    std::istringstream in(line + "\n");
+    std::ostringstream out;
+    ASSERT_TRUE(service.Run(in, out).ok());
+    EXPECT_EQ(out.str(), direct + "\n") << literal;
+  }
+
+  auto accepted =
+      JsonValue::Parse(service.HandleLine(with_first_pixel("3.4e38")));
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_TRUE(accepted->Find("ok")->bool_value());
+}
+
 TEST_F(ServeServiceTest, RunPreservesInputOrderAcrossWorkers) {
   serve::ServiceConfig config;
   config.pipeline.decode_threads = 2;

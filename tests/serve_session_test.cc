@@ -1,5 +1,10 @@
 #include "serve/session.h"
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "data/raster.h"
@@ -165,22 +170,27 @@ TEST_F(ServeSessionTest, MaxFunctionsTruncationIsHonoredOnline) {
   }
 }
 
-/// FNV-1a over the raw bits of a matrix's doubles.
-uint64_t HashMatrixBits(const Matrix& m) {
+/// FNV-1a over `n` raw bytes.
+uint64_t HashBytes(const void* data, size_t n) {
   uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
-  for (size_t i = 0; i < static_cast<size_t>(m.size()) * sizeof(double); ++i) {
-    h = (h ^ bytes[i]) * 1099511628211ull;
-  }
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) h = (h ^ bytes[i]) * 1099511628211ull;
   return h;
 }
 
+/// FNV-1a over the raw bits of a matrix's doubles.
+uint64_t HashMatrixBits(const Matrix& m) {
+  return HashBytes(m.data(), static_cast<size_t>(m.size()) * sizeof(double));
+}
+
 // Golden scores: the bits of the pool affinity matrix, of the query rows
-// for held-out images and the resulting hard labels, recorded once and
-// hard-coded. The other tests only compare one path of this build against
-// another; this one catches any drift in the Eq. 2 scorer's bits. The
-// numerical contract (tensor/gemm.h) makes the values portable across
-// ISA tiers.
+// for held-out images, of the pool and held-out posteriors, of the saved
+// artifact, and the resulting hard labels, recorded once and hard-coded.
+// The other tests only compare one path of this build against another;
+// this one catches any drift in the Eq. 2 scorer's, the EM's or the
+// artifact writer's bits. The numerical contract (tensor/gemm.h) makes
+// the values portable across ISA tiers; the posterior and artifact
+// hashes also go through libm's exp/log (ARCHITECTURE invariant 6).
 TEST_F(ServeSessionTest, GoldenScoresAndLabels) {
   GogglesPipeline pipeline(MakeExtractor(), config_);
   auto pool_affinity = pipeline.BuildAffinity(pool_);
@@ -200,9 +210,21 @@ TEST_F(ServeSessionTest, GoldenScoresAndLabels) {
   ASSERT_TRUE(session.ok()) << session.status();
   EXPECT_EQ(session->pool_result().hard_labels,
             (std::vector<int>{1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1}));
+  EXPECT_EQ(HashMatrixBits(session->pool_result().soft_labels),
+            0x2333913ae8cee6acull);
   auto held_out = session->InferRows(*query_rows);
   ASSERT_TRUE(held_out.ok()) << held_out.status();
   EXPECT_EQ(held_out->hard_labels, (std::vector<int>{0, 1, 1, 0}));
+  EXPECT_EQ(HashMatrixBits(held_out->soft_labels), 0xfee73f6bfa84254bull);
+
+  const std::string path = ::testing::TempDir() + "/golden_session.ggsa";
+  ASSERT_TRUE(session->Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(HashBytes(bytes.data(), bytes.size()), 0x45b45a8c975a54e1ull);
 }
 
 TEST_F(ServeSessionTest, InvalidInputsAreRejected) {

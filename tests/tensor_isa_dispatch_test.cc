@@ -1,6 +1,5 @@
 #include "tensor/isa.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -17,9 +16,7 @@
 /// \brief The runtime ISA dispatch contract: strict GOGGLES_ISA parsing,
 /// graceful fallback when a binary carries tiers the host lacks, and —
 /// the load-bearing invariant — bit-identical f32/f64 kernel results at
-/// every tier the host can run (GEMM, conv, the BLAS-1 reductions). Plus
-/// the quantized extraction path: exact int8 GEMM, bf16 round-trip, and
-/// the quantized conv's own determinism guarantees.
+/// every tier the host can run (GEMM, conv, the BLAS-1 reductions).
 
 namespace goggles {
 namespace {
@@ -302,139 +299,6 @@ TEST(TierBitIdentity, Blas1ReductionsAtEveryTier) {
       EXPECT_EQ(dist, SquaredDistanceF(a.data(), b.data(), n))
           << "tier=" << IsaTierName(tier) << " n=" << n;
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Quantized extraction path
-// ---------------------------------------------------------------------------
-
-TEST(Bf16, RoundTripAndRounding) {
-  // Values with <= 8 mantissa bits survive the round trip exactly.
-  for (const float v : {0.0f, 1.0f, -2.5f, 0.15625f, 384.0f, -1.0f / 1024}) {
-    EXPECT_EQ(v, Bf16ToF32(F32ToBf16(v))) << v;
-  }
-  // bf16 keeps 7 explicit mantissa bits, so the quantum at 1.0 is 2^-7
-  // and the tie sits at 2^-8. Round-to-nearest-even: the tie goes to the
-  // even mantissa (1.0), 0.75 quanta rounds up, and the 1.5-quanta tie
-  // goes to the even neighbor 1 + 2^-6.
-  EXPECT_EQ(1.0f, Bf16ToF32(F32ToBf16(1.0f + 0x1.0p-8f)));
-  EXPECT_EQ(1.0f + 0x1.0p-7f, Bf16ToF32(F32ToBf16(1.0f + 0x1.8p-8f)));
-  EXPECT_EQ(1.0f + 0x1.0p-6f, Bf16ToF32(F32ToBf16(1.0f + 0x1.8p-7f)));
-  // NaN stays NaN; infinity stays infinity.
-  EXPECT_TRUE(std::isnan(Bf16ToF32(F32ToBf16(NAN))));
-  EXPECT_EQ(INFINITY, Bf16ToF32(F32ToBf16(INFINITY)));
-}
-
-TEST(QuantizedConv, Bf16TracksF32Closely) {
-  Rng rng(20240816);
-  Tensor x = Tensor::RandomNormal({2, 3, 8, 8}, 1.0f, &rng);
-  Tensor w = Tensor::RandomNormal({5, 3, 3, 3}, 0.5f, &rng);
-  Tensor b = Tensor::RandomNormal({5}, 0.1f, &rng);
-  Conv2dParams params;
-  Result<Tensor> full = Conv2dForward(x, w, b, params);
-  ASSERT_TRUE(full.ok());
-  const QuantizedConvWeights qw =
-      QuantizeConvWeights(w, ConvPrecision::kBf16);
-  Result<Tensor> quant = Conv2dForwardQuantized(x, qw, b, params);
-  ASSERT_TRUE(quant.ok());
-  ASSERT_EQ(full->NumElements(), quant->NumElements());
-  for (int64_t i = 0; i < full->NumElements(); ++i) {
-    // bf16 keeps 8 mantissa bits: ~0.4% relative per weight.
-    EXPECT_NEAR(full->data()[i], quant->data()[i],
-                2e-2f * (1.0f + std::fabs(full->data()[i])))
-        << i;
-  }
-}
-
-TEST(QuantizedConv, Int8TracksF32Approximately) {
-  Rng rng(20240817);
-  Tensor x = Tensor::RandomNormal({2, 3, 8, 8}, 1.0f, &rng);
-  Tensor w = Tensor::RandomNormal({5, 3, 3, 3}, 0.5f, &rng);
-  Tensor b = Tensor::RandomNormal({5}, 0.1f, &rng);
-  Conv2dParams params;
-  Result<Tensor> full = Conv2dForward(x, w, b, params);
-  ASSERT_TRUE(full.ok());
-  const QuantizedConvWeights qw =
-      QuantizeConvWeights(w, ConvPrecision::kInt8);
-  ASSERT_EQ(qw.q8.size(), static_cast<size_t>(w.NumElements()));
-  ASSERT_EQ(qw.scale.size(), 5u);
-  Result<Tensor> quant = Conv2dForwardQuantized(x, qw, b, params);
-  ASSERT_TRUE(quant.ok());
-  double err2 = 0.0, ref2 = 0.0;
-  for (int64_t i = 0; i < full->NumElements(); ++i) {
-    const double d = full->data()[i] - quant->data()[i];
-    err2 += d * d;
-    ref2 += static_cast<double>(full->data()[i]) * full->data()[i];
-  }
-  // 8-bit symmetric quantization of both operands: a few percent relative
-  // RMS error on Gaussian data.
-  EXPECT_LT(std::sqrt(err2 / ref2), 0.05);
-}
-
-TEST(QuantizedConv, BatchEqualsSingletonsBitForBit) {
-  Rng rng(20240818);
-  Tensor batch = Tensor::RandomNormal({4, 3, 8, 8}, 1.0f, &rng);
-  Tensor w = Tensor::RandomNormal({5, 3, 3, 3}, 0.5f, &rng);
-  Tensor b = Tensor::RandomNormal({5}, 0.1f, &rng);
-  Conv2dParams params;
-  const QuantizedConvWeights qw =
-      QuantizeConvWeights(w, ConvPrecision::kInt8);
-  Result<Tensor> batched = Conv2dForwardQuantized(batch, qw, b, params);
-  ASSERT_TRUE(batched.ok());
-  const int64_t per_image = batched->NumElements() / 4;
-  for (int64_t i = 0; i < 4; ++i) {
-    // The activation scale is per image, so each image's result must not
-    // depend on what else rode in the batch (the serve micro-batching
-    // contract extends to the quantized path).
-    Tensor one({1, 3, 8, 8});
-    std::memcpy(one.data(), batch.data() + i * 3 * 8 * 8,
-                sizeof(float) * 3 * 8 * 8);
-    Result<Tensor> single = Conv2dForwardQuantized(one, qw, b, params);
-    ASSERT_TRUE(single.ok());
-    ASSERT_EQ(0, std::memcmp(single->data(), batched->data() + i * per_image,
-                             static_cast<size_t>(per_image) * sizeof(float)))
-        << "image " << i;
-  }
-}
-
-TEST(QuantizedConv, Int8IdenticalAtEveryTier) {
-  TierSweepGuard guard;
-  Rng rng(20240819);
-  Tensor x = Tensor::RandomNormal({2, 3, 8, 8}, 1.0f, &rng);
-  Tensor w = Tensor::RandomNormal({5, 3, 3, 3}, 0.5f, &rng);
-  Tensor b = Tensor::RandomNormal({5}, 0.1f, &rng);
-  Conv2dParams params;
-  const QuantizedConvWeights qw =
-      QuantizeConvWeights(w, ConvPrecision::kInt8);
-  ASSERT_TRUE(ForceIsaTier(IsaTier::kScalar));
-  Result<Tensor> want = Conv2dForwardQuantized(x, qw, b, params);
-  ASSERT_TRUE(want.ok());
-  for (const IsaTier tier : UsableTiers()) {
-    // int32 accumulation is exact, so the quantized path is bit-identical
-    // across tiers even though it is NOT bit-identical to f32.
-    ASSERT_TRUE(ForceIsaTier(tier));
-    Result<Tensor> got = Conv2dForwardQuantized(x, qw, b, params);
-    ASSERT_TRUE(got.ok());
-    ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
-                             static_cast<size_t>(want->NumElements()) *
-                                 sizeof(float)))
-        << "tier=" << IsaTierName(tier);
-  }
-}
-
-TEST(QuantizedConv, PrecisionNamesParseStrictly) {
-  ConvPrecision p = ConvPrecision::kBf16;
-  EXPECT_TRUE(ParseConvPrecisionName("f32", &p));
-  EXPECT_EQ(p, ConvPrecision::kF32);
-  EXPECT_TRUE(ParseConvPrecisionName("bf16", &p));
-  EXPECT_EQ(p, ConvPrecision::kBf16);
-  EXPECT_TRUE(ParseConvPrecisionName("int8", &p));
-  EXPECT_EQ(p, ConvPrecision::kInt8);
-  for (const char* bad : {"", "INT8", "fp32", "i8", "bf16 "}) {
-    ConvPrecision q = ConvPrecision::kInt8;
-    EXPECT_FALSE(ParseConvPrecisionName(bad, &q)) << bad;
-    EXPECT_EQ(q, ConvPrecision::kInt8) << bad;
   }
 }
 

@@ -1,8 +1,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -14,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "util/clock.h"
-#include "util/csv.h"
 #include "util/env.h"
 #include "util/lru.h"
 #include "util/parallel.h"
@@ -316,34 +313,6 @@ TEST(TableTest, PadsShortRows) {
   table.AddRow({"only"});
   std::string s = table.ToString();
   EXPECT_NE(s.find("only"), std::string::npos);
-}
-
-TEST(CsvTest, EscapesSpecialCharacters) {
-  CsvWriter csv;
-  csv.SetHeader({"x", "y"});
-  csv.AddRow({"plain", "with,comma"});
-  csv.AddRow({"with\"quote", "multi\nline"});
-  const std::string s = csv.ToString();
-  EXPECT_NE(s.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(s.find("\"with\"\"quote\""), std::string::npos);
-}
-
-TEST(CsvTest, WritesToFile) {
-  CsvWriter csv;
-  csv.SetHeader({"k", "v"});
-  csv.AddRow({"a", "1"});
-  const std::string path = ::testing::TempDir() + "/goggles_csv_test.csv";
-  ASSERT_TRUE(csv.WriteToFile(path).ok());
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "k,v");
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, WriteToBadPathFails) {
-  CsvWriter csv;
-  EXPECT_FALSE(csv.WriteToFile("/nonexistent_dir_xyz/out.csv").ok());
 }
 
 TEST(EnvTest, FallbacksWhenUnset) {
