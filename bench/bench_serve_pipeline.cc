@@ -376,7 +376,7 @@ void BM_PipelineSubmitDrain(benchmark::State& state) {
     }
     std::atomic<int> sunk{0};
     pipe.Start([&](int&&) { sunk.fetch_add(1, std::memory_order_relaxed); });
-    for (int i = 0; i < items; ++i) pipe.Submit(int(i), /*block=*/true);
+    for (int i = 0; i < items; ++i) pipe.Submit(int(i));
     pipe.Drain();
     if (sunk.load() != items) state.SkipWithError("lost items");
   }

@@ -11,50 +11,41 @@
 /// Requests run through a staged flowgraph (decode → extract → infer →
 /// encode) in which every stage worker reads one intake lane, bounded by
 /// the admission cap, and runs its kernels serially on its own thread;
-/// the flags below shape it. Every numeric flag accepts the same range
-/// as its environment twin, so `0` turns off a deadline, watchdog or
-/// task cap that the environment set.
+/// the flags below shape it. Settings come from flags only; an unset
+/// flag keeps the ServiceConfig / RegistryConfig default.
 ///
 /// Options:
-///   --pipeline-decode N     decode-stage threads (default 1; also
-///                           GOGGLES_PIPELINE_DECODE_THREADS)
-///   --pipeline-extract N    extraction-stage threads (default 2; also
-///                           GOGGLES_PIPELINE_EXTRACT_THREADS)
-///   --pipeline-infer N      inference-stage threads (default 1; also
-///                           GOGGLES_PIPELINE_INFER_THREADS)
-///   --pipeline-encode N     encode-stage threads (default 1; also
-///                           GOGGLES_PIPELINE_ENCODE_THREADS)
+///   --pipeline-decode N     decode-stage threads (default 1)
+///   --pipeline-extract N    extraction-stage threads (default 2)
+///   --pipeline-infer N      inference-stage threads (default 1)
+///   --pipeline-encode N     encode-stage threads (default 1)
 ///   --pipeline-batch N      requests a stage worker takes per wakeup;
 ///                           the extraction stage groups them into
 ///                           batched scoring calls, never waiting for
-///                           more (default 8; also
-///                           GOGGLES_PIPELINE_MAX_BATCH)
+///                           more (default 8)
 ///   --pipeline-admission N  in-flight request cap, which also bounds
 ///                           every stage worker's intake lane (default
-///                           64; also GOGGLES_PIPELINE_ADMISSION)
+///                           64)
 ///   --pipeline-reject       shed over-capacity requests with an
 ///                           immediate error response instead of
-///                           stalling the reader (also
-///                           GOGGLES_PIPELINE_REJECT=1)
+///                           stalling the reader
 ///   --task-budget-mb N      approximate-memory budget for resident
 ///                           tasks; LRU eviction beyond it (default 0 =
-///                           unlimited; also GOGGLES_TASK_BUDGET_MB)
-///   --max-tasks N           resident-task cap (default 0 = unlimited;
-///                           also GOGGLES_MAX_TASKS)
+///                           unlimited)
+///   --max-tasks N           resident-task cap (default 0 = unlimited)
 ///   --request-deadline-ms N per-request deadline measured from
 ///                           admission; overruns answer with
 ///                           error_code "deadline_exceeded" (default 0 =
-///                           none; also GOGGLES_REQUEST_DEADLINE_MS)
+///                           none)
 ///   --pipeline-watchdog-ms N stall watchdog budget: stage calls running
 ///                           longer than N ms are flagged (WARNING log +
 ///                           per-stage "stalls" in the stats op; default
-///                           0 = off; also GOGGLES_PIPELINE_WATCHDOG_MS)
+///                           0 = off)
 ///
 /// SIGTERM/SIGINT drain gracefully: admission stops, every in-flight
 /// request still gets its response, then the process exits 0.
 ///
-/// The artifact directory may also come from GOGGLES_ARTIFACT_DIR. In
-/// gateway mode, tasks are `<dir>/<task>.ggsa` artifacts loaded on the
+/// In gateway mode, tasks are `<dir>/<task>.ggsa` artifacts loaded on the
 /// first request that routes to them ("task":"name"), hot-reloaded when
 /// the file changes, and LRU-evicted past the memory budget.
 ///
@@ -71,21 +62,21 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "eval/backbone.h"
+#include "serve/json.h"
 #include "serve/registry.h"
 #include "serve/service.h"
 #include "serve/session.h"
 #include "serve/shutdown.h"
 #include "tensor/isa.h"
-#include "util/env.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
 namespace {
 
-/// Strict ranged integer parse (no trailing garbage, no overflow) — the
-/// same policy and bounds as the env twins (GetEnvRangedIntOr).
+/// Strict ranged integer parse (no trailing garbage, no overflow).
 bool ParseIntInRange(const char* text, long long min_value,
                      long long max_value, long long* out) {
   if (text == nullptr || *text == '\0') return false;
@@ -129,28 +120,15 @@ int main(int argc, char** argv) {
   using namespace goggles;
 
   std::string artifact_path;
-  std::string artifact_dir = GetEnvOr("GOGGLES_ARTIFACT_DIR", "");
+  std::string artifact_dir;
   serve::ServiceConfig config;
-  // Pipeline knobs share the library-side ranged env loader so the
-  // service tests cover exactly the parsing the binary uses.
-  config.pipeline = serve::PipelineOptionsFromEnv(config.pipeline);
-  config.request_deadline_micros =
-      GetEnvRangedIntOr("GOGGLES_REQUEST_DEADLINE_MS",
-                        config.request_deadline_micros / 1000, 0, 3'600'000) *
-      1000;
   serve::RegistryConfig registry_config;
-  registry_config.memory_budget_bytes =
-      static_cast<uint64_t>(
-          GetEnvRangedIntOr("GOGGLES_TASK_BUDGET_MB", 0, 0, 1 << 20))
-      << 20;
-  registry_config.max_resident_tasks = static_cast<size_t>(
-      GetEnvRangedIntOr("GOGGLES_MAX_TASKS", 0, 0, 1 << 20));
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     long long value = 0;
-    // Reads the flag's value into `value`; the ranges are the env twins'.
+    // Reads the flag's value into `value`.
     const auto value_in = [&](long long min_value, long long max_value) {
       if (ParseIntInRange(argv[++i], min_value, max_value, &value)) {
         return true;
@@ -206,9 +184,7 @@ int main(int argc, char** argv) {
     }
   }
   if (artifact_path.empty() && artifact_dir.empty()) {
-    std::fprintf(stderr,
-                 "error: need --artifact and/or --artifact-dir "
-                 "(or GOGGLES_ARTIFACT_DIR)\n");
+    std::fprintf(stderr, "error: need --artifact and/or --artifact-dir\n");
     PrintUsage(argv[0]);
     return 2;
   }
@@ -242,43 +218,38 @@ int main(int argc, char** argv) {
                                                         registry_config);
   }
 
-  std::fprintf(
-      stderr,
-      "{\"ok\":true,\"ready\":true,\"artifact\":\"%s\","
-      "\"artifact_dir\":\"%s\","
-      "\"pipeline_threads\":[%d,%d,%d,%d],\"pipeline_batch\":%d,"
-      "\"pipeline_admission\":%d,\"pipeline_reject\":%s,"
-      "\"task_budget_bytes\":%llu,\"isa\":\"%s\","
-      "\"request_deadline_ms\":%lld,\"watchdog_ms\":%lld,"
-      "\"failpoints\":%s,\"startup_seconds\":%.2f}\n",
-      artifact_path.c_str(), artifact_dir.c_str(),
-      config.pipeline.decode_threads, config.pipeline.extract_threads,
-      config.pipeline.infer_threads, config.pipeline.encode_threads,
-      config.pipeline.max_batch,
-      config.pipeline.admission_capacity,
-      config.pipeline.reject_on_full ? "true" : "false",
-      static_cast<unsigned long long>(registry_config.memory_budget_bytes),
-      goggles::IsaTierName(goggles::ActiveIsaTier()),
-      static_cast<long long>(config.request_deadline_micros / 1000),
-      static_cast<long long>(config.pipeline.watchdog_budget_micros / 1000),
-      failpoint::CompiledIn() ? "true" : "false", timer.ElapsedSeconds());
+  serve::JsonValue threads = serve::JsonValue::MakeArray();
+  for (const int n :
+       {config.pipeline.decode_threads, config.pipeline.extract_threads,
+        config.pipeline.infer_threads, config.pipeline.encode_threads}) {
+    threads.Append(n);
+  }
+  serve::JsonValue ready = serve::JsonValue::MakeObject();
+  ready.Set("ok", true);
+  ready.Set("ready", true);
+  ready.Set("artifact", artifact_path);
+  ready.Set("artifact_dir", artifact_dir);
+  ready.Set("pipeline_threads", std::move(threads));
+  ready.Set("pipeline_batch", config.pipeline.max_batch);
+  ready.Set("pipeline_admission", config.pipeline.admission_capacity);
+  ready.Set("pipeline_reject", config.pipeline.reject_on_full);
+  ready.Set("task_budget_bytes",
+            static_cast<int64_t>(registry_config.memory_budget_bytes));
+  ready.Set("isa", IsaTierName(ActiveIsaTier()));
+  ready.Set("request_deadline_ms", config.request_deadline_micros / 1000);
+  ready.Set("watchdog_ms", config.pipeline.watchdog_budget_micros / 1000);
+  ready.Set("failpoints", failpoint::CompiledIn());
+  ready.Set("startup_seconds", timer.ElapsedSeconds());
+  std::fprintf(stderr, "%s\n", ready.Dump().c_str());
 
   // SIGTERM/SIGINT drain the service instead of killing the process:
   // the watcher trips RequestStop() and interrupts the blocked stdin
-  // read; Run flushes every in-flight response before returning.
-  goggles::Status status = Status::OK();
-  int drain_signal = 0;
-  if (registry != nullptr) {
-    serve::Service service(registry, default_session, config);
-    serve::GracefulShutdown drain([&service] { service.RequestStop(); });
-    status = service.Run(std::cin, std::cout);
-    drain_signal = drain.signal_number();
-  } else {
-    serve::Service service(default_session, config);
-    serve::GracefulShutdown drain([&service] { service.RequestStop(); });
-    status = service.Run(std::cin, std::cout);
-    drain_signal = drain.signal_number();
-  }
+  // read; Run flushes every in-flight response before returning. A null
+  // registry is the single-artifact mode.
+  serve::Service service(registry, default_session, config);
+  serve::GracefulShutdown drain([&service] { service.RequestStop(); });
+  const Status status = service.Run(std::cin, std::cout);
+  const int drain_signal = drain.signal_number();
   if (drain_signal != 0) {
     std::fprintf(stderr,
                  "{\"ok\":true,\"drained\":true,\"signal\":%d}\n",

@@ -10,7 +10,6 @@
 
 #include "tensor/isa.h"
 #include "util/clock.h"
-#include "util/env.h"
 #include "util/failpoint.h"
 #include "util/pipeline.h"
 
@@ -188,32 +187,6 @@ std::vector<Result<Matrix>> BuildGroupedQueryRows(
     }
   }
   return rows;
-}
-
-PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults) {
-  PipelineOptions p = defaults;
-  // The bounds are the `goggles_serve` flags' bounds.
-  const auto threads = [](const char* name, int fallback) {
-    return static_cast<int>(GetEnvRangedIntOr(name, fallback, 1, 256));
-  };
-  p.decode_threads =
-      threads("GOGGLES_PIPELINE_DECODE_THREADS", p.decode_threads);
-  p.extract_threads =
-      threads("GOGGLES_PIPELINE_EXTRACT_THREADS", p.extract_threads);
-  p.infer_threads = threads("GOGGLES_PIPELINE_INFER_THREADS", p.infer_threads);
-  p.encode_threads =
-      threads("GOGGLES_PIPELINE_ENCODE_THREADS", p.encode_threads);
-  p.max_batch = static_cast<int>(
-      GetEnvRangedIntOr("GOGGLES_PIPELINE_MAX_BATCH", p.max_batch, 1, 4096));
-  p.admission_capacity = static_cast<int>(GetEnvRangedIntOr(
-      "GOGGLES_PIPELINE_ADMISSION", p.admission_capacity, 1, 1 << 20));
-  p.reject_on_full =
-      GetEnvIntOr("GOGGLES_PIPELINE_REJECT", p.reject_on_full ? 1 : 0) != 0;
-  p.watchdog_budget_micros =
-      GetEnvRangedIntOr("GOGGLES_PIPELINE_WATCHDOG_MS",
-                        p.watchdog_budget_micros / 1000, 0, 3'600'000) *
-      1000;
-  return p;
 }
 
 Service::Service(std::shared_ptr<const Session> session, ServiceConfig config)
@@ -883,7 +856,7 @@ Status Service::Run(std::istream& in, std::ostream& out) {
     item.seq = seq++;
     item.admit_micros = MonotonicMicros();
     item.line = std::move(line);
-    pipe.Submit(std::move(item), /*block=*/true);
+    pipe.Submit(std::move(item));
     line.clear();
   }
 

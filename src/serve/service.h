@@ -78,15 +78,6 @@ struct PipelineOptions {
   int64_t watchdog_budget_micros = 0;
 };
 
-/// \brief Overlays the `GOGGLES_PIPELINE*` environment knobs on
-/// `defaults`: GOGGLES_PIPELINE_DECODE_THREADS, _EXTRACT_THREADS,
-/// _INFER_THREADS, _ENCODE_THREADS, _MAX_BATCH, _ADMISSION, _REJECT,
-/// _WATCHDOG_MS. Values go through the strict ranged env parser
-/// (util/env.h) with the `goggles_serve` flags' bounds: malformed,
-/// trailing-garbage or out-of-range values warn and fall back to the
-/// default.
-PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults = {});
-
 /// \brief One label request as the extraction stage sees it: the session
 /// it routes to and its decoded image (both borrowed, both non-null).
 struct ExtractRequest {

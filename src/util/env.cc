@@ -1,7 +1,6 @@
 #include "util/env.h"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -28,12 +27,6 @@ std::string GetEnvOr(const std::string& name, const std::string& fallback) {
   return v == nullptr ? fallback : std::string(v);
 }
 
-int64_t GetEnvIntOr(const std::string& name, int64_t fallback) {
-  const char* v = std::getenv(name.c_str());
-  int64_t parsed = 0;
-  return v != nullptr && ParseStrictInt(v, &parsed) ? parsed : fallback;
-}
-
 int64_t GetEnvRangedIntOr(const std::string& name, int64_t fallback,
                           int64_t min_value, int64_t max_value) {
   const char* v = std::getenv(name.c_str());
@@ -46,19 +39,6 @@ int64_t GetEnvRangedIntOr(const std::string& name, int64_t fallback,
                          << fallback;
     return fallback;
   }
-  return parsed;
-}
-
-double GetEnvDoubleOr(const std::string& name, double fallback) {
-  const char* v = std::getenv(name.c_str());
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') return fallback;
-  // Non-finite covers overflow ("1e999" -> +-HUGE_VAL) and literal
-  // "inf"/"nan"; underflow ("1e-400" -> denormal or zero) stays accepted,
-  // the user meant ~0.
-  if (!std::isfinite(parsed)) return fallback;
   return parsed;
 }
 

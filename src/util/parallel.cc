@@ -16,15 +16,14 @@
 namespace goggles {
 
 int ComputeDefaultNumThreads() {
-  unsigned hw = std::thread::hardware_concurrency();
-  int64_t fallback = hw == 0 ? 1 : static_cast<int64_t>(hw);
-  int64_t n = GetEnvIntOr("GOGGLES_NUM_THREADS", fallback);
-  // Zero and negative requests mean "auto", as before this knob was
-  // strictly parsed; the >= 1 floor covers hardware_concurrency() == 0.
-  if (n < 1) n = fallback;
-  n = std::max<int64_t>(n, 1);
-  n = std::min<int64_t>(n, std::numeric_limits<int>::max());
-  return static_cast<int>(n);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = hw == 0 ? 1 : static_cast<int>(hw);
+  // Zero and negative requests mean "auto" without a warning, as before
+  // this knob was strictly parsed.
+  const int64_t n =
+      GetEnvRangedIntOr("GOGGLES_NUM_THREADS", fallback,
+                        std::numeric_limits<int64_t>::min(), kMaxNumThreads);
+  return n < 1 ? fallback : static_cast<int>(n);
 }
 
 int DefaultNumThreads() {

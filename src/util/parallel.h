@@ -15,10 +15,16 @@
 
 namespace goggles {
 
+/// \brief Largest `GOGGLES_NUM_THREADS` value honoured; larger requests
+/// fall back to hardware concurrency instead of spawning that many pool
+/// workers.
+inline constexpr int kMaxNumThreads = 4096;
+
 /// \brief Number of worker threads to use by default.
 ///
 /// Resolves, in order: the `GOGGLES_NUM_THREADS` environment variable
-/// (strictly parsed; malformed values are ignored), then
+/// (strictly parsed; malformed values, values < 1 and values above
+/// kMaxNumThreads are ignored), then
 /// `std::thread::hardware_concurrency()`, with a floor of 1. The result is
 /// computed once and cached for the lifetime of the process.
 int DefaultNumThreads();

@@ -34,9 +34,9 @@
 /// Every wait is a predicate wait under the lane's mutex, so no wakeup
 /// can be lost. Idle workers (on `not_empty`) and producers that find
 /// every lane full (on `not_full`, counted as backpressure) wait with
-/// no timeout; the only timed wait is the opt-in stall watchdog's. The
-/// external Submit() caller chooses block-vs-reject, which is where
-/// admission control lives.
+/// no timeout; the only timed wait is the opt-in stall watchdog's.
+/// Admission control lives with the external Submit() caller, which
+/// bounds how many items it has in flight.
 ///
 /// A worker only takes, runs and pushes: it runs its stage function
 /// under ScopedSerialKernels, so the kernels inside stay on the worker
@@ -47,9 +47,9 @@
 /// stage, so stage s+1 sees end-of-stream only after all of stage s has
 /// flushed. Items reach the sink exactly once, in some interleaved
 /// order (the serving gateway re-sequences them). Nothing is duplicated,
-/// dropped (short of Submit rejection) or mutated outside the stage
-/// functions, so with per-item deterministic stages the (item, result)
-/// pairs are identical at any thread/stage count.
+/// dropped or mutated outside the stage functions, so with per-item
+/// deterministic stages the (item, result) pairs are identical at any
+/// thread/stage count.
 
 namespace goggles {
 
@@ -81,7 +81,7 @@ struct PipelineStageStats {
   /// effective batch size.
   uint64_t batches = 0;
   /// Times a producer found every lane of this stage full and had to
-  /// wait (or, for stage 0 in reject mode, gave up).
+  /// wait.
   uint64_t backpressured = 0;
   /// Times the watchdog caught a worker inside one stage-function call
   /// for longer than the stall budget (0 when the watchdog is off). One
@@ -154,16 +154,13 @@ class Pipeline {
     }
   }
 
-  /// \brief Feeds one item into stage 0 (single external producer).
-  ///
-  /// `block` = true: waits (counted as stage-0 backpressure) until a
-  /// lane has room; fails only before Start() or after Drain().
-  /// `block` = false: returns false immediately when every stage-0 lane
-  /// is full — the caller's admission-control rejection point. On
-  /// false, `item` is left intact.
-  bool Submit(Item&& item, bool block) {
+  /// \brief Feeds one item into stage 0 (single external producer),
+  /// waiting (counted as stage-0 backpressure) until a lane has room.
+  /// Fails only before Start() or after Drain().
+  bool Submit(Item&& item) {
     if (!started_ || drained_) return false;
-    return Push(*stages_[0], submit_rr_, item, block);
+    Push(*stages_[0], submit_rr_, std::move(item));
+    return true;
   }
 
   /// \brief Closes the intake, waits for every in-flight item to reach
@@ -241,15 +238,13 @@ class Pipeline {
 
   /// Pushes `item` onto the first of `st`'s lanes with room, trying them
   /// round-robin from `rr`. If all are full: counts one backpressure
-  /// event, then gives up (`block` false; `item` left intact) or waits
-  /// for room on the first lane tried.
-  static bool Push(Stage& st, uint64_t& rr, Item& item, bool block) {
+  /// event, then waits for room on the first lane tried.
+  static void Push(Stage& st, uint64_t& rr, Item&& item) {
     const auto push = [&](Lane& lane, std::unique_lock<std::mutex>& lock) {
       lane.items.push_back(std::move(item));
       lock.unlock();
       lane.not_empty.notify_one();
       ++rr;
-      return true;
     };
     const size_t n = st.lanes.size();
     for (size_t i = 0; i < n; ++i) {
@@ -258,12 +253,11 @@ class Pipeline {
       if (lane.items.size() < lane.capacity) return push(lane, lock);
     }
     st.backpressured.fetch_add(1, std::memory_order_relaxed);
-    if (!block) return false;
     Lane& lane = *st.lanes[rr % n];
     std::unique_lock<std::mutex> lock(lane.mu);
     lane.not_full.wait(lock,
                        [&] { return lane.items.size() < lane.capacity; });
-    return push(lane, lock);
+    push(lane, lock);
   }
 
   /// Moves up to `max_batch` - batch.size() items from the front of
@@ -323,7 +317,7 @@ class Pipeline {
       if (timed) lane.batch_start.store(0, std::memory_order_relaxed);
       for (auto& item : batch) {
         if (next != nullptr) {
-          Push(*next, downstream_rr, item, /*block=*/true);
+          Push(*next, downstream_rr, std::move(item));
         } else {
           sink_(std::move(item));
         }

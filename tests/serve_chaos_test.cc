@@ -538,7 +538,7 @@ TEST_F(ServeChaosTest, WatchdogFlagsStalledStage) {
   pipe.SetWatchdogBudgetMicros(5'000);
   int drained = 0;
   pipe.Start([&](int&&) { ++drained; });
-  for (int i = 0; i < 3; ++i) pipe.Submit(int(i), /*block=*/true);
+  for (int i = 0; i < 3; ++i) pipe.Submit(int(i));
   pipe.Drain();
   EXPECT_EQ(drained, 3);
   std::vector<PipelineStageStats> stats = pipe.Stats();

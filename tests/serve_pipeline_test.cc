@@ -56,7 +56,7 @@ TEST(PipelineTest, EveryItemFlowsThroughEveryStageOnce) {
   });
   constexpr int kItems = 500;
   for (int i = 0; i < kItems; ++i) {
-    ASSERT_TRUE(pipe.Submit(int(i), /*block=*/true));
+    ASSERT_TRUE(pipe.Submit(int(i)));
   }
   pipe.Drain();
   ASSERT_EQ(out.size(), static_cast<size_t>(kItems));
@@ -77,7 +77,7 @@ TEST(PipelineTest, MidStreamDrainFlushesEverything) {
   pipe.Start([&](int&&) { sunk.fetch_add(1); });
   constexpr int kItems = 50;
   for (int i = 0; i < kItems; ++i) {
-    ASSERT_TRUE(pipe.Submit(int(i), /*block=*/true));
+    ASSERT_TRUE(pipe.Submit(int(i)));
   }
   // Drain immediately, mid-stream: every submitted item must still
   // reach the sink exactly once before Drain returns.
@@ -98,45 +98,12 @@ TEST(PipelineTest, BatchingNeverExceedsMaxBatch) {
   std::atomic<int> sunk{0};
   pipe.Start([&](int&&) { sunk.fetch_add(1); });
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pipe.Submit(int(i), /*block=*/true));
+    ASSERT_TRUE(pipe.Submit(int(i)));
   }
   pipe.Drain();
   EXPECT_EQ(sunk.load(), 100);
   EXPECT_EQ(oversized.load(), 0);
   EXPECT_GE(batches.load(), 25) << "max_batch=4 needs >= 100/4 calls";
-}
-
-TEST(PipelineTest, NonBlockingSubmitRejectsWhenFullThenRecovers) {
-  Pipeline<int> pipe;
-  std::atomic<bool> release{false};
-  pipe.AddStage({"gate", 1, 2, 1}, [&](std::vector<int>&) {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  });
-  std::atomic<int> sunk{0};
-  pipe.Start([&](int&&) { sunk.fetch_add(1); });
-
-  // With the stage gated shut, non-blocking submits must start failing
-  // once the (tiny) intake queue fills — quickly and cleanly, no hang.
-  int accepted = 0;
-  int attempts = 0;
-  while (attempts < 1000) {
-    ++attempts;
-    if (pipe.Submit(int(attempts), /*block=*/false)) {
-      ++accepted;
-    } else {
-      break;
-    }
-  }
-  EXPECT_LT(attempts, 1000) << "Submit never reported backpressure";
-  EXPECT_GE(accepted, 1);
-  const auto stats = pipe.Stats();
-  EXPECT_GE(stats[0].backpressured, 1u);
-
-  release.store(true);  // reopen the gate; everything accepted must flush
-  pipe.Drain();
-  EXPECT_EQ(sunk.load(), accepted);
 }
 
 TEST(PipelineTest, StatsCountItemsBatchesAndDepth) {
@@ -145,7 +112,7 @@ TEST(PipelineTest, StatsCountItemsBatchesAndDepth) {
   pipe.AddStage({"b", 1, 8, 1}, [](std::vector<int>&) {});
   pipe.Start([](int&&) {});
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(pipe.Submit(int(i), /*block=*/true));
+    ASSERT_TRUE(pipe.Submit(int(i)));
   }
   pipe.Drain();
   const auto stats = pipe.Stats();
@@ -171,7 +138,7 @@ TEST(PipelineTest, StageWorkersRunKernelsSerially) {
     observed.store(EffectiveNumThreads());
   });
   pipe.Start([](int&&) {});
-  ASSERT_TRUE(pipe.Submit(1, /*block=*/true));
+  ASSERT_TRUE(pipe.Submit(1));
   pipe.Drain();
   EXPECT_EQ(observed.load(), 1)
       << "stage worker kernels must run under ScopedSerialKernels";
@@ -196,7 +163,7 @@ TEST(PipelineTest, IdleFlowgraphSleeps) {
   pipe.AddStage({"infer", 1, 64, 1}, noop);
   pipe.AddStage({"encode", 1, 64, 1}, noop);
   pipe.Start([&](int&&) { sunk.fetch_add(1); });
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(pipe.Submit(int(i), true));
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(pipe.Submit(int(i)));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
   ASSERT_EQ(sunk.load(), 4);
 
@@ -225,7 +192,7 @@ TEST(PipelineTest, BlockedProducerSleeps) {
   pipe.Start([&](int&&) { sunk.fetch_add(1); });
   constexpr int kItems = 32;  // far more than the graph can hold
   std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) pipe.Submit(int(i), /*block=*/true);
+    for (int i = 0; i < kItems; ++i) pipe.Submit(int(i));
   });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -280,7 +247,7 @@ void PingPong(int num_stages) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
   for (int i = 0; i < kRoundTrips; ++i) {
-    ASSERT_TRUE(pipe.Submit(i * 10, /*block=*/true));
+    ASSERT_TRUE(pipe.Submit(i * 10));
     for (int spins = 1; returned.load(std::memory_order_acquire) <= i;
          ++spins) {
       if (spins % 1024 != 0) continue;  // react within nanoseconds
@@ -307,58 +274,7 @@ TEST(PipelineTest, PingPongNeverLosesARing) {
   }
 }
 
-// ---- PipelineOptions env / normalization ----------------------------------
-
-TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
-  setenv("GOGGLES_PIPELINE_EXTRACT_THREADS", "7", 1);
-  setenv("GOGGLES_PIPELINE_MAX_BATCH", "junk", 1);   // malformed
-  setenv("GOGGLES_PIPELINE_ADMISSION", "128trailing", 1);  // trailing garbage
-  setenv("GOGGLES_PIPELINE_REJECT", "1", 1);
-  serve::PipelineOptions defaults;
-  serve::PipelineOptions opts = serve::PipelineOptionsFromEnv(defaults);
-  EXPECT_EQ(opts.extract_threads, 7);
-  EXPECT_EQ(opts.max_batch, defaults.max_batch)
-      << "malformed env value must fall back, not parse loosely";
-  EXPECT_EQ(opts.admission_capacity, defaults.admission_capacity)
-      << "trailing garbage must be rejected by the strict parser";
-  EXPECT_TRUE(opts.reject_on_full);
-
-  unsetenv("GOGGLES_PIPELINE_EXTRACT_THREADS");
-  unsetenv("GOGGLES_PIPELINE_MAX_BATCH");
-  unsetenv("GOGGLES_PIPELINE_ADMISSION");
-  unsetenv("GOGGLES_PIPELINE_REJECT");
-
-  // With nothing set, the defaults pass through untouched.
-  serve::PipelineOptions clean = serve::PipelineOptionsFromEnv(defaults);
-  EXPECT_EQ(clean.admission_capacity, defaults.admission_capacity);
-  EXPECT_EQ(clean.extract_threads, defaults.extract_threads);
-  EXPECT_EQ(clean.max_batch, defaults.max_batch);
-}
-
-TEST(PipelineOptionsTest, EnvOverlayRejectsOutOfRangeValues) {
-  // Each value parses as an integer but lies outside the bounds the
-  // `goggles_serve` flags accept; it must fall back to the default, not
-  // wrap, overflow or clamp.
-  serve::PipelineOptions defaults;
-  defaults.watchdog_budget_micros = 5000;
-  const char* kThreads = "GOGGLES_PIPELINE_EXTRACT_THREADS";
-  const char* kWatchdog = "GOGGLES_PIPELINE_WATCHDOG_MS";
-  for (const char* value : {"4294967297", "100000", "0"}) {
-    setenv(kThreads, value, 1);
-    EXPECT_EQ(serve::PipelineOptionsFromEnv(defaults).extract_threads,
-              defaults.extract_threads)
-        << kThreads << "=" << value;
-  }
-  unsetenv(kThreads);
-  // Milliseconds whose microsecond product overflows int64_t.
-  setenv(kWatchdog, "9223372036854776", 1);
-  EXPECT_EQ(serve::PipelineOptionsFromEnv(defaults).watchdog_budget_micros,
-            defaults.watchdog_budget_micros);
-  setenv(kWatchdog, "3600000", 1);  // the upper bound itself is accepted
-  EXPECT_EQ(serve::PipelineOptionsFromEnv(defaults).watchdog_budget_micros,
-            int64_t{3'600'000'000});
-  unsetenv(kWatchdog);
-}
+// ---- PipelineOptions normalization --------------------------------------
 
 TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
   EXPECT_EQ(serve::ServiceConfig().pipeline.admission_capacity, 64);
