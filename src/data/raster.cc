@@ -50,17 +50,6 @@ void AddGaussianNoise(Image* img, float sigma, Rng* rng) {
   }
 }
 
-void AddSaltPepper(Image* img, float frac, Rng* rng) {
-  const int64_t area = static_cast<int64_t>(img->height) * img->width;
-  const int64_t count = static_cast<int64_t>(frac * static_cast<double>(area));
-  for (int64_t i = 0; i < count; ++i) {
-    int x = static_cast<int>(rng->UniformInt(0, img->width - 1));
-    int y = static_cast<int>(rng->UniformInt(0, img->height - 1));
-    float v = rng->Bernoulli(0.5) ? 1.0f : 0.0f;
-    for (int c = 0; c < img->channels; ++c) img->at(c, y, x) = v;
-  }
-}
-
 void GaussianBlur3x3(Image* img, int passes) {
   const int h = img->height, w = img->width;
   std::vector<float> tmp(static_cast<size_t>(h) * w);

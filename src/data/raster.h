@@ -29,9 +29,6 @@ void FillVerticalGradient(Image* img, const Color& top, const Color& bottom);
 /// \brief Adds i.i.d. N(0, sigma^2) noise to every pixel.
 void AddGaussianNoise(Image* img, float sigma, Rng* rng);
 
-/// \brief Sets a fraction `frac` of pixels to 0 or 1 at random.
-void AddSaltPepper(Image* img, float frac, Rng* rng);
-
 /// \brief Separable 3x3 binomial blur, applied `passes` times.
 void GaussianBlur3x3(Image* img, int passes = 1);
 

@@ -402,19 +402,6 @@ Status SaveArtifactFile(
       std::string bytes,
       BuildArtifactBytes(top_z, num_layers, pool_fingerprint, model,
                          source_layers, pool_soft_labels, pool_hard_labels));
-  return WriteArtifactBytes(path, bytes);
-}
-
-Status SaveArtifactFileAtomic(
-    const std::string& path, int top_z, int num_layers,
-    uint64_t pool_fingerprint, const FittedHierarchicalModel& model,
-    const std::vector<PrototypeAffinitySource::LayerData>& source_layers,
-    const Matrix& pool_soft_labels,
-    const std::vector<int>& pool_hard_labels) {
-  GOGGLES_ASSIGN_OR_RETURN(
-      std::string bytes,
-      BuildArtifactBytes(top_z, num_layers, pool_fingerprint, model,
-                         source_layers, pool_soft_labels, pool_hard_labels));
   const std::string tmp = ArtifactTempPath(path);
   Status write_status = WriteArtifactBytes(tmp, bytes);
   if (!write_status.ok()) {
@@ -430,7 +417,7 @@ Status SaveArtifactFileAtomic(
   GOGGLES_FAILPOINT("artifact.publish.rename");
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     (void)std::remove(tmp.c_str());
-    return Status::IOError("Artifact::SaveAtomic: rename to " + path +
+    return Status::IOError("Artifact::Save: rename to " + path +
                            " failed");
   }
   // Make the rename itself durable (directory entry update).
@@ -458,12 +445,6 @@ bool IsArtifactTempFilename(const std::string& filename) {
 Status Artifact::Save(const std::string& path) const {
   return SaveArtifactFile(path, top_z, num_layers, pool_fingerprint, model,
                           source_layers, pool_soft_labels, pool_hard_labels);
-}
-
-Status Artifact::SaveAtomic(const std::string& path) const {
-  return SaveArtifactFileAtomic(path, top_z, num_layers, pool_fingerprint,
-                                model, source_layers, pool_soft_labels,
-                                pool_hard_labels);
 }
 
 Result<Artifact> Artifact::Load(const std::string& path) {

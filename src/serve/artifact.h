@@ -61,15 +61,10 @@ struct Artifact {
   /// The pool's hard labels (argmax rows of pool_soft_labels).
   std::vector<int> pool_hard_labels;
 
-  /// \brief Writes the artifact to `path` directly (no tmp-file dance —
-  /// a crash mid-write leaves a torn file; prefer SaveAtomic for
-  /// artifacts a live registry may be watching).
-  Status Save(const std::string& path) const;
-
   /// \brief Crash-safe publish: writes to `ArtifactTempPath(path)`,
   /// fsyncs, then renames over `path`. A reader never observes a torn
   /// artifact — it sees the old bytes or the new bytes.
-  Status SaveAtomic(const std::string& path) const;
+  Status Save(const std::string& path) const;
 
   /// \brief Loads and validates an artifact. Corrupt input (bad magic,
   /// unsupported version, bad CRC, truncated sections) returns an error
@@ -80,6 +75,10 @@ struct Artifact {
 /// \brief Serializes a fitted session's state directly from the caller's
 /// storage — no copying into an Artifact first (the source caches are
 /// the dominant state; Session::Save streams them from its own members).
+/// Crash-safe: writes `ArtifactTempPath(path)`, fsyncs the temp file,
+/// then renames it over `path` (atomic on POSIX filesystems). A crash
+/// before the rename leaves `path` untouched and at most one orphan temp
+/// file, which SessionRegistry's recovery sweep reaps (see registry.h).
 Status SaveArtifactFile(
     const std::string& path, int top_z, int num_layers,
     uint64_t pool_fingerprint, const FittedHierarchicalModel& model,
@@ -87,19 +86,7 @@ Status SaveArtifactFile(
     const Matrix& pool_soft_labels,
     const std::vector<int>& pool_hard_labels);
 
-/// \brief Crash-safe variant of SaveArtifactFile: serializes to
-/// `ArtifactTempPath(path)`, fsyncs the temp file, then renames it over
-/// `path` (atomic on POSIX filesystems). A crash before the rename
-/// leaves `path` untouched and at most one orphan temp file, which
-/// SessionRegistry's recovery sweep reaps (see registry.h).
-Status SaveArtifactFileAtomic(
-    const std::string& path, int top_z, int num_layers,
-    uint64_t pool_fingerprint, const FittedHierarchicalModel& model,
-    const std::vector<PrototypeAffinitySource::LayerData>& source_layers,
-    const Matrix& pool_soft_labels,
-    const std::vector<int>& pool_hard_labels);
-
-/// \brief The temp-file path SaveArtifactFileAtomic stages into:
+/// \brief The temp-file path SaveArtifactFile stages into:
 /// `<path>.tmp-<pid>` (pid-suffixed so concurrent publishers from
 /// different processes never collide).
 std::string ArtifactTempPath(const std::string& path);

@@ -8,17 +8,17 @@
 ///   goggles_serve --artifact PATH --artifact-dir DIR  # both: PATH serves
 ///                                                     # task-less requests
 ///
-/// Requests run through a staged flowgraph (decode → extract → infer →
-/// encode) in which every stage worker reads one intake lane, bounded by
-/// the admission cap, and runs its kernels serially on its own thread;
-/// the flags below shape it. Settings come from flags only; an unset
+/// Requests run through a staged flowgraph (decode → extract → infer) in
+/// which every stage worker reads one intake lane, bounded by the
+/// admission cap, and runs its kernels serially on its own thread; the
+/// flags below shape it. Settings come from flags only; an unset
 /// flag keeps the ServiceConfig / RegistryConfig default.
 ///
 /// Options:
 ///   --pipeline-decode N     decode-stage threads (default 1)
 ///   --pipeline-extract N    extraction-stage threads (default 2)
-///   --pipeline-infer N      inference-stage threads (default 1)
-///   --pipeline-encode N     encode-stage threads (default 1)
+///   --pipeline-infer N      inference-stage threads, which also encode
+///                           label responses (default 1)
 ///   --pipeline-batch N      requests a stage worker takes per wakeup;
 ///                           the extraction stage groups them into
 ///                           batched scoring calls, never waiting for
@@ -96,12 +96,12 @@ void PrintUsage(const char* argv0) {
       stderr,
       "usage: %s (--artifact PATH | --artifact-dir DIR)\n"
       "       [--pipeline-decode N] [--pipeline-extract N]\n"
-      "       [--pipeline-infer N] [--pipeline-encode N]\n"
-      "       [--pipeline-batch N] [--pipeline-admission N]\n"
-      "       [--pipeline-reject] [--task-budget-mb N] [--max-tasks N]\n"
+      "       [--pipeline-infer N] [--pipeline-batch N]\n"
+      "       [--pipeline-admission N] [--pipeline-reject]\n"
+      "       [--task-budget-mb N] [--max-tasks N]\n"
       "       [--request-deadline-ms N] [--pipeline-watchdog-ms N]\n"
       "Serves newline-delimited JSON labeling requests on stdin/stdout\n"
-      "through a staged decode -> extract -> infer -> encode flowgraph;\n"
+      "through a staged decode -> extract -> infer flowgraph;\n"
       "--pipeline-admission also bounds each stage worker's intake lane.\n"
       "Ops: {\"op\":\"stats\"} | {\"op\":\"label\",\"image\":{...}} |\n"
       "     {\"op\":\"label_batch\",\"images\":[...]} |\n"
@@ -150,9 +150,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--pipeline-infer" && has_value) {
       if (!value_in(1, 256)) return 2;
       config.pipeline.infer_threads = static_cast<int>(value);
-    } else if (arg == "--pipeline-encode" && has_value) {
-      if (!value_in(1, 256)) return 2;
-      config.pipeline.encode_threads = static_cast<int>(value);
     } else if (arg == "--pipeline-batch" && has_value) {
       if (!value_in(1, 4096)) return 2;
       config.pipeline.max_batch = static_cast<int>(value);
@@ -221,7 +218,7 @@ int main(int argc, char** argv) {
   serve::JsonValue threads = serve::JsonValue::MakeArray();
   for (const int n :
        {config.pipeline.decode_threads, config.pipeline.extract_threads,
-        config.pipeline.infer_threads, config.pipeline.encode_threads}) {
+        config.pipeline.infer_threads}) {
     threads.Append(n);
   }
   serve::JsonValue ready = serve::JsonValue::MakeObject();

@@ -130,7 +130,6 @@ ServiceConfig NormalizeConfig(ServiceConfig config) {
   if (p.decode_threads < 1) p.decode_threads = 1;
   if (p.extract_threads < 1) p.extract_threads = 1;
   if (p.infer_threads < 1) p.infer_threads = 1;
-  if (p.encode_threads < 1) p.encode_threads = 1;
   if (p.max_batch < 1) p.max_batch = 1;
   if (p.admission_capacity < 1) p.admission_capacity = 1;
   if (p.watchdog_budget_micros < 0) p.watchdog_budget_micros = 0;
@@ -215,6 +214,41 @@ Result<std::shared_ptr<const Session>> Service::ResolveSession(
         "task routing requires an artifact directory (--artifact-dir)");
   }
   return registry_->Acquire(task->str());
+}
+
+Status Service::DecodeLabel(const JsonValue& request,
+                            std::shared_ptr<const Session>* session,
+                            data::Image* image) const {
+  Result<std::shared_ptr<const Session>> resolved = ResolveSession(request);
+  if (!resolved.ok()) {
+    errors_.fetch_add(1);
+    return resolved.status();
+  }
+  const JsonValue* image_json = request.Find("image");
+  if (image_json == nullptr) {
+    errors_.fetch_add(1);
+    return Status::InvalidArgument("label request needs an 'image'");
+  }
+  Result<data::Image> parsed = ParseImage(*image_json);
+  if (!parsed.ok()) {
+    errors_.fetch_add(1);
+    return parsed.status();
+  }
+  *session = std::move(*resolved);
+  *image = std::move(*parsed);
+  return Status::OK();
+}
+
+JsonValue Service::LabelResponse(const Result<LabelingResult>& result) const {
+  if (!result.ok()) {
+    errors_.fetch_add(1);
+    return ErrorResponse(result.status());
+  }
+  JsonValue response = JsonValue::MakeObject();
+  response.Set("ok", JsonValue(true));
+  response.Set("label", JsonValue(result->hard_labels[0]));
+  response.Set("soft", SoftRowToJson(result->soft_labels, 0));
+  return response;
 }
 
 JsonValue Service::HandleRegistryOp(const std::string& op,
@@ -349,33 +383,13 @@ JsonValue Service::HandleRequest(const JsonValue& request) const {
   }
 
   if (op->str() == "label") {
-    Result<std::shared_ptr<const Session>> session = ResolveSession(request);
-    if (!session.ok()) {
-      errors_.fetch_add(1);
-      return ErrorResponse(session.status());
-    }
-    const JsonValue* image_json = request.Find("image");
-    if (image_json == nullptr) {
-      errors_.fetch_add(1);
-      return ErrorResponse("label request needs an 'image'");
-    }
-    Result<data::Image> image = ParseImage(*image_json);
-    if (!image.ok()) {
-      errors_.fetch_add(1);
-      return ErrorResponse(image.status());
-    }
-    Result<OnlineLabel> label = (*session)->LabelOne(*image);
-    if (!label.ok()) {
-      errors_.fetch_add(1);
-      return ErrorResponse(label.status());
-    }
-    JsonValue response = JsonValue::MakeObject();
-    response.Set("ok", JsonValue(true));
-    response.Set("label", JsonValue(label->hard));
-    JsonValue soft = JsonValue::MakeArray();
-    for (double p : label->soft) soft.Append(JsonValue(p));
-    response.Set("soft", std::move(soft));
-    return response;
+    std::shared_ptr<const Session> session;
+    data::Image image;
+    const Status decoded = DecodeLabel(request, &session, &image);
+    if (!decoded.ok()) return ErrorResponse(decoded);
+    // One image, no grouping: the serial reference the flowgraph's
+    // grouped extraction is checked against.
+    return LabelResponse(session->LabelBatch({image}));
   }
 
   if (op->str() == "label_batch") {
@@ -531,7 +545,8 @@ namespace {
 
 /// One request flowing through the staged pipeline. Stages fill it in
 /// progressively; `done` short-circuits the remaining stages once a
-/// final response exists (errors, non-label ops).
+/// final response exists (errors, non-label ops). An item not done
+/// after decode is a decoded `label` request.
 struct PipeItem {
   uint64_t seq = 0;
   int64_t admit_micros = 0;                 ///< deadline epoch (admission)
@@ -539,10 +554,7 @@ struct PipeItem {
   std::shared_ptr<const Session> session;   ///< resolved target (label)
   data::Image image;                        ///< decoded image (label)
   Matrix rows;                              ///< 1 x F affinity rows
-  std::vector<double> soft;                 ///< posterior (label)
-  int hard = 0;
-  bool is_label = false;  ///< on the staged label fast path
-  bool done = false;      ///< `response` is final; later stages skip
+  bool done = false;  ///< `response` is final; later stages skip
   std::string response;
 };
 
@@ -557,17 +569,24 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // by it never fill; the reader alone waits, at admission.
   const int lane_capacity = popt.admission_capacity;
   const int64_t deadline_micros = config_.request_deadline_micros;
-  // True once the request aged past its deadline; stages call this
-  // before starting expensive work so a stalled stage sheds its queue
-  // instead of grinding through stale requests.
-  auto expired = [deadline_micros](const PipeItem& item) {
-    return deadline_micros > 0 &&
-           MonotonicMicros() - item.admit_micros > deadline_micros;
-  };
-  auto deadline_response = [this]() {
-    return ErrorResponse("request deadline exceeded",
-                         StatusCode::kDeadlineExceeded)
-        .Dump();
+  // Once the request aged past its deadline, answers it with the
+  // deadline error, releases what it holds and returns true. Stages call
+  // this before starting expensive work so a stalled stage sheds its
+  // queue instead of grinding through stale requests.
+  auto shed_expired = [this, deadline_micros](PipeItem& item) {
+    if (deadline_micros == 0 ||
+        MonotonicMicros() - item.admit_micros <= deadline_micros) {
+      return false;
+    }
+    errors_.fetch_add(1);
+    PipeItem shed;
+    shed.seq = item.seq;
+    shed.response = ErrorResponse("request deadline exceeded",
+                                  StatusCode::kDeadlineExceeded)
+                        .Dump();
+    shed.done = true;
+    item = std::move(shed);
+    return true;
   };
 
   // Reorder state: responses land here keyed by sequence number; the
@@ -584,24 +603,21 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   Pipeline<PipeItem> pipe;
 
   // Stage 1 — decode: parse JSON, route. `label` requests resolve their
-  // session and image here and continue down the fast path; every other
-  // op (stats, label_batch, registry ops, malformed input) is answered
-  // in place via the shared HandleRequest path, preserving the serial
-  // semantics (and counters) exactly.
+  // session and image here (DecodeLabel, as in HandleRequest) and
+  // continue down the fast path; every other op (stats, label_batch,
+  // registry ops, malformed input) is answered in place via the shared
+  // HandleRequest path, preserving the serial semantics (and counters)
+  // exactly.
   pipe.AddStage(
       // max_batch lets one wake drain every queued line — items are
       // still parsed one by one, the batching only amortizes lane
       // wakeups under load.
       {"decode", popt.decode_threads, lane_capacity, popt.max_batch},
-      [this, &expired, &deadline_response](std::vector<PipeItem>& items) {
+      [this, &shed_expired](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.decode");
         for (PipeItem& item : items) {
-          if (expired(item)) {
+          if (shed_expired(item)) {
             requests_served_.fetch_add(1);
-            errors_.fetch_add(1);
-            item.line.clear();
-            item.response = deadline_response();
-            item.done = true;
             continue;
           }
           Result<JsonValue> request = JsonValue::Parse(item.line);
@@ -621,32 +637,12 @@ Status Service::Run(std::istream& in, std::ostream& out) {
             continue;
           }
           requests_served_.fetch_add(1);
-          Result<std::shared_ptr<const Session>> session =
-              ResolveSession(*request);
-          if (!session.ok()) {
-            errors_.fetch_add(1);
-            item.response = ErrorResponse(session.status()).Dump();
+          const Status decoded =
+              DecodeLabel(*request, &item.session, &item.image);
+          if (!decoded.ok()) {
+            item.response = ErrorResponse(decoded).Dump();
             item.done = true;
-            continue;
           }
-          const JsonValue* image_json = request->Find("image");
-          if (image_json == nullptr) {
-            errors_.fetch_add(1);
-            item.response =
-                ErrorResponse("label request needs an 'image'").Dump();
-            item.done = true;
-            continue;
-          }
-          Result<data::Image> image = ParseImage(*image_json);
-          if (!image.ok()) {
-            errors_.fetch_add(1);
-            item.response = ErrorResponse(image.status()).Dump();
-            item.done = true;
-            continue;
-          }
-          item.session = std::move(*session);
-          item.image = std::move(*image);
-          item.is_label = true;
         }
       });
 
@@ -655,20 +651,12 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // to extracting image i alone.
   pipe.AddStage(
       {"extract", popt.extract_threads, lane_capacity, popt.max_batch},
-      [this, &expired, &deadline_response](std::vector<PipeItem>& items) {
+      [this, &shed_expired](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.extract");
         std::vector<PipeItem*> pending;
         std::vector<ExtractRequest> requests;
         for (PipeItem& item : items) {
-          if (!item.is_label || item.done) continue;
-          if (expired(item)) {
-            errors_.fetch_add(1);
-            item.response = deadline_response();
-            item.done = true;
-            item.session.reset();
-            item.image = data::Image();
-            continue;
-          }
+          if (item.done || shed_expired(item)) continue;
           pending.push_back(&item);
           requests.push_back({item.session.get(), &item.image});
         }
@@ -687,52 +675,17 @@ Status Service::Run(std::istream& in, std::ostream& out) {
       });
 
   // Stage 3 — infer: posterior evaluation of each request's affinity
-  // row under its session's fitted hierarchical model. Items are
-  // inferred independently; the batch only amortizes wakeups.
+  // row under its session's fitted hierarchical model, encoded as
+  // HandleRequest encodes it. Items are inferred independently; the
+  // batch only amortizes wakeups.
   pipe.AddStage(
       {"infer", popt.infer_threads, lane_capacity, popt.max_batch},
-      [this, &expired, &deadline_response](std::vector<PipeItem>& items) {
+      [this, &shed_expired](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.infer");
         for (PipeItem& item : items) {
-          if (!item.is_label || item.done) continue;
-          if (expired(item)) {
-            errors_.fetch_add(1);
-            item.response = deadline_response();
-            item.done = true;
-            item.rows = Matrix();
-            item.session.reset();
-            continue;
-          }
-          Result<LabelingResult> result = item.session->InferRows(item.rows);
-          if (!result.ok()) {
-            errors_.fetch_add(1);
-            item.response = ErrorResponse(result.status()).Dump();
-            item.done = true;
-            continue;
-          }
-          item.soft = result->soft_labels.Row(0);
-          item.hard = result->hard_labels[0];
-          item.rows = Matrix();
-          item.session.reset();
-        }
-      });
-
-  // Stage 4 — encode: serialize the label response (same field order as
-  // HandleRequest's label branch, byte for byte).
-  pipe.AddStage(
-      {"encode", popt.encode_threads, lane_capacity, popt.max_batch},
-      [](std::vector<PipeItem>& items) {
-        GOGGLES_FAILPOINT("serve.stage.encode");
-        for (PipeItem& item : items) {
-          if (!item.is_label || item.done) continue;
-          JsonValue response = JsonValue::MakeObject();
-          response.Set("ok", JsonValue(true));
-          response.Set("label", JsonValue(item.hard));
-          JsonValue soft = JsonValue::MakeArray();
-          for (double p : item.soft) soft.Append(JsonValue(p));
-          response.Set("soft", std::move(soft));
-          item.response = response.Dump();
-          item.done = true;
+          if (item.done || shed_expired(item)) continue;
+          item.response =
+              LabelResponse(item.session->InferRows(item.rows)).Dump();
         }
       });
 

@@ -20,7 +20,7 @@
 /// requests in, one JSON response line per request out (in input order).
 ///
 /// Run() pushes requests through a staged flowgraph (decode → extract →
-/// infer → encode, util/pipeline.h) in which every stage worker reads
+/// infer, util/pipeline.h) in which every stage worker reads
 /// one mutex-guarded intake lane. The extraction stage takes whatever
 /// label requests are queued (up to `pipeline.max_batch`) and hands
 /// them to BuildGroupedQueryRows(): ONE batched
@@ -56,10 +56,9 @@ struct PipelineOptions {
   /// Threads for the batched-extraction stage (backbone forward + GEMM
   /// scoring — the hot stage).
   int extract_threads = 2;
-  /// Threads for the posterior-inference stage.
+  /// Threads for the posterior-inference stage, which also encodes each
+  /// label response.
   int infer_threads = 1;
-  /// Threads for the response-encode stage.
-  int encode_threads = 1;
   /// Max requests a stage worker takes per wakeup; the extraction stage
   /// groups them into batched scoring calls. Grouping never waits — it
   /// takes what is queued.
@@ -100,7 +99,7 @@ struct ServiceConfig {
   /// Stage shape, batching and admission of Run()'s flowgraph.
   PipelineOptions pipeline;
   /// Per-request deadline measured from admission (the reader accepting
-  /// the request line) to response encode. A request that overruns it is
+  /// the request line) to inference. A request that overruns it is
   /// answered with {"ok":false,"error":...,"error_code":
   /// "deadline_exceeded"} instead of its result — stages check the
   /// deadline before starting expensive work, so a stalled stage sheds
@@ -134,8 +133,8 @@ class Service {
   std::string HandleLine(const std::string& line) const;
 
   /// \brief Pumps `in` to exhaustion: reads request lines, runs them
-  /// through the staged flowgraph (decode → extract → infer → encode
-  /// over per-worker lanes, with reader-side admission control), writes
+  /// through the staged flowgraph (decode → extract → infer over
+  /// per-worker lanes, with reader-side admission control), writes
   /// responses to `out` in input order. Returns after every response is
   /// flushed.
   Status Run(std::istream& in, std::ostream& out);
@@ -164,6 +163,17 @@ class Service {
   /// the registry, or the default session when absent.
   Result<std::shared_ptr<const Session>> ResolveSession(
       const JsonValue& request) const;
+
+  /// Decodes a `label` request into its session and image, counting an
+  /// error on failure. HandleRequest and Run's decode stage both use it.
+  Status DecodeLabel(const JsonValue& request,
+                     std::shared_ptr<const Session>* session,
+                     data::Image* image) const;
+
+  /// Encodes one image's labels (row 0 of `result`) as the `label`
+  /// response, or `result`'s error, counted. HandleRequest and Run's
+  /// infer stage both use it.
+  JsonValue LabelResponse(const Result<LabelingResult>& result) const;
 
   /// Registry ops (load/unload/list_tasks); `op` is pre-validated.
   JsonValue HandleRegistryOp(const std::string& op,

@@ -118,15 +118,6 @@ Status Session::Save(const std::string& path) const {
                           pool_result_.soft_labels, pool_result_.hard_labels);
 }
 
-Status Session::SaveAtomic(const std::string& path) const {
-  if (!fitted()) {
-    return Status::InvalidArgument("Session::Save: session is not fitted");
-  }
-  return SaveArtifactFileAtomic(
-      path, top_z_, source_->num_layers(), source_->fingerprint(), model_,
-      source_->layers(), pool_result_.soft_labels, pool_result_.hard_labels);
-}
-
 Result<Session> Session::Load(
     const std::string& path,
     std::shared_ptr<features::FeatureExtractor> extractor) {

@@ -79,13 +79,11 @@ class Session {
   /// `LabelBatch(images)` == `InferRows(*BuildQueryRows(images))`.
   Result<LabelingResult> InferRows(const Matrix& affinity_rows) const;
 
-  /// \brief Persists the fitted session as a versioned artifact file.
+  /// \brief Persists the fitted session as a versioned artifact file,
+  /// crash-safely: stages into a pid-suffixed temp file, fsyncs, then
+  /// renames over `path` (see SaveArtifactFile), so a registry watching
+  /// the directory never sees a torn artifact.
   Status Save(const std::string& path) const;
-
-  /// \brief Crash-safe Save: stages into a pid-suffixed temp file,
-  /// fsyncs, then renames over `path` (see SaveArtifactFileAtomic). Use
-  /// when publishing into a directory a live registry is watching.
-  Status SaveAtomic(const std::string& path) const;
 
   /// \brief Restores a session from an artifact. The extractor must be
   /// the same backbone the artifact was fitted with (same pool-layer

@@ -8,7 +8,7 @@
 namespace goggles {
 namespace {
 
-LogLevel g_min_level = [] {
+const LogLevel g_min_level = [] {
   if (const char* env = std::getenv("GOGGLES_LOG_LEVEL")) {
     if (std::strcmp(env, "DEBUG") == 0) return LogLevel::kDebug;
     if (std::strcmp(env, "INFO") == 0) return LogLevel::kInfo;
@@ -37,8 +37,6 @@ const char* LevelName(LogLevel level) {
 }  // namespace
 
 LogLevel MinLogLevel() { return g_min_level; }
-
-void SetMinLogLevel(LogLevel level) { g_min_level = level; }
 
 namespace internal {
 

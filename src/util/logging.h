@@ -17,9 +17,6 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 /// \brief Returns the minimum level that will be emitted.
 LogLevel MinLogLevel();
 
-/// \brief Allows tests / drivers to override the minimum emitted level.
-void SetMinLogLevel(LogLevel level);
-
 namespace internal {
 
 // Token aliases so GOGGLES_LOG(INFO) expands to a valid constant.

@@ -20,7 +20,7 @@
 
 /// \file pipeline.h
 /// \brief Static staged flowgraph executor — the serving hot path's
-/// backbone (decode → extract → infer → encode).
+/// backbone (decode → extract → infer).
 ///
 /// A Pipeline<Item> is a fixed linear chain of stages, each on its own
 /// small thread pool, and every stage worker owns one intake lane: a

@@ -372,16 +372,13 @@ TEST_F(ServeArtifactTest, CorruptionMatrixZeroByteFile) {
   std::remove(path.c_str());
 }
 
-TEST_F(ServeArtifactTest, SaveAtomicRoundTripsAndLeavesNoTemp) {
+TEST_F(ServeArtifactTest, SaveRoundTripsAndLeavesNoTemp) {
   const std::string dir = TempPath("atomic_dir");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/atomic.ggsa";
-  ASSERT_TRUE(session_->SaveAtomic(path).ok());
+  ASSERT_TRUE(session_->Save(path).ok());
 
-  // Byte-identical to a plain Save, and no staging temp left behind.
-  const std::string direct = TempPath("atomic_direct.ggsa");
-  ASSERT_TRUE(session_->Save(direct).ok());
-  EXPECT_EQ(ReadFile(path), ReadFile(direct));
+  // No staging temp left behind.
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_FALSE(
         serve::IsArtifactTempFilename(entry.path().filename().string()))
@@ -392,11 +389,10 @@ TEST_F(ServeArtifactTest, SaveAtomicRoundTripsAndLeavesNoTemp) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->pool_fingerprint(), session_->pool_fingerprint());
 
-  // SaveAtomic over an existing artifact replaces it whole.
-  ASSERT_TRUE(session_->SaveAtomic(path).ok());
+  // Save over an existing artifact replaces it whole.
+  ASSERT_TRUE(session_->Save(path).ok());
   EXPECT_TRUE(serve::Session::Load(path, *extractor_).ok());
 
-  std::remove(direct.c_str());
   std::filesystem::remove_all(dir);
 }
 

@@ -365,7 +365,7 @@ TEST_F(ServeChaosTest, CrashMidPublishLeavesOldArtifactLoadableAndTempReaped) {
   const std::string before = ReadFileBytes(path);
 
   // Re-exec ourselves: the child loads the artifact, arms the crash
-  // failpoint, and aborts inside SaveAtomic after staging the temp but
+  // failpoint, and aborts inside Save after staging the temp but
   // before the rename.
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
@@ -676,8 +676,8 @@ int PublishCrashChildMain(const std::string& artifact_path) {
            .ok()) {
     return 4;
   }
-  Status status = session->SaveAtomic(artifact_path);  // must not return
-  std::fprintf(stderr, "child: SaveAtomic returned: %s\n",
+  Status status = session->Save(artifact_path);  // must not return
+  std::fprintf(stderr, "child: Save returned: %s\n",
                status.ToString().c_str());
   return 42;  // failpoints compiled out — the parent skips this test
 }

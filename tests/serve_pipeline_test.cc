@@ -151,10 +151,11 @@ long VoluntaryContextSwitches() {
 }
 
 TEST(PipelineTest, IdleFlowgraphSleeps) {
-  // The serve graph's shape (decode 1, extract 2, infer 1, encode 1) with
-  // no-op stages. Once idle, every worker must sleep until rung: a timed
-  // park would wake each worker thousands of times per second. The sink's
-  // state is declared first so it outlives the pipeline's final Drain().
+  // The serve graph's shape (decode 1, extract 2, infer 1) plus one more
+  // stage, all no-ops. Once idle, every worker must sleep until rung: a
+  // timed park would wake each worker thousands of times per second. The
+  // sink's state is declared first so it outlives the pipeline's final
+  // Drain().
   std::atomic<int> sunk{0};
   Pipeline<int> pipe;
   const auto noop = [](std::vector<int>&) {};
@@ -358,8 +359,9 @@ class ServePipelineTest : public ::testing::Test {
 
   /// A request mix that exercises every pipeline path: singleton labels,
   /// duplicate images (extract-stage dedup), a second shape (separate
-  /// extraction group), label_batch and malformed/unknown requests
-  /// (decode-stage short-circuit). No `stats` op — its counters are
+  /// extraction group), label_batch, malformed/unknown requests and
+  /// every error the label decoder can return (decode-stage
+  /// short-circuit). No `stats` op — its counters are
   /// timing-dependent snapshots, everything else must be byte-stable.
   static std::string RequestStream() {
     std::ostringstream input;
@@ -380,6 +382,16 @@ class ServePipelineTest : public ::testing::Test {
     input << "this is not json\n";
     input << R"({"op":"launder"})" << "\n";
     input << R"({"op":"label"})" << "\n";  // missing image
+    const std::string image = ImageToJson(PatternImage(49));
+    // A "task" on a service without a registry, and a non-string one.
+    input << R"({"op":"label","task":"alpha","image":)" << image << "}\n";
+    input << R"({"op":"label","task":7,"image":)" << image << "}\n";
+    input << R"({"op":"label","image":5})" << "\n";  // non-object image
+    const std::string dims = R"({"op":"label","image":{"channels":1,)";
+    input << dims << R"("height":1,"width":2,"pixels":[0.5]}})" << "\n";
+    input << dims << R"("height":1,"width":1,"pixels":["x"]}})" << "\n";
+    input << dims << R"("height":1,"width":1,"pixels":[1e39]}})" << "\n";
+    input << dims << R"("height":1.5,"width":1,"pixels":[0.5]}})" << "\n";
     return input.str();
   }
 
@@ -419,7 +431,7 @@ TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
   const std::string expected = SerialReference();
   ASSERT_FALSE(expected.empty());
 
-  // Config 1: default stage shape (1/2/1/1 threads, batch 8).
+  // Config 1: default stage shape (1/2/1 threads, batch 8).
   serve::ServiceConfig narrow;
 
   // Config 2: wide stages, small batches — maximal reordering pressure
@@ -428,7 +440,6 @@ TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
   wide.pipeline.decode_threads = 2;
   wide.pipeline.extract_threads = 3;
   wide.pipeline.infer_threads = 2;
-  wide.pipeline.encode_threads = 2;
   wide.pipeline.max_batch = 3;
 
   // Config 3: tight admission (blocking backpressure on the reader).
@@ -584,9 +595,9 @@ TEST_F(ServePipelineTest, StatsOpReportsThePipelineSection) {
   EXPECT_DOUBLE_EQ(admission->Find("rejected")->number(), 0.0);
   const serve::JsonValue* stages = pipeline->Find("stages");
   ASSERT_TRUE(stages != nullptr && stages->is_array());
-  ASSERT_EQ(stages->items().size(), 4u);
-  const char* names[] = {"decode", "extract", "infer", "encode"};
-  for (size_t s = 0; s < 4; ++s) {
+  ASSERT_EQ(stages->items().size(), 3u);
+  const char* names[] = {"decode", "extract", "infer"};
+  for (size_t s = 0; s < 3; ++s) {
     const serve::JsonValue& stage = stages->items()[s];
     EXPECT_EQ(stage.Find("name")->str(), names[s]);
     EXPECT_GE(stage.Find("threads")->number(), 1.0);
