@@ -32,6 +32,14 @@ struct GmmConfig {
   bool use_gemm = true;
 };
 
+/// \brief Parameters of a diagonal GMM: a fitted model's, and the state
+/// each EM restart carries.
+struct GmmParams {
+  Matrix means;                 ///< K x D component means
+  Matrix variances;             ///< K x D per-dimension variances
+  std::vector<double> weights;  ///< K mixture weights
+};
+
 /// \brief Diagonal-covariance Gaussian mixture fit with EM.
 class DiagonalGmm {
  public:
@@ -76,22 +84,17 @@ class DiagonalGmm {
   }
 
   /// \brief Fitted component means (K x D).
-  const Matrix& means() const { return means_; }
+  const Matrix& means() const { return params_.means; }
   /// \brief Fitted per-dimension variances (K x D).
-  const Matrix& variances() const { return variances_; }
+  const Matrix& variances() const { return params_.variances; }
   /// \brief Fitted mixture weights (length K).
-  const std::vector<double>& weights() const { return weights_; }
+  const std::vector<double>& weights() const { return params_.weights; }
 
  private:
   GmmConfig config_;
-  Matrix means_;       // K x D
-  Matrix variances_;   // K x D
-  std::vector<double> weights_;  // K
+  GmmParams params_;
   double final_ll_ = 0.0;
   std::vector<double> ll_history_;
 };
-
-/// \brief Numerically-stable log(sum(exp(v))).
-double LogSumExp(const double* v, int64_t n);
 
 }  // namespace goggles

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "tensor/gemm.h"
 
@@ -27,15 +28,11 @@ void PackFitOperand(Engine engine, FitOperand* op) {
 
 void ProductNT(const FitOperand& x, const Matrix& b, Engine engine,
                Matrix* out) {
-  const int64_t n = x.raw.rows(), d = x.raw.cols(), k = b.rows();
-  EnsureShape(n, k, out);
-  if (engine == Engine::kGemm) {
-    DGemmWithPackedA(x.fwd, /*transpose_b=*/true, k, b.data(), d, 0.0,
-                     out->data(), k);
-  } else {
-    DGemmReference(/*transpose_a=*/false, /*transpose_b=*/true, n, k, d, 1.0,
-                   x.raw.data(), d, b.data(), d, 0.0, out->data(), k);
-  }
+  if (engine != Engine::kGemm) return ProductNT(x.raw, b, engine, out);
+  const int64_t d = x.raw.cols(), k = b.rows();
+  EnsureShape(x.raw.rows(), k, out);
+  DGemmWithPackedA(x.fwd, /*transpose_b=*/true, k, b.data(), d, 0.0,
+                   out->data(), k);
 }
 
 void ProductNT(const Matrix& a, const Matrix& b, Engine engine, Matrix* out) {
@@ -103,6 +100,27 @@ void ColumnSums(const Matrix& m, std::vector<double>* out) {
     const double* row = m.RowPtr(i);
     for (int64_t c = 0; c < k; ++c) acc[c] += row[c];
   }
+}
+
+Status ValidateWeights(const std::vector<double>& weights, int64_t k,
+                       const char* who) {
+  if (static_cast<int64_t>(weights.size()) != k) {
+    return Status::InvalidArgument(std::string(who) +
+                                   ": weights length must equal K");
+  }
+  double weight_sum = 0.0;
+  for (double w : weights) {
+    if (!std::isfinite(w) || w < 0.0) {
+      return Status::InvalidArgument(
+          std::string(who) + ": weights must be finite and non-negative");
+    }
+    weight_sum += w;
+  }
+  if (!(weight_sum > 0.0)) {
+    return Status::InvalidArgument(std::string(who) +
+                                   ": weights must not all be zero");
+  }
+  return Status::OK();
 }
 
 }  // namespace em

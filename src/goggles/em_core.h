@@ -1,13 +1,19 @@
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "linalg/matrix.h"
 #include "tensor/gemm.h"
+#include "util/parallel.h"
+#include "util/rng.h"
+#include "util/status.h"
 
 /// \file em_core.h
-/// \brief Shared linear-algebra building blocks of the EM fit cores
-/// (DiagonalGmm, BernoulliMixture).
+/// \brief The EM fit core shared by both mixtures (DiagonalGmm,
+/// BernoulliMixture): the multi-restart driver, its E/M-step building
+/// blocks and the posterior.
 ///
 /// Both mixtures cast their E-step as one N x K matrix product against a
 /// per-component parameter panel plus a per-component additive offset,
@@ -19,7 +25,10 @@
 /// NOT a matrix product (the log-softmax epilogue, responsibility
 /// exponentiation, column sums) is implemented exactly once here and
 /// shared by both engines, so whole EM trajectories are bit-identical
-/// across engines and thread counts.
+/// across engines and thread counts. So is everything that is not
+/// model-specific: FitBestRestart owns the restart loop, the iteration
+/// and its stop rule, and the best-restart pick; a mixture supplies only
+/// its init, its E-step panel and its per-component parameter update.
 
 namespace goggles {
 namespace em {
@@ -74,13 +83,120 @@ void ProductTB(const FitOperand& x, const Matrix& b, Engine engine,
 double LogSoftmaxRowsInPlace(const std::vector<double>& offsets,
                              Matrix* densities);
 
-/// \brief resp = exp(log_resp) elementwise; resp is reshaped only when
-/// its shape differs.
+/// \brief resp = exp(log_resp) elementwise (resp may alias log_resp);
+/// resp is reshaped only when its shape differs.
 void ExpInto(const Matrix& log_resp, Matrix* resp);
 
 /// \brief Fixed-order per-column sums (ascending rows into one
 /// accumulator per column): out[c] = sum_i m(i, c).
 void ColumnSums(const Matrix& m, std::vector<double>* out);
+
+/// \brief Checks restored mixture weights (SetParameters): exactly `k`
+/// entries, each finite and non-negative, not all zero. The error
+/// message is prefixed with `who`.
+Status ValidateWeights(const std::vector<double>& weights, int64_t k,
+                       const char* who);
+
+/// \brief Per-restart scratch of the EM driver, reused across iterations.
+struct Scratch {
+  Matrix panel;                 ///< K x D E-step parameter panel
+  std::vector<double> offsets;  ///< per-component E-step offsets
+  Matrix log_resp;              ///< N x K log responsibilities
+  Matrix resp;                  ///< N x K responsibilities
+  std::vector<double> nk;       ///< per-component responsibility mass
+  Matrix moments;               ///< D x K product design^T * resp
+};
+
+/// \brief M-step from `s->log_resp`: the shared prefix (responsibilities,
+/// their column sums nk, and moments = design^T * resp), then the
+/// model's `update(nk, moments, state)` of its per-component parameters.
+template <typename State, typename Update>
+void MStep(const FitOperand& x, Engine engine, const Update& update,
+           Scratch* s, State* state) {
+  ExpInto(s->log_resp, &s->resp);
+  ColumnSums(s->resp, &s->nk);
+  ProductTB(x, s->resp, engine, &s->moments);
+  update(s->nk, s->moments, state);
+}
+
+/// \brief Fits a mixture by multi-restart EM and keeps the best restart.
+///
+/// Packs `x` once (PackFitOperand); the packs are shared read-only by
+/// every restart and iteration, and by the caller's posterior. Restart r
+/// starts from `init(&rng, &scratch)` with rng = Rng(config.seed).Fork(r)
+/// (an init may MStep on responsibilities it writes to scratch.log_resp).
+/// Each iteration is an E-step — `build_panel(state, &panel, &offsets)`,
+/// ProductNT, the log-softmax epilogue, whose LL joins the history — then
+/// an MStep, until config.max_iters or an LL gain below config.tol.
+///
+/// Restarts run under ParallelFor, one slot each, so results do not
+/// depend on execution order; nested in an outer ParallelFor or under
+/// ScopedSerialKernels it runs serially and the inner DGemm keeps its
+/// bit-identical-at-any-thread-count contract. The pick is serial in
+/// restart order: the first strict improvement of the final LL (0 for an
+/// empty history) wins and is moved into `best_state` / `best_history`
+/// (untouched if none beats -inf). Returns the winning final LL.
+template <typename Config, typename State, typename Init,
+          typename BuildPanel, typename Update>
+double FitBestRestart(FitOperand* x, Engine engine, const Config& config,
+                      const Init& init, const BuildPanel& build_panel,
+                      const Update& update, State* best_state,
+                      std::vector<double>* best_history) {
+  PackFitOperand(engine, x);
+  struct Run {
+    State state;
+    std::vector<double> history;
+  };
+  const Rng rng(config.seed);
+  const int num_restarts = std::max(1, config.num_restarts);
+  std::vector<Run> runs(static_cast<size_t>(num_restarts));
+  ParallelFor(0, num_restarts, [&](int64_t restart) {
+    Rng restart_rng = rng.Fork(static_cast<uint64_t>(restart));
+    Run& run = runs[static_cast<size_t>(restart)];
+    Scratch s;
+    run.state = init(&restart_rng, &s);
+    double prev_ll = -std::numeric_limits<double>::infinity();
+    for (int iter = 0; iter < config.max_iters; ++iter) {
+      build_panel(run.state, &s.panel, &s.offsets);
+      ProductNT(*x, s.panel, engine, &s.log_resp);
+      const double ll = LogSoftmaxRowsInPlace(s.offsets, &s.log_resp);
+      run.history.push_back(ll);
+      MStep(*x, engine, update, &s, &run.state);
+      if (iter > 0 && ll - prev_ll < config.tol) break;
+      prev_ll = ll;
+    }
+  });
+
+  double best_ll = -std::numeric_limits<double>::infinity();
+  Run* best = nullptr;
+  for (Run& run : runs) {
+    const double final_ll = run.history.empty() ? 0.0 : run.history.back();
+    if (final_ll > best_ll) {
+      best_ll = final_ll;
+      best = &run;
+    }
+  }
+  if (best != nullptr) {
+    *best_state = std::move(best->state);
+    *best_history = std::move(best->history);
+  }
+  return best_ll;
+}
+
+/// \brief Posterior responsibilities of the rows of `x` (a FitOperand or
+/// a plain Matrix) under `params`: the E-step of FitBestRestart with the
+/// same `build_panel`, then exp — one matrix end to end.
+template <typename Operand, typename BuildPanel, typename State>
+Matrix Posterior(const Operand& x, Engine engine,
+                 const BuildPanel& build_panel, const State& params) {
+  Matrix panel, proba;
+  std::vector<double> offsets;
+  build_panel(params, &panel, &offsets);
+  ProductNT(x, panel, engine, &proba);
+  LogSoftmaxRowsInPlace(offsets, &proba);
+  ExpInto(proba, &proba);
+  return proba;
+}
 
 }  // namespace em
 }  // namespace goggles

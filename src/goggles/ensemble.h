@@ -29,6 +29,13 @@ struct BernoulliMixtureConfig {
   bool use_gemm = true;
 };
 
+/// \brief Parameters of a Bernoulli mixture: a fitted model's, and the
+/// state each EM restart carries.
+struct BernoulliMixtureParams {
+  Matrix probs;                 ///< K x L, P(s_l = 1 | component k)
+  std::vector<double> weights;  ///< K mixture weights
+};
+
 /// \brief Multivariate Bernoulli mixture (Eq. 7) fit with EM (Eq. 11).
 class BernoulliMixture {
  public:
@@ -59,14 +66,13 @@ class BernoulliMixture {
     return ll_history_;
   }
   /// \brief Fitted Bernoulli parameters (K x L).
-  const Matrix& bernoulli_params() const { return params_; }
+  const Matrix& bernoulli_params() const { return params_.probs; }
   /// \brief Fitted mixture weights (length K).
-  const std::vector<double>& weights() const { return weights_; }
+  const std::vector<double>& weights() const { return params_.weights; }
 
  private:
   BernoulliMixtureConfig config_;
-  Matrix params_;  // K x L, P(s_l = 1 | component k)
-  std::vector<double> weights_;
+  BernoulliMixtureParams params_;
   double final_ll_ = 0.0;
   std::vector<double> ll_history_;
 };

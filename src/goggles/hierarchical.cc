@@ -1,6 +1,7 @@
 #include "goggles/hierarchical.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "goggles/mapping.h"
 #include "util/logging.h"
@@ -9,34 +10,44 @@
 namespace goggles {
 namespace {
 
-/// Ablation path shared by Fit and Infer: average the mapped base LPs
-/// (affinity-function quality weighting is lost).
-Result<Matrix> AverageLps(const std::vector<Matrix>& lps, int64_t n,
-                          int num_classes) {
-  Matrix avg(n, num_classes, 0.0);
-  for (const Matrix& lp : lps) {
-    GOGGLES_RETURN_NOT_OK(avg.AddInPlace(lp));
+/// The label tail shared by Fit and Infer: turns `model`'s mapped base
+/// LPs of `n` rows into soft labels — their average without an ensemble
+/// (the ablation; affinity-function quality weighting is lost), else the
+/// ensemble posterior of their (one-hot) concatenation, mapped to classes
+/// — and their argmax hard labels. The LPs move into the result.
+Result<LabelingResult> LabelMappedLps(const FittedHierarchicalModel& model,
+                                      std::vector<Matrix> lps, int64_t n) {
+  LabelingResult result;
+  if (!model.use_ensemble) {
+    result.soft_labels = Matrix(n, model.num_classes, 0.0);
+    for (const Matrix& lp : lps) {
+      GOGGLES_RETURN_NOT_OK(result.soft_labels.AddInPlace(lp));
+    }
+    result.soft_labels.Scale(1.0 / static_cast<double>(lps.size()));
+    result.cluster_to_class.resize(static_cast<size_t>(model.num_classes));
+    std::iota(result.cluster_to_class.begin(), result.cluster_to_class.end(),
+              0);
+  } else {
+    GOGGLES_ASSIGN_OR_RETURN(
+        Matrix gamma,
+        model.ensemble.PredictProba(model.one_hot_lp
+                                        ? OneHotConcatLabelPredictions(lps)
+                                        : ConcatLabelPredictions(lps)));
+    result.ensemble_log_likelihood = model.ensemble.final_log_likelihood();
+    result.soft_labels = ApplyMapping(gamma, model.ensemble_mapping);
+    result.cluster_to_class = model.ensemble_mapping;
   }
-  avg.Scale(1.0 / static_cast<double>(lps.size()));
-  return avg;
-}
+  result.base_label_predictions = std::move(lps);
 
-std::vector<int> IdentityMapping(int num_classes) {
-  std::vector<int> identity(static_cast<size_t>(num_classes));
-  for (int k = 0; k < num_classes; ++k) identity[static_cast<size_t>(k)] = k;
-  return identity;
-}
-
-void FillHardLabels(LabelingResult* result, int num_classes) {
-  const int64_t n = result->soft_labels.rows();
-  result->hard_labels.resize(static_cast<size_t>(n));
+  result.hard_labels.resize(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     int best = 0;
-    for (int k = 1; k < num_classes; ++k) {
-      if (result->soft_labels(i, k) > result->soft_labels(i, best)) best = k;
+    for (int k = 1; k < model.num_classes; ++k) {
+      if (result.soft_labels(i, k) > result.soft_labels(i, best)) best = k;
     }
-    result->hard_labels[static_cast<size_t>(i)] = best;
+    result.hard_labels[static_cast<size_t>(i)] = best;
   }
+  return result;
 }
 
 }  // namespace
@@ -60,90 +71,64 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
   // affinity matrix"). Each chunk of functions owns one workspace, so the
   // augmented design and its packs are allocated once per chunk and
   // reused by every function in it; each fit reads its N-column slice in
-  // place and leaves its posterior in lps[f].
+  // place and leaves its posterior in lps[f], which the development set
+  // then maps to classes (§4.3: the mapping is applied to each LP_f and
+  // to the final L).
   std::vector<Matrix> lps(static_cast<size_t>(alpha));
+  FittedHierarchicalModel model;
+  model.num_classes = num_classes;
+  model.pool_size = n;
+  model.one_hot_lp = config_.one_hot_lp;
+  model.use_ensemble = config_.use_ensemble;
+  model.base_mappings.resize(static_cast<size_t>(alpha));
   // Fitted GMM parameters (2*alpha*K*N doubles) are only retained when a
   // caller asked for the fitted model.
-  std::vector<DiagonalGmm> gmms(
-      fitted_out != nullptr ? static_cast<size_t>(alpha) : 0);
-  std::vector<Status> statuses(static_cast<size_t>(alpha), Status::OK());
+  model.base_models.resize(fitted_out != nullptr ? static_cast<size_t>(alpha)
+                                                 : 0);
   GmmConfig base_config = config_.base;
   base_config.num_components = num_classes;
+  auto fit_base = [&](int64_t f, em::FitOperand* workspace) -> Status {
+    GmmConfig cfg = base_config;
+    cfg.seed = base_config.seed + static_cast<uint64_t>(f) * 7919;
+    DiagonalGmm gmm(cfg);
+    Matrix& lp = lps[static_cast<size_t>(f)];
+    GOGGLES_RETURN_NOT_OK(gmm.FitPredict(affinity, f * n, n, workspace, &lp));
+    std::vector<int>& mapping = model.base_mappings[static_cast<size_t>(f)];
+    GOGGLES_ASSIGN_OR_RETURN(
+        mapping,
+        ClusterToClassMapping(lp, dev_indices, dev_labels, num_classes));
+    lp = ApplyMapping(lp, mapping);
+    if (fitted_out != nullptr) {
+      model.base_models[static_cast<size_t>(f)] = std::move(gmm);
+    }
+    return Status::OK();
+  };
+  std::vector<Status> statuses(static_cast<size_t>(alpha), Status::OK());
   ParallelForChunked(0, alpha, [&](int64_t f_begin, int64_t f_end) {
     em::FitOperand workspace;
     for (int64_t f = f_begin; f < f_end; ++f) {
-      GmmConfig cfg = base_config;
-      cfg.seed = base_config.seed + static_cast<uint64_t>(f) * 7919;
-      DiagonalGmm gmm(cfg);
-      statuses[static_cast<size_t>(f)] = gmm.FitPredict(
-          affinity, f * n, n, &workspace, &lps[static_cast<size_t>(f)]);
-      if (fitted_out != nullptr && statuses[static_cast<size_t>(f)].ok()) {
-        gmms[static_cast<size_t>(f)] = std::move(gmm);
-      }
+      statuses[static_cast<size_t>(f)] = fit_base(f, &workspace);
     }
   });
   for (const Status& st : statuses) GOGGLES_RETURN_NOT_OK(st);
 
-  // Map every base model's clusters to classes using the development set
-  // (§4.3: the mapping is applied to each LP_f and to the final L). Like
-  // the base fits above, the per-function assignment solves and LP
-  // permutations are independent — run them under the same ParallelFor /
-  // per-slot Status pattern.
-  std::vector<std::vector<int>> base_mappings(static_cast<size_t>(alpha));
-  std::fill(statuses.begin(), statuses.end(), Status::OK());
-  ParallelFor(0, alpha, [&](int64_t f) {
-    Result<std::vector<int>> mapping = ClusterToClassMapping(
-        lps[static_cast<size_t>(f)], dev_indices, dev_labels, num_classes);
-    if (!mapping.ok()) {
-      statuses[static_cast<size_t>(f)] = mapping.status();
-      return;
-    }
-    lps[static_cast<size_t>(f)] =
-        ApplyMapping(lps[static_cast<size_t>(f)], *mapping);
-    base_mappings[static_cast<size_t>(f)] = std::move(*mapping);
-  });
-  for (const Status& st : statuses) GOGGLES_RETURN_NOT_OK(st);
-
-  LabelingResult result;
-  result.base_label_predictions = lps;
-
-  BernoulliMixture ensemble;
-  std::vector<int> ensemble_mapping;
-  if (!config_.use_ensemble) {
-    GOGGLES_ASSIGN_OR_RETURN(result.soft_labels,
-                             AverageLps(lps, n, num_classes));
-    result.cluster_to_class = IdentityMapping(num_classes);
-  } else {
+  if (model.use_ensemble) {
     // ---- Ensemble layer (§4.1): Bernoulli mixture over one-hot LP. ----
-    Matrix concat = config_.one_hot_lp ? OneHotConcatLabelPredictions(lps)
-                                       : ConcatLabelPredictions(lps);
+    Matrix concat = model.one_hot_lp ? OneHotConcatLabelPredictions(lps)
+                                     : ConcatLabelPredictions(lps);
     BernoulliMixtureConfig ens_config = config_.ensemble;
     ens_config.num_components = num_classes;
-    ensemble = BernoulliMixture(ens_config);
-    GOGGLES_RETURN_NOT_OK(ensemble.Fit(concat));
-    GOGGLES_ASSIGN_OR_RETURN(Matrix gamma, ensemble.PredictProba(concat));
-    result.ensemble_log_likelihood = ensemble.final_log_likelihood();
-
+    model.ensemble = BernoulliMixture(ens_config);
+    GOGGLES_RETURN_NOT_OK(model.ensemble.Fit(concat));
+    GOGGLES_ASSIGN_OR_RETURN(Matrix gamma,
+                             model.ensemble.PredictProba(concat));
     GOGGLES_ASSIGN_OR_RETURN(
-        std::vector<int> mapping,
+        model.ensemble_mapping,
         ClusterToClassMapping(gamma, dev_indices, dev_labels, num_classes));
-    result.soft_labels = ApplyMapping(gamma, mapping);
-    result.cluster_to_class = mapping;
-    ensemble_mapping = result.cluster_to_class;
   }
-
-  FillHardLabels(&result, num_classes);
-
-  if (fitted_out != nullptr) {
-    fitted_out->num_classes = num_classes;
-    fitted_out->pool_size = n;
-    fitted_out->one_hot_lp = config_.one_hot_lp;
-    fitted_out->use_ensemble = config_.use_ensemble;
-    fitted_out->base_models = std::move(gmms);
-    fitted_out->base_mappings = std::move(base_mappings);
-    fitted_out->ensemble = std::move(ensemble);
-    fitted_out->ensemble_mapping = std::move(ensemble_mapping);
-  }
+  GOGGLES_ASSIGN_OR_RETURN(LabelingResult result,
+                           LabelMappedLps(model, std::move(lps), n));
+  if (fitted_out != nullptr) *fitted_out = std::move(model);
   return result;
 }
 
@@ -198,24 +183,7 @@ Result<LabelingResult> FittedHierarchicalModel::Infer(
   });
   for (const Status& st : statuses) GOGGLES_RETURN_NOT_OK(st);
 
-  LabelingResult result;
-  result.base_label_predictions = lps;
-
-  if (!use_ensemble) {
-    GOGGLES_ASSIGN_OR_RETURN(result.soft_labels,
-                             AverageLps(lps, m, num_classes));
-    result.cluster_to_class = IdentityMapping(num_classes);
-  } else {
-    Matrix concat = one_hot_lp ? OneHotConcatLabelPredictions(lps)
-                               : ConcatLabelPredictions(lps);
-    GOGGLES_ASSIGN_OR_RETURN(Matrix gamma, ensemble.PredictProba(concat));
-    result.ensemble_log_likelihood = ensemble.final_log_likelihood();
-    result.soft_labels = ApplyMapping(gamma, ensemble_mapping);
-    result.cluster_to_class = ensemble_mapping;
-  }
-
-  FillHardLabels(&result, num_classes);
-  return result;
+  return LabelMappedLps(*this, std::move(lps), m);
 }
 
 }  // namespace goggles

@@ -282,7 +282,10 @@ Status ParseEnsemblePayload(const std::string& payload, Artifact* a) {
   if (!r.AtEnd()) {
     return Status::IOError("Artifact: ensemble section carries extra bytes");
   }
+  // The ensemble scores the one-hot concatenation of every base LP: one
+  // K-wide block per affinity function.
   if (params.rows() != a->model.num_classes ||
+      params.cols() != a->model.num_functions() * a->model.num_classes ||
       !IsValidMapping(mapping, a->model.num_classes)) {
     return Status::IOError("Artifact: ensemble shapes are inconsistent");
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "goggles/em_core.h"
 #include "util/rng.h"
 
 namespace goggles {
@@ -24,16 +25,29 @@ Matrix TwoBlobs(int n_per, int dim, double separation, Rng* rng,
   return x;
 }
 
+// The E-step's log-sum-exp is the fused epilogue em::LogSoftmaxRowsInPlace:
+// with zero offsets it returns the row's log-sum-exp as the LL and leaves
+// the row's log-softmax behind.
 TEST(LogSumExpTest, MatchesDirectComputation) {
-  const double v[3] = {1.0, 2.0, 3.0};
+  Matrix row(1, 3);
+  row(0, 0) = 1.0;
+  row(0, 1) = 2.0;
+  row(0, 2) = 3.0;
   const double expected =
       std::log(std::exp(1.0) + std::exp(2.0) + std::exp(3.0));
-  EXPECT_NEAR(LogSumExp(v, 3), expected, 1e-12);
+  EXPECT_NEAR(em::LogSoftmaxRowsInPlace({0.0, 0.0, 0.0}, &row), expected,
+              1e-12);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_NEAR(row(0, c), (c + 1.0) - expected, 1e-12);
+  }
 }
 
 TEST(LogSumExpTest, StableForLargeValues) {
-  const double v[2] = {1000.0, 1000.0};
-  EXPECT_NEAR(LogSumExp(v, 2), 1000.0 + std::log(2.0), 1e-9);
+  Matrix row(1, 2, 1000.0);
+  EXPECT_NEAR(em::LogSoftmaxRowsInPlace({0.0, 0.0}, &row),
+              1000.0 + std::log(2.0), 1e-9);
+  EXPECT_NEAR(row(0, 0), -std::log(2.0), 1e-12);
+  EXPECT_NEAR(row(0, 1), -std::log(2.0), 1e-12);
 }
 
 TEST(DiagonalGmmTest, SeparatesTwoBlobs) {

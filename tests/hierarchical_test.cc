@@ -172,6 +172,54 @@ TEST(HierarchicalTest, NoOneHotAblationRuns) {
   EXPECT_GE(AccuracyOf(*result, truth), 0.8);
 }
 
+void ExpectBitIdentical(const Matrix& expected, const Matrix& actual,
+                        const char* what) {
+  ASSERT_EQ(expected.rows(), actual.rows()) << what;
+  ASSERT_EQ(expected.cols(), actual.cols()) << what;
+  for (int64_t i = 0; i < expected.rows(); ++i) {
+    for (int64_t k = 0; k < expected.cols(); ++k) {
+      EXPECT_EQ(expected(i, k), actual(i, k))
+          << what << " differs at (" << i << ", " << k << ")";
+    }
+  }
+}
+
+// Fit and Infer share one label tail, so Infer on the fit's own affinity
+// rows must reproduce Fit's labels bit for bit: in the paper design and in
+// both ablations (raw LPs into the ensemble; averaging instead of it).
+TEST(HierarchicalTest, InferOnFitAffinityReproducesFitLabels) {
+  Rng rng(23);
+  std::vector<int> truth = AlternatingTruth(40);
+  Matrix a = SyntheticAffinity(truth, 4, 4, 0.1, &rng);
+  HierarchicalConfig no_one_hot;
+  no_one_hot.one_hot_lp = false;
+  HierarchicalConfig averaging;
+  averaging.use_ensemble = false;
+  for (const HierarchicalConfig& config :
+       {HierarchicalConfig{}, no_one_hot, averaging}) {
+    SCOPED_TRACE(testing::Message() << "one_hot_lp=" << config.one_hot_lp
+                                    << " use_ensemble="
+                                    << config.use_ensemble);
+    FittedHierarchicalModel model;
+    Result<LabelingResult> fit = HierarchicalLabeler{config}.Fit(
+        a, {0, 1, 2, 3}, {0, 1, 0, 1}, 2, &model);
+    ASSERT_TRUE(fit.ok()) << fit.status();
+    Result<LabelingResult> infer = model.Infer(a);
+    ASSERT_TRUE(infer.ok()) << infer.status();
+
+    ExpectBitIdentical(fit->soft_labels, infer->soft_labels, "soft labels");
+    EXPECT_EQ(fit->hard_labels, infer->hard_labels);
+    EXPECT_EQ(fit->cluster_to_class, infer->cluster_to_class);
+    EXPECT_EQ(fit->ensemble_log_likelihood, infer->ensemble_log_likelihood);
+    ASSERT_EQ(fit->base_label_predictions.size(),
+              infer->base_label_predictions.size());
+    for (size_t f = 0; f < fit->base_label_predictions.size(); ++f) {
+      ExpectBitIdentical(fit->base_label_predictions[f],
+                         infer->base_label_predictions[f], "base LP");
+    }
+  }
+}
+
 TEST(HierarchicalTest, RejectsMalformedAffinity) {
   HierarchicalLabeler labeler{HierarchicalConfig{}};
   EXPECT_FALSE(labeler.Fit(Matrix(), {}, {}, 2).ok());

@@ -185,6 +185,39 @@ TEST_F(ServeArtifactTest, RoundTripLabelsAreBitIdentical) {
   std::remove(path.c_str());
 }
 
+// An averaging session (inference.use_ensemble = false) saves a 4-section
+// artifact with no ensemble section; it must load and label held-out
+// images exactly as the in-memory session does.
+TEST_F(ServeArtifactTest, AveragingSessionRoundTrips) {
+  GogglesConfig config;
+  config.top_z = 3;
+  config.inference.use_ensemble = false;
+  auto session = serve::Session::Fit(*extractor_, *pool_, {0, 1, 2, 3},
+                                     {0, 1, 0, 1}, 2, config);
+  ASSERT_TRUE(session.ok()) << session.status();
+  const std::string path = TempPath("averaging.ggsa");
+  ASSERT_TRUE(session->Save(path).ok());
+  EXPECT_EQ(ParseSectionSpans(ReadFile(path)).size(), 4u);
+
+  auto loaded = serve::Session::Load(path, *extractor_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto from_memory = session->LabelBatch(*held_out_);
+  auto from_disk = loaded->LabelBatch(*held_out_);
+  ASSERT_TRUE(from_memory.ok()) << from_memory.status();
+  ASSERT_TRUE(from_disk.ok()) << from_disk.status();
+  ASSERT_EQ(from_memory->soft_labels.rows(), from_disk->soft_labels.rows());
+  ASSERT_EQ(from_memory->soft_labels.cols(), from_disk->soft_labels.cols());
+  for (int64_t i = 0; i < from_memory->soft_labels.rows(); ++i) {
+    for (int64_t k = 0; k < from_memory->soft_labels.cols(); ++k) {
+      EXPECT_EQ(from_memory->soft_labels(i, k), from_disk->soft_labels(i, k))
+          << "round-trip label mismatch at (" << i << ", " << k << ")";
+    }
+  }
+  EXPECT_EQ(from_memory->hard_labels, from_disk->hard_labels);
+  EXPECT_EQ(from_memory->cluster_to_class, from_disk->cluster_to_class);
+  std::remove(path.c_str());
+}
+
 TEST_F(ServeArtifactTest, MissingFileIsNotFound) {
   auto loaded = serve::Session::Load(TempPath("does_not_exist.ggsa"),
                                      *extractor_);
@@ -279,6 +312,29 @@ TEST_F(ServeArtifactTest, OutOfRangeMappingsAreRejected) {
     tampered.model.ensemble_mapping = {1, 1};  // duplicate target
     ASSERT_TRUE(tampered.Save(bad_path).ok());
     EXPECT_FALSE(serve::Artifact::Load(bad_path).ok());
+  }
+  {
+    // An ensemble one column wider than alpha * K: without the load-time
+    // check it would load, and every label request would then fail as a
+    // dimension mismatch blamed on the client.
+    serve::Artifact tampered = *artifact;
+    BernoulliMixture& ensemble = tampered.model.ensemble;
+    const Matrix& params = ensemble.bernoulli_params();
+    ASSERT_EQ(params.cols(),
+              tampered.model.num_functions() * tampered.model.num_classes);
+    Matrix wider(params.rows(), params.cols() + 1, 0.5);
+    for (int64_t c = 0; c < params.rows(); ++c) {
+      for (int64_t j = 0; j < params.cols(); ++j) wider(c, j) = params(c, j);
+    }
+    ASSERT_TRUE(ensemble
+                    .SetParameters(std::move(wider), ensemble.weights(),
+                                   ensemble.final_log_likelihood())
+                    .ok());
+    ASSERT_TRUE(tampered.Save(bad_path).ok());
+    auto loaded = serve::Artifact::Load(bad_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    EXPECT_FALSE(serve::Session::Load(bad_path, *extractor_).ok());
   }
   std::remove(good_path.c_str());
   std::remove(bad_path.c_str());
