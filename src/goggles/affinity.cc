@@ -13,8 +13,7 @@ namespace goggles {
 namespace {
 
 /// Position vectors of one filter map, transposed to position-major and
-/// L2-normalized — the shared representation of Prepare() (pool side) and
-/// ExtractQueryFeatures() (query side).
+/// L2-normalized.
 std::vector<float> NormalizedPositions(const Tensor& fmap, int channels,
                                        int area) {
   std::vector<float> pos(static_cast<size_t>(area) * channels);
@@ -26,6 +25,26 @@ std::vector<float> NormalizedPositions(const Tensor& fmap, int channels,
     NormalizeF(row, channels);
   }
   return pos;
+}
+
+/// The one featurization of pool (Prepare) and query
+/// (ExtractQueryFeatures) images: normalized position vectors of every
+/// image at every layer of the backbone's `maps`.
+std::vector<PrototypeAffinitySource::QueryFeatures> Featurize(
+    const std::vector<std::vector<Tensor>>& maps) {
+  std::vector<PrototypeAffinitySource::QueryFeatures> out(maps[0].size());
+  ParallelFor(0, static_cast<int64_t>(out.size()), [&](int64_t i) {
+    std::vector<std::vector<float>>& positions =
+        out[static_cast<size_t>(i)].positions;
+    positions.resize(maps.size());
+    for (size_t layer = 0; layer < maps.size(); ++layer) {
+      const Tensor& fmap = maps[layer][static_cast<size_t>(i)];
+      const int c = static_cast<int>(fmap.dim(0));
+      const int area = static_cast<int>(fmap.dim(1) * fmap.dim(2));
+      positions[layer] = NormalizedPositions(fmap, c, area);
+    }
+  });
+  return out;
 }
 
 /// Eq. 2 core: max cosine between `proto` and each of `area` normalized
@@ -49,12 +68,14 @@ float MaxCosineOverPositions(const std::vector<float>& positions,
 Status PrototypeAffinitySource::Prepare(const std::vector<data::Image>& images) {
   const int n = static_cast<int>(images.size());
   const uint64_t fingerprint = data::FingerprintImages(images);
-  if (n == num_images_ && fingerprint == fingerprint_) {
+  if (n == num_images_ && fingerprint == fingerprint_ &&
+      static_cast<int>(pool_features_.size()) == n) {
     return Status::OK();  // already prepared for this exact dataset
   }
 
   GOGGLES_ASSIGN_OR_RETURN(std::vector<std::vector<Tensor>> maps,
                            extractor_->PoolFeatureMaps(images));
+  pool_features_ = Featurize(maps);
 
   layers_.assign(static_cast<size_t>(num_layers()), LayerData());
   for (int layer = 0; layer < num_layers(); ++layer) {
@@ -63,18 +84,12 @@ Status PrototypeAffinitySource::Prepare(const std::vector<data::Image>& images) 
     const Tensor& first = layer_maps[0];
     data.channels = static_cast<int>(first.dim(0));
     data.area = static_cast<int>(first.dim(1) * first.dim(2));
-    data.positions.resize(static_cast<size_t>(n));
     data.prototypes.resize(static_cast<size_t>(n));
     data.num_prototypes.resize(static_cast<size_t>(n));
 
     ParallelFor(0, n, [&](int64_t i) {
       const Tensor& fmap = layer_maps[static_cast<size_t>(i)];
       const int c = data.channels;
-      const int area = data.area;
-
-      data.positions[static_cast<size_t>(i)] =
-          NormalizedPositions(fmap, c, area);
-
       // Top-Z prototypes, L2-normalized.
       std::vector<features::Prototype> protos =
           features::ExtractTopZPrototypes(fmap, top_z_);
@@ -134,16 +149,19 @@ Status PrototypeAffinitySource::Restore(std::vector<LayerData> layers,
   layers_ = std::move(layers);
   num_images_ = num_images;
   fingerprint_ = fingerprint;
+  pool_features_.clear();
   BuildPackedPrototypes();
   return Status::OK();
 }
 
 uint64_t PrototypeAffinitySource::ApproxMemoryBytes() const {
   uint64_t bytes = sizeof(*this);
-  for (const LayerData& layer : layers_) {
-    for (const std::vector<float>& v : layer.positions) {
+  for (const QueryFeatures& features : pool_features_) {
+    for (const std::vector<float>& v : features.positions) {
       bytes += v.capacity() * sizeof(float);
     }
+  }
+  for (const LayerData& layer : layers_) {
     for (const std::vector<float>& v : layer.prototypes) {
       bytes += v.capacity() * sizeof(float);
     }
@@ -181,70 +199,79 @@ void PrototypeAffinitySource::BuildPackedPrototypes() {
   }
 }
 
-Status PrototypeAffinitySource::ScoreLayerInto(
-    int layer, int num_functions, int64_t m,
-    const std::function<const std::vector<float>&(int64_t)>& positions_of,
+Status PrototypeAffinitySource::ScoreRowsInto(
+    const std::vector<QueryFeatures>& instances, int num_functions,
     Matrix* out) const {
-  const LayerData& data = layers_[static_cast<size_t>(layer)];
-  const PackedPrototypes& pack = packed_[static_cast<size_t>(layer)];
   const int64_t n = num_images_;
-  const int64_t c = data.channels;
-  const int64_t num_protos = pack.offsets.back();
+  const int64_t m = static_cast<int64_t>(instances.size());
   const int num_layers_total = num_layers();
+  for (int layer = 0; layer < num_layers_total && layer < num_functions;
+       ++layer) {
+    const LayerData& data = layers_[static_cast<size_t>(layer)];
+    const PackedPrototypes& pack = packed_[static_cast<size_t>(layer)];
+    const int64_t c = data.channels;
+    const int64_t num_protos = pack.offsets.back();
 
-  // The instances of one call share one resolution (extraction stacks
-  // them into one batch), but it need not match the pool's: a query
-  // image of a different size yields a different filter-map area, and
-  // Eq. 2 only maxes over however many positions the instance has.
-  const int64_t area = static_cast<int64_t>(positions_of(0).size()) /
-                       std::max<int64_t>(c, 1);
+    // The instances of one call share one resolution (extraction stacks
+    // them into one batch), but it need not match the pool's: a query
+    // image of a different size yields a different filter-map area, and
+    // Eq. 2 only maxes over however many positions the instance has.
+    const int64_t area =
+        static_cast<int64_t>(instances[0].positions[static_cast<size_t>(layer)]
+                                 .size()) /
+        std::max<int64_t>(c, 1);
 
-  Status status = Status::OK();
-  std::mutex status_mutex;
-  ParallelForChunked(0, m, [&](int64_t lo, int64_t hi) {
-    std::vector<float> best(static_cast<size_t>(num_protos));
-    for (int64_t i = lo; i < hi; ++i) {
-      const std::vector<float>& pos = positions_of(i);
-      if (static_cast<int64_t>(pos.size()) != area * c) {
-        std::lock_guard<std::mutex> guard(status_mutex);
-        status = Status::InvalidArgument(StrFormat(
-            "ScoreLayerInto: layer %d instance %lld position size %zu != "
-            "area*channels %lld — all instances of one call must share "
-            "one resolution",
-            layer, static_cast<long long>(i), pos.size(),
-            static_cast<long long>(area * c)));
-        return;
-      }
-      // Eq. 2 against every pool prototype at once: the kernel folds the
-      // max over positions into its register tile, so the positions x
-      // prototypes score matrix is never stored. Serial inside — the
-      // instance loop is already the parallel axis.
-      PrototypeMaxScores(pos.data(), area, c, pack.data.data(), num_protos,
-                         best.data());
-      // Scatter into A[i, f*N + j] with the z-wrap for images that have
-      // fewer than Z unique prototypes.
-      double* row = out->RowPtr(i);
-      for (int f = layer; f < num_functions; f += num_layers_total) {
-        const int z = f / num_layers_total;
-        double* dst = row + static_cast<int64_t>(f) * n;
-        for (int64_t j = 0; j < n; ++j) {
-          const int np = data.num_prototypes[static_cast<size_t>(j)];
-          dst[j] = np == 0
-                       ? 0.0
-                       : static_cast<double>(
-                             best[static_cast<size_t>(
-                                 pack.offsets[static_cast<size_t>(j)] +
-                                 z % np)]);
+    Status status = Status::OK();
+    std::mutex status_mutex;
+    ParallelForChunked(0, m, [&](int64_t lo, int64_t hi) {
+      std::vector<float> best(static_cast<size_t>(num_protos));
+      for (int64_t i = lo; i < hi; ++i) {
+        const std::vector<float>& pos =
+            instances[static_cast<size_t>(i)].positions[static_cast<size_t>(
+                layer)];
+        if (static_cast<int64_t>(pos.size()) != area * c) {
+          std::lock_guard<std::mutex> guard(status_mutex);
+          status = Status::InvalidArgument(StrFormat(
+              "ScoreRowsInto: layer %d instance %lld position size %zu != "
+              "area*channels %lld — all instances of one call must share "
+              "one resolution",
+              layer, static_cast<long long>(i), pos.size(),
+              static_cast<long long>(area * c)));
+          return;
+        }
+        // Eq. 2 against every pool prototype at once: the kernel folds the
+        // max over positions into its register tile, so the positions x
+        // prototypes score matrix is never stored. Serial inside — the
+        // instance loop is already the parallel axis.
+        PrototypeMaxScores(pos.data(), area, c, pack.data.data(), num_protos,
+                           best.data());
+        // Scatter into A[i, f*N + j] with the z-wrap for images that have
+        // fewer than Z unique prototypes.
+        double* row = out->RowPtr(i);
+        for (int f = layer; f < num_functions; f += num_layers_total) {
+          const int z = f / num_layers_total;
+          double* dst = row + static_cast<int64_t>(f) * n;
+          for (int64_t j = 0; j < n; ++j) {
+            const int np = data.num_prototypes[static_cast<size_t>(j)];
+            dst[j] = np == 0
+                         ? 0.0
+                         : static_cast<double>(
+                               best[static_cast<size_t>(
+                                   pack.offsets[static_cast<size_t>(j)] +
+                                   z % np)]);
+          }
         }
       }
-    }
-  });
-  return status;
+    });
+    GOGGLES_RETURN_NOT_OK(status);
+  }
+  return Status::OK();
 }
 
 Status PrototypeAffinitySource::ScorePoolRowsInto(int num_functions,
                                                  Matrix* a) const {
-  if (num_images_ <= 0) {
+  if (num_images_ <= 0 ||
+      static_cast<int>(pool_features_.size()) != num_images_) {
     return Status::Internal(
         "PrototypeAffinitySource::ScorePoolRowsInto: source not prepared");
   }
@@ -253,17 +280,7 @@ Status PrototypeAffinitySource::ScorePoolRowsInto(int num_functions,
     return Status::InvalidArgument(
         "ScorePoolRowsInto: output matrix too small");
   }
-  for (int layer = 0; layer < num_layers() && layer < num_functions;
-       ++layer) {
-    const auto& positions = layers_[static_cast<size_t>(layer)].positions;
-    GOGGLES_RETURN_NOT_OK(ScoreLayerInto(
-        layer, num_functions, num_images_,
-        [&positions](int64_t i) -> const std::vector<float>& {
-          return positions[static_cast<size_t>(i)];
-        },
-        a));
-  }
-  return Status::OK();
+  return ScoreRowsInto(pool_features_, num_functions, a);
 }
 
 Result<Matrix> PrototypeAffinitySource::ScoreQueryRowsBatched(
@@ -276,33 +293,14 @@ Result<Matrix> PrototypeAffinitySource::ScoreQueryRowsBatched(
     return Status::InvalidArgument(
         "ScoreQueryRowsBatched: need queries and functions");
   }
-  const int64_t m = static_cast<int64_t>(queries.size());
-  Matrix rows(m, static_cast<int64_t>(num_functions) * num_images_);
-  for (int layer = 0; layer < num_layers() && layer < num_functions;
-       ++layer) {
-    GOGGLES_RETURN_NOT_OK(ScoreLayerInto(
-        layer, num_functions, m,
-        [&queries, layer](int64_t i) -> const std::vector<float>& {
-          return queries[static_cast<size_t>(i)]
-              .positions[static_cast<size_t>(layer)];
-        },
-        &rows));
-  }
+  Matrix rows(static_cast<int64_t>(queries.size()),
+              static_cast<int64_t>(num_functions) * num_images_);
+  GOGGLES_RETURN_NOT_OK(ScoreRowsInto(queries, num_functions, &rows));
   return rows;
 }
 
 float PrototypeAffinitySource::Score(int layer, int z, int i, int j) const {
-  const LayerData& data = layers_[static_cast<size_t>(layer)];
-  const int c = data.channels;
-  const int num_protos = data.num_prototypes[static_cast<size_t>(j)];
-  if (num_protos == 0) return 0.0f;
-  // Wrap when image j has fewer than Z unique prototypes (see header).
-  const int zz = z % num_protos;
-  const float* proto =
-      data.prototypes[static_cast<size_t>(j)].data() +
-      static_cast<size_t>(zz) * c;
-  return MaxCosineOverPositions(data.positions[static_cast<size_t>(i)], proto,
-                                c);
+  return ScoreQuery(layer, z, pool_features_[static_cast<size_t>(i)], j);
 }
 
 Result<std::vector<PrototypeAffinitySource::QueryFeatures>>
@@ -318,8 +316,6 @@ PrototypeAffinitySource::ExtractQueryFeatures(
   }
   GOGGLES_ASSIGN_OR_RETURN(std::vector<std::vector<Tensor>> maps,
                            extractor_->PoolFeatureMaps(images));
-  const int n = static_cast<int>(images.size());
-  std::vector<QueryFeatures> out(static_cast<size_t>(n));
   for (int layer = 0; layer < num_layers(); ++layer) {
     const auto& layer_maps = maps[static_cast<size_t>(layer)];
     const int channels = static_cast<int>(layer_maps[0].dim(0));
@@ -330,19 +326,7 @@ PrototypeAffinitySource::ExtractQueryFeatures(
           layer, channels, layers_[static_cast<size_t>(layer)].channels));
     }
   }
-  ParallelFor(0, n, [&](int64_t i) {
-    QueryFeatures& q = out[static_cast<size_t>(i)];
-    q.positions.resize(static_cast<size_t>(num_layers()));
-    for (int layer = 0; layer < num_layers(); ++layer) {
-      const Tensor& fmap =
-          maps[static_cast<size_t>(layer)][static_cast<size_t>(i)];
-      const int c = static_cast<int>(fmap.dim(0));
-      const int area = static_cast<int>(fmap.dim(1) * fmap.dim(2));
-      q.positions[static_cast<size_t>(layer)] =
-          NormalizedPositions(fmap, c, area);
-    }
-  });
-  return out;
+  return Featurize(maps);
 }
 
 float PrototypeAffinitySource::ScoreQuery(int layer, int z,
@@ -352,6 +336,7 @@ float PrototypeAffinitySource::ScoreQuery(int layer, int z,
   const int c = data.channels;
   const int num_protos = data.num_prototypes[static_cast<size_t>(j)];
   if (num_protos == 0) return 0.0f;
+  // Wrap when image j has fewer than Z unique prototypes (see header).
   const int zz = z % num_protos;
   const float* proto =
       data.prototypes[static_cast<size_t>(j)].data() +

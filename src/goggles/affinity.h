@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,28 +39,27 @@ class AffinityFunction {
   virtual float Score(int i, int j) const = 0;
 };
 
-/// \brief Shared state for the 5 x Z prototype affinity functions:
-/// normalized filter-map position vectors and top-Z prototypes per image
-/// per layer. One instance is shared by all functions of one library.
+/// \brief Shared state for the 5 x Z prototype affinity functions: the
+/// top-Z prototypes per pool image per layer (the served state) and, after
+/// Prepare(), the pool images' own query-side features. One instance is
+/// shared by all functions of one library.
 class PrototypeAffinitySource {
  public:
-  /// \brief Cached per-layer state for one prepared pool. Public so the
+  /// \brief Served per-layer state for one prepared pool. Public so the
   /// serving artifact store can persist and restore a fitted session.
   struct LayerData {
     int channels = 0;  ///< filter-map channels C at this layer
-    int area = 0;      ///< filter-map spatial positions H * W
-    /// positions[i]: area x channels row-major, rows L2-normalized.
-    std::vector<std::vector<float>> positions;
+    int area = 0;      ///< the pool's filter-map spatial positions H * W
     /// prototypes[i]: (#unique<=Z) x channels row-major, rows L2-normalized.
     std::vector<std::vector<float>> prototypes;
     /// Unique prototype count per image (the z-wrap divisor).
     std::vector<int> num_prototypes;
   };
 
-  /// \brief Query-side state for an image *outside* the prepared pool:
-  /// its normalized position vectors at every layer. Prototypes are not
-  /// needed on the query side — Eq. 2 takes the prototype from the pool
-  /// image and searches over the query image's positions.
+  /// \brief The side of Eq. 2 that is searched: an image's normalized
+  /// position vectors at every layer. Pool and query images are
+  /// featurized by the same routine; only the pool's prototypes are
+  /// served, because Eq. 2 takes the prototype from the pool image.
   struct QueryFeatures {
     /// positions[layer]: area x channels row-major, rows L2-normalized.
     std::vector<std::vector<float>> positions;
@@ -73,10 +71,12 @@ class PrototypeAffinitySource {
                           int top_z)
       : extractor_(std::move(extractor)), top_z_(top_z) {}
 
-  /// \brief Extracts and normalizes features for `images`. Idempotent per
-  /// dataset: re-preparing with the same images is a no-op, keyed on a
-  /// content fingerprint (not just the image count) so a different
-  /// same-sized dataset re-runs extraction instead of reusing stale caches.
+  /// \brief Extracts prototypes and query-side features for `images`.
+  /// Idempotent per dataset: re-preparing with the same images is a no-op,
+  /// keyed on a content fingerprint (not just the image count) so a
+  /// different same-sized dataset re-runs extraction instead of reusing
+  /// stale caches. A restored source has no pool features, so preparing
+  /// it always extracts.
   Status Prepare(const std::vector<data::Image>& images);
 
   /// \brief Backbone pool-layer count (the library's 5).
@@ -93,8 +93,8 @@ class PrototypeAffinitySource {
   const std::vector<LayerData>& layers() const { return layers_; }
 
   /// \brief Approximate resident size of the prepared caches in bytes
-  /// (position vectors, prototypes, and the packed prototype panels). Feeds
-  /// the serving registry's LRU memory budget.
+  /// (prototypes, the packed prototype panels and, until a Restore, the
+  /// pool's features). Feeds the serving registry's LRU memory budget.
   uint64_t ApproxMemoryBytes() const;
 
   /// \brief Restores a prepared state previously captured via layers(),
@@ -102,28 +102,30 @@ class PrototypeAffinitySource {
   /// count must match the extractor's pool-layer count, and every layer
   /// needs channels >= 1 and, per image, a non-negative prototype count
   /// with exactly that many rows of `channels` floats (InvalidArgument
-  /// otherwise).
+  /// otherwise). Drops the pool features: a restored source scores
+  /// queries only, until Prepare() featurizes the pool again.
   Status Restore(std::vector<LayerData> layers, int num_images,
                  uint64_t fingerprint);
 
-  /// \brief Eq. 2: max_{h,w} cos(v^z_j, v^{(h,w)}_i) at `layer`.
-  ///
-  /// When image j has fewer than Z unique prototypes at this layer, the
-  /// prototype index wraps around (documented deviation: the paper drops
-  /// duplicates, leaving some functions undefined for that image; wrapping
-  /// keeps the affinity matrix rectangular).
+  /// \brief Eq. 2: max_{h,w} cos(v^z_j, v^{(h,w)}_i) at `layer`, i.e.
+  /// ScoreQuery over pool image i's features. Needs Prepare().
   float Score(int layer, int z, int i, int j) const;
 
-  /// \brief Extracts query-side features for images outside the pool,
-  /// using the exact normalization applied by Prepare() so query scores
-  /// are bit-identical to pool scores for the same image. Thread-safe:
-  /// the backbone forward pass serializes inside FeatureExtractor.
+  /// \brief Extracts query-side features for images outside the pool
+  /// through the routine Prepare() runs on the pool, so query scores are
+  /// bit-identical to pool scores for the same image. Thread-safe: the
+  /// backbone forward pass serializes inside FeatureExtractor.
   Result<std::vector<QueryFeatures>> ExtractQueryFeatures(
       const std::vector<data::Image>& images) const;
 
   /// \brief Eq. 2 for the ordered pair (query, pool image j): the
   /// prototype comes from pool image j, the max runs over the query's
   /// position vectors at `layer`.
+  ///
+  /// When image j has fewer than Z unique prototypes at this layer, the
+  /// prototype index wraps around (documented deviation: the paper drops
+  /// duplicates, leaving some functions undefined for that image; wrapping
+  /// keeps the affinity matrix rectangular).
   float ScoreQuery(int layer, int z, const QueryFeatures& query, int j) const;
 
   /// \brief Batched pool-side scoring: fills columns f < `num_functions`
@@ -135,7 +137,7 @@ class PrototypeAffinitySource {
   /// no positions x prototypes score matrix is stored — and duplicate
   /// prototypes (the z-wrap for images with fewer than Z unique
   /// prototypes) are scored once instead of once per wrapped z. `a` must
-  /// be pre-sized to at least num_functions * N cols.
+  /// be pre-sized to at least num_functions * N cols. Needs Prepare().
   Status ScorePoolRowsInto(int num_functions, Matrix* a) const;
 
   /// \brief Batched query-side scoring: the M x (num_functions * N) row
@@ -160,12 +162,10 @@ class PrototypeAffinitySource {
 
   void BuildPackedPrototypes();
 
-  /// Scores one layer of the library for `m` instances (pool or query
-  /// side, selected by `positions_of`) into rows [0, m) of `out`.
-  Status ScoreLayerInto(
-      int layer, int num_functions, int64_t m,
-      const std::function<const std::vector<float>&(int64_t)>& positions_of,
-      Matrix* out) const;
+  /// The one scorer of pool and query rows: fills rows
+  /// [0, instances.size()) of `out` in the ScorePoolRowsInto layout.
+  Status ScoreRowsInto(const std::vector<QueryFeatures>& instances,
+                       int num_functions, Matrix* out) const;
 
   std::shared_ptr<features::FeatureExtractor> extractor_;
   int top_z_;
@@ -173,6 +173,8 @@ class PrototypeAffinitySource {
   uint64_t fingerprint_ = 0;
   std::vector<LayerData> layers_;
   std::vector<PackedPrototypes> packed_;
+  /// The pool images' own features (fit-time state, never served).
+  std::vector<QueryFeatures> pool_features_;
 };
 
 /// \brief One (layer, z) prototype affinity function (Eq. 2).

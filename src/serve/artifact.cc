@@ -160,7 +160,6 @@ std::string BuildSourcePayload(
     for (size_t i = 0; i < layer.prototypes.size(); ++i) {
       w.Pod(static_cast<int32_t>(layer.num_prototypes[i]));
       WriteFloatVec(&w, layer.prototypes[i]);
-      WriteFloatVec(&w, layer.positions[i]);
     }
   }
   return w.buffer();
@@ -190,19 +189,15 @@ Status ParseSourcePayload(const std::string& payload, int64_t pool_size,
     layer.channels = channels;
     layer.area = area;
     layer.prototypes.resize(static_cast<size_t>(num_images));
-    layer.positions.resize(static_cast<size_t>(num_images));
     layer.num_prototypes.resize(static_cast<size_t>(num_images));
     for (size_t i = 0; i < num_images; ++i) {
       int32_t num_protos = 0;
-      if (!r.Pod(&num_protos) || num_protos < 0 ||
-          !ReadFloatVec(&r, &layer.prototypes[i]) ||
-          !ReadFloatVec(&r, &layer.positions[i])) {
+      if (!r.Pod(&num_protos) || !ReadFloatVec(&r, &layer.prototypes[i])) {
         return Status::IOError("Artifact: truncated source image cache");
       }
-      if (layer.prototypes[i].size() !=
-              static_cast<size_t>(num_protos) * static_cast<size_t>(channels) ||
-          layer.positions[i].size() !=
-              static_cast<size_t>(area) * static_cast<size_t>(channels)) {
+      if (num_protos < 0 || num_protos > a->top_z ||
+          layer.prototypes[i].size() !=
+              static_cast<size_t>(num_protos) * static_cast<size_t>(channels)) {
         return Status::IOError("Artifact: source cache sizes are inconsistent");
       }
       layer.num_prototypes[i] = num_protos;

@@ -14,13 +14,13 @@
 /// captures one fitted labeling session so it can be served without
 /// refitting.
 ///
-/// An artifact bundles (1) the prototype/position caches of the prepared
-/// pool (`PrototypeAffinitySource::LayerData`), (2) every fitted base GMM
+/// An artifact bundles (1) the prototypes of the prepared pool
+/// (`PrototypeAffinitySource::LayerData`), (2) every fitted base GMM
 /// and the Bernoulli ensemble with their development-set cluster-to-class
 /// mappings (`FittedHierarchicalModel`), and (3) the pool's probabilistic
 /// labels.
 ///
-/// ## On-disk format (version 1)
+/// ## On-disk format (version 2)
 ///
 /// ```
 /// magic "GGSA" | u32 version | u32 section_count
@@ -40,7 +40,7 @@ namespace goggles::serve {
 /// \brief In-memory form of a persisted labeling session.
 struct Artifact {
   /// The on-disk format version this build reads and writes.
-  static constexpr uint32_t kFormatVersion = 1;
+  static constexpr uint32_t kFormatVersion = 2;
 
   /// Prototype library shape: Z prototypes per layer.
   int top_z = 0;
@@ -52,7 +52,7 @@ struct Artifact {
   /// Fitted inference stack (includes num_classes / pool_size / flags).
   FittedHierarchicalModel model;
 
-  /// Prepared pool caches of the shared affinity source.
+  /// Prepared pool prototypes of the shared affinity source.
   std::vector<PrototypeAffinitySource::LayerData> source_layers;
 
   /// The pool's soft labels from the fitting run (serving stats / warm
@@ -73,8 +73,9 @@ struct Artifact {
 };
 
 /// \brief Serializes a fitted session's state directly from the caller's
-/// storage — no copying into an Artifact first (the source caches are
-/// the dominant state; Session::Save streams them from its own members).
+/// storage — no copying into an Artifact first (the source prototypes
+/// are the dominant state; Session::Save streams them from its own
+/// members).
 /// Crash-safe: writes `ArtifactTempPath(path)`, fsyncs the temp file,
 /// then renames it over `path` (atomic on POSIX filesystems). A crash
 /// before the rename leaves `path` untouched and at most one orphan temp

@@ -25,11 +25,12 @@ Result<Session> Session::Fit(
       session.pool_result_,
       pipeline.Label(pool, dev_indices, dev_labels, num_classes,
                      &session.model_));
-  // The pipeline's library source now holds the prepared pool caches;
-  // keep it (shared) past the pipeline's lifetime.
-  session.extractor_ = std::move(extractor);
-  session.source_ = pipeline.library().source;
-  session.top_z_ = config.top_z;
+  // End like Load: keep only the prototypes, through the same Restore.
+  const PrototypeAffinitySource& prepared = *pipeline.library().source;
+  session.source_ =
+      std::make_shared<PrototypeAffinitySource>(extractor, config.top_z);
+  GOGGLES_RETURN_NOT_OK(session.source_->Restore(
+      prepared.layers(), prepared.num_images(), prepared.fingerprint()));
   return session;
 }
 
@@ -110,10 +111,10 @@ Status Session::Save(const std::string& path) const {
   if (!fitted()) {
     return Status::InvalidArgument("Session::Save: session is not fitted");
   }
-  // Serialize straight from the session's own storage: the source caches
-  // are the dominant state and copying them into an Artifact first would
-  // triple the peak footprint of a Save.
-  return SaveArtifactFile(path, top_z_, source_->num_layers(),
+  // Serialize straight from the session's own storage: the source
+  // prototypes are the dominant state and copying them into an Artifact
+  // first would raise the peak footprint of a Save.
+  return SaveArtifactFile(path, source_->top_z(), source_->num_layers(),
                           source_->fingerprint(), model_, source_->layers(),
                           pool_result_.soft_labels, pool_result_.hard_labels);
 }
@@ -126,8 +127,6 @@ Result<Session> Session::Load(
   }
   GOGGLES_ASSIGN_OR_RETURN(Artifact artifact, Artifact::Load(path));
   Session session;
-  session.extractor_ = extractor;
-  session.top_z_ = artifact.top_z;
   session.source_ =
       std::make_shared<PrototypeAffinitySource>(extractor, artifact.top_z);
   GOGGLES_RETURN_NOT_OK(session.source_->Restore(

@@ -16,8 +16,8 @@
 ///
 /// `GogglesPipeline::Label` is batch-only: every call re-extracts
 /// features, refits alpha GMMs + the ensemble, and throws the fitted
-/// state away. A `Session` keeps that state — the prepared prototype
-/// caches of the pool and the fitted hierarchical model — so labeling a
+/// state away. A `Session` keeps that state — the prepared prototypes of
+/// the pool and the fitted hierarchical model — so labeling a
 /// new image costs one backbone forward pass plus O(new x pool) affinity
 /// scores and a posterior evaluation, instead of O((pool+new)^2) scores
 /// plus a full EM refit.
@@ -47,7 +47,8 @@ class Session {
 
   /// \brief Fits a session on a labeling pool — the exact computation of
   /// `GogglesPipeline::Label` (same seeds, same results) with the fitted
-  /// state retained for serving.
+  /// state retained for serving. The session keeps the state Load()
+  /// restores, so a fitted and a loaded session are interchangeable.
   static Result<Session> Fit(
       std::shared_ptr<features::FeatureExtractor> extractor,
       const std::vector<data::Image>& pool,
@@ -106,9 +107,9 @@ class Session {
   }
 
   /// \brief Approximate resident size of the fitted state in bytes
-  /// (prototype/position caches, packed prototype panels, fitted models, pool
-  /// labels). The multi-task registry charges this against its LRU memory
-  /// budget when deciding evictions.
+  /// (prototypes, packed prototype panels, fitted models, pool labels).
+  /// The multi-task registry charges this against its LRU memory budget
+  /// when deciding evictions.
   uint64_t ApproxMemoryBytes() const;
 
   /// \brief The pool's labels from the fitting run. After Load, only the
@@ -119,11 +120,9 @@ class Session {
   const FittedHierarchicalModel& model() const { return model_; }
 
  private:
-  std::shared_ptr<features::FeatureExtractor> extractor_;
   std::shared_ptr<PrototypeAffinitySource> source_;
   FittedHierarchicalModel model_;
   LabelingResult pool_result_;
-  int top_z_ = 0;
 };
 
 }  // namespace goggles::serve

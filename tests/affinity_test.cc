@@ -252,6 +252,33 @@ TEST_F(AffinityRestoreTest, RejectsPrototypeVectorOfWrongLength) {
   EXPECT_EQ(RestoreLayers(layers_).code(), StatusCode::kInvalidArgument);
 }
 
+// A restored source holds prototypes only. Re-preparing it on the very
+// pool it was fitted on must still featurize that pool (the fingerprint
+// alone does not make it prepared), so its pool rows match a freshly
+// prepared source bit for bit.
+TEST_F(AffinityRestoreTest, RePreparedSourceMatchesFreshSourceBitForBit) {
+  const int n = static_cast<int>(images_.size());
+  const int num_functions = 15;  // 5 layers x z=3
+  PrototypeAffinitySource fresh(extractor_, 3);
+  ASSERT_TRUE(fresh.Prepare(images_).ok());
+  Matrix expected(n, static_cast<int64_t>(num_functions) * n);
+  ASSERT_TRUE(fresh.ScorePoolRowsInto(num_functions, &expected).ok());
+
+  PrototypeAffinitySource restored(extractor_, 3);
+  ASSERT_TRUE(restored.Restore(layers_, n, fingerprint_).ok());
+  Matrix got(n, static_cast<int64_t>(num_functions) * n);
+  EXPECT_EQ(restored.ScorePoolRowsInto(num_functions, &got).code(),
+            StatusCode::kInternal);
+  ASSERT_TRUE(restored.Prepare(images_).ok());
+  ASSERT_TRUE(restored.ScorePoolRowsInto(num_functions, &got).ok());
+  EXPECT_EQ(restored.fingerprint(), fresh.fingerprint());
+  for (int64_t i = 0; i < expected.rows(); ++i) {
+    for (int64_t c = 0; c < expected.cols(); ++c) {
+      ASSERT_EQ(got(i, c), expected(i, c)) << "at (" << i << ", " << c << ")";
+    }
+  }
+}
+
 TEST(VectorCosineAffinityTest, MatchesCosine) {
   Matrix emb = Matrix::FromRows({{1, 0}, {0, 1}, {1, 1}, {-1, 0}});
   VectorCosineAffinity affinity("test", emb);

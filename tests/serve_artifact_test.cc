@@ -182,6 +182,44 @@ TEST_F(ServeArtifactTest, RoundTripLabelsAreBitIdentical) {
       EXPECT_EQ(pool_soft(i, k), session_->pool_result().soft_labels(i, k));
     }
   }
+
+  // A fitted and a loaded session hold the same state: the same resident
+  // size, and they save the same bytes.
+  EXPECT_EQ(loaded->ApproxMemoryBytes(), session_->ApproxMemoryBytes());
+  const std::string resaved = TempPath("roundtrip_resaved.ggsa");
+  ASSERT_TRUE(loaded->Save(resaved).ok());
+  EXPECT_TRUE(ReadFile(resaved) == ReadFile(path))
+      << "a loaded session must save the bytes it was loaded from";
+  std::remove(resaved.c_str());
+  std::remove(path.c_str());
+}
+
+// Eq. 2 reads only the pool's prototypes, so the source section persists
+// nothing else: per layer C, area and N, per image P_i and its P_i x C
+// prototype floats behind a u64 length prefix.
+TEST_F(ServeArtifactTest, SourceSectionHoldsOnlyPrototypes) {
+  const std::string path = TempPath("source_only_prototypes.ggsa");
+  ASSERT_TRUE(session_->Save(path).ok());
+  const std::string bytes = ReadFile(path);
+  auto artifact = serve::Artifact::Load(path);
+  ASSERT_TRUE(artifact.ok()) << artifact.status();
+  uint64_t expected = 4;  // u32 layer count
+  for (const auto& layer : artifact->source_layers) {
+    expected += 16;  // i32 channels | i32 area | u64 num_images
+    for (int p : layer.num_prototypes) {
+      expected += 4 + 8 + 4 * static_cast<uint64_t>(p) *
+                              static_cast<uint64_t>(layer.channels);
+    }
+  }
+  bool found = false;
+  for (const SectionSpan& span : ParseSectionSpans(bytes)) {
+    uint32_t tag = 0;
+    std::memcpy(&tag, bytes.data() + span.header, sizeof(tag));
+    if (tag != 2) continue;  // the source section
+    found = true;
+    EXPECT_EQ(span.end - span.payload, expected);
+  }
+  EXPECT_TRUE(found) << "no source section";
   std::remove(path.c_str());
 }
 
@@ -294,7 +332,8 @@ TEST_F(ServeArtifactTest, CorruptedSectionSizeFieldIsRejectedCleanly) {
 TEST_F(ServeArtifactTest, OutOfRangeMappingsAreRejected) {
   // Craft artifacts whose cluster-to-class mappings are not permutations
   // of [0, K): Load must reject them (ApplyMapping would otherwise index
-  // out of bounds).
+  // out of bounds). Out-of-range ensemble widths and prototype counts
+  // are rejected the same way.
   const std::string good_path = TempPath("good_mapping.ggsa");
   ASSERT_TRUE(session_->Save(good_path).ok());
   auto artifact = serve::Artifact::Load(good_path);
@@ -330,6 +369,22 @@ TEST_F(ServeArtifactTest, OutOfRangeMappingsAreRejected) {
                     .SetParameters(std::move(wider), ensemble.weights(),
                                    ensemble.final_log_likelihood())
                     .ok());
+    ASSERT_TRUE(tampered.Save(bad_path).ok());
+    auto loaded = serve::Artifact::Load(bad_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    EXPECT_FALSE(serve::Session::Load(bad_path, *extractor_).ok());
+  }
+  {
+    // Image 0 of layer 0 with Z + 1 prototypes: the format allows
+    // 0 <= P_i <= Z, so a larger count is corruption even under a valid
+    // CRC.
+    serve::Artifact tampered = *artifact;
+    PrototypeAffinitySource::LayerData& layer = tampered.source_layers[0];
+    layer.num_prototypes[0] = tampered.top_z + 1;
+    layer.prototypes[0].resize(static_cast<size_t>(tampered.top_z + 1) *
+                                   static_cast<size_t>(layer.channels),
+                               0.5f);
     ASSERT_TRUE(tampered.Save(bad_path).ok());
     auto loaded = serve::Artifact::Load(bad_path);
     ASSERT_FALSE(loaded.ok());

@@ -224,7 +224,7 @@ TEST_F(ServeSessionTest, GoldenScoresAndLabels) {
                           std::istreambuf_iterator<char>()};
   in.close();
   std::remove(path.c_str());
-  EXPECT_EQ(HashBytes(bytes.data(), bytes.size()), 0x45b45a8c975a54e1ull);
+  EXPECT_EQ(HashBytes(bytes.data(), bytes.size()), 0xa653120bbb6f774eull);
 }
 
 TEST_F(ServeSessionTest, InvalidInputsAreRejected) {
