@@ -299,10 +299,6 @@ Result<Matrix> PrototypeAffinitySource::ScoreQueryRowsBatched(
   return rows;
 }
 
-float PrototypeAffinitySource::Score(int layer, int z, int i, int j) const {
-  return ScoreQuery(layer, z, pool_features_[static_cast<size_t>(i)], j);
-}
-
 Result<std::vector<PrototypeAffinitySource::QueryFeatures>>
 PrototypeAffinitySource::ExtractQueryFeatures(
     const std::vector<data::Image>& images) const {
@@ -345,23 +341,6 @@ float PrototypeAffinitySource::ScoreQuery(int layer, int z,
                                 proto, c);
 }
 
-PrototypeAffinityFunction::PrototypeAffinityFunction(
-    std::shared_ptr<PrototypeAffinitySource> source, int layer, int z)
-    : source_(std::move(source)), layer_(layer), z_(z) {}
-
-std::string PrototypeAffinityFunction::name() const {
-  return StrFormat("proto[L%d,z%d]", layer_ + 1, z_);
-}
-
-Status PrototypeAffinityFunction::Prepare(
-    const std::vector<data::Image>& images) {
-  return source_->Prepare(images);
-}
-
-float PrototypeAffinityFunction::Score(int i, int j) const {
-  return source_->Score(layer_, z_, i, j);
-}
-
 VectorCosineAffinity::VectorCosineAffinity(std::string name, Matrix embeddings)
     : name_(std::move(name)), embeddings_(std::move(embeddings)) {}
 
@@ -389,30 +368,20 @@ float VectorCosineAffinity::Score(int i, int j) const {
 
 AffinityLibrary BuildPrototypeAffinityLibrary(
     std::shared_ptr<features::FeatureExtractor> extractor, int top_z) {
-  AffinityLibrary library;
-  library.source =
-      std::make_shared<PrototypeAffinitySource>(extractor, top_z);
-  const int num_layers = extractor->num_pool_layers();
-  // Round-robin across layers so prefixes span all scales (Figure 9).
-  for (int z = 0; z < top_z; ++z) {
-    for (int layer = 0; layer < num_layers; ++layer) {
-      library.functions.push_back(
-          std::make_unique<PrototypeAffinityFunction>(library.source, layer, z));
-    }
-  }
-  return library;
+  return AffinityLibrary{
+      std::make_shared<PrototypeAffinitySource>(std::move(extractor), top_z)};
 }
 
 void FillAffinityMatrixColumns(
-    const std::vector<AffinityFunction*>& functions, size_t first_function,
+    const std::vector<AffinityFunction*>& functions, int first_block,
     int num_images, Matrix* a) {
-  if (first_function >= functions.size()) return;
+  if (functions.empty()) return;
   const int64_t n = num_images;
   ParallelFor(0, n, [&](int64_t i) {
     double* row = a->RowPtr(i);
-    for (size_t f = first_function; f < functions.size(); ++f) {
-      const AffinityFunction* fn = functions[f];
-      double* dst = row + static_cast<int64_t>(f) * n;
+    for (size_t k = 0; k < functions.size(); ++k) {
+      const AffinityFunction* fn = functions[k];
+      double* dst = row + (first_block + static_cast<int64_t>(k)) * n;
       for (int64_t j = 0; j < n; ++j) {
         dst[j] = static_cast<double>(
             fn->Score(static_cast<int>(i), static_cast<int>(j)));

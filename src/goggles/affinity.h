@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,11 +15,11 @@
 /// \brief Affinity functions and affinity matrix construction (paper §2-3).
 ///
 /// An affinity function maps an instance pair to a similarity score. The
-/// GOGGLES library contains alpha = 5 layers x Z prototypes functions built
-/// on the VggMini backbone (Eq. 2: max over spatial positions of cosine
-/// similarity to a prototype), but the interface is open: any pairwise
-/// score can participate (see `VectorCosineAffinity` and the
-/// `custom_affinity` example).
+/// GOGGLES library is alpha = 5 layers x Z prototype functions built on the
+/// VggMini backbone (Eq. 2: max over spatial positions of cosine similarity
+/// to a prototype), all scored by one `PrototypeAffinitySource`. User
+/// functions implement `AffinityFunction` and follow the library (see
+/// `VectorCosineAffinity` and the `custom_affinity` example).
 
 namespace goggles {
 
@@ -27,7 +28,7 @@ class AffinityFunction {
  public:
   virtual ~AffinityFunction() = default;
 
-  /// \brief Human-readable identifier (e.g. "proto[L2,z3]").
+  /// \brief Human-readable identifier (e.g. "hog").
   virtual std::string name() const = 0;
 
   /// \brief Caches per-image state for the dataset; called once before any
@@ -39,10 +40,9 @@ class AffinityFunction {
   virtual float Score(int i, int j) const = 0;
 };
 
-/// \brief Shared state for the 5 x Z prototype affinity functions: the
-/// top-Z prototypes per pool image per layer (the served state) and, after
-/// Prepare(), the pool images' own query-side features. One instance is
-/// shared by all functions of one library.
+/// \brief The 5 x Z prototype affinity functions: the top-Z prototypes per
+/// pool image per layer (the served state), after Prepare() the pool
+/// images' own query-side features, and the one scorer of every function.
 class PrototypeAffinitySource {
  public:
   /// \brief Served per-layer state for one prepared pool. Public so the
@@ -65,8 +65,8 @@ class PrototypeAffinitySource {
     std::vector<std::vector<float>> positions;
   };
 
-  /// \brief Shares `extractor` across the library's functions; `top_z`
-  /// prototypes are cached per image per layer.
+  /// \brief Scores over `extractor`'s pool layers; `top_z` prototypes are
+  /// cached per image per layer.
   PrototypeAffinitySource(std::shared_ptr<features::FeatureExtractor> extractor,
                           int top_z)
       : extractor_(std::move(extractor)), top_z_(top_z) {}
@@ -106,10 +106,6 @@ class PrototypeAffinitySource {
   /// queries only, until Prepare() featurizes the pool again.
   Status Restore(std::vector<LayerData> layers, int num_images,
                  uint64_t fingerprint);
-
-  /// \brief Eq. 2: max_{h,w} cos(v^z_j, v^{(h,w)}_i) at `layer`, i.e.
-  /// ScoreQuery over pool image i's features. Needs Prepare().
-  float Score(int layer, int z, int i, int j) const;
 
   /// \brief Extracts query-side features for images outside the pool
   /// through the routine Prepare() runs on the pool, so query scores are
@@ -177,24 +173,6 @@ class PrototypeAffinitySource {
   std::vector<QueryFeatures> pool_features_;
 };
 
-/// \brief One (layer, z) prototype affinity function (Eq. 2).
-class PrototypeAffinityFunction : public AffinityFunction {
- public:
-  /// \brief The function scoring prototype rank `z` of `layer` over the
-  /// shared `source`.
-  PrototypeAffinityFunction(std::shared_ptr<PrototypeAffinitySource> source,
-                            int layer, int z);
-
-  std::string name() const override;
-  Status Prepare(const std::vector<data::Image>& images) override;
-  float Score(int i, int j) const override;
-
- private:
-  std::shared_ptr<PrototypeAffinitySource> source_;
-  int layer_;
-  int z_;
-};
-
 /// \brief Affinity = cosine similarity between fixed per-image embedding
 /// vectors (used by the HOG and Logits representation ablations, and by
 /// user-defined affinity functions over any embedding).
@@ -213,29 +191,21 @@ class VectorCosineAffinity : public AffinityFunction {
   Matrix embeddings_;
 };
 
-/// \brief The GOGGLES affinity function library: 5 layers x Z functions
-/// sharing one `PrototypeAffinitySource`.
+/// \brief The GOGGLES affinity function library: the 5 x Z Eq. 2 functions
+/// of one `PrototypeAffinitySource`, in the order its scorer writes them
+/// (see PrototypeAffinitySource::ScorePoolRowsInto). Truncated prefixes —
+/// used by the Figure 9 sweep — still span all five scales.
 struct AffinityLibrary {
-  /// Shared per-pool caches behind every function of the library.
+  /// Shared per-pool caches and the scorer of every library function.
   std::shared_ptr<PrototypeAffinitySource> source;
-  /// The 5 x Z functions in round-robin layer order.
-  std::vector<std::unique_ptr<AffinityFunction>> functions;
 
-  /// \brief Raw function pointers in library order (BuildAffinityMatrix
-  /// input).
-  std::vector<AffinityFunction*> Pointers() const {
-    std::vector<AffinityFunction*> out;
-    out.reserve(functions.size());
-    for (const auto& f : functions) out.push_back(f.get());
-    return out;
+  /// \brief Library size alpha = layers x Z (none for Z <= 0).
+  int num_functions() const {
+    return source->num_layers() * std::max(source->top_z(), 0);
   }
 };
 
-/// \brief Builds the prototype affinity library.
-///
-/// Functions are ordered round-robin across layers (z=0 of every layer
-/// first), so that truncated prefixes — used by the Figure 9 sweep — still
-/// span all five scales.
+/// \brief Builds the prototype affinity library over `extractor`.
 AffinityLibrary BuildPrototypeAffinityLibrary(
     std::shared_ptr<features::FeatureExtractor> extractor, int top_z = 10);
 
@@ -246,13 +216,14 @@ AffinityLibrary BuildPrototypeAffinityLibrary(
 Result<Matrix> BuildAffinityMatrix(
     const std::vector<AffinityFunction*>& functions, int num_images);
 
-/// \brief Fills columns [first_function, functions.size()) of `a` via the
-/// generic pairwise Score() interface, in the layout above. The single
-/// authoritative implementation of that layout/cast for functions without
-/// a batched scorer — used by BuildAffinityMatrix (whole matrix) and by
-/// GogglesPipeline::BuildAffinity (extra-function tail columns).
+/// \brief Fills column blocks [first_block, first_block + functions.size())
+/// of `a` via the generic pairwise Score() interface, in the layout above:
+/// function k owns block first_block + k. The single authoritative
+/// implementation of that layout/cast for functions without a batched
+/// scorer — used by BuildAffinityMatrix (whole matrix) and by
+/// GogglesPipeline::BuildAffinity (user functions after the library).
 void FillAffinityMatrixColumns(
-    const std::vector<AffinityFunction*>& functions, size_t first_function,
+    const std::vector<AffinityFunction*>& functions, int first_block,
     int num_images, Matrix* a);
 
 }  // namespace goggles

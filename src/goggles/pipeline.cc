@@ -14,47 +14,39 @@ void GogglesPipeline::AddFunction(std::unique_ptr<AffinityFunction> function) {
   extra_functions_.push_back(std::move(function));
 }
 
-std::vector<AffinityFunction*> GogglesPipeline::ActiveFunctions() const {
-  std::vector<AffinityFunction*> fns = library_.Pointers();
-  for (const auto& f : extra_functions_) fns.push_back(f.get());
-  if (config_.max_functions > 0 &&
-      config_.max_functions < static_cast<int>(fns.size())) {
-    fns.resize(static_cast<size_t>(config_.max_functions));
-  }
-  return fns;
-}
-
 int GogglesPipeline::num_functions() const {
-  return static_cast<int>(ActiveFunctions().size());
+  const int total = library_.num_functions() +
+                    static_cast<int>(extra_functions_.size());
+  return config_.max_functions > 0 ? std::min(config_.max_functions, total)
+                                   : total;
 }
 
 Result<Matrix> GogglesPipeline::BuildAffinity(
     const std::vector<data::Image>& images) const {
-  std::vector<AffinityFunction*> fns = ActiveFunctions();
-  if (fns.empty()) {
+  const int alpha = num_functions();
+  if (alpha == 0) {
     return Status::InvalidArgument("GogglesPipeline: no affinity functions");
   }
-  // ActiveFunctions() lists the prototype-library functions first; they
-  // all delegate Prepare to the one shared source, whose idempotence
-  // check fingerprints the dataset — prepare it once instead of once per
-  // function.
-  const size_t num_library = std::min(fns.size(), library_.functions.size());
+  // The library block comes first, then the user functions that fit
+  // under max_functions.
+  const int num_library = std::min(alpha, library_.num_functions());
   const int64_t n = static_cast<int64_t>(images.size());
-  Matrix a(n, static_cast<int64_t>(fns.size()) * n);
+  Matrix a(n, static_cast<int64_t>(alpha) * n);
   if (num_library > 0) {
     GOGGLES_RETURN_NOT_OK(library_.source->Prepare(images));
     // The library block goes through the fused Eq. 2 scorer — the same
     // kernel (and accumulation order) the serving path uses for query
     // rows, so a served image reproduces its fit-time scores bit for bit.
-    GOGGLES_RETURN_NOT_OK(library_.source->ScorePoolRowsInto(
-        static_cast<int>(num_library), &a));
+    GOGGLES_RETURN_NOT_OK(library_.source->ScorePoolRowsInto(num_library, &a));
   }
-  for (size_t i = num_library; i < fns.size(); ++i) {
-    GOGGLES_RETURN_NOT_OK(fns[i]->Prepare(images));
+  // User functions only expose the pairwise Score() interface; fill their
+  // columns the generic way.
+  std::vector<AffinityFunction*> user(static_cast<size_t>(alpha - num_library));
+  for (size_t k = 0; k < user.size(); ++k) {
+    user[k] = extra_functions_[k].get();
+    GOGGLES_RETURN_NOT_OK(user[k]->Prepare(images));
   }
-  // User-supplied extra functions only expose the pairwise Score()
-  // interface; fill their columns the generic way.
-  FillAffinityMatrixColumns(fns, num_library, static_cast<int>(n), &a);
+  FillAffinityMatrixColumns(user, num_library, static_cast<int>(n), &a);
   return a;
 }
 

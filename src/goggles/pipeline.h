@@ -60,7 +60,9 @@ class GogglesPipeline {
   /// appended after the prototype library (see examples/custom_affinity).
   void AddFunction(std::unique_ptr<AffinityFunction> function);
 
-  /// \brief Number of affinity functions the pipeline will use.
+  /// \brief Number of affinity functions the pipeline will use: the
+  /// library's layers x Z plus the user functions, capped at
+  /// `max_functions`.
   int num_functions() const;
 
   /// \brief The prototype affinity library (its shared source holds the
@@ -71,8 +73,6 @@ class GogglesPipeline {
   const GogglesConfig& config() const { return config_; }
 
  private:
-  std::vector<AffinityFunction*> ActiveFunctions() const;
-
   std::shared_ptr<features::FeatureExtractor> extractor_;
   GogglesConfig config_;
   AffinityLibrary library_;

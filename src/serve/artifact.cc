@@ -89,6 +89,13 @@ bool ReadFloatVec(BufferReader* r, std::vector<float>* out) {
   return r->Bytes(out->data(), static_cast<size_t>(n) * sizeof(float));
 }
 
+/// Counts read from a file size vectors only once `count` elements of at
+/// least `min_bytes` each fit in what is left of `r`: a crafted count
+/// would otherwise allocate far beyond the file (std::bad_alloc).
+bool CountFits(const BufferReader& r, uint64_t count, size_t min_bytes) {
+  return count <= r.remaining() / min_bytes;
+}
+
 /// A stored cluster->class mapping must be a permutation of [0, K):
 /// ApplyMapping indexes columns with its entries, so out-of-range values
 /// in a crafted/corrupted artifact would be out-of-bounds writes.
@@ -175,6 +182,10 @@ Status ParseSourcePayload(const std::string& payload, int64_t pool_size,
   if (static_cast<int>(num_layers) != a->num_layers) {
     return Status::IOError("Artifact: source layer count disagrees with meta");
   }
+  // Per layer at least i32 channels | i32 area | u64 image count.
+  if (!CountFits(r, num_layers, 16)) {
+    return Status::IOError("Artifact: source layer count exceeds the section");
+  }
   a->source_layers.resize(num_layers);
   for (auto& layer : a->source_layers) {
     int32_t channels = 0, area = 0;
@@ -185,6 +196,11 @@ Status ParseSourcePayload(const std::string& payload, int64_t pool_size,
     if (channels < 1 || area < 1 ||
         num_images != static_cast<uint64_t>(pool_size)) {
       return Status::IOError("Artifact: source layer shape is invalid");
+    }
+    // Per image at least an i32 prototype count and a u64 vector length.
+    if (!CountFits(r, num_images, 12)) {
+      return Status::IOError(
+          "Artifact: source image count exceeds the section");
     }
     layer.channels = channels;
     layer.area = area;
@@ -229,6 +245,10 @@ Status ParseBaseModelsPayload(const std::string& payload, int64_t alpha,
   if (!r.Pod(&count) || count != static_cast<uint64_t>(alpha)) {
     return Status::IOError(
         "Artifact: base-model count disagrees with the meta section");
+  }
+  // Per model at least two 16-byte matrix headers and two u64 lengths.
+  if (!CountFits(r, count, 48)) {
+    return Status::IOError("Artifact: base-model count exceeds the section");
   }
   a->model.base_models.resize(static_cast<size_t>(count));
   a->model.base_mappings.resize(static_cast<size_t>(count));

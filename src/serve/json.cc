@@ -9,8 +9,10 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
+}  // namespace
+
 /// Recursive-descent JSON parser over a string view.
-class Parser {
+class JsonValue::Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
 
@@ -76,7 +78,9 @@ class Parser {
       }
       ++pos_;
       GOGGLES_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      obj.Set(key, std::move(value));
+      // Appended, not Set: a replacing insert scans every earlier member,
+      // which makes parsing quadratic in the member count.
+      obj.members_.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
       if (pos_ >= text_.size()) {
         return Status::InvalidArgument("json: unterminated object");
@@ -283,6 +287,8 @@ class Parser {
   size_t pos_ = 0;
 };
 
+namespace {
+
 void DumpString(const std::string& s, std::string* out) {
   out->push_back('"');
   for (char c : s) {
@@ -359,8 +365,8 @@ void DumpValue(const JsonValue& v, std::string* out) {
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (type_ != Type::kObject) return nullptr;
-  for (const auto& [k, v] : members_) {
-    if (k == key) return &v;
+  for (auto it = members_.rbegin(); it != members_.rend(); ++it) {
+    if (it->first == key) return &it->second;
   }
   return nullptr;
 }

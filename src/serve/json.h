@@ -83,12 +83,14 @@ class JsonValue {
   const std::string& str() const { return string_; }
   /// \brief Array elements in document order (valid when is_array()).
   const std::vector<JsonValue>& items() const { return items_; }
-  /// \brief Object members in insertion order (valid when is_object()).
+  /// \brief Object members in insertion order (valid when is_object()); a
+  /// parsed object keeps every member of a repeated key.
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
     return members_;
   }
 
   /// \brief Object member lookup; nullptr when absent or not an object.
+  /// For a repeated key, the last member's value.
   const JsonValue* Find(const std::string& key) const;
 
   /// \brief Appends an array element (converts a null value to an array).
@@ -106,6 +108,8 @@ class JsonValue {
   static Result<JsonValue> Parse(const std::string& text);
 
  private:
+  class Parser;  // json.cc; appends parsed members in O(1)
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;

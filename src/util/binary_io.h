@@ -53,12 +53,6 @@ class BufferWriter {
     buffer_.append(static_cast<const char*>(data), n);
   }
 
-  /// \brief Length-prefixed (u32) string.
-  void Str(const std::string& s) {
-    Pod(static_cast<uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
-
   const std::string& buffer() const { return buffer_; }
   size_t size() const { return buffer_.size(); }
 
@@ -84,17 +78,11 @@ class BufferReader {
 
   bool Bytes(void* out, size_t n) {
     if (n > remaining()) return false;
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (n == 0) return true;
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
-    return true;
-  }
-
-  /// \brief Length-prefixed (u32) string written by BufferWriter::Str.
-  bool Str(std::string* out) {
-    uint32_t len = 0;
-    if (!Pod(&len) || len > remaining()) return false;
-    out->assign(data_ + pos_, len);
-    pos_ += len;
     return true;
   }
 

@@ -85,12 +85,6 @@ class LruCache {
     return &it->second->value;
   }
 
-  /// \brief Looks `key` up without touching the recency order.
-  const V* Peek(const K& key) const {
-    auto it = index_.find(key);
-    return it == index_.end() ? nullptr : &it->second->value;
-  }
-
   /// \brief Removes `key`. \return true iff it was present.
   bool Erase(const K& key) {
     auto it = index_.find(key);

@@ -23,16 +23,6 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::vector<std::string> Split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::string cur;
@@ -58,14 +48,6 @@ std::string Trim(const std::string& s) {
     --end;
   }
   return s.substr(begin, end - begin);
-}
-
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
 }
 
 std::string FormatPercent(double fraction, int decimals) {

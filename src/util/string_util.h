@@ -11,17 +11,11 @@ namespace goggles {
 /// \brief printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// \brief Joins `parts` with `sep` between consecutive elements.
-std::string Join(const std::vector<std::string>& parts, const std::string& sep);
-
 /// \brief Splits `s` on the character `sep` (no empty-token collapsing).
 std::vector<std::string> Split(const std::string& s, char sep);
 
 /// \brief Removes leading and trailing ASCII whitespace.
 std::string Trim(const std::string& s);
-
-/// \brief Lower-cases ASCII letters.
-std::string ToLower(const std::string& s);
 
 /// \brief Formats a fraction (0..1) as a percentage like "97.83".
 std::string FormatPercent(double fraction, int decimals = 2);

@@ -1,10 +1,12 @@
 #include "goggles/affinity.h"
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "data/raster.h"
+#include "goggles/pipeline.h"
 #include "nn/vgg.h"
 
 namespace goggles {
@@ -45,34 +47,58 @@ class AffinityTest : public ::testing::Test {
   std::vector<data::Image> images_;
 };
 
-TEST_F(AffinityTest, LibraryHasLayersTimesZFunctions) {
-  AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 10);
-  EXPECT_EQ(library.functions.size(), 50u);  // 5 layers x Z=10
-  AffinityLibrary small = BuildPrototypeAffinityLibrary(extractor_, 3);
-  EXPECT_EQ(small.functions.size(), 15u);
+/// The N x (num_functions * N) library block of `source`, prepared on
+/// `images`, through the fit path's scorer.
+Matrix PoolAffinity(PrototypeAffinitySource& source,
+                    const std::vector<data::Image>& images,
+                    int num_functions) {
+  const int64_t n = static_cast<int64_t>(images.size());
+  Matrix a(n, static_cast<int64_t>(num_functions) * n);
+  Status status = source.Prepare(images);
+  if (status.ok()) status = source.ScorePoolRowsInto(num_functions, &a);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return a;
 }
 
-TEST_F(AffinityTest, RoundRobinOrderingSpansLayersFirst) {
-  AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 2);
-  // First 5 functions are z=0 of layers 1..5.
-  EXPECT_EQ(library.functions[0]->name(), "proto[L1,z0]");
-  EXPECT_EQ(library.functions[1]->name(), "proto[L2,z0]");
-  EXPECT_EQ(library.functions[4]->name(), "proto[L5,z0]");
-  EXPECT_EQ(library.functions[5]->name(), "proto[L1,z1]");
+void ExpectBitIdentical(const Matrix& got, const Matrix& expected) {
+  ASSERT_EQ(got.rows(), expected.rows());
+  ASSERT_EQ(got.cols(), expected.cols());
+  for (int64_t i = 0; i < expected.rows(); ++i) {
+    for (int64_t c = 0; c < expected.cols(); ++c) {
+      ASSERT_EQ(got(i, c), expected(i, c)) << "at (" << i << ", " << c << ")";
+    }
+  }
+}
+
+TEST_F(AffinityTest, LibraryHasLayersTimesZFunctions) {
+  AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 10);
+  EXPECT_EQ(library.num_functions(), 50);  // 5 layers x Z=10
+  AffinityLibrary small = BuildPrototypeAffinityLibrary(extractor_, 3);
+  ASSERT_EQ(small.num_functions(), 15);
+  // The scorer fills every column of the 15-function block and no more.
+  const int64_t n = static_cast<int64_t>(images_.size());
+  ASSERT_TRUE(small.source->Prepare(images_).ok());
+  Matrix a(n, 15 * n, std::nan(""));
+  ASSERT_TRUE(small.source->ScorePoolRowsInto(15, &a).ok());
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t c = 0; c < a.cols(); ++c) {
+      ASSERT_FALSE(std::isnan(a(i, c))) << "unscored (" << i << ", " << c
+                                         << ")";
+    }
+  }
+  Matrix narrow(n, 15 * n - 1);
+  EXPECT_EQ(small.source->ScorePoolRowsInto(15, &narrow).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(AffinityTest, ScoresAreBoundedCosines) {
   AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 4);
-  for (auto& f : library.functions) {
-    ASSERT_TRUE(f->Prepare(images_).ok());
-  }
-  for (auto& f : library.functions) {
-    for (int i = 0; i < 6; ++i) {
-      for (int j = 0; j < 6; ++j) {
-        const float s = f->Score(i, j);
-        ASSERT_GE(s, -1.0f - 1e-5f);
-        ASSERT_LE(s, 1.0f + 1e-5f);
-      }
+  const Matrix a =
+      PoolAffinity(*library.source, images_, library.num_functions());
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t c = 0; c < a.cols(); ++c) {
+      ASSERT_GE(a(i, c), -1.0 - 1e-5);
+      ASSERT_LE(a(i, c), 1.0 + 1e-5);
     }
   }
 }
@@ -81,12 +107,12 @@ TEST_F(AffinityTest, SelfAffinityIsMaximal) {
   // Eq. 2 with i == j: the prototype of x_j exists among x_j's own position
   // vectors, so the max cosine is exactly 1.
   AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 4);
-  for (auto& f : library.functions) {
-    ASSERT_TRUE(f->Prepare(images_).ok());
-  }
-  for (auto& f : library.functions) {
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_NEAR(f->Score(i, i), 1.0f, 1e-4f);
+  const int alpha = library.num_functions();
+  const Matrix a = PoolAffinity(*library.source, images_, alpha);
+  const int64_t n = static_cast<int64_t>(images_.size());
+  for (int f = 0; f < alpha; ++f) {
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(a(i, f * n + i), 1.0, 1e-4) << "f " << f << " i " << i;
     }
   }
 }
@@ -94,32 +120,47 @@ TEST_F(AffinityTest, SelfAffinityIsMaximal) {
 TEST_F(AffinityTest, SameConceptScoresHigherThanDifferent) {
   // Images 0 and 3 share the circle concept; image 1 is a square.
   AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 10);
-  for (auto& f : library.functions) {
-    ASSERT_TRUE(f->Prepare(images_).ok());
-  }
+  const int alpha = library.num_functions();
+  const Matrix a = PoolAffinity(*library.source, images_, alpha);
+  const int64_t n = static_cast<int64_t>(images_.size());
   double same = 0.0, diff = 0.0;
-  for (auto& f : library.functions) {
-    same += f->Score(0, 3);
-    diff += f->Score(1, 3);
+  for (int f = 0; f < alpha; ++f) {
+    same += a(0, f * n + 3);
+    diff += a(1, f * n + 3);
   }
   EXPECT_GT(same, diff);
 }
 
+// A[i, f*N + j] = f(x_i, x_j), with the library ordered round-robin across
+// layers (function f = layer f % L, prototype rank f / L), so prefixes span
+// every scale. The pool rows are the query rows of the pool's own images,
+// and each entry is the scalar Eq. 2 reference (DotF, not the fused
+// kernel, hence the tolerance).
 TEST_F(AffinityTest, MatrixLayoutMatchesPaperSection22) {
   AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 2);
-  std::vector<AffinityFunction*> fns = library.Pointers();
-  for (auto* f : fns) ASSERT_TRUE(f->Prepare(images_).ok());
+  const PrototypeAffinitySource& source = *library.source;
+  const int alpha = library.num_functions();
+  const Matrix a = PoolAffinity(*library.source, images_, alpha);
   const int n = static_cast<int>(images_.size());
-  Result<Matrix> a = BuildAffinityMatrix(fns, n);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->rows(), n);
-  EXPECT_EQ(a->cols(), static_cast<int64_t>(fns.size()) * n);
-  // A[i, f*N + j] == f(x_i, x_j).
-  for (size_t f = 0; f < fns.size(); ++f) {
+  EXPECT_EQ(a.rows(), n);
+  EXPECT_EQ(a.cols(), static_cast<int64_t>(alpha) * n);
+
+  auto features = source.ExtractQueryFeatures(images_);
+  ASSERT_TRUE(features.ok()) << features.status().ToString();
+  auto rows = source.ScoreQueryRowsBatched(*features, alpha);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ExpectBitIdentical(a, *rows);
+
+  const int num_layers = source.num_layers();
+  for (int f = 0; f < alpha; ++f) {
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
-        ASSERT_NEAR((*a)(i, static_cast<int64_t>(f) * n + j),
-                    static_cast<double>(fns[f]->Score(i, j)), 1e-6);
+        ASSERT_NEAR(a(i, static_cast<int64_t>(f) * n + j),
+                    static_cast<double>(source.ScoreQuery(
+                        f % num_layers, f / num_layers,
+                        (*features)[static_cast<size_t>(i)], j)),
+                    1e-5)
+            << "f " << f << " pair (" << i << ", " << j << ")";
       }
     }
   }
@@ -127,11 +168,9 @@ TEST_F(AffinityTest, MatrixLayoutMatchesPaperSection22) {
 
 TEST_F(AffinityTest, PrepareIsIdempotent) {
   AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 2);
-  ASSERT_TRUE(library.source->Prepare(images_).ok());
-  const float before = library.source->Score(0, 0, 0, 1);
+  const Matrix before = PoolAffinity(*library.source, images_, 10);
   const uint64_t fingerprint = library.source->fingerprint();
-  ASSERT_TRUE(library.source->Prepare(images_).ok());
-  EXPECT_FLOAT_EQ(library.source->Score(0, 0, 0, 1), before);
+  ExpectBitIdentical(PoolAffinity(*library.source, images_, 10), before);
   EXPECT_EQ(library.source->fingerprint(), fingerprint);
 }
 
@@ -148,23 +187,73 @@ TEST_F(AffinityTest, PrepareDetectsSameCountContentChange) {
   for (size_t i = 0; i < images_.size(); ++i) {
     shifted.push_back(PatternImage(static_cast<int>(i) + 1));
   }
-  ASSERT_TRUE(library.source->Prepare(shifted).ok());
+  const Matrix reprepared = PoolAffinity(*library.source, shifted, 10);
   EXPECT_NE(library.source->fingerprint(), first_fingerprint);
 
   // The re-prepared source must agree with a source prepared on the
   // shifted dataset from scratch — not with the stale caches.
   AffinityLibrary fresh = BuildPrototypeAffinityLibrary(extractor_, 2);
-  ASSERT_TRUE(fresh.source->Prepare(shifted).ok());
-  for (int layer = 0; layer < library.source->num_layers(); ++layer) {
-    for (int i = 0; i < 3; ++i) {
-      for (int j = 0; j < 3; ++j) {
-        EXPECT_FLOAT_EQ(library.source->Score(layer, 1, i, j),
-                        fresh.source->Score(layer, 1, i, j))
-            << "stale cache at layer " << layer << " pair (" << i << ", "
-            << j << ")";
-      }
+  ExpectBitIdentical(reprepared, PoolAffinity(*fresh.source, shifted, 10));
+}
+
+/// A user function that counts its Prepare() calls.
+class CountingAffinity : public VectorCosineAffinity {
+ public:
+  using VectorCosineAffinity::VectorCosineAffinity;
+  Status Prepare(const std::vector<data::Image>& images) override {
+    ++prepares;
+    return VectorCosineAffinity::Prepare(images);
+  }
+  int prepares = 0;
+};
+
+// User functions take the column blocks after the library's L x Z, and a
+// max_functions cap that ends inside the library never prepares them.
+TEST_F(AffinityTest, UserFunctionsFollowTheLibraryBlock) {
+  const int64_t n = static_cast<int64_t>(images_.size());
+  Matrix embeddings(n, 3);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t d = 0; d < 3; ++d) {
+      embeddings(i, d) = std::sin(static_cast<double>(1 + i * 3 + d));
     }
   }
+  GogglesConfig config;
+  config.top_z = 2;
+  GogglesPipeline pipeline(extractor_, config);
+  auto fn = std::make_unique<CountingAffinity>("user", embeddings);
+  CountingAffinity* user = fn.get();
+  pipeline.AddFunction(std::move(fn));
+  ASSERT_EQ(pipeline.num_functions(), 11);
+
+  auto a = pipeline.BuildAffinity(images_);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_EQ(a->cols(), 11 * n);
+  EXPECT_EQ(user->prepares, 1);
+  PrototypeAffinitySource source(extractor_, 2);
+  const Matrix library_block = PoolAffinity(source, images_, 10);
+  auto user_block = BuildAffinityMatrix({user}, static_cast<int>(n));
+  ASSERT_TRUE(user_block.ok());
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t c = 0; c < 10 * n; ++c) {
+      ASSERT_EQ((*a)(i, c), library_block(i, c)) << "(" << i << ", " << c
+                                                  << ")";
+    }
+    for (int64_t j = 0; j < n; ++j) {
+      ASSERT_EQ((*a)(i, 10 * n + j), (*user_block)(i, j))
+          << "(" << i << ", " << j << ")";
+    }
+  }
+
+  config.max_functions = 7;
+  GogglesPipeline capped(extractor_, config);
+  auto capped_fn = std::make_unique<CountingAffinity>("user", embeddings);
+  CountingAffinity* capped_user = capped_fn.get();
+  capped.AddFunction(std::move(capped_fn));
+  EXPECT_EQ(capped.num_functions(), 7);
+  auto b = capped.BuildAffinity(images_);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b->cols(), 7 * n);
+  EXPECT_EQ(capped_user->prepares, 0);
 }
 
 // The fused batched scorer must agree with the scalar ScoreQuery path —
@@ -272,11 +361,7 @@ TEST_F(AffinityRestoreTest, RePreparedSourceMatchesFreshSourceBitForBit) {
   ASSERT_TRUE(restored.Prepare(images_).ok());
   ASSERT_TRUE(restored.ScorePoolRowsInto(num_functions, &got).ok());
   EXPECT_EQ(restored.fingerprint(), fresh.fingerprint());
-  for (int64_t i = 0; i < expected.rows(); ++i) {
-    for (int64_t c = 0; c < expected.cols(); ++c) {
-      ASSERT_EQ(got(i, c), expected(i, c)) << "at (" << i << ", " << c << ")";
-    }
-  }
+  ExpectBitIdentical(got, expected);
 }
 
 TEST(VectorCosineAffinityTest, MatchesCosine) {

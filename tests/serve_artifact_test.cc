@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "data/raster.h"
 #include "nn/vgg.h"
 #include "serve/session.h"
+#include "util/binary_io.h"
 
 /// Artifact round-trip and corruption handling: save -> load -> label
 /// must be bit-identical to the in-memory session; corrupt files must
@@ -103,6 +105,37 @@ std::vector<SectionSpan> ParseSectionSpans(const std::string& bytes) {
   }
   EXPECT_EQ(off, bytes.size()) << "section walk must consume the file";
   return spans;
+}
+
+/// A whole .ggsa file from (tag, payload) sections, every CRC valid.
+std::string FramedArtifact(
+    const std::vector<std::pair<uint32_t, std::string>>& sections) {
+  io::BufferWriter w;
+  w.Bytes("GGSA", 4);
+  w.Pod(serve::Artifact::kFormatVersion);
+  w.Pod(static_cast<uint32_t>(sections.size()));
+  for (const auto& [tag, payload] : sections) {
+    w.Pod(tag);
+    w.Pod(static_cast<uint64_t>(payload.size()));
+    w.Pod(io::Crc32(payload.data(), payload.size()));
+    w.Bytes(payload.data(), payload.size());
+  }
+  return w.buffer();
+}
+
+/// A meta section payload (tag 1) for K = 2, Z = 3 with ensemble.
+std::string MetaPayload(int64_t pool_size, int64_t alpha,
+                        int32_t num_layers) {
+  io::BufferWriter w;
+  w.Pod(int32_t{2});   // num_classes
+  w.Pod(pool_size);
+  w.Pod(alpha);
+  w.Pod(int32_t{3});   // top_z
+  w.Pod(num_layers);
+  w.Pod(uint64_t{0});  // pool fingerprint
+  w.Pod(uint8_t{1});   // one_hot_lp
+  w.Pod(uint8_t{1});   // use_ensemble
+  return w.buffer();
 }
 
 class ServeArtifactTest : public ::testing::Test {
@@ -393,6 +426,45 @@ TEST_F(ServeArtifactTest, OutOfRangeMappingsAreRejected) {
   }
   std::remove(good_path.c_str());
   std::remove(bad_path.c_str());
+}
+
+// Counts read from a CRC-valid file must be bounded by the bytes left in
+// their section before they size a vector: each of these files is under
+// 140 bytes but claims billions of elements.
+TEST_F(ServeArtifactTest, CountsBeyondThePayloadAreRejected) {
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  auto pod = [](auto... values) {
+    io::BufferWriter w;
+    (w.Pod(values), ...);
+    return w.buffer();
+  };
+  // A source layer header (channels 1, area 1, `num_images`).
+  auto layer = [&](uint64_t num_images) {
+    return pod(int32_t{1}, int32_t{1}, num_images);
+  };
+  const std::string files[] = {
+      // 2^31 - 1 source layers.
+      FramedArtifact({{1, MetaPayload(1, 1, INT32_MAX)},
+                      {2, pod(static_cast<uint32_t>(INT32_MAX))}}),
+      // 2^40 pool images in a source layer.
+      FramedArtifact({{1, MetaPayload(static_cast<int64_t>(kHuge), 1, 1)},
+                      {2, pod(uint32_t{1}) + layer(kHuge)}}),
+      // 2^40 base models after a valid one-image source.
+      FramedArtifact(
+          {{1, MetaPayload(1, static_cast<int64_t>(kHuge), 1)},
+           {2, pod(uint32_t{1}) + layer(1) + pod(int32_t{0}, uint64_t{0})},
+           {3, pod(kHuge)}}),
+  };
+  const std::string path = TempPath("huge_count.ggsa");
+  for (const std::string& bytes : files) {
+    ASSERT_LT(bytes.size(), 140u);
+    WriteFile(path, bytes);
+    auto loaded = serve::Artifact::Load(path);
+    ASSERT_FALSE(loaded.ok()) << bytes.size() << "-byte file loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(ServeArtifactTest, UnsupportedVersionIsRejected) {

@@ -1,8 +1,10 @@
 #include "serve/service.h"
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,6 +70,38 @@ TEST(JsonTest, MalformedInputsAreRejectedNotCrashed) {
   for (const char* text : bad) {
     EXPECT_FALSE(JsonValue::Parse(text).ok()) << "accepted: " << text;
   }
+}
+
+TEST(JsonTest, DuplicateKeysKeepTheLastValue) {
+  auto parsed = JsonValue::Parse(R"({"a":1,"b":2,"a":{"c":3},"b":4})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_NE(parsed->Find("a"), nullptr);
+  ASSERT_TRUE(parsed->Find("a")->is_object());
+  EXPECT_EQ(parsed->Find("a")->Find("c")->number(), 3.0);
+  EXPECT_EQ(parsed->Find("b")->number(), 4.0);
+  EXPECT_EQ(parsed->Find("z"), nullptr);
+}
+
+// One request line with many members must not stall the decode worker:
+// 80k members (about 870 KB) parse in linear time, well under a second
+// in an optimized build.
+TEST(JsonTest, ObjectParseIsLinearInMemberCount) {
+  constexpr int kMembers = 80000;
+  std::string text = "{";
+  for (int i = 0; i < kMembers; ++i) {
+    if (i > 0) text += ',';
+    text += "\"member_" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  text += '}';
+  const auto start = std::chrono::steady_clock::now();
+  auto parsed = JsonValue::Parse(text);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->members().size(), static_cast<size_t>(kMembers));
+  EXPECT_EQ(parsed->Find("member_79999")->number(), 79999.0);
+  EXPECT_LT(seconds, 5.0);
 }
 
 TEST(JsonTest, SubnormalsRoundTripAndOutOfRangeLiteralsAreRejected) {
