@@ -1,7 +1,8 @@
 /// \file bench_micro_kernels.cc
 /// \brief google-benchmark microbenchmarks for the computational kernels
 /// behind the paper's pipeline: GEMM/conv (backbone), prototype affinity
-/// scoring (§3.2), base-GMM and Bernoulli-ensemble EM (§4.2), the
+/// scoring (§3.2), base-GMM and Bernoulli-ensemble EM (§4.2), one-row
+/// inference through the fitted §4 stack (the serve infer stage), the
 /// assignment solver for cluster mapping (§4.3), the theory DP (§4.4),
 /// HOG extraction and truncated SVD (baselines). Supports the §5.3
 /// running-time discussion (base models parallelize across slices).
@@ -13,6 +14,7 @@
 #include "features/hog.h"
 #include "goggles/base_gmm.h"
 #include "goggles/ensemble.h"
+#include "goggles/hierarchical.h"
 #include "goggles/theory.h"
 #include "linalg/hungarian.h"
 #include "linalg/kernels.h"
@@ -20,6 +22,7 @@
 #include "tensor/gemm.h"
 #include "tensor/isa.h"
 #include "tensor/ops.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace goggles {
@@ -185,6 +188,52 @@ void BM_BernoulliMixtureFit(benchmark::State& state) {
 }
 BENCHMARK(BM_BernoulliMixtureFit)->Arg(10)->Arg(50)
     ->Unit(benchmark::kMillisecond);
+
+// One served label's inference: FittedHierarchicalModel::Infer on one
+// affinity row, serially as the serve infer stage runs it. The model is
+// the perfbench shape (alpha = 50 base GMMs, K = 2, Bernoulli ensemble
+// over the one-hot LPs) with synthetic parameters; Arg = pool size N.
+void BM_InferOneRow(benchmark::State& state) {
+  const int64_t n = state.range(0), alpha = 50, k = 2;
+  Rng rng(8);
+  FittedHierarchicalModel model;
+  model.num_classes = static_cast<int>(k);
+  model.pool_size = n;
+  model.base_models.resize(static_cast<size_t>(alpha));
+  model.base_mappings.assign(static_cast<size_t>(alpha), {1, 0});
+  for (DiagonalGmm& gmm : model.base_models) {
+    Matrix means(k, n), variances(k, n);
+    for (int64_t i = 0; i < means.size(); ++i) {
+      means.data()[i] = rng.Uniform();
+      variances.data()[i] = rng.Uniform(0.01, 0.1);
+    }
+    if (!gmm.SetParameters(std::move(means), std::move(variances),
+                           {0.4, 0.6})
+             .ok()) {
+      state.SkipWithError("DiagonalGmm::SetParameters");
+      return;
+    }
+  }
+  Matrix probs(k, alpha * k);
+  for (int64_t i = 0; i < probs.size(); ++i) {
+    probs.data()[i] = rng.Uniform(0.05, 0.95);
+  }
+  if (!model.ensemble.SetParameters(std::move(probs), {0.5, 0.5}).ok()) {
+    state.SkipWithError("BernoulliMixture::SetParameters");
+    return;
+  }
+  model.ensemble_mapping = {0, 1};
+  model.BuildInferencePlan();
+  Matrix row(1, alpha * n);
+  for (int64_t i = 0; i < row.size(); ++i) row.data()[i] = rng.Uniform();
+  ScopedSerialKernels serial;
+  for (auto _ : state) {
+    Result<LabelingResult> result = model.Infer(row);
+    benchmark::DoNotOptimize(result.ok());
+  }
+}
+BENCHMARK(BM_InferOneRow)->Arg(108)->Arg(480)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_HungarianAssignment(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

@@ -185,6 +185,11 @@ Status DiagonalGmm::FitPredict(const Matrix& x, int64_t col_begin,
   return Status::OK();
 }
 
+void DiagonalGmm::EStepPanel(Matrix* panel,
+                             std::vector<double>* offsets) const {
+  BuildGaussianPanel(params_, panel, offsets);
+}
+
 Result<Matrix> DiagonalGmm::PredictProba(const Matrix& x) const {
   if (params_.means.rows() == 0) {
     return Status::Internal("DiagonalGmm::PredictProba: model not fitted");

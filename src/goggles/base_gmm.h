@@ -74,6 +74,11 @@ class DiagonalGmm {
   /// \brief Posterior responsibilities P(y = k | s) for each row (Eq. 8).
   Result<Matrix> PredictProba(const Matrix& x) const;
 
+  /// \brief The fitted parameters' E-step operands, as PredictProba
+  /// builds them: the K x 2D panel against the augmented rows [x² | x]
+  /// and the K per-component offsets.
+  void EStepPanel(Matrix* panel, std::vector<double>* offsets) const;
+
   /// \brief Final training log-likelihood of the best restart.
   double final_log_likelihood() const { return final_ll_; }
 

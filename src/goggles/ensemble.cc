@@ -118,6 +118,11 @@ Status BernoulliMixture::Fit(const Matrix& b) {
   return Status::OK();
 }
 
+void BernoulliMixture::EStepPanel(Matrix* panel,
+                                  std::vector<double>* offsets) const {
+  BuildBernoulliPanel(params_, panel, offsets);
+}
+
 Result<Matrix> BernoulliMixture::PredictProba(const Matrix& b) const {
   if (params_.probs.rows() == 0) {
     return Status::Internal("BernoulliMixture::PredictProba: not fitted");

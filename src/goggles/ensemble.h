@@ -59,6 +59,10 @@ class BernoulliMixture {
   /// \brief Posterior responsibilities per row.
   Result<Matrix> PredictProba(const Matrix& b) const;
 
+  /// \brief The fitted parameters' E-step operands, as PredictProba
+  /// builds them: the K x L panel and the K per-component offsets.
+  void EStepPanel(Matrix* panel, std::vector<double>* offsets) const;
+
   /// \brief Final training log-likelihood of the best restart.
   double final_log_likelihood() const { return final_ll_; }
   /// \brief Per-iteration LL of the best restart.

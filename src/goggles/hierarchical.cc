@@ -3,12 +3,39 @@
 #include <algorithm>
 #include <numeric>
 
+#include "goggles/em_core.h"
 #include "goggles/mapping.h"
+#include "tensor/gemm.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
 namespace goggles {
 namespace {
+
+/// One PanelStackProducts pass per row of `x` (num_functions blocks of
+/// equal width) against `stack`: row i of the result holds the
+/// num_functions x k products, function-major.
+Matrix StackProducts(const Matrix& x, int64_t num_functions,
+                     bool augment_squares, const std::vector<double>& stack,
+                     int64_t k) {
+  Matrix dots(x.rows(), num_functions * k);
+  for (int64_t i = 0; i < x.rows(); ++i) {
+    PanelStackProducts(x.RowPtr(i), num_functions, x.cols() / num_functions,
+                       augment_squares, stack.data(), k, dots.RowPtr(i));
+  }
+  return dots;
+}
+
+/// Function f's posterior from its block of `dots`, mapped to classes:
+/// em::Posterior's epilogue with `offsets`, then ApplyMapping.
+Matrix MappedPosterior(const Matrix& dots, int64_t f, int64_t k,
+                       const std::vector<double>& offsets,
+                       const std::vector<int>& mapping) {
+  Matrix proba = dots.Block(0, f * k, dots.rows(), k);
+  em::LogSoftmaxRowsInPlace(offsets, &proba);
+  em::ExpInto(proba, &proba);
+  return ApplyMapping(proba, mapping);
+}
 
 /// The label tail shared by Fit and Infer: turns `model`'s mapped base
 /// LPs of `n` rows into soft labels — their average without an ensemble
@@ -28,13 +55,13 @@ Result<LabelingResult> LabelMappedLps(const FittedHierarchicalModel& model,
     std::iota(result.cluster_to_class.begin(), result.cluster_to_class.end(),
               0);
   } else {
-    GOGGLES_ASSIGN_OR_RETURN(
-        Matrix gamma,
-        model.ensemble.PredictProba(model.one_hot_lp
-                                        ? OneHotConcatLabelPredictions(lps)
-                                        : ConcatLabelPredictions(lps)));
+    const Matrix concat = model.one_hot_lp ? OneHotConcatLabelPredictions(lps)
+                                           : ConcatLabelPredictions(lps);
+    const int64_t k = model.num_classes;
+    result.soft_labels = MappedPosterior(
+        StackProducts(concat, 1, false, model.plan.ensemble_panel, k), 0, k,
+        model.plan.ensemble_offsets, model.ensemble_mapping);
     result.ensemble_log_likelihood = model.ensemble.final_log_likelihood();
-    result.soft_labels = ApplyMapping(gamma, model.ensemble_mapping);
     result.cluster_to_class = model.ensemble_mapping;
   }
   result.base_label_predictions = std::move(lps);
@@ -126,6 +153,7 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
         model.ensemble_mapping,
         ClusterToClassMapping(gamma, dev_indices, dev_labels, num_classes));
   }
+  model.BuildInferencePlan();
   GOGGLES_ASSIGN_OR_RETURN(LabelingResult result,
                            LabelMappedLps(model, std::move(lps), n));
   if (fitted_out != nullptr) *fitted_out = std::move(model);
@@ -146,15 +174,39 @@ uint64_t FittedHierarchicalModel::ApproxMemoryBytes() const {
            sizeof(double);
   bytes += ensemble.weights().size() * sizeof(double);
   bytes += ensemble_mapping.size() * sizeof(int);
+  bytes += plan.base_panels.size() * sizeof(double);
+  for (const std::vector<double>& offsets : plan.base_offsets) {
+    bytes += offsets.size() * sizeof(double);
+  }
+  bytes += plan.ensemble_panel.size() * sizeof(double);
+  bytes += plan.ensemble_offsets.size() * sizeof(double);
   return bytes;
+}
+
+void FittedHierarchicalModel::BuildInferencePlan() {
+  plan = InferencePlan{};
+  const int64_t alpha = num_functions(), k = num_classes;
+  Matrix panel;
+  plan.base_panels.resize(static_cast<size_t>(alpha * k * 2 * pool_size));
+  plan.base_offsets.resize(static_cast<size_t>(alpha));
+  for (int64_t f = 0; f < alpha; ++f) {
+    base_models[static_cast<size_t>(f)].EStepPanel(
+        &panel, &plan.base_offsets[static_cast<size_t>(f)]);
+    PackPanelStack(panel.data(), alpha, k, panel.cols(), f,
+                   plan.base_panels.data());
+  }
+  if (!use_ensemble) return;
+  ensemble.EStepPanel(&panel, &plan.ensemble_offsets);
+  plan.ensemble_panel.assign(panel.data(), panel.data() + panel.size());
 }
 
 Result<LabelingResult> FittedHierarchicalModel::Infer(
     const Matrix& affinity_rows) const {
-  if (!fitted()) {
-    return Status::Internal("FittedHierarchicalModel::Infer: not fitted");
-  }
   const int64_t alpha = num_functions();
+  if (!fitted() || static_cast<int64_t>(plan.base_offsets.size()) != alpha) {
+    return Status::Internal(
+        "FittedHierarchicalModel::Infer: not fitted or plan not built");
+  }
   const int64_t m = affinity_rows.rows();
   if (m == 0) {
     return Status::InvalidArgument(
@@ -166,23 +218,17 @@ Result<LabelingResult> FittedHierarchicalModel::Infer(
         "pool_size affinity columns");
   }
 
-  // Base-layer posterior evaluation per function (no refit), mapped with
-  // the stored development-set mappings.
+  // Base layer: every function's posterior from one kernel pass per row,
+  // mapped with the stored development-set mappings (no refit).
+  const Matrix dots =
+      StackProducts(affinity_rows, alpha, true, plan.base_panels, num_classes);
   std::vector<Matrix> lps(static_cast<size_t>(alpha));
-  std::vector<Status> statuses(static_cast<size_t>(alpha), Status::OK());
-  ParallelFor(0, alpha, [&](int64_t f) {
-    Matrix block = affinity_rows.Block(0, f * pool_size, m, pool_size);
-    Result<Matrix> proba =
-        base_models[static_cast<size_t>(f)].PredictProba(block);
-    if (!proba.ok()) {
-      statuses[static_cast<size_t>(f)] = proba.status();
-      return;
-    }
+  for (int64_t f = 0; f < alpha; ++f) {
     lps[static_cast<size_t>(f)] =
-        ApplyMapping(*proba, base_mappings[static_cast<size_t>(f)]);
-  });
-  for (const Status& st : statuses) GOGGLES_RETURN_NOT_OK(st);
-
+        MappedPosterior(dots, f, num_classes,
+                        plan.base_offsets[static_cast<size_t>(f)],
+                        base_mappings[static_cast<size_t>(f)]);
+  }
   return LabelMappedLps(*this, std::move(lps), m);
 }
 

@@ -45,6 +45,22 @@ struct LabelingResult {
   double ensemble_log_likelihood = 0.0;
 };
 
+/// \brief The fitted stack's E-step operands, prepacked for inference by
+/// FittedHierarchicalModel::BuildInferencePlan: the panels and offsets
+/// em::Posterior would build per call, in the PanelStackProducts layout
+/// (tensor/gemm.h).
+struct InferencePlan {
+  /// The alpha base-GMM K x 2N Gaussian panels, one stack lane each.
+  std::vector<double> base_panels;
+  /// Per-function K Gaussian offsets (parallel to base_models).
+  std::vector<std::vector<double>> base_offsets;
+  /// The ensemble's K x (alpha*K) Bernoulli panel as a one-function
+  /// stack (empty when !use_ensemble).
+  std::vector<double> ensemble_panel;
+  /// The ensemble's K offsets.
+  std::vector<double> ensemble_offsets;
+};
+
 /// \brief The fitted state of one labeling run: every base GMM, the
 /// Bernoulli ensemble, and the development-set cluster-to-class mappings
 /// of both layers. Captured by HierarchicalLabeler::Fit so the expensive
@@ -68,6 +84,9 @@ struct FittedHierarchicalModel {
   BernoulliMixture ensemble;
   /// Ensemble-level cluster-to-class mapping.
   std::vector<int> ensemble_mapping;
+  /// Prepacked inference operands of the fields above, built by Fit and
+  /// by the artifact loader; Infer reads the plan, not the mixtures.
+  InferencePlan plan;
 
   /// \brief Affinity-function count alpha the model was fitted over.
   int64_t num_functions() const {
@@ -76,13 +95,23 @@ struct FittedHierarchicalModel {
   /// \brief True once base models are present (fit or restore).
   bool fitted() const { return !base_models.empty(); }
 
+  /// \brief Rebuilds `plan` from the fitted parameters. Call it after
+  /// setting or changing them; Fit and the artifact loader do.
+  void BuildInferencePlan();
+
   /// \brief Approximate resident size of the fitted parameters in bytes
-  /// (GMM means/variances/weights, mappings, ensemble). Used by the
+  /// (GMM means/variances/weights, mappings, ensemble, plan). Used by the
   /// serving registry's LRU memory budget; intentionally an estimate —
   /// container bookkeeping overhead is not counted.
   uint64_t ApproxMemoryBytes() const;
 
   /// \brief Evaluates the fitted stack on new instances without refitting.
+  ///
+  /// Each row is one PanelStackProducts pass over all alpha prepacked
+  /// Gaussian panels, then em::Posterior's epilogue and the stored
+  /// mappings per function, then the label tail Fit ends with — the
+  /// ensemble through the same kernel. Bit-identical to evaluating each
+  /// base model's PredictProba, at every ISA tier.
   ///
   /// \param affinity_rows M x (alpha * pool_size): one row per new
   ///        instance in the §2.2 layout, scored against the *fitted pool*.

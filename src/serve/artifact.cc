@@ -578,6 +578,7 @@ Result<Artifact> Artifact::Load(const std::string& path) {
     }
     GOGGLES_RETURN_NOT_OK(ParseEnsemblePayload(*ensemble, &artifact));
   }
+  artifact.model.BuildInferencePlan();
 
   if (const std::string* labels = find_section(kPoolLabelsSection)) {
     GOGGLES_RETURN_NOT_OK(ParsePoolLabelsPayload(*labels, &artifact));

@@ -68,7 +68,8 @@ struct Artifact {
 
   /// \brief Loads and validates an artifact. Corrupt input (bad magic,
   /// unsupported version, bad CRC, truncated sections) returns an error
-  /// Status — never crashes.
+  /// Status — never crashes. The loaded model's inference plan is built
+  /// (FittedHierarchicalModel::BuildInferencePlan), so it can Infer.
   static Result<Artifact> Load(const std::string& path);
 };
 

@@ -89,6 +89,24 @@ void PrototypeMaxScores(const float* positions, int64_t area,
                                        num_protos, best);
 }
 
+void PackPanelStack(const double* panel, int64_t num_functions,
+                    int64_t components, int64_t width, int64_t function,
+                    double* stack) {
+  constexpr int64_t kL = kPanelStackLanes;
+  const int64_t first = function / kL * kL;  // the group's first function
+  const int64_t lanes = std::min(kL, num_functions - first);
+  double* dst = stack + first * components * width + function - first;
+  for (int64_t i = 0; i < components * width; ++i) dst[i * lanes] = panel[i];
+}
+
+void PanelStackProducts(const double* x, int64_t num_functions, int64_t dims,
+                        bool augment_squares, const double* stack,
+                        int64_t components, double* out) {
+  ActiveKernels().panel_stack_products(x, num_functions, dims,
+                                       augment_squares, stack, components,
+                                       out);
+}
+
 void DGemmReference(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                     int64_t k, double alpha, const double* a, int64_t lda,
                     const double* b, int64_t ldb, double beta, double* c,

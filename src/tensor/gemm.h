@@ -157,6 +157,37 @@ void PrototypeMaxScores(const float* positions, int64_t area,
                         int64_t channels, const float* panel,
                         int64_t num_protos, float* best);
 
+/// \brief Lane count of a panel stack, the prepacked operand of
+/// PanelStackProducts. A stack holds one K x W row-major panel per
+/// function, in exactly num_functions * K * W doubles: functions are
+/// grouped kPanelStackLanes at a time (the last group holds the rest),
+/// and in a group of w functions starting at function g * kL, element k
+/// of component c's row of the group's function l sits at
+/// `stack[g * kL * K * W + (c * W + k) * w + l]`. The layout is the same
+/// at every ISA tier.
+inline constexpr int64_t kPanelStackLanes = 8;
+
+/// \brief Writes function `function`'s K x W row-major `panel` into its
+/// lane of a stack of `num_functions` panels.
+void PackPanelStack(const double* panel, int64_t num_functions,
+                    int64_t components, int64_t width, int64_t function,
+                    double* stack);
+
+/// \brief The E-step products of a stack of mixtures on one row:
+/// out[f * K + c] = a_f · panel_{f,c} for every function f < num_functions
+/// and component c < K, where x_f = x[f * dims, (f + 1) * dims) and a_f is
+/// the augmented [x_f ⊙ x_f | x_f] (width 2·dims; each square rounded
+/// once) when `augment_squares`, else x_f itself (width dims).
+///
+/// Bit-identical, per (f, c), to DGemm(false, true, 1, K, W, 1, a_f, W,
+/// panel_f, W, 0, out + f * K, K): ascending k, one std::fma partial sum
+/// per kGemmKChunk block, the partials added in block order to a total
+/// that starts at 0.0. Lanes are functions, so one vector instruction
+/// advances kPanelStackLanes dot products by one k. Serial.
+void PanelStackProducts(const double* x, int64_t num_functions, int64_t dims,
+                        bool augment_squares, const double* stack,
+                        int64_t components, double* out);
+
 /// \brief Serial scalar reference with DGemm's exact accumulation
 /// semantics: per C element, one std::fma-accumulated partial sum per
 /// kGemmKChunk-sized k-block, added into C in ascending block order, with

@@ -38,6 +38,12 @@ struct TensorKernels {
   void (*prototype_max_scores)(const float* positions, int64_t area,
                                int64_t channels, const float* panel,
                                int64_t num_protos, float* best);
+  /// Lane-per-function mixture E-step products (gemm.h
+  /// PanelStackProducts).
+  void (*panel_stack_products)(const double* x, int64_t num_functions,
+                               int64_t dims, bool augment_squares,
+                               const double* stack, int64_t components,
+                               double* out);
   float (*dot_f)(const float* a, const float* b, int64_t n);
   float (*squared_distance_f)(const float* a, const float* b, int64_t n);
   /// One fused pass computing dot(a,b), |a|^2 and |b|^2.

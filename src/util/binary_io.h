@@ -17,8 +17,8 @@
 namespace goggles::io {
 
 /// \brief CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `n`
-/// bytes. Chain incremental updates by passing the previous return value
-/// as `crc` (starts at 0).
+/// bytes, computed eight bytes per step (slicing-by-8). Chain incremental
+/// updates by passing the previous return value as `crc` (starts at 0).
 uint32_t Crc32(const void* data, size_t n, uint32_t crc = 0);
 
 /// \brief Writes a trivially-copyable value to a binary stream.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "goggles/mapping.h"
+
 #include "util/rng.h"
 
 namespace goggles {
@@ -216,6 +218,85 @@ TEST(HierarchicalTest, InferOnFitAffinityReproducesFitLabels) {
     for (size_t f = 0; f < fit->base_label_predictions.size(); ++f) {
       ExpectBitIdentical(fit->base_label_predictions[f],
                          infer->base_label_predictions[f], "base LP");
+    }
+  }
+}
+
+// The per-function evaluation Infer replaced, kept as the reference:
+// DiagonalGmm::PredictProba of each N-column block, mapped, then the label
+// tail (average, or the ensemble's PredictProba of the concatenation,
+// mapped) and its argmax.
+LabelingResult ReferenceInfer(const FittedHierarchicalModel& model,
+                              const Matrix& rows) {
+  const int64_t m = rows.rows(), n = model.pool_size;
+  LabelingResult ref;
+  for (int64_t f = 0; f < model.num_functions(); ++f) {
+    Result<Matrix> proba =
+        model.base_models[static_cast<size_t>(f)].PredictProba(
+            rows.Block(0, f * n, m, n));
+    EXPECT_TRUE(proba.ok());
+    ref.base_label_predictions.push_back(
+        ApplyMapping(*proba, model.base_mappings[static_cast<size_t>(f)]));
+  }
+  const std::vector<Matrix>& lps = ref.base_label_predictions;
+  if (!model.use_ensemble) {
+    ref.soft_labels = Matrix(m, model.num_classes, 0.0);
+    for (const Matrix& lp : lps) {
+      EXPECT_TRUE(ref.soft_labels.AddInPlace(lp).ok());
+    }
+    ref.soft_labels.Scale(1.0 / static_cast<double>(lps.size()));
+  } else {
+    Result<Matrix> gamma = model.ensemble.PredictProba(
+        model.one_hot_lp ? OneHotConcatLabelPredictions(lps)
+                         : ConcatLabelPredictions(lps));
+    EXPECT_TRUE(gamma.ok());
+    ref.soft_labels = ApplyMapping(*gamma, model.ensemble_mapping);
+  }
+  for (int64_t i = 0; i < m; ++i) {
+    int best = 0;
+    for (int k = 1; k < model.num_classes; ++k) {
+      if (ref.soft_labels(i, k) > ref.soft_labels(i, best)) best = k;
+    }
+    ref.hard_labels.push_back(best);
+  }
+  return ref;
+}
+
+// Infer's one prepacked pass per row reproduces the per-function
+// PredictProba path bit for bit, for one row and for a batch, under all
+// four one_hot_lp x use_ensemble designs, on rows the fit never saw.
+TEST(HierarchicalTest, PrepackedInferMatchesPerFunctionPredictProba) {
+  Rng rng(29);
+  std::vector<int> truth = AlternatingTruth(30);
+  Matrix a = SyntheticAffinity(truth, 3, 3, 0.1, &rng);
+  for (const bool one_hot : {true, false}) {
+    for (const bool ensemble : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "one_hot_lp=" << one_hot
+                                      << " use_ensemble=" << ensemble);
+      HierarchicalConfig config;
+      config.one_hot_lp = one_hot;
+      config.use_ensemble = ensemble;
+      FittedHierarchicalModel model;
+      ASSERT_TRUE(HierarchicalLabeler{config}
+                      .Fit(a, {0, 1, 2, 3}, {0, 1, 0, 1}, 2, &model)
+                      .ok());
+      for (const int64_t m : {1, 7}) {
+        Matrix rows(m, a.cols());
+        for (int64_t i = 0; i < rows.size(); ++i) {
+          rows.data()[i] = rng.Uniform();
+        }
+        Result<LabelingResult> got = model.Infer(rows);
+        ASSERT_TRUE(got.ok()) << got.status();
+        const LabelingResult want = ReferenceInfer(model, rows);
+        ExpectBitIdentical(want.soft_labels, got->soft_labels, "soft labels");
+        EXPECT_EQ(want.hard_labels, got->hard_labels);
+        ASSERT_EQ(want.base_label_predictions.size(),
+                  got->base_label_predictions.size());
+        for (size_t f = 0; f < want.base_label_predictions.size(); ++f) {
+          ExpectBitIdentical(want.base_label_predictions[f],
+                             got->base_label_predictions[f], "base LP");
+        }
+      }
     }
   }
 }

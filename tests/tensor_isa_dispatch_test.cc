@@ -16,7 +16,8 @@
 /// \brief The runtime ISA dispatch contract: strict GOGGLES_ISA parsing,
 /// graceful fallback when a binary carries tiers the host lacks, and —
 /// the load-bearing invariant — bit-identical f32/f64 kernel results at
-/// every tier the host can run (GEMM, conv, the BLAS-1 reductions).
+/// every tier the host can run (GEMM, conv, the BLAS-1 reductions, the
+/// mixture panel-stack products).
 
 namespace goggles {
 namespace {
@@ -298,6 +299,74 @@ TEST(TierBitIdentity, Blas1ReductionsAtEveryTier) {
           << "tier=" << IsaTierName(tier) << " n=" << n;
       EXPECT_EQ(dist, SquaredDistanceF(a.data(), b.data(), n))
           << "tier=" << IsaTierName(tier) << " n=" << n;
+    }
+  }
+}
+
+// PanelStackProducts vs DGemmReference on each function's explicitly
+// augmented row and unpacked panel (the scalar chunked-fma order): 2N
+// below, at and above kGemmKChunk, a chunk boundary inside the x² half
+// (N = 300) and inside the plain half (N = 130), function counts that
+// fill whole lane groups (16) or leave a narrower last group (1, 3, 50),
+// an odd component count, the unaugmented (ensemble) form, and rows of
+// signed zeros.
+TEST(TierBitIdentity, PanelStackProductsMatchChunkedFmaAtEveryTier) {
+  TierSweepGuard guard;
+  Rng rng(20240816);
+  struct Case {
+    int64_t functions, dims, components;
+    bool squares;
+  };
+  const Case cases[] = {{1, 100, 2, true},  {3, 128, 2, true},
+                        {50, 130, 2, true}, {16, 130, 2, true},
+                        {3, 300, 3, true},  {50, 60, 3, true},
+                        {1, 100, 2, false}, {1, 256, 2, false},
+                        {3, 300, 3, false}};
+  for (const Case& cs : cases) {
+    const int64_t width = cs.squares ? 2 * cs.dims : cs.dims;
+    for (const bool zeros : {false, true}) {
+      std::vector<double> x = RandomVecD(
+          static_cast<size_t>(cs.functions * cs.dims), &rng);
+      std::vector<double> panels = RandomVecD(
+          static_cast<size_t>(cs.functions * cs.components * width), &rng);
+      if (zeros) {  // ±0 rows, and ±0 panel entries on every third index
+        for (size_t i = 0; i < x.size(); ++i) x[i] = i % 2 ? -0.0 : 0.0;
+        for (size_t i = 0; i < panels.size(); i += 3) {
+          panels[i] = i % 2 ? -0.0 : 0.0;
+        }
+      }
+      std::vector<double> want(
+          static_cast<size_t>(cs.functions * cs.components));
+      std::vector<double> stack(panels.size());
+      for (int64_t f = 0; f < cs.functions; ++f) {
+        const double* xf = x.data() + f * cs.dims;
+        std::vector<double> a(static_cast<size_t>(width));
+        for (int64_t j = 0; j < cs.dims; ++j) {
+          if (cs.squares) {
+            a[static_cast<size_t>(j)] = xf[j] * xf[j];
+            a[static_cast<size_t>(cs.dims + j)] = xf[j];
+          } else {
+            a[static_cast<size_t>(j)] = xf[j];
+          }
+        }
+        const double* panel = panels.data() + f * cs.components * width;
+        DGemmReference(false, true, 1, cs.components, width, 1.0, a.data(),
+                       width, panel, width, 0.0,
+                       want.data() + f * cs.components, cs.components);
+        PackPanelStack(panel, cs.functions, cs.components, width, f,
+                       stack.data());
+      }
+      for (const IsaTier tier : UsableTiers()) {
+        ASSERT_TRUE(ForceIsaTier(tier));
+        std::vector<double> got(want.size(), 1.0);
+        PanelStackProducts(x.data(), cs.functions, cs.dims, cs.squares,
+                           stack.data(), cs.components, got.data());
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 want.size() * sizeof(double)))
+            << "tier=" << IsaTierName(tier) << " functions=" << cs.functions
+            << " dims=" << cs.dims << " components=" << cs.components
+            << " squares=" << cs.squares << " zeros=" << zeros;
+      }
     }
   }
 }

@@ -6,12 +6,14 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <pthread.h>
 #include <signal.h>
 
 #include <gtest/gtest.h>
 
+#include "util/binary_io.h"
 #include "util/clock.h"
 #include "util/env.h"
 #include "util/lru.h"
@@ -390,6 +392,56 @@ TEST(TimerTest, MeasuresNonNegativeTime) {
   EXPECT_GE(timer.ElapsedMillis(), timer.ElapsedSeconds());
   timer.Restart();
   EXPECT_LT(timer.ElapsedSeconds(), 1.0);
+}
+
+/// The byte-at-a-time CRC-32 the slicing-by-8 Crc32 must reproduce:
+/// reflected polynomial 0xEDB88320, one bit per step.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t n, uint32_t crc) {
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(io::Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(io::Crc32(check.data(), 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buf(64 + 8);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  for (size_t start = 0; start < 8; ++start) {  // misaligned starts
+    for (size_t n = 0; n <= 64; ++n) {
+      const unsigned char* p = buf.data() + start;
+      EXPECT_EQ(io::Crc32(p, n), BitwiseCrc32(p, n, 0))
+          << "start=" << start << " n=" << n;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainsThroughTheCrcArgument) {
+  std::vector<unsigned char> buf(200);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(255 - i * 17);
+  }
+  const uint32_t whole = io::Crc32(buf.data(), buf.size());
+  EXPECT_EQ(whole, BitwiseCrc32(buf.data(), buf.size(), 0));
+  for (size_t split : {0, 1, 7, 8, 9, 63, 100, 199, 200}) {
+    const uint32_t head = io::Crc32(buf.data(), split);
+    EXPECT_EQ(io::Crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split=" << split;
+    EXPECT_EQ(io::Crc32(buf.data() + split, buf.size() - split, head),
+              BitwiseCrc32(buf.data() + split, buf.size() - split, head))
+        << "split=" << split;
+  }
 }
 
 }  // namespace
