@@ -199,88 +199,128 @@ void PrototypeAffinitySource::BuildPackedPrototypes() {
   }
 }
 
+std::vector<int64_t> PrototypeAffinitySource::LayerFunctions(
+    int layer, int num_functions) const {
+  std::vector<int64_t> functions;
+  for (int f = layer; f < num_functions; f += num_layers()) {
+    functions.push_back(f);
+  }
+  return functions;
+}
+
+Status PrototypeAffinitySource::ScoreLayerRowsInto(
+    const std::vector<QueryFeatures>& instances, int layer, int num_functions,
+    int64_t first_block, int64_t block_step, Matrix* out) const {
+  const int64_t n = num_images_;
+  const int64_t m = static_cast<int64_t>(instances.size());
+  const int64_t num_ranks =
+      static_cast<int64_t>(LayerFunctions(layer, num_functions).size());
+  const LayerData& data = layers_[static_cast<size_t>(layer)];
+  const PackedPrototypes& pack = packed_[static_cast<size_t>(layer)];
+  const int64_t c = data.channels;
+  const int64_t num_protos = pack.offsets.back();
+
+  // The instances of one call share one resolution (extraction stacks
+  // them into one batch), but it need not match the pool's: a query
+  // image of a different size yields a different filter-map area, and
+  // Eq. 2 only maxes over however many positions the instance has.
+  const int64_t area =
+      static_cast<int64_t>(
+          instances[0].positions[static_cast<size_t>(layer)].size()) /
+      std::max<int64_t>(c, 1);
+
+  Status status = Status::OK();
+  std::mutex status_mutex;
+  ParallelForChunked(0, m, [&](int64_t lo, int64_t hi) {
+    std::vector<float> best(static_cast<size_t>(num_protos));
+    for (int64_t i = lo; i < hi; ++i) {
+      const std::vector<float>& pos =
+          instances[static_cast<size_t>(i)].positions[static_cast<size_t>(
+              layer)];
+      if (static_cast<int64_t>(pos.size()) != area * c) {
+        std::lock_guard<std::mutex> guard(status_mutex);
+        status = Status::InvalidArgument(StrFormat(
+            "ScoreRowsInto: layer %d instance %lld position size %zu != "
+            "area*channels %lld — all instances of one call must share "
+            "one resolution",
+            layer, static_cast<long long>(i), pos.size(),
+            static_cast<long long>(area * c)));
+        return;
+      }
+      // Eq. 2 against every pool prototype at once: the kernel folds the
+      // max over positions into its register tile, so the positions x
+      // prototypes score matrix is never stored. Serial inside — the
+      // instance loop is already the parallel axis.
+      PrototypeMaxScores(pos.data(), area, c, pack.data.data(), num_protos,
+                         best.data());
+      // Scatter the function of rank z into its block with the z-wrap
+      // for images that have fewer than Z unique prototypes.
+      double* row = out->RowPtr(i);
+      for (int64_t z = 0; z < num_ranks; ++z) {
+        double* dst = row + (first_block + z * block_step) * n;
+        for (int64_t j = 0; j < n; ++j) {
+          const int np = data.num_prototypes[static_cast<size_t>(j)];
+          dst[j] = np == 0
+                       ? 0.0
+                       : static_cast<double>(
+                             best[static_cast<size_t>(
+                                 pack.offsets[static_cast<size_t>(j)] +
+                                 z % np)]);
+        }
+      }
+    }
+  });
+  return status;
+}
+
 Status PrototypeAffinitySource::ScoreRowsInto(
     const std::vector<QueryFeatures>& instances, int num_functions,
     Matrix* out) const {
-  const int64_t n = num_images_;
-  const int64_t m = static_cast<int64_t>(instances.size());
-  const int num_layers_total = num_layers();
-  for (int layer = 0; layer < num_layers_total && layer < num_functions;
-       ++layer) {
-    const LayerData& data = layers_[static_cast<size_t>(layer)];
-    const PackedPrototypes& pack = packed_[static_cast<size_t>(layer)];
-    const int64_t c = data.channels;
-    const int64_t num_protos = pack.offsets.back();
+  const int l = num_layers();
+  for (int layer = 0; layer < l && layer < num_functions; ++layer) {
+    GOGGLES_RETURN_NOT_OK(
+        ScoreLayerRowsInto(instances, layer, num_functions, layer, l, out));
+  }
+  return Status::OK();
+}
 
-    // The instances of one call share one resolution (extraction stacks
-    // them into one batch), but it need not match the pool's: a query
-    // image of a different size yields a different filter-map area, and
-    // Eq. 2 only maxes over however many positions the instance has.
-    const int64_t area =
-        static_cast<int64_t>(instances[0].positions[static_cast<size_t>(layer)]
-                                 .size()) /
-        std::max<int64_t>(c, 1);
-
-    Status status = Status::OK();
-    std::mutex status_mutex;
-    ParallelForChunked(0, m, [&](int64_t lo, int64_t hi) {
-      std::vector<float> best(static_cast<size_t>(num_protos));
-      for (int64_t i = lo; i < hi; ++i) {
-        const std::vector<float>& pos =
-            instances[static_cast<size_t>(i)].positions[static_cast<size_t>(
-                layer)];
-        if (static_cast<int64_t>(pos.size()) != area * c) {
-          std::lock_guard<std::mutex> guard(status_mutex);
-          status = Status::InvalidArgument(StrFormat(
-              "ScoreRowsInto: layer %d instance %lld position size %zu != "
-              "area*channels %lld — all instances of one call must share "
-              "one resolution",
-              layer, static_cast<long long>(i), pos.size(),
-              static_cast<long long>(area * c)));
-          return;
-        }
-        // Eq. 2 against every pool prototype at once: the kernel folds the
-        // max over positions into its register tile, so the positions x
-        // prototypes score matrix is never stored. Serial inside — the
-        // instance loop is already the parallel axis.
-        PrototypeMaxScores(pos.data(), area, c, pack.data.data(), num_protos,
-                           best.data());
-        // Scatter into A[i, f*N + j] with the z-wrap for images that have
-        // fewer than Z unique prototypes.
-        double* row = out->RowPtr(i);
-        for (int f = layer; f < num_functions; f += num_layers_total) {
-          const int z = f / num_layers_total;
-          double* dst = row + static_cast<int64_t>(f) * n;
-          for (int64_t j = 0; j < n; ++j) {
-            const int np = data.num_prototypes[static_cast<size_t>(j)];
-            dst[j] = np == 0
-                         ? 0.0
-                         : static_cast<double>(
-                               best[static_cast<size_t>(
-                                   pack.offsets[static_cast<size_t>(j)] +
-                                   z % np)]);
-          }
-        }
-      }
-    });
-    GOGGLES_RETURN_NOT_OK(status);
+Status PrototypeAffinitySource::CheckPoolPrepared(const char* who) const {
+  if (num_images_ <= 0 ||
+      static_cast<int>(pool_features_.size()) != num_images_) {
+    return Status::Internal(StrFormat(
+        "PrototypeAffinitySource::%s: source not prepared", who));
   }
   return Status::OK();
 }
 
 Status PrototypeAffinitySource::ScorePoolRowsInto(int num_functions,
                                                  Matrix* a) const {
-  if (num_images_ <= 0 ||
-      static_cast<int>(pool_features_.size()) != num_images_) {
-    return Status::Internal(
-        "PrototypeAffinitySource::ScorePoolRowsInto: source not prepared");
-  }
+  GOGGLES_RETURN_NOT_OK(CheckPoolPrepared("ScorePoolRowsInto"));
   if (a->rows() < num_images_ ||
       a->cols() < static_cast<int64_t>(num_functions) * num_images_) {
     return Status::InvalidArgument(
         "ScorePoolRowsInto: output matrix too small");
   }
   return ScoreRowsInto(pool_features_, num_functions, a);
+}
+
+Status PrototypeAffinitySource::ScorePoolLayerInto(int layer,
+                                                  int num_functions,
+                                                  Matrix* block) const {
+  GOGGLES_RETURN_NOT_OK(CheckPoolPrepared("ScorePoolLayerInto"));
+  if (layer < 0 || layer >= num_layers()) {
+    return Status::InvalidArgument(
+        StrFormat("ScorePoolLayerInto: no layer %d", layer));
+  }
+  if (block->rows() < num_images_ ||
+      block->cols() <
+          static_cast<int64_t>(LayerFunctions(layer, num_functions).size()) *
+              num_images_) {
+    return Status::InvalidArgument(
+        "ScorePoolLayerInto: output block too small");
+  }
+  return ScoreLayerRowsInto(pool_features_, layer, num_functions, 0, 1,
+                            block);
 }
 
 Result<Matrix> PrototypeAffinitySource::ScoreQueryRowsBatched(

@@ -124,6 +124,19 @@ class PrototypeAffinitySource {
   /// keeps the affinity matrix rectangular).
   float ScoreQuery(int layer, int z, const QueryFeatures& query, int j) const;
 
+  /// \brief The library functions among the first `num_functions` that
+  /// belong to pool layer `layer` under the round-robin ordering
+  /// (function f = layer f % L, prototype rank f / L), by rank.
+  std::vector<int64_t> LayerFunctions(int layer, int num_functions) const;
+
+  /// \brief One layer of pool-side scoring: fills the N x (count * N)
+  /// block of the count = LayerFunctions(layer, num_functions).size()
+  /// functions of `layer`: column block z holds the function of rank z.
+  /// The same scorer and bits as ScorePoolRowsInto's columns of those
+  /// functions. `block` must have N rows and at least count * N cols.
+  /// Needs Prepare().
+  Status ScorePoolLayerInto(int layer, int num_functions, Matrix* block) const;
+
   /// \brief Batched pool-side scoring: fills columns f < `num_functions`
   /// of the affinity matrix `a` (layout A[i, f*N + j], §2.2) for the
   /// round-robin library ordering (function f = layer f % L, prototype
@@ -158,10 +171,22 @@ class PrototypeAffinitySource {
 
   void BuildPackedPrototypes();
 
-  /// The one scorer of pool and query rows: fills rows
-  /// [0, instances.size()) of `out` in the ScorePoolRowsInto layout.
+  /// The one scorer of pool and query rows, one layer at a time: fills
+  /// rows [0, instances.size()) of `out` with the LayerFunctions of
+  /// `layer`, the one of rank z into the N-column block
+  /// first_block + z * block_step.
+  Status ScoreLayerRowsInto(const std::vector<QueryFeatures>& instances,
+                            int layer, int num_functions, int64_t first_block,
+                            int64_t block_step, Matrix* out) const;
+
+  /// Every layer through ScoreLayerRowsInto, in the ScorePoolRowsInto
+  /// layout (function f in block f).
   Status ScoreRowsInto(const std::vector<QueryFeatures>& instances,
                        int num_functions, Matrix* out) const;
+
+  /// Fails unless Prepare() has featurized the pool (`who` prefixes the
+  /// error).
+  Status CheckPoolPrepared(const char* who) const;
 
   std::shared_ptr<features::FeatureExtractor> extractor_;
   int top_z_;

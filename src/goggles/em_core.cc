@@ -60,26 +60,29 @@ void ProductTB(const FitOperand& x, const Matrix& b, Engine engine,
   }
 }
 
+double LogSoftmaxRowInPlace(const double* offsets, int64_t k, double* row) {
+  // Pass 1: fold in the per-component offsets and track the row max.
+  double max_v = -std::numeric_limits<double>::infinity();
+  for (int64_t c = 0; c < k; ++c) {
+    row[c] += offsets[c];
+    max_v = std::max(max_v, row[c]);
+  }
+  double lse = max_v;
+  if (std::isfinite(max_v)) {
+    double acc = 0.0;
+    for (int64_t c = 0; c < k; ++c) acc += std::exp(row[c] - max_v);
+    lse = max_v + std::log(acc);
+  }
+  for (int64_t c = 0; c < k; ++c) row[c] -= lse;
+  return lse;
+}
+
 double LogSoftmaxRowsInPlace(const std::vector<double>& offsets,
                              Matrix* densities) {
-  const int64_t n = densities->rows(), k = densities->cols();
   double total_ll = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    double* row = densities->RowPtr(i);
-    // Pass 1: fold in the per-component offsets and track the row max.
-    double max_v = -std::numeric_limits<double>::infinity();
-    for (int64_t c = 0; c < k; ++c) {
-      row[c] += offsets[static_cast<size_t>(c)];
-      max_v = std::max(max_v, row[c]);
-    }
-    double lse = max_v;
-    if (std::isfinite(max_v)) {
-      double acc = 0.0;
-      for (int64_t c = 0; c < k; ++c) acc += std::exp(row[c] - max_v);
-      lse = max_v + std::log(acc);
-    }
-    total_ll += lse;
-    for (int64_t c = 0; c < k; ++c) row[c] -= lse;
+  for (int64_t i = 0; i < densities->rows(); ++i) {
+    total_ll += LogSoftmaxRowInPlace(offsets.data(), densities->cols(),
+                                     densities->RowPtr(i));
   }
   return total_ll;
 }

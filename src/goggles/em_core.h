@@ -75,6 +75,11 @@ void ProductNT(const Matrix& a, const Matrix& b, Engine engine, Matrix* out);
 void ProductTB(const FitOperand& x, const Matrix& b, Engine engine,
                Matrix* out);
 
+/// \brief One row of LogSoftmaxRowsInPlace: adds offsets[c] to row[c]
+/// for c < k, replaces the row by its log-softmax and returns its
+/// LogSumExp.
+double LogSoftmaxRowInPlace(const double* offsets, int64_t k, double* row);
+
 /// \brief Fused E-step epilogue, in place and allocation-free: adds
 /// offsets[c] to every row's entry c, replaces each row by its
 /// log-softmax (row - LogSumExp(row)), and returns the summed row

@@ -1,6 +1,8 @@
 #include "goggles/hierarchical.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <numeric>
 
 #include "goggles/em_core.h"
@@ -26,24 +28,50 @@ Matrix StackProducts(const Matrix& x, int64_t num_functions,
   return dots;
 }
 
-/// Function f's posterior from its block of `dots`, mapped to classes:
-/// em::Posterior's epilogue with `offsets`, then ApplyMapping.
-Matrix MappedPosterior(const Matrix& dots, int64_t f, int64_t k,
-                       const std::vector<double>& offsets,
-                       const std::vector<int>& mapping) {
-  Matrix proba = dots.Block(0, f * k, dots.rows(), k);
-  em::LogSoftmaxRowsInPlace(offsets, &proba);
-  em::ExpInto(proba, &proba);
-  return ApplyMapping(proba, mapping);
+/// Function f's posterior from its block of `dots` — em::Posterior's
+/// epilogue with `offsets`, run in place on that block — written into
+/// `out` (dots.rows() x k) with cluster column c moved to class column
+/// (*mapping)[c], or left in place when `mapping` is null.
+void PosteriorInto(Matrix* dots, int64_t f, int64_t k,
+                   const std::vector<double>& offsets,
+                   const std::vector<int>* mapping, Matrix* out) {
+  for (int64_t i = 0; i < dots->rows(); ++i) {
+    double* log_proba = dots->RowPtr(i) + f * k;
+    em::LogSoftmaxRowInPlace(offsets.data(), k, log_proba);
+    double* dst = out->RowPtr(i);
+    for (int64_t c = 0; c < k; ++c) {
+      dst[mapping != nullptr ? (*mapping)[static_cast<size_t>(c)] : c] =
+          std::exp(log_proba[c]);
+    }
+  }
+}
+
+/// The ensemble's input: the (one-hot) concatenation of the mapped LPs.
+Matrix EnsembleInput(const FittedHierarchicalModel& model,
+                     const std::vector<Matrix>& lps) {
+  return model.one_hot_lp ? OneHotConcatLabelPredictions(lps)
+                          : ConcatLabelPredictions(lps);
+}
+
+/// The ensemble posterior of `concat`, not yet mapped to classes, on the
+/// plan's kernel (bit for bit em::Posterior's, invariant 10).
+Matrix EnsemblePosterior(const FittedHierarchicalModel& model,
+                         const Matrix& concat) {
+  const int64_t k = model.num_classes;
+  Matrix dots = StackProducts(concat, 1, false, model.plan.ensemble_panel, k);
+  Matrix gamma(concat.rows(), k);
+  PosteriorInto(&dots, 0, k, model.plan.ensemble_offsets, nullptr, &gamma);
+  return gamma;
 }
 
 /// The label tail shared by Fit and Infer: turns `model`'s mapped base
 /// LPs of `n` rows into soft labels — their average without an ensemble
-/// (the ablation; affinity-function quality weighting is lost), else the
-/// ensemble posterior of their (one-hot) concatenation, mapped to classes
-/// — and their argmax hard labels. The LPs move into the result.
+/// (the ablation; affinity-function quality weighting is lost), else
+/// `gamma`, the EnsemblePosterior of their EnsembleInput, mapped to
+/// classes — and their argmax hard labels. The LPs move into the result.
 Result<LabelingResult> LabelMappedLps(const FittedHierarchicalModel& model,
-                                      std::vector<Matrix> lps, int64_t n) {
+                                      std::vector<Matrix> lps,
+                                      const Matrix& gamma, int64_t n) {
   LabelingResult result;
   if (!model.use_ensemble) {
     result.soft_labels = Matrix(n, model.num_classes, 0.0);
@@ -55,12 +83,7 @@ Result<LabelingResult> LabelMappedLps(const FittedHierarchicalModel& model,
     std::iota(result.cluster_to_class.begin(), result.cluster_to_class.end(),
               0);
   } else {
-    const Matrix concat = model.one_hot_lp ? OneHotConcatLabelPredictions(lps)
-                                           : ConcatLabelPredictions(lps);
-    const int64_t k = model.num_classes;
-    result.soft_labels = MappedPosterior(
-        StackProducts(concat, 1, false, model.plan.ensemble_panel, k), 0, k,
-        model.plan.ensemble_offsets, model.ensemble_mapping);
+    result.soft_labels = ApplyMapping(gamma, model.ensemble_mapping);
     result.ensemble_log_likelihood = model.ensemble.final_log_likelihood();
     result.cluster_to_class = model.ensemble_mapping;
   }
@@ -91,16 +114,38 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
         "N-column block per affinity function)");
   }
   const int64_t alpha = affinity.cols() / n;
+  // All of `affinity` is one in-place block: slice f is function f.
+  bool handed_over = false;
+  return FitBlocks(
+      n, alpha,
+      [&](AffinityBlock* block) {
+        block->columns = &affinity;
+        block->functions.clear();
+        if (!handed_over) {
+          block->functions.resize(static_cast<size_t>(alpha));
+          std::iota(block->functions.begin(), block->functions.end(), 0);
+          handed_over = true;
+        }
+        return Status::OK();
+      },
+      dev_indices, dev_labels, num_classes, fitted_out);
+}
+
+Result<LabelingResult> HierarchicalLabeler::FitBlocks(
+    int64_t num_instances, int64_t num_functions,
+    const AffinityBlockStream& blocks, const std::vector<int>& dev_indices,
+    const std::vector<int>& dev_labels, int num_classes,
+    FittedHierarchicalModel* fitted_out) const {
+  const int64_t n = num_instances, alpha = num_functions;
+  if (n <= 0) return Status::InvalidArgument("HierarchicalLabeler: empty data");
 
   // ---- Base layer: one diagonal GMM per affinity function (§4.1). ----
   // Fitting the alpha base models is embarrassingly parallel (the paper
   // notes base models "can be parallelized using different slices of the
-  // affinity matrix"). Each chunk of functions owns one workspace, so the
-  // augmented design and its packs are allocated once per chunk and
-  // reused by every function in it; each fit reads its N-column slice in
-  // place and leaves its posterior in lps[f], which the development set
-  // then maps to classes (§4.3: the mapping is applied to each LP_f and
-  // to the final L).
+  // affinity matrix"), so they are fitted block by block as the slices
+  // arrive. Each fit reads its N-column slice in place and leaves its
+  // posterior in lps[f], which the development set then maps to classes
+  // (§4.3: the mapping is applied to each LP_f and to the final L).
   std::vector<Matrix> lps(static_cast<size_t>(alpha));
   FittedHierarchicalModel model;
   model.num_classes = num_classes;
@@ -114,12 +159,13 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
                                                  : 0);
   GmmConfig base_config = config_.base;
   base_config.num_components = num_classes;
-  auto fit_base = [&](int64_t f, em::FitOperand* workspace) -> Status {
+  auto fit_base = [&](const Matrix& x, int64_t col_begin, int64_t f,
+                      em::FitOperand* workspace) -> Status {
     GmmConfig cfg = base_config;
     cfg.seed = base_config.seed + static_cast<uint64_t>(f) * 7919;
     DiagonalGmm gmm(cfg);
     Matrix& lp = lps[static_cast<size_t>(f)];
-    GOGGLES_RETURN_NOT_OK(gmm.FitPredict(affinity, f * n, n, workspace, &lp));
+    GOGGLES_RETURN_NOT_OK(gmm.FitPredict(x, col_begin, n, workspace, &lp));
     std::vector<int>& mapping = model.base_mappings[static_cast<size_t>(f)];
     GOGGLES_ASSIGN_OR_RETURN(
         mapping,
@@ -130,32 +176,72 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
     }
     return Status::OK();
   };
-  std::vector<Status> statuses(static_cast<size_t>(alpha), Status::OK());
-  ParallelForChunked(0, alpha, [&](int64_t f_begin, int64_t f_end) {
-    em::FitOperand workspace;
-    for (int64_t f = f_begin; f < f_end; ++f) {
-      statuses[static_cast<size_t>(f)] = fit_base(f, &workspace);
+  // One workspace per concurrent fit, kept across blocks, so the
+  // augmented design and its packs are allocated once per fit slot, not
+  // once per block. Each slot claims the block's functions one at a time.
+  std::vector<em::FitOperand> workspaces(
+      static_cast<size_t>(EffectiveNumThreads()));
+  std::vector<char> arrived(static_cast<size_t>(alpha), 0);
+  int64_t num_arrived = 0;
+  AffinityBlock block;
+  for (;;) {
+    GOGGLES_RETURN_NOT_OK(blocks(&block));
+    if (block.functions.empty()) break;
+    const int64_t count = static_cast<int64_t>(block.functions.size());
+    if (block.columns == nullptr || block.columns->rows() != n ||
+        block.columns->cols() < count * n) {
+      return Status::InvalidArgument(
+          "HierarchicalLabeler: a block needs N rows and N columns per "
+          "function");
     }
-  });
-  for (const Status& st : statuses) GOGGLES_RETURN_NOT_OK(st);
+    for (int64_t f : block.functions) {
+      if (f < 0 || f >= alpha || arrived[static_cast<size_t>(f)]) {
+        return Status::InvalidArgument(
+            "HierarchicalLabeler: every function must arrive exactly once");
+      }
+      arrived[static_cast<size_t>(f)] = 1;
+    }
+    num_arrived += count;
+    std::vector<Status> statuses(static_cast<size_t>(count), Status::OK());
+    std::atomic<int64_t> next{0};
+    ParallelFor(
+        0, std::min(static_cast<int64_t>(workspaces.size()), count),
+        [&](int64_t slot) {
+          for (int64_t s = next++; s < count; s = next++) {
+            statuses[static_cast<size_t>(s)] =
+                fit_base(*block.columns, s * n,
+                         block.functions[static_cast<size_t>(s)],
+                         &workspaces[static_cast<size_t>(slot)]);
+          }
+        });
+    for (const Status& st : statuses) GOGGLES_RETURN_NOT_OK(st);
+  }
+  if (num_arrived != alpha) {
+    return Status::InvalidArgument(
+        "HierarchicalLabeler: the blocks must cover every function");
+  }
 
+  Matrix concat;
   if (model.use_ensemble) {
     // ---- Ensemble layer (§4.1): Bernoulli mixture over one-hot LP. ----
-    Matrix concat = model.one_hot_lp ? OneHotConcatLabelPredictions(lps)
-                                     : ConcatLabelPredictions(lps);
+    concat = EnsembleInput(model, lps);
     BernoulliMixtureConfig ens_config = config_.ensemble;
     ens_config.num_components = num_classes;
     model.ensemble = BernoulliMixture(ens_config);
     GOGGLES_RETURN_NOT_OK(model.ensemble.Fit(concat));
-    GOGGLES_ASSIGN_OR_RETURN(Matrix gamma,
-                             model.ensemble.PredictProba(concat));
+  }
+  model.BuildInferencePlan();
+  Matrix gamma;
+  if (model.use_ensemble) {
+    // One ensemble pass: the mapping comes from the posterior the label
+    // tail then maps.
+    gamma = EnsemblePosterior(model, concat);
     GOGGLES_ASSIGN_OR_RETURN(
         model.ensemble_mapping,
         ClusterToClassMapping(gamma, dev_indices, dev_labels, num_classes));
   }
-  model.BuildInferencePlan();
   GOGGLES_ASSIGN_OR_RETURN(LabelingResult result,
-                           LabelMappedLps(model, std::move(lps), n));
+                           LabelMappedLps(model, std::move(lps), gamma, n));
   if (fitted_out != nullptr) *fitted_out = std::move(model);
   return result;
 }
@@ -220,16 +306,19 @@ Result<LabelingResult> FittedHierarchicalModel::Infer(
 
   // Base layer: every function's posterior from one kernel pass per row,
   // mapped with the stored development-set mappings (no refit).
-  const Matrix dots =
+  Matrix dots =
       StackProducts(affinity_rows, alpha, true, plan.base_panels, num_classes);
   std::vector<Matrix> lps(static_cast<size_t>(alpha));
   for (int64_t f = 0; f < alpha; ++f) {
-    lps[static_cast<size_t>(f)] =
-        MappedPosterior(dots, f, num_classes,
-                        plan.base_offsets[static_cast<size_t>(f)],
-                        base_mappings[static_cast<size_t>(f)]);
+    Matrix& lp = lps[static_cast<size_t>(f)];
+    lp = Matrix(m, num_classes);
+    PosteriorInto(&dots, f, num_classes,
+                  plan.base_offsets[static_cast<size_t>(f)],
+                  &base_mappings[static_cast<size_t>(f)], &lp);
   }
-  return LabelMappedLps(*this, std::move(lps), m);
+  Matrix gamma;
+  if (use_ensemble) gamma = EnsemblePosterior(*this, EnsembleInput(*this, lps));
+  return LabelMappedLps(*this, std::move(lps), gamma, m);
 }
 
 }  // namespace goggles

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "goggles/base_gmm.h"
@@ -120,6 +121,19 @@ struct FittedHierarchicalModel {
   Result<LabelingResult> Infer(const Matrix& affinity_rows) const;
 };
 
+/// \brief One block of affinity columns for the base layer: `columns`
+/// has N rows, and its N-column slice s (columns [s*N, (s+1)*N)) is the
+/// slice A_f of function f = functions[s] (§2.2).
+struct AffinityBlock {
+  const Matrix* columns = nullptr;  ///< the block's storage (N rows)
+  std::vector<int64_t> functions;   ///< global function of each slice
+};
+
+/// \brief Hands the base layer its next block; a block with no functions
+/// ends the stream. The storage of an earlier block may be reused for the
+/// next one: the base layer is done with a block when it asks for more.
+using AffinityBlockStream = std::function<Status(AffinityBlock* next)>;
+
 /// \brief Runs the full §4 inference stack on an affinity matrix.
 class HierarchicalLabeler {
  public:
@@ -141,6 +155,26 @@ class HierarchicalLabeler {
                              int num_classes,
                              FittedHierarchicalModel* fitted_out = nullptr)
       const;
+
+  /// \brief Fit with the affinity matrix handed over block by block, so
+  /// only one block need be resident (GogglesPipeline::Label streams one
+  /// tap layer at a time; Fit hands over all of `affinity` as one
+  /// in-place block). Every function f in [0, num_functions) must arrive
+  /// exactly once. Function f's base GMM sees the same column slice, seed
+  /// and LP slot however the functions are blocked, so the result is
+  /// bit-identical to Fit on the materialized matrix.
+  ///
+  /// \param num_instances N, the rows of every block.
+  /// \param num_functions alpha.
+  /// \param blocks        the stream of blocks.
+  Result<LabelingResult> FitBlocks(int64_t num_instances,
+                                   int64_t num_functions,
+                                   const AffinityBlockStream& blocks,
+                                   const std::vector<int>& dev_indices,
+                                   const std::vector<int>& dev_labels,
+                                   int num_classes,
+                                   FittedHierarchicalModel* fitted_out =
+                                       nullptr) const;
 
   /// \brief The configuration the labeler was built with.
   const HierarchicalConfig& config() const { return config_; }

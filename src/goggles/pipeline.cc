@@ -21,7 +21,7 @@ int GogglesPipeline::num_functions() const {
                                    : total;
 }
 
-Result<Matrix> GogglesPipeline::BuildAffinity(
+Result<std::vector<AffinityFunction*>> GogglesPipeline::PrepareFunctions(
     const std::vector<data::Image>& images) const {
   const int alpha = num_functions();
   if (alpha == 0) {
@@ -30,10 +30,26 @@ Result<Matrix> GogglesPipeline::BuildAffinity(
   // The library block comes first, then the user functions that fit
   // under max_functions.
   const int num_library = std::min(alpha, library_.num_functions());
+  if (num_library > 0) {
+    GOGGLES_RETURN_NOT_OK(library_.source->Prepare(images));
+  }
+  std::vector<AffinityFunction*> user(static_cast<size_t>(alpha - num_library));
+  for (size_t k = 0; k < user.size(); ++k) {
+    user[k] = extra_functions_[k].get();
+    GOGGLES_RETURN_NOT_OK(user[k]->Prepare(images));
+  }
+  return user;
+}
+
+Result<Matrix> GogglesPipeline::BuildAffinity(
+    const std::vector<data::Image>& images) const {
+  GOGGLES_ASSIGN_OR_RETURN(std::vector<AffinityFunction*> user,
+                           PrepareFunctions(images));
+  const int alpha = num_functions();
+  const int num_library = alpha - static_cast<int>(user.size());
   const int64_t n = static_cast<int64_t>(images.size());
   Matrix a(n, static_cast<int64_t>(alpha) * n);
   if (num_library > 0) {
-    GOGGLES_RETURN_NOT_OK(library_.source->Prepare(images));
     // The library block goes through the fused Eq. 2 scorer — the same
     // kernel (and accumulation order) the serving path uses for query
     // rows, so a served image reproduces its fit-time scores bit for bit.
@@ -41,11 +57,6 @@ Result<Matrix> GogglesPipeline::BuildAffinity(
   }
   // User functions only expose the pairwise Score() interface; fill their
   // columns the generic way.
-  std::vector<AffinityFunction*> user(static_cast<size_t>(alpha - num_library));
-  for (size_t k = 0; k < user.size(); ++k) {
-    user[k] = extra_functions_[k].get();
-    GOGGLES_RETURN_NOT_OK(user[k]->Prepare(images));
-  }
   FillAffinityMatrixColumns(user, num_library, static_cast<int>(n), &a);
   return a;
 }
@@ -58,10 +69,40 @@ Result<LabelingResult> GogglesPipeline::Label(
     return Status::InvalidArgument(
         "GogglesPipeline::Label: dev indices/labels size mismatch");
   }
-  GOGGLES_ASSIGN_OR_RETURN(Matrix affinity, BuildAffinity(images));
+  GOGGLES_ASSIGN_OR_RETURN(std::vector<AffinityFunction*> user,
+                           PrepareFunctions(images));
+  const int alpha = num_functions();
+  const int num_library = alpha - static_cast<int>(user.size());
+  const PrototypeAffinitySource& source = *library_.source;
+  const int num_layers = std::min(source.num_layers(), num_library);
+  const int64_t n = static_cast<int64_t>(images.size());
+  // The base layer takes A one block at a time: each tap layer's
+  // functions (the columns BuildAffinity gives them, scored by the same
+  // kernel), then the user functions. One buffer, as wide as the widest
+  // block, holds each block in turn, so A itself is never built.
+  const size_t widest =
+      std::max(source.LayerFunctions(0, num_library).size(), user.size());
+  Matrix columns(n, static_cast<int64_t>(widest) * n);
+  int layer = 0;  // the next tap layer; num_layers stands for the user block
+  auto next_block = [&](AffinityBlock* block) -> Status {
+    block->columns = &columns;
+    block->functions.clear();
+    if (layer < num_layers) {
+      block->functions = source.LayerFunctions(layer, num_library);
+      GOGGLES_RETURN_NOT_OK(
+          source.ScorePoolLayerInto(layer, num_library, &columns));
+    } else if (layer == num_layers) {
+      for (size_t k = 0; k < user.size(); ++k) {
+        block->functions.push_back(num_library + static_cast<int64_t>(k));
+      }
+      FillAffinityMatrixColumns(user, 0, static_cast<int>(n), &columns);
+    }
+    ++layer;
+    return Status::OK();
+  };
   HierarchicalLabeler labeler(config_.inference);
-  return labeler.Fit(affinity, dev_indices, dev_labels, num_classes,
-                     fitted_out);
+  return labeler.FitBlocks(n, alpha, next_block, dev_indices, dev_labels,
+                           num_classes, fitted_out);
 }
 
 }  // namespace goggles

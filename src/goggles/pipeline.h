@@ -43,6 +43,11 @@ class GogglesPipeline {
   /// \brief Full labeling run (Figure 3): affinity matrix + hierarchical
   /// inference + development-set mapping.
   ///
+  /// The affinity matrix is scored and fitted one tap layer at a time
+  /// (HierarchicalLabeler::FitBlocks), so at most one layer's N x Z*N
+  /// block is resident; the result is bit-identical to
+  /// HierarchicalLabeler::Fit on BuildAffinity(images).
+  ///
   /// \param images      all N instances (unlabeled and development rows).
   /// \param dev_indices positions of development examples within `images`.
   /// \param dev_labels  their classes.
@@ -73,6 +78,12 @@ class GogglesPipeline {
   const GogglesConfig& config() const { return config_; }
 
  private:
+  /// Checks there is a function, prepares the library source (when any
+  /// library function is used) and the user functions in use on
+  /// `images`, and returns those user functions.
+  Result<std::vector<AffinityFunction*>> PrepareFunctions(
+      const std::vector<data::Image>& images) const;
+
   std::shared_ptr<features::FeatureExtractor> extractor_;
   GogglesConfig config_;
   AffinityLibrary library_;

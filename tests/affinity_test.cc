@@ -166,6 +166,36 @@ TEST_F(AffinityTest, MatrixLayoutMatchesPaperSection22) {
   }
 }
 
+// A layer's block holds, bit for bit, the matrix columns of that layer's
+// functions in rank order, also for a prefix that leaves the layers
+// uneven (7 of 15 functions: 2, 2, 1, 1, 1).
+TEST_F(AffinityTest, LayerBlocksAreTheMatrixColumnsOfTheirFunctions) {
+  AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 3);
+  const PrototypeAffinitySource& source = *library.source;
+  const int64_t n = static_cast<int64_t>(images_.size());
+  const int num_functions = 7;
+  const Matrix a = PoolAffinity(*library.source, images_, num_functions);
+  int64_t covered = 0;
+  for (int layer = 0; layer < source.num_layers(); ++layer) {
+    const std::vector<int64_t> functions =
+        source.LayerFunctions(layer, num_functions);
+    EXPECT_EQ(functions.size(), layer < 2 ? 2u : 1u) << "layer " << layer;
+    const int64_t width = static_cast<int64_t>(functions.size()) * n;
+    Matrix block(n, width);
+    ASSERT_TRUE(source.ScorePoolLayerInto(layer, num_functions, &block).ok());
+    for (size_t z = 0; z < functions.size(); ++z) {
+      EXPECT_EQ(functions[z] % source.num_layers(), layer);
+      ExpectBitIdentical(block.Block(0, static_cast<int64_t>(z) * n, n, n),
+                         a.Block(0, functions[z] * n, n, n));
+    }
+    Matrix narrow(n, width - 1);
+    EXPECT_EQ(source.ScorePoolLayerInto(layer, num_functions, &narrow).code(),
+              StatusCode::kInvalidArgument);
+    covered += static_cast<int64_t>(functions.size());
+  }
+  EXPECT_EQ(covered, num_functions);
+}
+
 TEST_F(AffinityTest, PrepareIsIdempotent) {
   AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 2);
   const Matrix before = PoolAffinity(*library.source, images_, 10);

@@ -1,9 +1,18 @@
 #include "goggles/hierarchical.h"
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "data/raster.h"
 #include "goggles/mapping.h"
-
+#include "goggles/pipeline.h"
+#include "nn/vgg.h"
+#include "serve/artifact.h"
 #include "util/rng.h"
 
 namespace goggles {
@@ -299,6 +308,179 @@ TEST(HierarchicalTest, PrepackedInferMatchesPerFunctionPredictProba) {
       }
     }
   }
+}
+
+/// A small VggMini backbone (untrained: the bits are what is compared).
+std::shared_ptr<features::FeatureExtractor> MakeExtractor() {
+  nn::VggMiniConfig config;
+  config.stage_channels = {4, 8, 8, 8, 8};
+  config.num_classes = 2;
+  Result<nn::VggMini> model = nn::BuildVggMini(config);
+  model.status().Abort("vgg");
+  return std::make_shared<features::FeatureExtractor>(std::move(*model));
+}
+
+/// Two classes of 32x32 images: circles (class 0) and crosses (class 1)
+/// at seeded positions, sizes and colours.
+std::vector<data::Image> ShapeImages(int n, Rng* rng) {
+  std::vector<data::Image> images;
+  for (int i = 0; i < n; ++i) {
+    data::Image img(3, 32, 32, 0.1f);
+    const int x = 10 + static_cast<int>(rng->Uniform() * 12);
+    const int y = 10 + static_cast<int>(rng->Uniform() * 12);
+    const float tint = static_cast<float>(rng->Uniform());
+    if (i % 2 == 0) {
+      data::DrawFilledCircle(&img, x, y, 5 + i % 4, {1.0f, tint, 0.2f});
+    } else {
+      data::DrawCross(&img, x, y, 10 + i % 5, 3, {0.2f, tint, 1.0f});
+    }
+    images.push_back(std::move(img));
+  }
+  return images;
+}
+
+std::string SavedBytes(const GogglesPipeline& pipeline,
+                       const FittedHierarchicalModel& model,
+                       const LabelingResult& result, const std::string& name) {
+  const PrototypeAffinitySource& source = *pipeline.library().source;
+  const std::string path = ::testing::TempDir() + "/" + name + ".ggsa";
+  const Status saved = serve::SaveArtifactFile(
+      path, source.top_z(), source.num_layers(), source.fingerprint(), model,
+      source.layers(), result.soft_labels, result.hard_labels);
+  EXPECT_TRUE(saved.ok()) << saved;
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// Label streams A into the base layer one tap layer at a time; fitting the
+// materialized BuildAffinity matrix must give the same bits everywhere:
+// labels, every base LP, the GMM and ensemble parameters, both mappings
+// and the saved artifact. The cases cover uneven layer blocks
+// (max_functions = 7 gives layers 2, 2, 1, 1, 1 functions), a user
+// function's block after the library, and both ablations.
+TEST(HierarchicalTest, StreamedFitMatchesMaterializedFit) {
+  Rng rng(31);
+  const int n = 24;
+  const std::vector<data::Image> images = ShapeImages(n, &rng);
+  const std::vector<int> dev_indices = {0, 1, 2, 3};
+  const std::vector<int> dev_labels = {0, 1, 0, 1};
+  std::shared_ptr<features::FeatureExtractor> extractor = MakeExtractor();
+
+  struct Case {
+    const char* name;
+    GogglesConfig config;
+    bool user_function;
+  };
+  std::vector<Case> cases(5);
+  cases[0].name = "library";
+  cases[1].name = "max_functions_7";
+  cases[1].config.max_functions = 7;
+  cases[2].name = "library_plus_user";
+  cases[2].user_function = true;
+  cases[3].name = "averaging";
+  cases[3].config.inference.use_ensemble = false;
+  cases[4].name = "no_one_hot";
+  cases[4].config.inference.one_hot_lp = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    GogglesPipeline pipeline(extractor, c.config);
+    int alpha = pipeline.library().num_functions();
+    if (c.user_function) {
+      Matrix embeddings(n, 6);
+      for (int64_t i = 0; i < embeddings.size(); ++i) {
+        embeddings.data()[i] = rng.Gaussian();
+      }
+      pipeline.AddFunction(std::make_unique<VectorCosineAffinity>(
+          "embedding", std::move(embeddings)));
+      ++alpha;
+    }
+    if (c.config.max_functions > 0) alpha = c.config.max_functions;
+    ASSERT_EQ(pipeline.num_functions(), alpha);
+
+    FittedHierarchicalModel streamed_model, materialized_model;
+    Result<LabelingResult> streamed = pipeline.Label(
+        images, dev_indices, dev_labels, 2, &streamed_model);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    Result<Matrix> affinity = pipeline.BuildAffinity(images);
+    ASSERT_TRUE(affinity.ok()) << affinity.status();
+    ASSERT_EQ(affinity->cols(), static_cast<int64_t>(alpha) * n);
+    Result<LabelingResult> materialized =
+        HierarchicalLabeler(c.config.inference)
+            .Fit(*affinity, dev_indices, dev_labels, 2, &materialized_model);
+    ASSERT_TRUE(materialized.ok()) << materialized.status();
+
+    EXPECT_EQ(streamed->hard_labels, materialized->hard_labels);
+    ExpectBitIdentical(materialized->soft_labels, streamed->soft_labels,
+                       "soft labels");
+    EXPECT_EQ(streamed->cluster_to_class, materialized->cluster_to_class);
+    EXPECT_EQ(streamed->ensemble_log_likelihood,
+              materialized->ensemble_log_likelihood);
+    ASSERT_EQ(streamed->base_label_predictions.size(),
+              static_cast<size_t>(alpha));
+    ASSERT_EQ(materialized->base_label_predictions.size(),
+              static_cast<size_t>(alpha));
+    ASSERT_EQ(streamed_model.num_functions(), alpha);
+    ASSERT_EQ(materialized_model.num_functions(), alpha);
+    for (size_t f = 0; f < static_cast<size_t>(alpha); ++f) {
+      SCOPED_TRACE(testing::Message() << "function " << f);
+      ExpectBitIdentical(materialized->base_label_predictions[f],
+                         streamed->base_label_predictions[f], "base LP");
+      const DiagonalGmm& got = streamed_model.base_models[f];
+      const DiagonalGmm& want = materialized_model.base_models[f];
+      ExpectBitIdentical(want.means(), got.means(), "GMM means");
+      ExpectBitIdentical(want.variances(), got.variances(), "GMM variances");
+      EXPECT_EQ(want.weights(), got.weights());
+      EXPECT_EQ(want.final_log_likelihood(), got.final_log_likelihood());
+      EXPECT_EQ(materialized_model.base_mappings[f],
+                streamed_model.base_mappings[f]);
+    }
+    ExpectBitIdentical(materialized_model.ensemble.bernoulli_params(),
+                       streamed_model.ensemble.bernoulli_params(),
+                       "ensemble parameters");
+    EXPECT_EQ(materialized_model.ensemble.weights(),
+              streamed_model.ensemble.weights());
+    EXPECT_EQ(materialized_model.ensemble_mapping,
+              streamed_model.ensemble_mapping);
+    EXPECT_TRUE(SavedBytes(pipeline, streamed_model, *streamed, "streamed") ==
+                SavedBytes(pipeline, materialized_model, *materialized,
+                           "materialized"))
+        << "saved artifacts differ";
+  }
+}
+
+// FitBlocks refuses a stream that does not hand over every function
+// exactly once, or a block too narrow for its functions.
+TEST(HierarchicalTest, FitBlocksRejectsMalformedStreams) {
+  Rng rng(37);
+  const std::vector<int> truth = AlternatingTruth(10);
+  const Matrix a = SyntheticAffinity(truth, 2, 1, 0.1, &rng);
+  HierarchicalLabeler labeler{HierarchicalConfig{}};
+  auto fit = [&](std::vector<std::vector<int64_t>> function_blocks,
+                 const Matrix* columns) {
+    size_t next = 0;
+    return labeler
+        .FitBlocks(
+            10, 3,
+            [&](AffinityBlock* block) {
+              block->columns = columns;
+              block->functions.clear();
+              if (next < function_blocks.size()) {
+                block->functions = function_blocks[next++];
+              }
+              return Status::OK();
+            },
+            {0, 1}, {0, 1}, 2)
+        .status();
+  };
+  EXPECT_TRUE(fit({{0, 1}, {2}}, &a).ok());
+  EXPECT_EQ(fit({{0, 1}}, &a).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fit({{0, 1}, {1, 2}}, &a).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fit({{0, 1, 2, 3}}, &a).code(), StatusCode::kInvalidArgument);
+  const Matrix narrow = a.Block(0, 0, 10, 20);
+  EXPECT_EQ(fit({{0, 1, 2}}, &narrow).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(HierarchicalTest, RejectsMalformedAffinity) {
