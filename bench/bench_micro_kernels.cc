@@ -171,6 +171,44 @@ void BM_DiagonalGmmFit(benchmark::State& state) {
 BENCHMARK(BM_DiagonalGmmFit)->Arg(50)->Arg(100)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
+// One base GMM of a pool-480 fit as HierarchicalLabeler runs it:
+// DiagonalGmm::FitPredict at K = 2 and the default GmmConfig on the
+// second 480 x 480 slice of a two-function block, with a reused
+// em::FitOperand workspace and a posterior out, serial as the base
+// layer's slots run it. The block holds two weakly planted classes
+// (slightly higher affinity within a class), so the best restart runs
+// about 20 EM iterations, as a base GMM of a real pool-480 fit does;
+// `em_iters` reports it.
+void BM_BaseGmmFitPredict(benchmark::State& state) {
+  const int64_t n = 480;
+  Rng rng(9);
+  Matrix block(n, 2 * n);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < 2 * n; ++j) {
+      const bool same_class = (i % 2) == ((j % n) % 2);
+      block(i, j) = (same_class ? 0.515 : 0.485) + 0.4 * rng.Uniform();
+    }
+  }
+  GmmConfig config;
+  config.num_components = 2;
+  em::FitOperand workspace;
+  Matrix posterior;
+  ScopedSerialKernels serial;
+  double iters = 0.0;
+  for (auto _ : state) {
+    DiagonalGmm gmm(config);
+    if (!gmm.FitPredict(block, n, n, &workspace, &posterior).ok()) {
+      state.SkipWithError("DiagonalGmm::FitPredict");
+      return;
+    }
+    iters = static_cast<double>(gmm.log_likelihood_history().size());
+    benchmark::DoNotOptimize(posterior.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["em_iters"] = iters;
+}
+BENCHMARK(BM_BaseGmmFitPredict)->Unit(benchmark::kMillisecond);
+
 void BM_BernoulliMixtureFit(benchmark::State& state) {
   const int alpha = static_cast<int>(state.range(0));
   Rng rng(7);

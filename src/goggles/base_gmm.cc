@@ -142,8 +142,6 @@ Status DiagonalGmm::FitPredict(const Matrix& x, int64_t col_begin,
         "DiagonalGmm::Fit: column slice out of range");
   }
 
-  const em::Engine engine =
-      config_.use_gemm ? em::Engine::kGemm : em::Engine::kReference;
   AugmentWithSquares(x, col_begin, dims, &workspace->raw);
   const int64_t n = x.rows();
   const double var_floor = config_.var_floor;
@@ -169,9 +167,8 @@ Status DiagonalGmm::FitPredict(const Matrix& x, int64_t col_begin,
   auto init = [&](Rng* rng, em::Scratch*) {
     return InitState(workspace->raw, config_.num_components, rng, var_floor);
   };
-  final_ll_ = em::FitBestRestart(workspace, engine, config_, init,
-                                 BuildGaussianPanel, update, &params_,
-                                 &ll_history_);
+  final_ll_ = em::FitBestRestart(workspace, config_, init, BuildGaussianPanel,
+                                 update, &params_, &ll_history_);
   if (posterior == nullptr) return Status::OK();
 
   // PredictProba of the same slice, minus its re-augmentation: the fitted
@@ -180,8 +177,7 @@ Status DiagonalGmm::FitPredict(const Matrix& x, int64_t col_begin,
   if (params_.means.rows() == 0) {
     return Status::Internal("DiagonalGmm::FitPredict: model not fitted");
   }
-  *posterior =
-      em::Posterior(*workspace, engine, BuildGaussianPanel, params_);
+  *posterior = em::Posterior(*workspace, BuildGaussianPanel, params_);
   return Status::OK();
 }
 
@@ -198,11 +194,9 @@ Result<Matrix> DiagonalGmm::PredictProba(const Matrix& x) const {
     return Status::InvalidArgument(
         "DiagonalGmm::PredictProba: dimension mismatch");
   }
-  const em::Engine engine =
-      config_.use_gemm ? em::Engine::kGemm : em::Engine::kReference;
   Matrix xaug;
   AugmentWithSquares(x, 0, x.cols(), &xaug);
-  return em::Posterior(xaug, engine, BuildGaussianPanel, params_);
+  return em::Posterior(xaug, BuildGaussianPanel, params_);
 }
 
 }  // namespace goggles

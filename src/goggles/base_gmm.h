@@ -25,11 +25,6 @@ struct GmmConfig {
   int num_restarts = 3;     ///< keep the best of this many EM runs
   double var_floor = 1e-6;  ///< lower bound on per-dimension variance
   uint64_t seed = 17;       ///< RNG seed for the restarts' initializations
-  /// Run the E/M-step matrix products on the packed DGemm kernels (the
-  /// production default). OFF selects the retained serial scalar
-  /// reference engine — bit-identical by the accumulation contract in
-  /// tensor/gemm.h, enforced by tests/gmm_gemm_test.cc.
-  bool use_gemm = true;
 };
 
 /// \brief Parameters of a diagonal GMM: a fitted model's, and the state

@@ -17,8 +17,7 @@ void EnsureShape(int64_t rows, int64_t cols, Matrix* m) {
 
 }  // namespace
 
-void PackFitOperand(Engine engine, FitOperand* op) {
-  if (engine != Engine::kGemm) return;
+void PackFitOperand(FitOperand* op) {
   const Matrix& m = op->raw;
   DGemmPackOperandAInto(/*transpose_a=*/false, m.rows(), m.cols(), m.data(),
                         m.cols(), &op->fwd);
@@ -26,38 +25,25 @@ void PackFitOperand(Engine engine, FitOperand* op) {
                         m.cols(), &op->transposed);
 }
 
-void ProductNT(const FitOperand& x, const Matrix& b, Engine engine,
-               Matrix* out) {
-  if (engine != Engine::kGemm) return ProductNT(x.raw, b, engine, out);
+void ProductNT(const FitOperand& x, const Matrix& b, Matrix* out) {
   const int64_t d = x.raw.cols(), k = b.rows();
   EnsureShape(x.raw.rows(), k, out);
   DGemmWithPackedA(x.fwd, /*transpose_b=*/true, k, b.data(), d, 0.0,
                    out->data(), k);
 }
 
-void ProductNT(const Matrix& a, const Matrix& b, Engine engine, Matrix* out) {
+void ProductNT(const Matrix& a, const Matrix& b, Matrix* out) {
   const int64_t n = a.rows(), d = a.cols(), k = b.rows();
   EnsureShape(n, k, out);
-  if (engine == Engine::kGemm) {
-    DGemm(/*transpose_a=*/false, /*transpose_b=*/true, n, k, d, 1.0, a.data(),
-          d, b.data(), d, 0.0, out->data(), k);
-  } else {
-    DGemmReference(/*transpose_a=*/false, /*transpose_b=*/true, n, k, d, 1.0,
-                   a.data(), d, b.data(), d, 0.0, out->data(), k);
-  }
+  DGemm(/*transpose_a=*/false, /*transpose_b=*/true, n, k, d, 1.0, a.data(), d,
+        b.data(), d, 0.0, out->data(), k);
 }
 
-void ProductTB(const FitOperand& x, const Matrix& b, Engine engine,
-               Matrix* out) {
-  const int64_t n = x.raw.rows(), d = x.raw.cols(), k = b.cols();
-  EnsureShape(d, k, out);
-  if (engine == Engine::kGemm) {
-    DGemmWithPackedA(x.transposed, /*transpose_b=*/false, k, b.data(), k, 0.0,
-                     out->data(), k);
-  } else {
-    DGemmReference(/*transpose_a=*/true, /*transpose_b=*/false, d, k, n, 1.0,
-                   x.raw.data(), d, b.data(), k, 0.0, out->data(), k);
-  }
+void ProductTB(const FitOperand& x, const Matrix& b, Matrix* out) {
+  const int64_t k = b.cols();
+  EnsureShape(x.raw.cols(), k, out);
+  DGemmWithPackedA(x.transposed, /*transpose_b=*/false, k, b.data(), k, 0.0,
+                   out->data(), k);
 }
 
 double LogSoftmaxRowInPlace(const double* offsets, int64_t k, double* row) {

@@ -18,14 +18,14 @@
 /// Both mixtures cast their E-step as one N x K matrix product against a
 /// per-component parameter panel plus a per-component additive offset,
 /// and their M-step as one D x K product of the (augmented) design matrix
-/// against the responsibilities. The products run on one of two engines:
-/// the packed, blocked, parallel DGemm, or the retained serial scalar
-/// reference (DGemmReference) — bit-identical by the accumulation
-/// contract in tensor/gemm.h, which the tests enforce. Everything that is
-/// NOT a matrix product (the log-softmax epilogue, responsibility
-/// exponentiation, column sums) is implemented exactly once here and
-/// shared by both engines, so whole EM trajectories are bit-identical
-/// across engines and thread counts. So is everything that is not
+/// against the responsibilities. The products have one path, the packed,
+/// blocked, parallel DGemm: bit-equal to the serial scalar DGemmReference
+/// by the accumulation contract in tensor/gemm.h (tests/gmm_gemm_test.cc
+/// checks the EM products against it at the fit shapes) and invariant to
+/// the thread count. Everything that is NOT a matrix product (the
+/// log-softmax epilogue, responsibility exponentiation, column sums) is
+/// implemented exactly once here, so whole EM trajectories are
+/// bit-identical across thread counts. So is everything that is not
 /// model-specific: FitBestRestart owns the restart loop, the iteration
 /// and its stop rule, and the best-restart pick; a mixture supplies only
 /// its init, its E-step panel and its per-component parameter update.
@@ -33,47 +33,40 @@
 namespace goggles {
 namespace em {
 
-/// \brief Which kernel computes the E/M-step matrix products.
-enum class Engine {
-  kGemm,       ///< packed blocked DGemm (parallel; the production default)
-  kReference,  ///< retained serial scalar reference (validation/debugging)
-};
-
 /// \brief The constant per-fit design matrix with its once-per-fit packed
 /// forms. Every EM iteration multiplies the same N x D matrix; for the
 /// skinny per-iteration products (the other operand has K = #components
 /// columns) the transposing repack of this operand would dominate the
 /// whole call, so both product orientations are packed up front and
-/// shared read-only across restarts. Both engines keep `raw`; only the
-/// GEMM engine builds the packs. An operand can be refilled for the next
-/// fit: a same-shape design reuses every buffer without allocating.
+/// shared read-only across restarts. `raw` stays next to its packs: the
+/// Gaussian init reads it, and the products take their shapes from it.
+/// An operand can be refilled for the next fit: a same-shape design
+/// reuses every buffer without allocating.
 struct FitOperand {
   Matrix raw;               ///< design matrix
   DGemmPackedA fwd;         ///< packed op(A) = design (E-step product)
   DGemmPackedA transposed;  ///< packed op(A) = design^T (M-step product)
 };
 
-/// \brief Builds the engine's form of `op->raw`: both packs on the GEMM
-/// engine, in their existing storage; nothing on the reference engine.
-void PackFitOperand(Engine engine, FitOperand* op);
+/// \brief Packs `op->raw` in both product orientations, in the packs'
+/// existing storage.
+void PackFitOperand(FitOperand* op);
 
 /// \brief out = design * b^T for b (k x d); out is reshaped to n x k
 /// only when its shape differs (reusable across EM iterations).
-void ProductNT(const FitOperand& x, const Matrix& b, Engine engine,
-               Matrix* out);
+void ProductNT(const FitOperand& x, const Matrix& b, Matrix* out);
 
 /// \brief out = a * b^T for a (n x d), b (k x d) — the unpacked variant
 /// used by one-shot posterior evaluation (PredictProba); out is reshaped
 /// to n x k only when its shape differs.
-void ProductNT(const Matrix& a, const Matrix& b, Engine engine, Matrix* out);
+void ProductNT(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// \brief out = design^T * b for b (n x k); out is reshaped to d x k
 /// only when its shape differs. The output is the *transpose* of the textbook
 /// M-step moment matrix — callers index it (dimension, component) — so
 /// the product's long dimension rides the fully-utilized row-tile side of
 /// the kernel.
-void ProductTB(const FitOperand& x, const Matrix& b, Engine engine,
-               Matrix* out);
+void ProductTB(const FitOperand& x, const Matrix& b, Matrix* out);
 
 /// \brief One row of LogSoftmaxRowsInPlace: adds offsets[c] to row[c]
 /// for c < k, replaces the row by its log-softmax and returns its
@@ -116,11 +109,11 @@ struct Scratch {
 /// their column sums nk, and moments = design^T * resp), then the
 /// model's `update(nk, moments, state)` of its per-component parameters.
 template <typename State, typename Update>
-void MStep(const FitOperand& x, Engine engine, const Update& update,
-           Scratch* s, State* state) {
+void MStep(const FitOperand& x, const Update& update, Scratch* s,
+           State* state) {
   ExpInto(s->log_resp, &s->resp);
   ColumnSums(s->resp, &s->nk);
-  ProductTB(x, s->resp, engine, &s->moments);
+  ProductTB(x, s->resp, &s->moments);
   update(s->nk, s->moments, state);
 }
 
@@ -143,11 +136,10 @@ void MStep(const FitOperand& x, Engine engine, const Update& update,
 /// (untouched if none beats -inf). Returns the winning final LL.
 template <typename Config, typename State, typename Init,
           typename BuildPanel, typename Update>
-double FitBestRestart(FitOperand* x, Engine engine, const Config& config,
-                      const Init& init, const BuildPanel& build_panel,
-                      const Update& update, State* best_state,
-                      std::vector<double>* best_history) {
-  PackFitOperand(engine, x);
+double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
+                      const BuildPanel& build_panel, const Update& update,
+                      State* best_state, std::vector<double>* best_history) {
+  PackFitOperand(x);
   struct Run {
     State state;
     std::vector<double> history;
@@ -163,10 +155,10 @@ double FitBestRestart(FitOperand* x, Engine engine, const Config& config,
     double prev_ll = -std::numeric_limits<double>::infinity();
     for (int iter = 0; iter < config.max_iters; ++iter) {
       build_panel(run.state, &s.panel, &s.offsets);
-      ProductNT(*x, s.panel, engine, &s.log_resp);
+      ProductNT(*x, s.panel, &s.log_resp);
       const double ll = LogSoftmaxRowsInPlace(s.offsets, &s.log_resp);
       run.history.push_back(ll);
-      MStep(*x, engine, update, &s, &run.state);
+      MStep(*x, update, &s, &run.state);
       if (iter > 0 && ll - prev_ll < config.tol) break;
       prev_ll = ll;
     }
@@ -192,12 +184,12 @@ double FitBestRestart(FitOperand* x, Engine engine, const Config& config,
 /// a plain Matrix) under `params`: the E-step of FitBestRestart with the
 /// same `build_panel`, then exp — one matrix end to end.
 template <typename Operand, typename BuildPanel, typename State>
-Matrix Posterior(const Operand& x, Engine engine,
-                 const BuildPanel& build_panel, const State& params) {
+Matrix Posterior(const Operand& x, const BuildPanel& build_panel,
+                 const State& params) {
   Matrix panel, proba;
   std::vector<double> offsets;
   build_panel(params, &panel, &offsets);
-  ProductNT(x, panel, engine, &proba);
+  ProductNT(x, panel, &proba);
   LogSoftmaxRowsInPlace(offsets, &proba);
   ExpInto(proba, &proba);
   return proba;

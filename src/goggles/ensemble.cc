@@ -65,12 +65,14 @@ Status BernoulliMixture::SetParameters(Matrix params,
 
 Status BernoulliMixture::Fit(const Matrix& b) {
   const int64_t n = b.rows();
+  if (config_.num_components < 1) {
+    return Status::InvalidArgument(
+        "BernoulliMixture::Fit: need >= 1 component");
+  }
   if (n < config_.num_components) {
     return Status::InvalidArgument(
         "BernoulliMixture::Fit: fewer samples than components");
   }
-  const em::Engine engine =
-      config_.use_gemm ? em::Engine::kGemm : em::Engine::kReference;
   em::FitOperand bop;
   bop.raw = b;
   const int64_t k = config_.num_components, l = b.cols();
@@ -109,12 +111,11 @@ Status BernoulliMixture::Fit(const Matrix& b) {
     }
     BernoulliMixtureParams state{
         Matrix(k, l), std::vector<double>(static_cast<size_t>(k), 0.0)};
-    em::MStep(bop, engine, update, s, &state);
+    em::MStep(bop, update, s, &state);
     return state;
   };
-  final_ll_ = em::FitBestRestart(&bop, engine, config_, init,
-                                 BuildBernoulliPanel, update, &params_,
-                                 &ll_history_);
+  final_ll_ = em::FitBestRestart(&bop, config_, init, BuildBernoulliPanel,
+                                 update, &params_, &ll_history_);
   return Status::OK();
 }
 
@@ -131,9 +132,7 @@ Result<Matrix> BernoulliMixture::PredictProba(const Matrix& b) const {
     return Status::InvalidArgument(
         "BernoulliMixture::PredictProba: dimension mismatch");
   }
-  const em::Engine engine =
-      config_.use_gemm ? em::Engine::kGemm : em::Engine::kReference;
-  return em::Posterior(b, engine, BuildBernoulliPanel, params_);
+  return em::Posterior(b, BuildBernoulliPanel, params_);
 }
 
 Matrix OneHotConcatLabelPredictions(const std::vector<Matrix>& lps) {

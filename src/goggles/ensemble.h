@@ -22,11 +22,6 @@ struct BernoulliMixtureConfig {
   /// (the paper's "singularity problem" guard).
   double smoothing = 1e-2;
   uint64_t seed = 19;  ///< RNG seed for the restarts' initializations
-  /// Run the E/M-step matrix products on the packed DGemm kernels (the
-  /// production default). OFF selects the retained serial scalar
-  /// reference engine — bit-identical by the accumulation contract in
-  /// tensor/gemm.h, enforced by tests/gmm_gemm_test.cc.
-  bool use_gemm = true;
 };
 
 /// \brief Parameters of a Bernoulli mixture: a fitted model's, and the

@@ -19,6 +19,10 @@ namespace goggles {
 
 /// \brief Inference hyper-parameters, plus ablation switches (§4.1 design
 /// choices, exercised by bench_ablation_inference).
+///
+/// The labeler overrides `base.num_components` and
+/// `ensemble.num_components` with the fit's `num_classes`, and fits
+/// function f's base GMM with seed `base.seed + f·7919`.
 struct HierarchicalConfig {
   GmmConfig base;                   ///< per-function base GMM knobs
   BernoulliMixtureConfig ensemble;  ///< ensemble Bernoulli-mixture knobs

@@ -193,8 +193,8 @@ void PanelStackProducts(const double* x, int64_t num_functions, int64_t dims,
 /// kGemmKChunk-sized k-block, added into C in ascending block order, with
 /// alpha folded into each A element up front (one rounding, as the packed
 /// kernel does). Bit-identical to DGemm/DGemmWithThreads by contract —
-/// the EM fit cores retain this as their scalar-reference engine, and the
-/// tests enforce the equality over randomized shapes.
+/// the tests enforce the equality over randomized shapes and check the EM
+/// fit cores' products against it.
 void DGemmReference(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                     int64_t k, double alpha, const double* a, int64_t lda,
                     const double* b, int64_t ldb, double beta, double* c,

@@ -105,6 +105,14 @@ TEST(BernoulliMixtureTest, FewerSamplesThanComponentsRejected) {
   config.num_components = 5;
   BernoulliMixture mix(config);
   EXPECT_FALSE(mix.Fit(Matrix(2, 3, 1.0)).ok());
+  for (const int components : {0, -1}) {
+    BernoulliMixtureConfig empty_config;
+    empty_config.num_components = components;
+    const Status status =
+        BernoulliMixture(empty_config).Fit(Matrix(4, 3, 1.0));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "num_components=" << components;
+  }
 }
 
 TEST(BernoulliMixtureTest, PredictBeforeFitRejected) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "goggles/base_gmm.h"
+#include "goggles/em_core.h"
 #include "goggles/ensemble.h"
 #include "goggles/hierarchical.h"
 #include "goggles/mapping.h"
@@ -20,15 +21,17 @@
 ///      (DGemmReference) bit for bit over randomized shapes, including
 ///      shapes crossing the kGemmKChunk accumulation boundary, and a
 ///      naive tolerance reference for plain correctness;
-///  (b) DiagonalGmm::Fit / BernoulliMixture::Fit produce bit-identical
-///      parameters, LL trajectories and posteriors on the GEMM engine vs
-///      the scalar-reference engine, and at serial vs parallel execution
-///      (ScopedSerialKernels forces 1-thread kernels and serial restarts);
+///  (b) the EM products (em::ProductNT packed and unpacked, em::ProductTB
+///      after em::PackFitOperand) equal DGemmReference bit for bit on
+///      Gaussian [x² | x] and Bernoulli designs built here, at the fit
+///      shapes; DiagonalGmm::Fit / BernoulliMixture::Fit are bit-identical
+///      at serial vs parallel execution (ScopedSerialKernels forces
+///      1-thread kernels and serial restarts);
 ///  (c) DGemm passes the same transpose/alpha/beta/NaN semantics sweep as
 ///      tensor_gemm_test.cc does for SGemm;
 ///  (d) the posterior HierarchicalLabeler::Fit computes from each base
 ///      fit's packed design equals DiagonalGmm::PredictProba on the same
-///      affinity block, on both engines.
+///      affinity block.
 
 namespace goggles {
 namespace {
@@ -219,106 +222,107 @@ TEST(DGemmDeterminismTest, PackedOperandMatchesUnpackedBitForBit) {
   }
 }
 
-/// Fits two models with identical configs except the engine flag and
-/// requires the full fit result to match bit for bit.
-void CheckGmmEngines(int64_t n, int64_t d, int components, uint64_t seed) {
-  Rng rng(seed);
-  Matrix x = RandomMatrix(n, d, &rng);
-  GmmConfig gemm_config;
-  gemm_config.num_components = components;
-  gemm_config.num_restarts = 3;
-  gemm_config.max_iters = 15;
-  gemm_config.tol = 0.0;  // run every iteration: longer trajectories
-  gemm_config.seed = seed;
-  GmmConfig ref_config = gemm_config;
-  ref_config.use_gemm = false;
-
-  DiagonalGmm gemm_fit(gemm_config), ref_fit(ref_config);
-  ASSERT_TRUE(gemm_fit.Fit(x).ok());
-  ASSERT_TRUE(ref_fit.Fit(x).ok());
-
-  ASSERT_EQ(gemm_fit.log_likelihood_history(),
-            ref_fit.log_likelihood_history())
-      << "n=" << n << " d=" << d << " k=" << components;
-  EXPECT_EQ(gemm_fit.final_log_likelihood(), ref_fit.final_log_likelihood());
-  ASSERT_EQ(std::memcmp(gemm_fit.means().data(), ref_fit.means().data(),
-                        static_cast<size_t>(gemm_fit.means().size()) *
-                            sizeof(double)),
-            0);
-  ASSERT_EQ(std::memcmp(gemm_fit.variances().data(),
-                        ref_fit.variances().data(),
-                        static_cast<size_t>(gemm_fit.variances().size()) *
-                            sizeof(double)),
-            0);
-  ASSERT_EQ(gemm_fit.weights(), ref_fit.weights());
-
-  Result<Matrix> gemm_proba = gemm_fit.PredictProba(x);
-  Result<Matrix> ref_proba = ref_fit.PredictProba(x);
-  ASSERT_TRUE(gemm_proba.ok());
-  ASSERT_TRUE(ref_proba.ok());
-  ASSERT_EQ(std::memcmp(gemm_proba->data(), ref_proba->data(),
-                        static_cast<size_t>(gemm_proba->size()) *
-                            sizeof(double)),
-            0);
+void ExpectBitEqual(const Matrix& got, const Matrix& want,
+                    const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(got.size()) * sizeof(double)),
+            0)
+      << what << " != DGemmReference (" << want.rows() << " x "
+      << want.cols() << ")";
 }
 
-TEST(GmmEngineEquivalenceTest, FitBitIdenticalOverRandomizedShapes) {
-  // Shapes straddle the register tiles and (via 2D > 512) the kGemmKChunk
-  // accumulation boundary of the augmented design matrix.
-  CheckGmmEngines(40, 7, 2, 1);
-  CheckGmmEngines(60, 33, 3, 2);
-  CheckGmmEngines(25, 300, 2, 3);
-  CheckGmmEngines(130, 65, 4, 4);
+/// The EM products on one N x D design, as a fit runs them: the E-step's
+/// design · panelᵀ (packed and unpacked ProductNT, panel K x D) and the
+/// M-step's designᵀ · resp (ProductTB, resp N x K), both after
+/// PackFitOperand, must equal DGemmReference on the same operands bit for
+/// bit. Outputs start NaN-filled at their final shape, as a reused
+/// workspace's do. Everything else in EM is one shared implementation, so
+/// equal products mean equal fit trajectories.
+void CheckEmProducts(const Matrix& design, int64_t k, em::FitOperand* op,
+                     Rng* rng) {
+  const int64_t n = design.rows(), d = design.cols();
+  op->raw = design;
+  em::PackFitOperand(op);
+  Matrix panel(k, d);
+  for (int64_t i = 0; i < panel.size(); ++i) panel.data()[i] = rng->Gaussian();
+  Matrix resp = RandomMatrix(n, k, rng);
+
+  Matrix want_nt(n, k), want_tb(d, k);
+  DGemmReference(/*transpose_a=*/false, /*transpose_b=*/true, n, k, d, 1.0,
+                 design.data(), d, panel.data(), d, 0.0, want_nt.data(), k);
+  DGemmReference(/*transpose_a=*/true, /*transpose_b=*/false, d, k, n, 1.0,
+                 design.data(), d, resp.data(), k, 0.0, want_tb.data(), k);
+
+  Matrix packed_nt(n, k, kNaN), plain_nt(n, k, kNaN), tb(d, k, kNaN);
+  em::ProductNT(*op, panel, &packed_nt);
+  em::ProductNT(design, panel, &plain_nt);
+  em::ProductTB(*op, resp, &tb);
+  ExpectBitEqual(packed_nt, want_nt, "packed ProductNT");
+  ExpectBitEqual(plain_nt, want_nt, "unpacked ProductNT");
+  ExpectBitEqual(tb, want_tb, "ProductTB");
 }
 
-/// The same check for the Bernoulli ensemble; `fractional` exercises the
-/// no-one-hot ablation input.
-void CheckBernoulliEngines(int64_t n, int64_t l, int components,
-                           uint64_t seed, bool fractional) {
-  Rng rng(seed);
-  Matrix b(n, l);
-  for (int64_t i = 0; i < b.size(); ++i) {
-    b.data()[i] = fractional ? rng.Uniform() : (rng.Bernoulli(0.5) ? 1.0 : 0.0);
+/// The augmented Gaussian design [x² | x] of an N x D sample, built here
+/// independently of the library.
+Matrix GaussianDesign(int64_t n, int64_t d, Rng* rng) {
+  Matrix x = RandomMatrix(n, d, rng);
+  Matrix design(n, 2 * d);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < d; ++j) {
+      design(i, j) = x(i, j) * x(i, j);
+      design(i, d + j) = x(i, j);
+    }
   }
-  BernoulliMixtureConfig gemm_config;
-  gemm_config.num_components = components;
-  gemm_config.num_restarts = 3;
-  gemm_config.max_iters = 15;
-  gemm_config.tol = 0.0;
-  gemm_config.seed = seed;
-  BernoulliMixtureConfig ref_config = gemm_config;
-  ref_config.use_gemm = false;
-
-  BernoulliMixture gemm_fit(gemm_config), ref_fit(ref_config);
-  ASSERT_TRUE(gemm_fit.Fit(b).ok());
-  ASSERT_TRUE(ref_fit.Fit(b).ok());
-
-  ASSERT_EQ(gemm_fit.log_likelihood_history(),
-            ref_fit.log_likelihood_history())
-      << "n=" << n << " l=" << l << " k=" << components;
-  ASSERT_EQ(std::memcmp(gemm_fit.bernoulli_params().data(),
-                        ref_fit.bernoulli_params().data(),
-                        static_cast<size_t>(gemm_fit.bernoulli_params()
-                                                .size()) *
-                            sizeof(double)),
-            0);
-  ASSERT_EQ(gemm_fit.weights(), ref_fit.weights());
-
-  Result<Matrix> gemm_proba = gemm_fit.PredictProba(b);
-  Result<Matrix> ref_proba = ref_fit.PredictProba(b);
-  ASSERT_TRUE(gemm_proba.ok());
-  ASSERT_TRUE(ref_proba.ok());
-  ASSERT_EQ(std::memcmp(gemm_proba->data(), ref_proba->data(),
-                        static_cast<size_t>(gemm_proba->size()) *
-                            sizeof(double)),
-            0);
+  return design;
 }
 
-TEST(BernoulliEngineEquivalenceTest, FitBitIdenticalOverRandomizedShapes) {
-  CheckBernoulliEngines(30, 4, 2, 11, /*fractional=*/false);
-  CheckBernoulliEngines(150, 100, 2, 12, /*fractional=*/false);
-  CheckBernoulliEngines(80, 300, 3, 13, /*fractional=*/false);
-  CheckBernoulliEngines(60, 20, 2, 14, /*fractional=*/true);
+TEST(EmProductTest, GaussianDesignProductsMatchDGemmReference) {
+  // Shapes straddle the register tiles; 2D > 512 (d = 300, 480) crosses
+  // kGemmKChunk twice on the E-step depth, and n = 300, 480 crosses it on
+  // the M-step depth. 480 x 480 at K = 2 is a pool-480 base GMM's slice.
+  // Each workspace is refilled with a second design of the same shape, as
+  // the base layer reuses one across functions.
+  struct Shape {
+    int64_t n, d, k;
+  };
+  Rng rng(1);
+  for (const Shape& s : {Shape{40, 7, 2}, Shape{60, 33, 3}, Shape{25, 300, 2},
+                         Shape{130, 65, 4}, Shape{300, 20, 2},
+                         Shape{480, 480, 2}}) {
+    em::FitOperand workspace;
+    for (int refill = 0; refill < 2; ++refill) {
+      SCOPED_TRACE(testing::Message() << "n=" << s.n << " d=" << s.d
+                                      << " k=" << s.k << " refill=" << refill);
+      CheckEmProducts(GaussianDesign(s.n, s.d, &rng), s.k, &workspace, &rng);
+    }
+  }
+}
+
+TEST(EmProductTest, BernoulliDesignProductsMatchDGemmReference) {
+  // 0/1 one-hot LP designs, and a fractional one (the no-one-hot
+  // ablation's input).
+  struct Shape {
+    int64_t n, l, k;
+    bool fractional;
+  };
+  Rng rng(11);
+  for (const Shape& s :
+       {Shape{30, 4, 2, false}, Shape{150, 100, 2, false},
+        Shape{80, 300, 3, false}, Shape{300, 600, 2, false},
+        Shape{60, 20, 2, true}}) {
+    SCOPED_TRACE(testing::Message() << "n=" << s.n << " l=" << s.l
+                                    << " k=" << s.k
+                                    << " fractional=" << s.fractional);
+    Matrix b(s.n, s.l);
+    for (int64_t i = 0; i < b.size(); ++i) {
+      b.data()[i] =
+          s.fractional ? rng.Uniform() : (rng.Bernoulli(0.5) ? 1.0 : 0.0);
+    }
+    em::FitOperand op;
+    CheckEmProducts(b, s.k, &op, &rng);
+  }
 }
 
 // Serial vs parallel execution: ScopedSerialKernels forces every
@@ -429,33 +433,29 @@ TEST(EmThreadInvarianceTest, FitTimePosteriorMatchesPredictProba) {
     dev_indices.push_back(i);
     dev_labels.push_back(i % 2);
   }
-  for (const bool use_gemm : {true, false}) {
-    HierarchicalConfig config;
-    config.base.use_gemm = use_gemm;
-    config.base.max_iters = 15;
-    config.ensemble.use_gemm = use_gemm;
-    FittedHierarchicalModel fitted;
-    Result<LabelingResult> result = HierarchicalLabeler(config).Fit(
-        affinity, dev_indices, dev_labels, /*num_classes=*/2, &fitted);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(static_cast<int64_t>(result->base_label_predictions.size()),
-              alpha);
-    for (int64_t f = 0; f < alpha; ++f) {
-      Result<Matrix> proba =
-          fitted.base_models[static_cast<size_t>(f)].PredictProba(
-              affinity.Block(0, f * n, n, n));
-      ASSERT_TRUE(proba.ok());
-      const Matrix expected =
-          ApplyMapping(*proba, fitted.base_mappings[static_cast<size_t>(f)]);
-      const Matrix& got =
-          result->base_label_predictions[static_cast<size_t>(f)];
-      ASSERT_EQ(got.rows(), expected.rows());
-      ASSERT_EQ(got.cols(), expected.cols());
-      EXPECT_EQ(std::memcmp(got.data(), expected.data(),
-                            static_cast<size_t>(got.size()) * sizeof(double)),
-                0)
-          << "function " << f << " use_gemm=" << use_gemm;
-    }
+  HierarchicalConfig config;
+  config.base.max_iters = 15;
+  FittedHierarchicalModel fitted;
+  Result<LabelingResult> result = HierarchicalLabeler(config).Fit(
+      affinity, dev_indices, dev_labels, /*num_classes=*/2, &fitted);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(static_cast<int64_t>(result->base_label_predictions.size()),
+            alpha);
+  for (int64_t f = 0; f < alpha; ++f) {
+    Result<Matrix> proba =
+        fitted.base_models[static_cast<size_t>(f)].PredictProba(
+            affinity.Block(0, f * n, n, n));
+    ASSERT_TRUE(proba.ok());
+    const Matrix expected =
+        ApplyMapping(*proba, fitted.base_mappings[static_cast<size_t>(f)]);
+    const Matrix& got =
+        result->base_label_predictions[static_cast<size_t>(f)];
+    ASSERT_EQ(got.rows(), expected.rows());
+    ASSERT_EQ(got.cols(), expected.cols());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                          static_cast<size_t>(got.size()) * sizeof(double)),
+              0)
+        << "function " << f;
   }
 }
 

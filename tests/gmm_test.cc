@@ -137,6 +137,13 @@ TEST(DiagonalGmmTest, InvalidInputsRejected) {
   config.num_components = 5;
   DiagonalGmm gmm(config);
   EXPECT_FALSE(gmm.Fit(Matrix(3, 2, 1.0)).ok());  // fewer rows than K
+  for (const int components : {0, -1}) {
+    GmmConfig empty_config;
+    empty_config.num_components = components;
+    const Status status = DiagonalGmm(empty_config).Fit(Matrix(3, 2, 1.0));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "num_components=" << components;
+  }
   DiagonalGmm unfitted{GmmConfig{}};
   EXPECT_FALSE(unfitted.PredictProba(Matrix(3, 2)).ok());
 }
