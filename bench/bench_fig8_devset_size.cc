@@ -75,7 +75,10 @@ void RunExperiment() {
   for (const std::string& dataset : data::EvaluationDatasetNames()) {
     std::vector<std::string> row = {dataset};
     for (int m : kDevSizes) {
-      row.push_back(Pct(eval::Mean(curves[dataset][m])));
+      const double mean = eval::Mean(curves[dataset][m]);
+      row.push_back(Pct(mean));
+      RecordBenchMetric(StrFormat("pct_%s_d%d", dataset.c_str(), m),
+                        100.0 * mean);
     }
     table.AddRow(row);
   }

@@ -64,7 +64,10 @@ void RunExperiment() {
   for (const std::string& dataset : data::EvaluationDatasetNames()) {
     std::vector<std::string> row = {dataset};
     for (int c : kFunctionCounts) {
-      row.push_back(Pct(eval::Mean(curves[dataset][c])));
+      const double mean = eval::Mean(curves[dataset][c]);
+      row.push_back(Pct(mean));
+      RecordBenchMetric(StrFormat("pct_%s_a%d", dataset.c_str(), c),
+                        100.0 * mean);
     }
     table.AddRow(row);
   }

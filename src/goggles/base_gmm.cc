@@ -64,10 +64,35 @@ void BuildGaussianPanel(const GmmParams& params, Matrix* panel,
   }
 }
 
-/// Random-point initialization: distinct data rows as means, global column
-/// variance as the shared initial variance. Reads x from the plain half
-/// of the augmented design.
-GmmParams InitState(const Matrix& xaug, int k, Rng* rng, double var_floor) {
+/// The shared initial variance: the per-column variance of the plain half
+/// of the augmented design, floored at `var_floor`. It does not depend on
+/// the restart, so a fit computes it once. Row-major passes keep one
+/// accumulator per column, each summing over ascending rows.
+std::vector<double> InitialVariances(const Matrix& xaug, double var_floor) {
+  const int64_t n = xaug.rows(), d = xaug.cols() / 2;
+  std::vector<double> mean(static_cast<size_t>(d), 0.0);
+  for (int64_t i = 0; i < n; ++i) {
+    const double* row = xaug.RowPtr(i) + d;
+    for (int64_t j = 0; j < d; ++j) mean[static_cast<size_t>(j)] += row[j];
+  }
+  for (double& m : mean) m /= static_cast<double>(n);
+  std::vector<double> var(static_cast<size_t>(d), 0.0);
+  for (int64_t i = 0; i < n; ++i) {
+    const double* row = xaug.RowPtr(i) + d;
+    for (int64_t j = 0; j < d; ++j) {
+      const double diff = row[j] - mean[static_cast<size_t>(j)];
+      var[static_cast<size_t>(j)] += diff * diff;
+    }
+  }
+  for (double& v : var) v = std::max(v / static_cast<double>(n), var_floor);
+  return var;
+}
+
+/// Random-point initialization: distinct data rows as means, and
+/// `variances` (InitialVariances) as every component's variance. Reads x
+/// from the plain half of the augmented design.
+GmmParams InitState(const Matrix& xaug, int k,
+                    const std::vector<double>& variances, Rng* rng) {
   const int64_t n = xaug.rows(), d = xaug.cols() / 2;
   GmmParams state;
   state.means = Matrix(k, d);
@@ -78,19 +103,8 @@ GmmParams InitState(const Matrix& xaug, int k, Rng* rng, double var_floor) {
       static_cast<int>(n), k);
   for (int c = 0; c < k; ++c) {
     const double* row = xaug.RowPtr(picks[static_cast<size_t>(c)]) + d;
-    for (int64_t j = 0; j < d; ++j) state.means(c, j) = row[j];
-  }
-
-  std::vector<double> col_mean = ColumnMeans(xaug);
-  for (int64_t j = 0; j < d; ++j) {
-    double acc = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const double diff =
-          xaug(i, d + j) - col_mean[static_cast<size_t>(d + j)];
-      acc += diff * diff;
-    }
-    const double var = std::max(acc / static_cast<double>(n), var_floor);
-    for (int c = 0; c < k; ++c) state.variances(c, j) = var;
+    std::copy(row, row + d, state.means.RowPtr(c));
+    std::copy(variances.begin(), variances.end(), state.variances.RowPtr(c));
   }
   return state;
 }
@@ -164,8 +178,11 @@ Status DiagonalGmm::FitPredict(const Matrix& x, int64_t col_begin,
       state->weights[static_cast<size_t>(c)] = mass / static_cast<double>(n);
     }
   };
+  const std::vector<double> init_variances =
+      InitialVariances(workspace->raw, var_floor);
   auto init = [&](Rng* rng, em::Scratch*) {
-    return InitState(workspace->raw, config_.num_components, rng, var_floor);
+    return InitState(workspace->raw, config_.num_components, init_variances,
+                     rng);
   };
   final_ll_ = em::FitBestRestart(workspace, config_, init, BuildGaussianPanel,
                                  update, &params_, &ll_history_);

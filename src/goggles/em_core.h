@@ -6,7 +6,6 @@
 
 #include "linalg/matrix.h"
 #include "tensor/gemm.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -96,6 +95,9 @@ Status ValidateWeights(const std::vector<double>& weights, int64_t k,
                        const char* who);
 
 /// \brief Per-restart scratch of the EM driver, reused across iterations.
+/// FitBestRestart also keeps one for the stack of live restarts, whose
+/// fields then hold every live restart's K columns (or panel rows) side
+/// by side, in restart order.
 struct Scratch {
   Matrix panel;                 ///< K x D E-step parameter panel
   std::vector<double> offsets;  ///< per-component E-step offsets
@@ -122,18 +124,27 @@ void MStep(const FitOperand& x, const Update& update, Scratch* s,
 /// Packs `x` once (PackFitOperand); the packs are shared read-only by
 /// every restart and iteration, and by the caller's posterior. Restart r
 /// starts from `init(&rng, &scratch)` with rng = Rng(config.seed).Fork(r)
-/// (an init may MStep on responsibilities it writes to scratch.log_resp).
-/// Each iteration is an E-step — `build_panel(state, &panel, &offsets)`,
-/// ProductNT, the log-softmax epilogue, whose LL joins the history — then
-/// an MStep, until config.max_iters or an LL gain below config.tol.
+/// (an init may MStep on responsibilities it writes to scratch.log_resp);
+/// the inits run first, serially, in restart order. Each iteration is an
+/// E-step — `build_panel(state, &panel, &offsets)`, the design · panelᵀ
+/// product, the log-softmax epilogue, whose LL joins the history — then
+/// an M-step, until config.max_iters or an LL gain below config.tol.
 ///
-/// Restarts run under ParallelFor, one slot each, so results do not
-/// depend on execution order; nested in an outer ParallelFor or under
-/// ScopedSerialKernels it runs serially and the inner DGemm keeps its
-/// bit-identical-at-any-thread-count contract. The pick is serial in
-/// restart order: the first strict improvement of the final LL (0 for an
-/// empty history) wins and is moved into `best_state` / `best_history`
-/// (untouched if none beats -inf). Returns the winning final LL.
+/// The restarts run in lockstep: an iteration stacks the live restarts'
+/// K x D panels into one (live·K) x D panel, so one ProductNT and one
+/// ProductTB serve all of them — a packed product costs about the same
+/// at 2 columns as at 8, and each one streams the whole design. Per
+/// element the stacked products keep DGemm's accumulation order (gemm.h:
+/// independent of the problem shape), and the epilogue, exp and column
+/// sums work per column, so every restart follows the trajectory it
+/// would follow alone, bit for bit. A restart that meets its stop rule
+/// leaves the stack after that iteration's M-step. Nothing here fans
+/// out: the products parallelize inside DGemm (serially when nested in
+/// an outer ParallelFor or under ScopedSerialKernels), bit-identical at
+/// any thread count. The pick is serial in restart order: the first
+/// strict improvement of the final LL (0 for an empty history) wins and
+/// is moved into `best_state` / `best_history` (untouched if none beats
+/// -inf). Returns the winning final LL.
 template <typename Config, typename State, typename Init,
           typename BuildPanel, typename Update>
 double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
@@ -143,26 +154,75 @@ double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
   struct Run {
     State state;
     std::vector<double> history;
+    Scratch s;
+    double prev_ll = -std::numeric_limits<double>::infinity();
   };
   const Rng rng(config.seed);
   const int num_restarts = std::max(1, config.num_restarts);
   std::vector<Run> runs(static_cast<size_t>(num_restarts));
-  ParallelFor(0, num_restarts, [&](int64_t restart) {
+  std::vector<Run*> live;
+  for (int restart = 0; restart < num_restarts; ++restart) {
     Rng restart_rng = rng.Fork(static_cast<uint64_t>(restart));
     Run& run = runs[static_cast<size_t>(restart)];
-    Scratch s;
-    run.state = init(&restart_rng, &s);
-    double prev_ll = -std::numeric_limits<double>::infinity();
-    for (int iter = 0; iter < config.max_iters; ++iter) {
-      build_panel(run.state, &s.panel, &s.offsets);
-      ProductNT(*x, s.panel, &s.log_resp);
-      const double ll = LogSoftmaxRowsInPlace(s.offsets, &s.log_resp);
-      run.history.push_back(ll);
-      MStep(*x, update, &s, &run.state);
-      if (iter > 0 && ll - prev_ll < config.tol) break;
-      prev_ll = ll;
+    run.state = init(&restart_rng, &run.s);
+    live.push_back(&run);
+  }
+
+  Scratch stack;
+  std::vector<double> lls;
+  const int64_t n = x->raw.rows();
+  for (int iter = 0; iter < config.max_iters && !live.empty(); ++iter) {
+    // E-step: one product against the live restarts' stacked panels.
+    const int64_t lanes = static_cast<int64_t>(live.size());
+    int64_t k = 0, lane = 0;
+    for (Run* run : live) {
+      Scratch& s = run->s;
+      build_panel(run->state, &s.panel, &s.offsets);
+      k = s.panel.rows();
+      const int64_t w = s.panel.cols();
+      if (stack.panel.rows() != lanes * k || stack.panel.cols() != w) {
+        stack.panel = Matrix(lanes * k, w);
+      }
+      std::copy(s.panel.data(), s.panel.data() + s.panel.size(),
+                stack.panel.RowPtr(lane++ * k));
     }
-  });
+    ProductNT(*x, stack.panel, &stack.log_resp);
+    lls.assign(static_cast<size_t>(lanes), 0.0);
+    for (int64_t i = 0; i < n; ++i) {
+      double* row = stack.log_resp.RowPtr(i);
+      for (int64_t l = 0; l < lanes; ++l) {
+        lls[static_cast<size_t>(l)] += LogSoftmaxRowInPlace(
+            live[static_cast<size_t>(l)]->s.offsets.data(), k, row + l * k);
+      }
+    }
+
+    // M-step: one product against all lanes' responsibilities; each
+    // restart's update reads its own K columns.
+    ExpInto(stack.log_resp, &stack.resp);
+    ColumnSums(stack.resp, &stack.nk);
+    ProductTB(*x, stack.resp, &stack.moments);
+    const int64_t d = stack.moments.rows();
+    size_t kept = 0;
+    for (int64_t l = 0; l < lanes; ++l) {
+      Run& run = *live[static_cast<size_t>(l)];
+      Scratch& s = run.s;
+      s.nk.assign(stack.nk.begin() + l * k, stack.nk.begin() + (l + 1) * k);
+      if (s.moments.rows() != d || s.moments.cols() != k) {
+        s.moments = Matrix(d, k);
+      }
+      for (int64_t j = 0; j < d; ++j) {
+        const double* src = stack.moments.RowPtr(j) + l * k;
+        std::copy(src, src + k, s.moments.RowPtr(j));
+      }
+      update(s.nk, s.moments, &run.state);
+      const double ll = lls[static_cast<size_t>(l)];
+      run.history.push_back(ll);
+      const bool stop = iter > 0 && ll - run.prev_ll < config.tol;
+      run.prev_ll = ll;
+      if (!stop) live[kept++] = &run;
+    }
+    live.resize(kept);
+  }
 
   double best_ll = -std::numeric_limits<double>::infinity();
   Run* best = nullptr;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -26,12 +27,16 @@
 ///      Gaussian [x² | x] and Bernoulli designs built here, at the fit
 ///      shapes; DiagonalGmm::Fit / BernoulliMixture::Fit are bit-identical
 ///      at serial vs parallel execution (ScopedSerialKernels forces
-///      1-thread kernels and serial restarts);
+///      1-thread kernels);
 ///  (c) DGemm passes the same transpose/alpha/beta/NaN semantics sweep as
 ///      tensor_gemm_test.cc does for SGemm;
 ///  (d) the posterior HierarchicalLabeler::Fit computes from each base
 ///      fit's packed design equals DiagonalGmm::PredictProba on the same
-///      affinity block.
+///      affinity block;
+///  (e) em::FitBestRestart's lockstep restarts each follow the trajectory
+///      they follow alone: an R-restart fit equals the solo run of its
+///      winning restart bit for bit, and adding a restart that does not
+///      win leaves both mixtures' fits unchanged.
 
 namespace goggles {
 namespace {
@@ -229,7 +234,7 @@ void ExpectBitEqual(const Matrix& got, const Matrix& want,
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         static_cast<size_t>(got.size()) * sizeof(double)),
             0)
-      << what << " != DGemmReference (" << want.rows() << " x "
+      << what << " differs from its reference (" << want.rows() << " x "
       << want.cols() << ")";
 }
 
@@ -326,9 +331,9 @@ TEST(EmProductTest, BernoulliDesignProductsMatchDGemmReference) {
 }
 
 // Serial vs parallel execution: ScopedSerialKernels forces every
-// ParallelFor under it (restart parallelism AND the kernels' internal
-// row-tile parallelism) onto one thread; an unmarked Fit uses the default
-// worker count. The trajectories must match bit for bit.
+// ParallelFor under it (the kernels' internal row-tile parallelism) onto
+// one thread; an unmarked Fit uses the default worker count. The
+// trajectories must match bit for bit.
 TEST(EmThreadInvarianceTest, GmmFitBitIdenticalSerialVsParallel) {
   Rng rng(21);
   Matrix x = RandomMatrix(90, 90, &rng);
@@ -390,11 +395,11 @@ TEST(EmThreadInvarianceTest, BernoulliFitBitIdenticalSerialVsParallel) {
   ASSERT_EQ(parallel_fit.weights(), serial_fit.weights());
 }
 
-// Restart-parallel vs restart-serial execution with the kernels' internal
-// parallelism still enabled: running Fit from inside a ParallelFor worker
-// collapses the restart loop to serial (nested parallelism) while a
-// top-level Fit may fan restarts out — results must not depend on which
-// happened.
+// Top-level vs nested execution with the kernels' internal parallelism
+// still enabled: running Fit from inside a ParallelFor worker, as the
+// base layer does, runs its stacked products serially (nested
+// parallelism) while a top-level Fit spreads them over the pool — results
+// must not depend on which happened.
 TEST(EmThreadInvarianceTest, GmmFitBitIdenticalInsideWorkerThread) {
   Rng rng(23);
   Matrix x = RandomMatrix(70, 50, &rng);
@@ -457,6 +462,215 @@ TEST(EmThreadInvarianceTest, FitTimePosteriorMatchesPredictProba) {
               0)
         << "function " << f;
   }
+}
+
+// ---- The lockstep restart driver ----------------------------------------
+
+// A test-local mixture for em::FitBestRestart: unit-variance spherical
+// Gaussians over the rows of the design, means and weights free. With the
+// row-constant −½|x|² − ½D·log 2π dropped from every component, panel row
+// c = μ_c and offsets[c] = log w_c − ½|μ_c|²; the M-step is
+// μ_c = moments[:, c] / nk_c, w_c = nk_c / N.
+struct LockstepConfig {
+  uint64_t seed = 5;
+  int num_restarts = 1;
+  int max_iters = 100;
+  double tol = 1e-6;
+};
+
+struct LockstepState {
+  Matrix means;
+  std::vector<double> weights;
+};
+
+struct LockstepFit {
+  LockstepState state;
+  std::vector<double> history;
+  double ll = 0.0;
+};
+
+void BuildLockstepPanel(const LockstepState& state, Matrix* panel,
+                        std::vector<double>* offsets) {
+  *panel = state.means;
+  offsets->resize(state.weights.size());
+  for (int64_t c = 0; c < panel->rows(); ++c) {
+    double half_norm = 0.0;
+    for (int64_t j = 0; j < panel->cols(); ++j) {
+      half_norm += 0.5 * (*panel)(c, j) * (*panel)(c, j);
+    }
+    (*offsets)[static_cast<size_t>(c)] =
+        std::log(state.weights[static_cast<size_t>(c)]) - half_norm;
+  }
+}
+
+// Fits `design` with `config`; a non-negative `fixed_fork` pins every
+// restart's init to Rng(config.seed).Fork(fixed_fork), the solo run of
+// that restart when config.num_restarts = 1.
+LockstepFit FitLockstep(const Matrix& design, int k,
+                        const LockstepConfig& config, int fixed_fork = -1) {
+  const int64_t n = design.rows(), d = design.cols();
+  auto init = [&](Rng* rng, em::Scratch*) {
+    Rng fixed = Rng(config.seed).Fork(static_cast<uint64_t>(fixed_fork));
+    Rng* draw = fixed_fork >= 0 ? &fixed : rng;
+    LockstepState state{Matrix(k, d),
+                        std::vector<double>(static_cast<size_t>(k), 1.0 / k)};
+    const std::vector<int> picks =
+        draw->SampleWithoutReplacement(static_cast<int>(n), k);
+    for (int c = 0; c < k; ++c) {
+      for (int64_t j = 0; j < d; ++j) {
+        state.means(c, j) = design(picks[static_cast<size_t>(c)], j);
+      }
+    }
+    return state;
+  };
+  auto update = [n, d](const std::vector<double>& nk, const Matrix& moments,
+                       LockstepState* state) {
+    for (int64_t c = 0; c < state->means.rows(); ++c) {
+      const double mass = std::max(nk[static_cast<size_t>(c)], 1e-12);
+      for (int64_t j = 0; j < d; ++j) {
+        state->means(c, j) = moments(j, c) / mass;
+      }
+      state->weights[static_cast<size_t>(c)] = mass / static_cast<double>(n);
+    }
+  };
+  em::FitOperand op;
+  op.raw = design;
+  LockstepFit fit;
+  fit.ll = em::FitBestRestart(&op, config, init, BuildLockstepPanel, update,
+                              &fit.state, &fit.history);
+  return fit;
+}
+
+void ExpectSameFit(const LockstepFit& got, const LockstepFit& want) {
+  ASSERT_EQ(got.history.size(), want.history.size());
+  EXPECT_EQ(std::memcmp(got.history.data(), want.history.data(),
+                        got.history.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&got.ll, &want.ll, sizeof(double)), 0);
+  ExpectBitEqual(got.state.means, want.state.means, "lockstep means");
+  ASSERT_EQ(got.state.weights.size(), want.state.weights.size());
+  EXPECT_EQ(std::memcmp(got.state.weights.data(), want.state.weights.data(),
+                        got.state.weights.size() * sizeof(double)),
+            0);
+}
+
+// Four loose, unequal clusters in 6 dimensions, fitted with K = 3: the
+// restarts start from different rows and converge after different
+// numbers of iterations.
+Matrix LockstepDesign() {
+  Rng rng(31);
+  const int64_t n = 160, d = 6;
+  Matrix x(n, d);
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t cluster = i % 4;
+    for (int64_t j = 0; j < d; ++j) {
+      const double center = (j % 4 == cluster) ? 2.5 : 0.0;
+      x(i, j) = center + rng.Gaussian() * (1.0 + 0.25 * cluster);
+    }
+  }
+  return x;
+}
+
+TEST(EmLockstepTest, EachRestartFollowsItsSoloTrajectory) {
+  const Matrix design = LockstepDesign();
+  const int k = 3;
+  for (int max_iters : {0, 1, 100}) {
+    LockstepConfig config;
+    config.max_iters = max_iters;
+    std::vector<LockstepFit> solo;
+    LockstepConfig solo_config = config;
+    solo_config.num_restarts = 1;
+    for (int r = 0; r < 4; ++r) {
+      solo.push_back(FitLockstep(design, k, solo_config, r));
+    }
+    if (max_iters == 100) {
+      // The restarts stop at different iterations, all before the cap,
+      // so the stack shrinks mid-fit and the stop rule is exercised: a
+      // run ends at its first LL gain below tol, never later.
+      std::vector<size_t> lengths;
+      for (const LockstepFit& fit : solo) {
+        const std::vector<double>& h = fit.history;
+        lengths.push_back(h.size());
+        ASSERT_GE(h.size(), 2u);
+        EXPECT_LT(h.size(), 100u);
+        EXPECT_LT(h.back() - h[h.size() - 2], config.tol);
+        for (size_t i = 1; i + 1 < h.size(); ++i) {
+          EXPECT_GE(h[i] - h[i - 1], config.tol) << "iteration " << i;
+        }
+      }
+      EXPECT_GT(*std::max_element(lengths.begin(), lengths.end()),
+                *std::min_element(lengths.begin(), lengths.end()));
+    }
+    for (int num_restarts = 1; num_restarts <= 4; ++num_restarts) {
+      SCOPED_TRACE(testing::Message() << "max_iters=" << max_iters
+                                      << " restarts=" << num_restarts);
+      // The pick: the first restart whose final LL is a strict maximum.
+      size_t winner = 0;
+      for (size_t r = 1; r < static_cast<size_t>(num_restarts); ++r) {
+        if (solo[r].ll > solo[winner].ll) winner = r;
+      }
+      config.num_restarts = num_restarts;
+      ExpectSameFit(FitLockstep(design, k, config), solo[winner]);
+    }
+  }
+}
+
+// Adding a restart that does not win must leave the fit as it was: the
+// lockstep stack never lets one restart's lane touch another's.
+TEST(EmLockstepTest, NonWinningRestartLeavesMixtureFitsUnchanged) {
+  Rng rng(32);
+  const Matrix x = LockstepDesign();
+  Matrix b(120, 30);
+  for (int64_t i = 0; i < b.size(); ++i) {
+    b.data()[i] = rng.Bernoulli(0.3 + 0.4 * ((i / 30) % 2)) ? 1.0 : 0.0;
+  }
+  int gmm_unchanged = 0, bernoulli_unchanged = 0;
+  GmmConfig gmm_config;
+  gmm_config.num_components = 3;
+  BernoulliMixtureConfig bernoulli_config;
+  bernoulli_config.num_components = 3;
+  for (int num_restarts = 2; num_restarts <= 6; ++num_restarts) {
+    SCOPED_TRACE(testing::Message() << "restarts=" << num_restarts);
+    gmm_config.num_restarts = num_restarts - 1;
+    DiagonalGmm gmm_before(gmm_config);
+    ASSERT_TRUE(gmm_before.Fit(x).ok());
+    gmm_config.num_restarts = num_restarts;
+    DiagonalGmm gmm_after(gmm_config);
+    ASSERT_TRUE(gmm_after.Fit(x).ok());
+    EXPECT_GE(gmm_after.final_log_likelihood(),
+              gmm_before.final_log_likelihood());
+    if (gmm_after.final_log_likelihood() ==
+        gmm_before.final_log_likelihood()) {
+      ++gmm_unchanged;
+      EXPECT_EQ(gmm_after.log_likelihood_history(),
+                gmm_before.log_likelihood_history());
+      ExpectBitEqual(gmm_after.means(), gmm_before.means(), "GMM means");
+      ExpectBitEqual(gmm_after.variances(), gmm_before.variances(),
+                     "GMM variances");
+      EXPECT_EQ(gmm_after.weights(), gmm_before.weights());
+    }
+
+    bernoulli_config.num_restarts = num_restarts - 1;
+    BernoulliMixture bernoulli_before(bernoulli_config);
+    ASSERT_TRUE(bernoulli_before.Fit(b).ok());
+    bernoulli_config.num_restarts = num_restarts;
+    BernoulliMixture bernoulli_after(bernoulli_config);
+    ASSERT_TRUE(bernoulli_after.Fit(b).ok());
+    EXPECT_GE(bernoulli_after.final_log_likelihood(),
+              bernoulli_before.final_log_likelihood());
+    if (bernoulli_after.final_log_likelihood() ==
+        bernoulli_before.final_log_likelihood()) {
+      ++bernoulli_unchanged;
+      EXPECT_EQ(bernoulli_after.log_likelihood_history(),
+                bernoulli_before.log_likelihood_history());
+      ExpectBitEqual(bernoulli_after.bernoulli_params(),
+                     bernoulli_before.bernoulli_params(), "Bernoulli params");
+      EXPECT_EQ(bernoulli_after.weights(), bernoulli_before.weights());
+    }
+  }
+  // The data must exercise the prefix case for both mixtures.
+  EXPECT_GT(gmm_unchanged, 0);
+  EXPECT_GT(bernoulli_unchanged, 0);
 }
 
 }  // namespace
