@@ -173,22 +173,11 @@ BENCHMARK(BM_DiagonalGmmFit)->Arg(50)->Arg(100)->Arg(200)
 
 // One base GMM of a pool-480 fit as HierarchicalLabeler runs it:
 // DiagonalGmm::FitPredict at K = 2 and the default GmmConfig on the
-// second 480 x 480 slice of a two-function block, with a reused
+// second 480 x 480 slice of a two-function `block`, with a reused
 // em::FitOperand workspace and a posterior out, serial as the base
-// layer's slots run it. The block holds two weakly planted classes
-// (slightly higher affinity within a class), so the best restart runs
-// about 20 EM iterations, as a base GMM of a real pool-480 fit does;
-// `em_iters` reports it.
-void BM_BaseGmmFitPredict(benchmark::State& state) {
-  const int64_t n = 480;
-  Rng rng(9);
-  Matrix block(n, 2 * n);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < 2 * n; ++j) {
-      const bool same_class = (i % 2) == ((j % n) % 2);
-      block(i, j) = (same_class ? 0.515 : 0.485) + 0.4 * rng.Uniform();
-    }
-  }
+// layer's slots run it; `em_iters` reports the best restart's iterations.
+void RunBaseGmmFitPredict(const Matrix& block, benchmark::State& state) {
+  const int64_t n = block.rows();
   GmmConfig config;
   config.num_components = 2;
   em::FitOperand workspace;
@@ -207,7 +196,44 @@ void BM_BaseGmmFitPredict(benchmark::State& state) {
   }
   state.counters["em_iters"] = iters;
 }
+
+// The block holds two weakly planted classes (slightly higher affinity
+// within a class), so the best restart runs about 20 EM iterations, as a
+// base GMM of a real pool-480 fit does.
+void BM_BaseGmmFitPredict(benchmark::State& state) {
+  const int64_t n = 480;
+  Rng rng(9);
+  Matrix block(n, 2 * n);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < 2 * n; ++j) {
+      const bool same_class = (i % 2) == ((j % n) % 2);
+      block(i, j) = (same_class ? 0.515 : 0.485) + 0.4 * rng.Uniform();
+    }
+  }
+  RunBaseGmmFitPredict(block, state);
+}
 BENCHMARK(BM_BaseGmmFitPredict)->Unit(benchmark::kMillisecond);
+
+// The same fit on well separated classes whose signal grows along the
+// rows, so the posteriors saturate and the rows' log-odds sweep through
+// exp's subnormal range, as they do on real pools: the M-step sees
+// subnormal responsibilities unless em::ResponsibilitiesInto flushes
+// them (the design of gmm_gemm_test's absorption test).
+void BM_BaseGmmFitPredictSaturated(benchmark::State& state) {
+  const int64_t n = 480;
+  Rng rng(41);
+  Matrix block(n, 2 * n);
+  for (int64_t i = 0; i < n; ++i) {
+    const double signal = 0.3 * static_cast<double>(i) / n;
+    for (int64_t j = 0; j < 2 * n; ++j) {
+      const bool same_class = (i % 2) == ((j % n) % 2);
+      block(i, j) =
+          0.3 + (same_class ? signal : -signal) + 0.4 * rng.Uniform();
+    }
+  }
+  RunBaseGmmFitPredict(block, state);
+}
+BENCHMARK(BM_BaseGmmFitPredictSaturated)->Unit(benchmark::kMillisecond);
 
 void BM_BernoulliMixtureFit(benchmark::State& state) {
   const int alpha = static_cast<int>(state.range(0));

@@ -3,7 +3,12 @@
 /// held-out test set. Probabilistic labels from Snorkel/Snuba/GOGGLES
 /// train the downstream discriminative model (frozen backbone + FC head,
 /// soft cross-entropy); FSL trains the head on the development set only;
-/// the supervised upper bound uses ground-truth training labels.
+/// the supervised upper bound uses ground-truth training labels. Records
+/// every system's accuracy per dataset and on average (percent) in
+/// BENCH_table2_endmodel.json as `<system>_pct_<dataset>` and
+/// `<system>_pct_average` (lowercased by the recorder: fsl, snorkel,
+/// snuba, goggles, upperbound; Snorkel only on the datasets it ran on,
+/// and without an average, as the table prints it).
 
 #include <benchmark/benchmark.h>
 
@@ -109,15 +114,20 @@ void RunExperiment() {
     for (const auto& system : kSystems) {
       const double mean = rows[dataset][system].MeanOrNeg();
       cells.push_back(Pct(mean));
-      if (mean >= 0.0) averages[system].Add(mean);
+      if (mean >= 0.0) {
+        averages[system].Add(mean);
+        RecordBenchMetric(system + "_pct_" + dataset, 100.0 * mean);
+      }
     }
     table.AddRow(cells);
   }
   table.AddSeparator();
   std::vector<std::string> avg_row = {"Average"};
   for (const auto& system : kSystems) {
-    avg_row.push_back(system == "Snorkel" ? "-"
-                                          : Pct(averages[system].MeanOrNeg()));
+    const double mean =
+        system == "Snorkel" ? -1.0 : averages[system].MeanOrNeg();
+    avg_row.push_back(Pct(mean));
+    if (mean >= 0.0) RecordBenchMetric(system + "_pct_average", 100.0 * mean);
   }
   table.AddRow(avg_row);
   table.Print();

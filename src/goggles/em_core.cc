@@ -81,6 +81,18 @@ void ExpInto(const Matrix& log_resp, Matrix* resp) {
   for (int64_t i = 0; i < size; ++i) dst[i] = std::exp(src[i]);
 }
 
+void ResponsibilitiesInto(const Matrix& log_resp, Matrix* resp) {
+  EnsureShape(log_resp.rows(), log_resp.cols(), resp);
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  const double* src = log_resp.data();
+  double* dst = resp->data();
+  const int64_t size = log_resp.size();
+  for (int64_t i = 0; i < size; ++i) {
+    const double r = std::exp(src[i]);
+    dst[i] = r < kMinNormal ? 0.0 : r;
+  }
+}
+
 void ColumnSums(const Matrix& m, std::vector<double>* out) {
   const int64_t n = m.rows(), k = m.cols();
   out->assign(static_cast<size_t>(k), 0.0);

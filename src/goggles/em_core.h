@@ -81,8 +81,26 @@ double LogSoftmaxRowsInPlace(const std::vector<double>& offsets,
                              Matrix* densities);
 
 /// \brief resp = exp(log_resp) elementwise (resp may alias log_resp);
-/// resp is reshaped only when its shape differs.
+/// resp is reshaped only when its shape differs. The posterior's exp:
+/// Posterior keeps every value, subnormals included.
 void ExpInto(const Matrix& log_resp, Matrix* resp);
+
+/// \brief The M-step's responsibilities: resp = exp(log_resp) as ExpInto,
+/// except that every entry below std::numeric_limits<double>::min()
+/// (DBL_MIN, i.e. every subnormal) is written as +0.0. NaN propagates
+/// unchanged; entries >= DBL_MIN equal std::exp bit for bit. resp may
+/// alias log_resp.
+///
+/// Saturated posteriors leave a few subnormal responsibilities per
+/// iteration, and an FMA with a subnormal operand or result takes a
+/// microcode assist (~50 ns against ~1 ns on AVX-512 Xeons) — enough to
+/// make the M-step product 2–3x slower than the E-step product of the
+/// same FLOPs. A subnormal term r·x with |x| <= 1 is absorbed
+/// exactly by any partial sum of at least about 2^-968, so flushing can
+/// change a moment only where a whole k-chunk of a component's column
+/// stays below that level: an essentially empty component. No MXCSR
+/// DAZ/FTZ is set; the products keep their DGemmReference contract.
+void ResponsibilitiesInto(const Matrix& log_resp, Matrix* resp);
 
 /// \brief Fixed-order per-column sums (ascending rows into one
 /// accumulator per column): out[c] = sum_i m(i, c).
@@ -107,13 +125,14 @@ struct Scratch {
   Matrix moments;               ///< D x K product design^T * resp
 };
 
-/// \brief M-step from `s->log_resp`: the shared prefix (responsibilities,
-/// their column sums nk, and moments = design^T * resp), then the
-/// model's `update(nk, moments, state)` of its per-component parameters.
+/// \brief M-step from `s->log_resp`: the shared prefix (responsibilities
+/// by ResponsibilitiesInto, their column sums nk, and moments =
+/// design^T * resp), then the model's `update(nk, moments, state)` of its
+/// per-component parameters.
 template <typename State, typename Update>
 void MStep(const FitOperand& x, const Update& update, Scratch* s,
            State* state) {
-  ExpInto(s->log_resp, &s->resp);
+  ResponsibilitiesInto(s->log_resp, &s->resp);
   ColumnSums(s->resp, &s->nk);
   ProductTB(x, s->resp, &s->moments);
   update(s->nk, s->moments, state);
@@ -128,7 +147,9 @@ void MStep(const FitOperand& x, const Update& update, Scratch* s,
 /// the inits run first, serially, in restart order. Each iteration is an
 /// E-step — `build_panel(state, &panel, &offsets)`, the design · panelᵀ
 /// product, the log-softmax epilogue, whose LL joins the history — then
-/// an M-step, until config.max_iters or an LL gain below config.tol.
+/// an M-step on ResponsibilitiesInto's flushed responsibilities, as
+/// MStep's, so both mixtures share one definition of a responsibility —
+/// until config.max_iters or an LL gain below config.tol.
 ///
 /// The restarts run in lockstep: an iteration stacks the live restarts'
 /// K x D panels into one (live·K) x D panel, so one ProductNT and one
@@ -196,9 +217,10 @@ double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
       }
     }
 
-    // M-step: one product against all lanes' responsibilities; each
-    // restart's update reads its own K columns.
-    ExpInto(stack.log_resp, &stack.resp);
+    // M-step: one product against all lanes' responsibilities, with no
+    // subnormal operand (ResponsibilitiesInto); each restart's update
+    // reads its own K columns.
+    ResponsibilitiesInto(stack.log_resp, &stack.resp);
     ColumnSums(stack.resp, &stack.nk);
     ProductTB(*x, stack.resp, &stack.moments);
     const int64_t d = stack.moments.rows();
@@ -242,7 +264,9 @@ double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
 
 /// \brief Posterior responsibilities of the rows of `x` (a FitOperand or
 /// a plain Matrix) under `params`: the E-step of FitBestRestart with the
-/// same `build_panel`, then exp — one matrix end to end.
+/// same `build_panel`, then exp — one matrix end to end. The exp is the
+/// plain ExpInto, not the M-step's ResponsibilitiesInto: fit-time LPs,
+/// served soft labels and saved artifacts keep every exact value.
 template <typename Operand, typename BuildPanel, typename State>
 Matrix Posterior(const Operand& x, const BuildPanel& build_panel,
                  const State& params) {

@@ -36,7 +36,11 @@
 ///  (e) em::FitBestRestart's lockstep restarts each follow the trajectory
 ///      they follow alone: an R-restart fit equals the solo run of its
 ///      winning restart bit for bit, and adding a restart that does not
-///      win leaves both mixtures' fits unchanged.
+///      win leaves both mixtures' fits unchanged;
+///  (f) the M-step's responsibilities (em::ResponsibilitiesInto) are
+///      std::exp bit for bit at or above DBL_MIN and +0.0 below it, and
+///      on a saturated fit the flushed subnormals change no moment of a
+///      component that holds at least one row of mass.
 
 namespace goggles {
 namespace {
@@ -462,6 +466,121 @@ TEST(EmThreadInvarianceTest, FitTimePosteriorMatchesPredictProba) {
               0)
         << "function " << f;
   }
+}
+
+// ---- The M-step's responsibilities --------------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(EmResponsibilityTest, FlushesExactlyTheSubnormals) {
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // log(DBL_MIN) = -708.3964185322641 and its neighbours on both sides,
+  // then values well inside the subnormal range (exp(-745.2) underflows
+  // to 0), -inf, NaN and ordinary log responsibilities.
+  const double log_min = -708.3964185322641;
+  std::vector<double> inputs = {-720.0, -745.2, -kInf, kNaN, 0.0, -1e-3};
+  const size_t first_neighbour = inputs.size();
+  double below = log_min, above = log_min;
+  for (int step = 0; step < 4; ++step) {
+    below = std::nextafter(below, -kInf);
+    above = std::nextafter(above, kInf);
+    inputs.push_back(below);
+    inputs.push_back(above);
+  }
+  inputs.push_back(log_min);
+  Matrix log_resp(static_cast<int64_t>(inputs.size()), 1);
+  std::copy(inputs.begin(), inputs.end(), log_resp.data());
+
+  Matrix resp(log_resp.rows(), 1, kNaN);
+  em::ResponsibilitiesInto(log_resp, &resp);
+  Matrix in_place = log_resp;
+  em::ResponsibilitiesInto(in_place, &in_place);
+  ExpectBitEqual(in_place, resp, "in-place ResponsibilitiesInto");
+
+  int flushed_neighbours = 0, kept_neighbours = 0;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "log_resp=" << inputs[i]);
+    const double want = std::exp(inputs[i]);
+    const double got = resp.data()[i];
+    const bool neighbour = i >= first_neighbour;
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got));
+    } else if (want >= kMinNormal) {
+      EXPECT_TRUE(SameBits(got, want)) << got << " vs " << want;
+      if (neighbour) ++kept_neighbours;
+    } else {
+      EXPECT_TRUE(SameBits(got, 0.0)) << got;
+      EXPECT_FALSE(std::signbit(got));
+      if (neighbour) ++flushed_neighbours;
+    }
+  }
+  // The neighbours straddle the threshold: both outcomes are exercised.
+  EXPECT_GT(flushed_neighbours, 0);
+  EXPECT_GT(kept_neighbours, 0);
+  // Plain exp makes -720 subnormal; -745.2 already underflows to +0.
+  EXPECT_EQ(std::fpclassify(std::exp(-720.0)), FP_SUBNORMAL);
+  EXPECT_TRUE(SameBits(std::exp(-745.2), 0.0));
+}
+
+// A saturated base GMM: the two-cluster [x² | x] design of
+// BM_BaseGmmFitPredictSaturated (one 480 x 480 slice), whose class signal
+// grows along the rows so that the rows' log-odds sweep through the
+// subnormal range of exp. After the fit, one more E-step must leave subnormal
+// responsibilities, and the M-step product on the flushed operand must
+// equal the product on the unflushed one, bit for bit, for every
+// component holding at least one row of mass.
+TEST(EmResponsibilityTest, FlushedSubnormalsAreAbsorbedByTheMStep) {
+  const int64_t n = 480;
+  Rng rng(41);
+  Matrix x(n, n);
+  for (int64_t i = 0; i < n; ++i) {
+    const double signal = 0.3 * static_cast<double>(i) / n;
+    for (int64_t j = 0; j < n; ++j) {
+      const bool same_class = (i % 2) == (j % 2);
+      x(i, j) = 0.3 + (same_class ? signal : -signal) + 0.4 * rng.Uniform();
+    }
+  }
+  GmmConfig config;
+  config.num_components = 2;
+  DiagonalGmm gmm(config);
+  em::FitOperand op;
+  ASSERT_TRUE(gmm.FitPredict(x, 0, n, &op, nullptr).ok());
+
+  Matrix panel;
+  std::vector<double> offsets;
+  gmm.EStepPanel(&panel, &offsets);
+  Matrix log_resp;
+  em::ProductNT(op, panel, &log_resp);
+  em::LogSoftmaxRowsInPlace(offsets, &log_resp);
+
+  Matrix exact, flushed;
+  em::ExpInto(log_resp, &exact);
+  em::ResponsibilitiesInto(log_resp, &flushed);
+  int64_t subnormals = 0;
+  for (int64_t i = 0; i < exact.size(); ++i) {
+    if (std::fpclassify(exact.data()[i]) == FP_SUBNORMAL) ++subnormals;
+  }
+  ASSERT_GE(subnormals, 1) << "the design must exercise the flush";
+
+  std::vector<double> nk;
+  em::ColumnSums(flushed, &nk);
+  Matrix exact_moments, flushed_moments;
+  em::ProductTB(op, exact, &exact_moments);
+  em::ProductTB(op, flushed, &flushed_moments);
+  int compared = 0;
+  for (int64_t c = 0; c < flushed.cols(); ++c) {
+    if (!(nk[static_cast<size_t>(c)] >= 1.0)) continue;
+    ++compared;
+    for (int64_t j = 0; j < exact_moments.rows(); ++j) {
+      ASSERT_TRUE(SameBits(flushed_moments(j, c), exact_moments(j, c)))
+          << "component " << c << " dimension " << j << ": "
+          << flushed_moments(j, c) << " vs " << exact_moments(j, c);
+    }
+  }
+  EXPECT_EQ(compared, 2) << subnormals << " subnormal responsibilities";
 }
 
 // ---- The lockstep restart driver ----------------------------------------
