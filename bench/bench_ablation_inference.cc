@@ -8,10 +8,14 @@
 ///      "Limitations of Existing Models" strawman) with dev-set mapping.
 /// Records each arm's accuracy per dataset and on average as
 /// `<arm>_pct_<dataset>` / `<arm>_pct_average`, with arms `full`,
-/// `no_one_hot`, `lp_averaging` and `naive_gmm`.
+/// `no_one_hot`, `lp_averaging` and `naive_gmm`. The no-one-hot arm can
+/// only differ from the full one where base posteriors are not saturated,
+/// so `base_lp_unsaturated_share_<dataset>` records the share of the full
+/// arm's base-LP entries strictly inside (1e-9, 1 - 1e-9).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 
 #include "bench_common.h"
@@ -43,9 +47,17 @@ double NaiveGmmOnAffinity(const Matrix& affinity,
   return eval::AccuracyExcluding(hard, task.train.labels, task.dev_indices);
 }
 
+/// Entries of a fit's base LPs: how many, and how many lie strictly
+/// inside (1e-9, 1 - 1e-9).
+struct LpSaturation {
+  int64_t entries = 0;
+  int64_t unsaturated = 0;
+};
+
 double HierarchicalVariant(const Matrix& affinity,
                            const eval::LabelingTask& task, bool one_hot,
-                           bool use_ensemble) {
+                           bool use_ensemble,
+                           LpSaturation* saturation = nullptr) {
   HierarchicalConfig config;
   config.one_hot_lp = one_hot;
   config.use_ensemble = use_ensemble;
@@ -53,6 +65,15 @@ double HierarchicalVariant(const Matrix& affinity,
   Result<LabelingResult> result =
       labeler.Fit(affinity, task.dev_indices, task.dev_labels, 2);
   result.status().Abort("variant");
+  if (saturation != nullptr) {
+    for (const Matrix& lp : result->base_label_predictions) {
+      for (int64_t i = 0; i < lp.size(); ++i) {
+        const double p = lp.data()[i];
+        saturation->unsaturated += p > 1e-9 && p < 1.0 - 1e-9 ? 1 : 0;
+      }
+      saturation->entries += lp.size();
+    }
+  }
   return eval::AccuracyExcluding(result->hard_labels, task.train.labels,
                                  task.dev_indices);
 }
@@ -70,6 +91,7 @@ void RunExperiment() {
   const std::vector<std::string> arm_keys = {"full", "no_one_hot",
                                              "lp_averaging", "naive_gmm"};
   std::map<std::string, std::map<std::string, std::vector<double>>> rows;
+  std::map<std::string, LpSaturation> saturation;
 
   for (const std::string& dataset : data::EvaluationDatasetNames()) {
     for (int rep = 0; rep < EffectiveReps(dataset, scale); ++rep) {
@@ -78,8 +100,8 @@ void RunExperiment() {
         GogglesPipeline pipeline(ctx.extractor, ctx.goggles);
         Result<Matrix> affinity = pipeline.BuildAffinity(task.train.images);
         affinity.status().Abort("affinity");
-        rows[dataset][variants[0]].push_back(
-            HierarchicalVariant(*affinity, task, true, true));
+        rows[dataset][variants[0]].push_back(HierarchicalVariant(
+            *affinity, task, true, true, &saturation[dataset]));
         rows[dataset][variants[1]].push_back(
             HierarchicalVariant(*affinity, task, false, true));
         rows[dataset][variants[2]].push_back(
@@ -88,7 +110,12 @@ void RunExperiment() {
             NaiveGmmOnAffinity(*affinity, task));
       }
     }
-    std::printf("  [%s done]\n", dataset.c_str());
+    const LpSaturation& sat = saturation[dataset];
+    const double share = static_cast<double>(sat.unsaturated) /
+                         static_cast<double>(std::max<int64_t>(sat.entries, 1));
+    RecordBenchMetric("base_lp_unsaturated_share_" + dataset, share);
+    std::printf("  [%s done] base-LP entries inside (1e-9, 1 - 1e-9): %.4f\n",
+                dataset.c_str(), share);
   }
 
   AsciiTable table("Inference ablation: labeling accuracy (%)");

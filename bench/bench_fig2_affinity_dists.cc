@@ -6,6 +6,8 @@
 ///
 /// Functions are ranked by the AUC of same-class vs different-class scores;
 /// the best / median / worst functions play the roles of f1 / f2 / f3.
+/// Records auc_<role> and mean_same_<role> / mean_diff_<role> for role =
+/// top, median, worst.
 
 #include <benchmark/benchmark.h>
 
@@ -107,6 +109,18 @@ void RunExperiment() {
   PrintHistogramPair(*ranked.front(), "f1 (most informative)");
   PrintHistogramPair(*ranked[ranked.size() / 2], "f2 (limited power)");
   PrintHistogramPair(*ranked.back(), "f3 (uninformative)");
+  // The three functions the histograms show, as "<stat>_<role>".
+  const std::pair<const char*, const FunctionStats*> roles[] = {
+      {"top", ranked.front()},
+      {"median", ranked[ranked.size() / 2]},
+      {"worst", ranked.back()}};
+  for (const auto& [role, s] : roles) {
+    RecordBenchMetric(StrFormat("auc_%s", role), s->auc);
+    RecordBenchMetric(StrFormat("mean_same_%s", role),
+                      eval::Mean(s->same_scores));
+    RecordBenchMetric(StrFormat("mean_diff_%s", role),
+                      eval::Mean(s->diff_scores));
+  }
   std::printf(
       "\nShape check (paper Fig. 2): f1 separates same/diff cleanly, f2\n"
       "partially, f3 overlaps almost entirely (AUC near 0.5).\n");

@@ -58,8 +58,8 @@ void BM_DGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_DGemm)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-/// The EM fit cores' actual GEMM shape: a tall-skinny product against a
-/// K-component panel, with the design matrix prepacked once per fit.
+/// A tall-skinny product against a K-column panel, with the tall operand
+/// prepacked once (DGemmWithPackedA, as the truncated SVD reuses it).
 void BM_DGemmPackedSkinny(benchmark::State& state) {
   const int64_t n = 200, d = 400, k = 2;
   Rng rng(12);
@@ -173,20 +173,23 @@ BENCHMARK(BM_DiagonalGmmFit)->Arg(50)->Arg(100)->Arg(200)
 
 // One base GMM of a pool-480 fit as HierarchicalLabeler runs it:
 // DiagonalGmm::FitPredict at K = 2 and the default GmmConfig on the
-// second 480 x 480 slice of a two-function `block`, with a reused
-// em::FitOperand workspace and a posterior out, serial as the base
+// second 480 x 480 slice of a two-function block of `stride` elements per
+// row, with a reused workspace and a posterior out, serial as the base
 // layer's slots run it; `em_iters` reports the best restart's iterations.
-void RunBaseGmmFitPredict(const Matrix& block, benchmark::State& state) {
-  const int64_t n = block.rows();
+template <typename T>
+void RunBaseGmmFitPredict(const T* block, int64_t n, int64_t stride,
+                          benchmark::State& state) {
   GmmConfig config;
   config.num_components = 2;
-  em::FitOperand workspace;
+  std::vector<T> workspace;
   Matrix posterior;
   ScopedSerialKernels serial;
   double iters = 0.0;
   for (auto _ : state) {
     DiagonalGmm gmm(config);
-    if (!gmm.FitPredict(block, n, n, &workspace, &posterior).ok()) {
+    if (!gmm.FitPredict(em::Slice<T>{block + n, n, n, stride}, &workspace,
+                        &posterior)
+             .ok()) {
       state.SkipWithError("DiagonalGmm::FitPredict");
       return;
     }
@@ -197,10 +200,14 @@ void RunBaseGmmFitPredict(const Matrix& block, benchmark::State& state) {
   state.counters["em_iters"] = iters;
 }
 
+void RunBaseGmmFitPredict(const Matrix& block, benchmark::State& state) {
+  RunBaseGmmFitPredict(block.data(), block.rows(), block.cols(), state);
+}
+
 // The block holds two weakly planted classes (slightly higher affinity
 // within a class), so the best restart runs about 20 EM iterations, as a
 // base GMM of a real pool-480 fit does.
-void BM_BaseGmmFitPredict(benchmark::State& state) {
+Matrix PlantedBlock() {
   const int64_t n = 480;
   Rng rng(9);
   Matrix block(n, 2 * n);
@@ -210,9 +217,23 @@ void BM_BaseGmmFitPredict(benchmark::State& state) {
       block(i, j) = (same_class ? 0.515 : 0.485) + 0.4 * rng.Uniform();
     }
   }
-  RunBaseGmmFitPredict(block, state);
+  return block;
+}
+
+void BM_BaseGmmFitPredict(benchmark::State& state) {
+  RunBaseGmmFitPredict(PlantedBlock(), state);
 }
 BENCHMARK(BM_BaseGmmFitPredict)->Unit(benchmark::kMillisecond);
+
+// The same fit on the float block GogglesPipeline::Label streams: the
+// planted block rounded to float (its own EM trajectory, not
+// BM_BaseGmmFitPredict's).
+void BM_BaseGmmFitPredictFloat(benchmark::State& state) {
+  const Matrix block = PlantedBlock();
+  const std::vector<float> f32(block.data(), block.data() + block.size());
+  RunBaseGmmFitPredict(f32.data(), block.rows(), block.cols(), state);
+}
+BENCHMARK(BM_BaseGmmFitPredictFloat)->Unit(benchmark::kMillisecond);
 
 // The same fit on well separated classes whose signal grows along the
 // rows, so the posteriors saturate and the rows' log-odds sweep through
@@ -234,6 +255,56 @@ void BM_BaseGmmFitPredictSaturated(benchmark::State& state) {
   RunBaseGmmFitPredict(block, state);
 }
 BENCHMARK(BM_BaseGmmFitPredictSaturated)->Unit(benchmark::kMillisecond);
+
+// One lockstep EM iteration's products on a base GMM's float slice, as a
+// fit of pool N runs them: the second N x N slice of an N x 10N block
+// (Z = 10 functions per tap layer), K = 2, `cols` = K x live restarts
+// stacked columns, serial as the base layer's slots run them. The design
+// is built once (one transposed copy per GMM), as a fit does.
+struct EmStepFixture {
+  std::vector<float> block;
+  std::vector<float> transposed;
+  em::Design<float> design;
+  Matrix panel, resp, out;
+
+  EmStepFixture(int64_t n, int64_t cols) {
+    Rng rng(10);
+    block.resize(static_cast<size_t>(n * 10 * n));
+    for (auto& v : block) v = static_cast<float>(rng.Uniform());
+    design = em::MakeDesign(em::Slice<float>{block.data() + n, n, n, 10 * n},
+                            /*squares=*/true, &transposed);
+    panel = Matrix(cols, 2 * n);
+    for (int64_t i = 0; i < panel.size(); ++i) {
+      panel.data()[i] = rng.Gaussian();
+    }
+    resp = Matrix(n, cols);
+    for (int64_t i = 0; i < resp.size(); ++i) resp.data()[i] = rng.Uniform();
+  }
+};
+
+void BM_EmEStep(benchmark::State& state) {
+  EmStepFixture fx(state.range(0), state.range(1));
+  ScopedSerialKernels serial;
+  for (auto _ : state) {
+    em::EStepProducts(fx.design, fx.panel, &fx.out);
+    benchmark::DoNotOptimize(fx.out.data());
+  }
+}
+BENCHMARK(BM_EmEStep)
+    ->ArgsProduct({{108, 480}, {2, 4, 6}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_EmMStep(benchmark::State& state) {
+  EmStepFixture fx(state.range(0), state.range(1));
+  ScopedSerialKernels serial;
+  for (auto _ : state) {
+    em::MStepProducts(fx.design, fx.resp, &fx.out);
+    benchmark::DoNotOptimize(fx.out.data());
+  }
+}
+BENCHMARK(BM_EmMStep)
+    ->ArgsProduct({{108, 480}, {2, 4, 6}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BernoulliMixtureFit(benchmark::State& state) {
   const int alpha = static_cast<int>(state.range(0));

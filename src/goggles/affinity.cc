@@ -208,9 +208,10 @@ std::vector<int64_t> PrototypeAffinitySource::LayerFunctions(
   return functions;
 }
 
+template <typename T>
 Status PrototypeAffinitySource::ScoreLayerRowsInto(
     const std::vector<QueryFeatures>& instances, int layer, int num_functions,
-    int64_t first_block, int64_t block_step, Matrix* out) const {
+    int64_t first_block, int64_t block_step, int64_t stride, T* out) const {
   const int64_t n = num_images_;
   const int64_t m = static_cast<int64_t>(instances.size());
   const int64_t num_ranks =
@@ -255,15 +256,13 @@ Status PrototypeAffinitySource::ScoreLayerRowsInto(
                          best.data());
       // Scatter the function of rank z into its block with the z-wrap
       // for images that have fewer than Z unique prototypes.
-      double* row = out->RowPtr(i);
+      T* row = out + i * stride;
       for (int64_t z = 0; z < num_ranks; ++z) {
-        double* dst = row + (first_block + z * block_step) * n;
+        T* dst = row + (first_block + z * block_step) * n;
         for (int64_t j = 0; j < n; ++j) {
           const int np = data.num_prototypes[static_cast<size_t>(j)];
-          dst[j] = np == 0
-                       ? 0.0
-                       : static_cast<double>(
-                             best[static_cast<size_t>(
+          dst[j] = np == 0 ? T{0}
+                           : static_cast<T>(best[static_cast<size_t>(
                                  pack.offsets[static_cast<size_t>(j)] +
                                  z % np)]);
         }
@@ -279,7 +278,8 @@ Status PrototypeAffinitySource::ScoreRowsInto(
   const int l = num_layers();
   for (int layer = 0; layer < l && layer < num_functions; ++layer) {
     GOGGLES_RETURN_NOT_OK(
-        ScoreLayerRowsInto(instances, layer, num_functions, layer, l, out));
+        ScoreLayerRowsInto(instances, layer, num_functions, layer, l,
+                           out->cols(), out->data()));
   }
   return Status::OK();
 }
@@ -306,21 +306,21 @@ Status PrototypeAffinitySource::ScorePoolRowsInto(int num_functions,
 
 Status PrototypeAffinitySource::ScorePoolLayerInto(int layer,
                                                   int num_functions,
-                                                  Matrix* block) const {
+                                                  int64_t stride,
+                                                  float* block) const {
   GOGGLES_RETURN_NOT_OK(CheckPoolPrepared("ScorePoolLayerInto"));
   if (layer < 0 || layer >= num_layers()) {
     return Status::InvalidArgument(
         StrFormat("ScorePoolLayerInto: no layer %d", layer));
   }
-  if (block->rows() < num_images_ ||
-      block->cols() <
-          static_cast<int64_t>(LayerFunctions(layer, num_functions).size()) *
-              num_images_) {
+  if (stride <
+      static_cast<int64_t>(LayerFunctions(layer, num_functions).size()) *
+          num_images_) {
     return Status::InvalidArgument(
         "ScorePoolLayerInto: output block too small");
   }
   return ScoreLayerRowsInto(pool_features_, layer, num_functions, 0, 1,
-                            block);
+                            stride, block);
 }
 
 Result<Matrix> PrototypeAffinitySource::ScoreQueryRowsBatched(
@@ -412,23 +412,29 @@ AffinityLibrary BuildPrototypeAffinityLibrary(
       std::make_shared<PrototypeAffinitySource>(std::move(extractor), top_z)};
 }
 
+template <typename T>
 void FillAffinityMatrixColumns(
     const std::vector<AffinityFunction*>& functions, int first_block,
-    int num_images, Matrix* a) {
+    int num_images, int64_t stride, T* a) {
   if (functions.empty()) return;
   const int64_t n = num_images;
   ParallelFor(0, n, [&](int64_t i) {
-    double* row = a->RowPtr(i);
+    T* row = a + i * stride;
     for (size_t k = 0; k < functions.size(); ++k) {
       const AffinityFunction* fn = functions[k];
-      double* dst = row + (first_block + static_cast<int64_t>(k)) * n;
+      T* dst = row + (first_block + static_cast<int64_t>(k)) * n;
       for (int64_t j = 0; j < n; ++j) {
-        dst[j] = static_cast<double>(
+        dst[j] = static_cast<T>(
             fn->Score(static_cast<int>(i), static_cast<int>(j)));
       }
     }
   });
 }
+
+template void FillAffinityMatrixColumns(const std::vector<AffinityFunction*>&,
+                                        int, int, int64_t, float*);
+template void FillAffinityMatrixColumns(const std::vector<AffinityFunction*>&,
+                                        int, int, int64_t, double*);
 
 Result<Matrix> BuildAffinityMatrix(
     const std::vector<AffinityFunction*>& functions, int num_images) {
@@ -438,7 +444,7 @@ Result<Matrix> BuildAffinityMatrix(
   const int64_t n = num_images;
   const int64_t alpha = static_cast<int64_t>(functions.size());
   Matrix a(n, alpha * n);
-  FillAffinityMatrixColumns(functions, 0, num_images, &a);
+  FillAffinityMatrixColumns(functions, 0, num_images, a.cols(), a.data());
   return a;
 }
 

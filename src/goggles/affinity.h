@@ -130,12 +130,13 @@ class PrototypeAffinitySource {
   std::vector<int64_t> LayerFunctions(int layer, int num_functions) const;
 
   /// \brief One layer of pool-side scoring: fills the N x (count * N)
-  /// block of the count = LayerFunctions(layer, num_functions).size()
+  /// float block of the count = LayerFunctions(layer, num_functions).size()
   /// functions of `layer`: column block z holds the function of rank z.
-  /// The same scorer and bits as ScorePoolRowsInto's columns of those
-  /// functions. `block` must have N rows and at least count * N cols.
-  /// Needs Prepare().
-  Status ScorePoolLayerInto(int layer, int num_functions, Matrix* block) const;
+  /// The scorer's own floats, so widened they are ScorePoolRowsInto's
+  /// columns of those functions bit for bit. `block` must hold N rows of
+  /// `stride` >= count * N floats. Needs Prepare().
+  Status ScorePoolLayerInto(int layer, int num_functions, int64_t stride,
+                            float* block) const;
 
   /// \brief Batched pool-side scoring: fills columns f < `num_functions`
   /// of the affinity matrix `a` (layout A[i, f*N + j], §2.2) for the
@@ -172,12 +173,13 @@ class PrototypeAffinitySource {
   void BuildPackedPrototypes();
 
   /// The one scorer of pool and query rows, one layer at a time: fills
-  /// rows [0, instances.size()) of `out` with the LayerFunctions of
-  /// `layer`, the one of rank z into the N-column block
+  /// rows [0, instances.size()) of `out` (row stride `stride`) with the
+  /// LayerFunctions of `layer`, the one of rank z into the N-column block
   /// first_block + z * block_step.
+  template <typename T>
   Status ScoreLayerRowsInto(const std::vector<QueryFeatures>& instances,
                             int layer, int num_functions, int64_t first_block,
-                            int64_t block_step, Matrix* out) const;
+                            int64_t block_step, int64_t stride, T* out) const;
 
   /// Every layer through ScoreLayerRowsInto, in the ScorePoolRowsInto
   /// layout (function f in block f).
@@ -242,13 +244,15 @@ Result<Matrix> BuildAffinityMatrix(
     const std::vector<AffinityFunction*>& functions, int num_images);
 
 /// \brief Fills column blocks [first_block, first_block + functions.size())
-/// of `a` via the generic pairwise Score() interface, in the layout above:
-/// function k owns block first_block + k. The single authoritative
+/// of the num_images rows of `a` (row stride `stride`; T = float or
+/// double) via the generic pairwise Score() interface, in the layout
+/// above: function k owns block first_block + k. The single authoritative
 /// implementation of that layout/cast for functions without a batched
 /// scorer — used by BuildAffinityMatrix (whole matrix) and by
-/// GogglesPipeline::BuildAffinity (user functions after the library).
+/// GogglesPipeline (user functions after the library).
+template <typename T>
 void FillAffinityMatrixColumns(
     const std::vector<AffinityFunction*>& functions, int first_block,
-    int num_images, Matrix* a);
+    int num_images, int64_t stride, T* a);
 
 }  // namespace goggles

@@ -12,25 +12,6 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;
 
-/// N x 2D augmented design matrix [x² | x] of the D columns of `x` from
-/// `col_begin` on: carrying the squares next to the values lets one
-/// product produce both Gaussian dot-product terms of the E-step AND both
-/// raw moments of the M-step. `xaug` is reshaped only when its shape
-/// differs, so a reused workspace does not allocate.
-void AugmentWithSquares(const Matrix& x, int64_t col_begin, int64_t d,
-                        Matrix* xaug) {
-  const int64_t n = x.rows();
-  if (xaug->rows() != n || xaug->cols() != 2 * d) *xaug = Matrix(n, 2 * d);
-  for (int64_t i = 0; i < n; ++i) {
-    const double* row = x.RowPtr(i) + col_begin;
-    double* out = xaug->RowPtr(i);
-    for (int64_t j = 0; j < d; ++j) {
-      out[j] = row[j] * row[j];
-      out[d + j] = row[j];
-    }
-  }
-}
-
 /// Per-iteration E-step operands (Eq. 6 with diagonal covariance,
 /// expanded): with the log density written as
 ///   log N(x | μ, diag σ²) = −½(D log 2π + Σⱼ log σ²ⱼ + Σⱼ x²ⱼ/σ²ⱼ
@@ -64,21 +45,23 @@ void BuildGaussianPanel(const GmmParams& params, Matrix* panel,
   }
 }
 
-/// The shared initial variance: the per-column variance of the plain half
-/// of the augmented design, floored at `var_floor`. It does not depend on
-/// the restart, so a fit computes it once. Row-major passes keep one
-/// accumulator per column, each summing over ascending rows.
-std::vector<double> InitialVariances(const Matrix& xaug, double var_floor) {
-  const int64_t n = xaug.rows(), d = xaug.cols() / 2;
+/// The shared initial variance: the per-column variance of the slice,
+/// floored at `var_floor`. It does not depend on the restart, so a fit
+/// computes it once. Row-major passes keep one accumulator per column,
+/// each summing over ascending rows.
+template <typename T>
+std::vector<double> InitialVariances(const em::Slice<T>& x,
+                                     double var_floor) {
+  const int64_t n = x.rows, d = x.cols;
   std::vector<double> mean(static_cast<size_t>(d), 0.0);
   for (int64_t i = 0; i < n; ++i) {
-    const double* row = xaug.RowPtr(i) + d;
+    const T* row = x.data + i * x.stride;
     for (int64_t j = 0; j < d; ++j) mean[static_cast<size_t>(j)] += row[j];
   }
   for (double& m : mean) m /= static_cast<double>(n);
   std::vector<double> var(static_cast<size_t>(d), 0.0);
   for (int64_t i = 0; i < n; ++i) {
-    const double* row = xaug.RowPtr(i) + d;
+    const T* row = x.data + i * x.stride;
     for (int64_t j = 0; j < d; ++j) {
       const double diff = row[j] - mean[static_cast<size_t>(j)];
       var[static_cast<size_t>(j)] += diff * diff;
@@ -88,12 +71,12 @@ std::vector<double> InitialVariances(const Matrix& xaug, double var_floor) {
   return var;
 }
 
-/// Random-point initialization: distinct data rows as means, and
-/// `variances` (InitialVariances) as every component's variance. Reads x
-/// from the plain half of the augmented design.
-GmmParams InitState(const Matrix& xaug, int k,
+/// Random-point initialization: distinct slice rows as means, and
+/// `variances` (InitialVariances) as every component's variance.
+template <typename T>
+GmmParams InitState(const em::Slice<T>& x, int k,
                     const std::vector<double>& variances, Rng* rng) {
-  const int64_t n = xaug.rows(), d = xaug.cols() / 2;
+  const int64_t n = x.rows, d = x.cols;
   GmmParams state;
   state.means = Matrix(k, d);
   state.variances = Matrix(k, d);
@@ -102,7 +85,7 @@ GmmParams InitState(const Matrix& xaug, int k,
   std::vector<int> picks = rng->SampleWithoutReplacement(
       static_cast<int>(n), k);
   for (int c = 0; c < k; ++c) {
-    const double* row = xaug.RowPtr(picks[static_cast<size_t>(c)]) + d;
+    const T* row = x.data + picks[static_cast<size_t>(c)] * x.stride;
     std::copy(row, row + d, state.means.RowPtr(c));
     std::copy(variances.begin(), variances.end(), state.variances.RowPtr(c));
   }
@@ -137,27 +120,27 @@ Status DiagonalGmm::SetParameters(Matrix means, Matrix variances,
 }
 
 Status DiagonalGmm::Fit(const Matrix& x) {
-  em::FitOperand workspace;
-  return FitPredict(x, 0, x.cols(), &workspace, nullptr);
+  std::vector<double> workspace;
+  return FitPredict(em::WholeMatrix(x), &workspace, nullptr);
 }
 
-Status DiagonalGmm::FitPredict(const Matrix& x, int64_t col_begin,
-                               int64_t dims, em::FitOperand* workspace,
-                               Matrix* posterior) {
-  if (x.rows() < config_.num_components) {
+template <typename T>
+Status DiagonalGmm::FitPredict(const em::Slice<T>& x,
+                               std::vector<T>* workspace, Matrix* posterior) {
+  if (x.rows < config_.num_components) {
     return Status::InvalidArgument(
         "DiagonalGmm::Fit: fewer samples than components");
   }
   if (config_.num_components < 1) {
     return Status::InvalidArgument("DiagonalGmm::Fit: need >= 1 component");
   }
-  if (col_begin < 0 || dims < 1 || col_begin + dims > x.cols()) {
+  if (x.cols < 1 || x.stride < x.cols) {
     return Status::InvalidArgument(
         "DiagonalGmm::Fit: column slice out of range");
   }
 
-  AugmentWithSquares(x, col_begin, dims, &workspace->raw);
-  const int64_t n = x.rows();
+  const em::Design<T> design = em::MakeDesign(x, /*squares=*/true, workspace);
+  const int64_t n = x.rows, dims = x.cols;
   const double var_floor = config_.var_floor;
 
   // M-step (Eq. 10): moments = [x² | x]ᵀ·R yields Σᵢ rᵢ x²ⱼ and Σᵢ rᵢ xⱼ
@@ -166,37 +149,39 @@ Status DiagonalGmm::FitPredict(const Matrix& x, int64_t col_begin,
   // residue). `moments` is (2D x K): rows [0, D) hold the squared
   // moments, rows [D, 2D) the plain ones.
   auto update = [n, dims, var_floor](const std::vector<double>& nk,
-                                     const Matrix& moments, GmmParams* state) {
+                                     const Matrix& moments, int64_t first,
+                                     GmmParams* state) {
     for (int64_t c = 0; c < state->means.rows(); ++c) {
-      const double mass = std::max(nk[static_cast<size_t>(c)], 1e-12);
+      const double mass = std::max(nk[static_cast<size_t>(first + c)], 1e-12);
       for (int64_t j = 0; j < dims; ++j) {
-        const double mean = moments(dims + j, c) / mass;
+        const double mean = moments(dims + j, first + c) / mass;
         state->means(c, j) = mean;
         state->variances(c, j) =
-            std::max(moments(j, c) / mass - mean * mean, var_floor);
+            std::max(moments(j, first + c) / mass - mean * mean, var_floor);
       }
       state->weights[static_cast<size_t>(c)] = mass / static_cast<double>(n);
     }
   };
-  const std::vector<double> init_variances =
-      InitialVariances(workspace->raw, var_floor);
+  const std::vector<double> init_variances = InitialVariances(x, var_floor);
   auto init = [&](Rng* rng, em::Scratch*) {
-    return InitState(workspace->raw, config_.num_components, init_variances,
-                     rng);
+    return InitState(x, config_.num_components, init_variances, rng);
   };
-  final_ll_ = em::FitBestRestart(workspace, config_, init, BuildGaussianPanel,
+  final_ll_ = em::FitBestRestart(design, config_, init, BuildGaussianPanel,
                                  update, &params_, &ll_history_);
   if (posterior == nullptr) return Status::OK();
 
-  // PredictProba of the same slice, minus its re-augmentation: the fitted
-  // parameters' E-step product against the packed design, which is
-  // bit-identical to PredictProba's unpacked DGemm (gemm.h).
+  // PredictProba of the same slice, on the fit's own design.
   if (params_.means.rows() == 0) {
     return Status::Internal("DiagonalGmm::FitPredict: model not fitted");
   }
-  *posterior = em::Posterior(*workspace, BuildGaussianPanel, params_);
+  *posterior = em::Posterior(design, BuildGaussianPanel, params_);
   return Status::OK();
 }
+
+template Status DiagonalGmm::FitPredict(const em::Slice<float>&,
+                                        std::vector<float>*, Matrix*);
+template Status DiagonalGmm::FitPredict(const em::Slice<double>&,
+                                        std::vector<double>*, Matrix*);
 
 void DiagonalGmm::EStepPanel(Matrix* panel,
                              std::vector<double>* offsets) const {
@@ -211,9 +196,10 @@ Result<Matrix> DiagonalGmm::PredictProba(const Matrix& x) const {
     return Status::InvalidArgument(
         "DiagonalGmm::PredictProba: dimension mismatch");
   }
-  Matrix xaug;
-  AugmentWithSquares(x, 0, x.cols(), &xaug);
-  return em::Posterior(xaug, BuildGaussianPanel, params_);
+  std::vector<double> transposed;
+  return em::Posterior(
+      em::MakeDesign(em::WholeMatrix(x), /*squares=*/true, &transposed),
+      BuildGaussianPanel, params_);
 }
 
 }  // namespace goggles

@@ -47,18 +47,19 @@ class DiagonalGmm {
   /// \brief Fits the mixture to `x` (rows = samples).
   Status Fit(const Matrix& x);
 
-  /// \brief Fits the mixture to columns [col_begin, col_begin + dims) of
-  /// `x` and, when `posterior` is non-null, writes the fitted model's
+  /// \brief Fits the mixture to the slice `x` (rows = samples), read in
+  /// place, and, when `posterior` is non-null, writes the fitted model's
   /// PredictProba of that slice into it, bit for bit.
   ///
-  /// `workspace` receives the augmented design [x² | x] of the slice and
-  /// its packed forms. One workspace serves any number of sequential fits
-  /// (not concurrent ones); a fit of the same shape as the previous one
-  /// allocates nothing for it. The posterior is one more E-step against
-  /// the fit's own packed design. Fit(x) is
-  /// FitPredict(x, 0, x.cols(), &fresh_workspace, nullptr).
-  Status FitPredict(const Matrix& x, int64_t col_begin, int64_t dims,
-                    em::FitOperand* workspace, Matrix* posterior);
+  /// `workspace` receives the slice's transposed copy (em::MakeDesign).
+  /// One workspace serves any number of sequential fits (not concurrent
+  /// ones); a fit of the same shape as the previous one allocates nothing
+  /// for it. The posterior is one more E-step on the fit's own design. A
+  /// float slice fits to the same bits as its widened double copy. Fit(x)
+  /// is FitPredict(em::WholeMatrix(x), &fresh_workspace, nullptr).
+  template <typename T>
+  Status FitPredict(const em::Slice<T>& x, std::vector<T>* workspace,
+                    Matrix* posterior);
 
   /// \brief Installs externally-stored parameters (serving artifacts),
   /// making PredictProba available without a Fit() call. `means` and

@@ -9,42 +9,6 @@
 
 namespace goggles {
 namespace em {
-namespace {
-
-void EnsureShape(int64_t rows, int64_t cols, Matrix* m) {
-  if (m->rows() != rows || m->cols() != cols) *m = Matrix(rows, cols);
-}
-
-}  // namespace
-
-void PackFitOperand(FitOperand* op) {
-  const Matrix& m = op->raw;
-  DGemmPackOperandAInto(/*transpose_a=*/false, m.rows(), m.cols(), m.data(),
-                        m.cols(), &op->fwd);
-  DGemmPackOperandAInto(/*transpose_a=*/true, m.cols(), m.rows(), m.data(),
-                        m.cols(), &op->transposed);
-}
-
-void ProductNT(const FitOperand& x, const Matrix& b, Matrix* out) {
-  const int64_t d = x.raw.cols(), k = b.rows();
-  EnsureShape(x.raw.rows(), k, out);
-  DGemmWithPackedA(x.fwd, /*transpose_b=*/true, k, b.data(), d, 0.0,
-                   out->data(), k);
-}
-
-void ProductNT(const Matrix& a, const Matrix& b, Matrix* out) {
-  const int64_t n = a.rows(), d = a.cols(), k = b.rows();
-  EnsureShape(n, k, out);
-  DGemm(/*transpose_a=*/false, /*transpose_b=*/true, n, k, d, 1.0, a.data(), d,
-        b.data(), d, 0.0, out->data(), k);
-}
-
-void ProductTB(const FitOperand& x, const Matrix& b, Matrix* out) {
-  const int64_t k = b.cols();
-  EnsureShape(x.raw.cols(), k, out);
-  DGemmWithPackedA(x.transposed, /*transpose_b=*/false, k, b.data(), k, 0.0,
-                   out->data(), k);
-}
 
 double LogSoftmaxRowInPlace(const double* offsets, int64_t k, double* row) {
   // Pass 1: fold in the per-component offsets and track the row max.

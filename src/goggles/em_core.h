@@ -14,58 +14,97 @@
 /// BernoulliMixture): the multi-restart driver, its E/M-step building
 /// blocks and the posterior.
 ///
-/// Both mixtures cast their E-step as one N x K matrix product against a
-/// per-component parameter panel plus a per-component additive offset,
-/// and their M-step as one D x K product of the (augmented) design matrix
-/// against the responsibilities. The products have one path, the packed,
-/// blocked, parallel DGemm: bit-equal to the serial scalar DGemmReference
-/// by the accumulation contract in tensor/gemm.h (tests/gmm_gemm_test.cc
-/// checks the EM products against it at the fit shapes) and invariant to
-/// the thread count. Everything that is NOT a matrix product (the
-/// log-softmax epilogue, responsibility exponentiation, column sums) is
-/// implemented exactly once here, so whole EM trajectories are
-/// bit-identical across thread counts. So is everything that is not
-/// model-specific: FitBestRestart owns the restart loop, the iteration
-/// and its stop rule, and the best-restart pick; a mixture supplies only
-/// its init, its E-step panel and its per-component parameter update.
+/// Both mixtures cast their E-step as one N x K product of the design
+/// against a per-component parameter panel plus a per-component additive
+/// offset, and their M-step as one D x K product of the transposed
+/// design against the responsibilities. Each product is one kernel
+/// (tensor/gemm.h EmEStepProducts, EmMStepProducts) that reads the slice
+/// itself — float when the fit streams affinity blocks, double for a
+/// Matrix — and squares it on the fly for the Gaussian [x² | x], which is
+/// never stored: bit-equal to DGemmReference on the widened design at any
+/// thread count and ISA tier (tests/gmm_gemm_test.cc). Everything that is
+/// NOT a product (the log-softmax epilogue, responsibility exp, column
+/// sums) is implemented once here, so whole EM trajectories are
+/// bit-identical across thread counts, tiers and slice types. So is
+/// everything that is not model-specific: FitBestRestart owns the restart
+/// loop, the iteration and its stop rule, and the best-restart pick; a
+/// mixture supplies only its init, its E-step panel and its per-component
+/// parameter update.
 
 namespace goggles {
 namespace em {
 
-/// \brief The constant per-fit design matrix with its once-per-fit packed
-/// forms. Every EM iteration multiplies the same N x D matrix; for the
-/// skinny per-iteration products (the other operand has K = #components
-/// columns) the transposing repack of this operand would dominate the
-/// whole call, so both product orientations are packed up front and
-/// shared read-only across restarts. `raw` stays next to its packs: the
-/// Gaussian init reads it, and the products take their shapes from it.
-/// An operand can be refilled for the next fit: a same-shape design
-/// reuses every buffer without allocating.
-struct FitOperand {
-  Matrix raw;               ///< design matrix
-  DGemmPackedA fwd;         ///< packed op(A) = design (E-step product)
-  DGemmPackedA transposed;  ///< packed op(A) = design^T (M-step product)
+/// \brief A read-only row-major slice: `rows` x `cols` elements, row r
+/// at data + r * stride, e.g. an affinity function's slice in its block.
+template <typename T>
+struct Slice {
+  const T* data = nullptr;
+  int64_t rows = 0, cols = 0, stride = 0;
 };
 
-/// \brief Packs `op->raw` in both product orientations, in the packs'
-/// existing storage.
-void PackFitOperand(FitOperand* op);
+/// \brief The slice of all of `m`.
+inline Slice<double> WholeMatrix(const Matrix& m) {
+  return {m.data(), m.rows(), m.cols(), m.cols()};
+}
 
-/// \brief out = design * b^T for b (k x d); out is reshaped to n x k
-/// only when its shape differs (reusable across EM iterations).
-void ProductNT(const FitOperand& x, const Matrix& b, Matrix* out);
+/// \brief The constant design of one EM fit: the slice, which the
+/// M-step reads in place, and its transposed copy in the panel layout of
+/// EmEStepProducts (zero past slice.rows), which the E-step reads. `squares`
+/// selects the Gaussian design [x² | x] over the plain (Bernoulli) x.
+template <typename T>
+struct Design {
+  Slice<T> slice;
+  bool squares = false;
+  const T* transposed = nullptr;
+};
 
-/// \brief out = a * b^T for a (n x d), b (k x d) — the unpacked variant
-/// used by one-shot posterior evaluation (PredictProba); out is reshaped
-/// to n x k only when its shape differs.
-void ProductNT(const Matrix& a, const Matrix& b, Matrix* out);
+/// \brief Reshapes `m` to rows x cols, only when its shape differs (so a
+/// reused output does not allocate).
+inline void EnsureShape(int64_t rows, int64_t cols, Matrix* m) {
+  if (m->rows() != rows || m->cols() != cols) *m = Matrix(rows, cols);
+}
 
-/// \brief out = design^T * b for b (n x k); out is reshaped to d x k
-/// only when its shape differs. The output is the *transpose* of the textbook
-/// M-step moment matrix — callers index it (dimension, component) — so
-/// the product's long dimension rides the fully-utilized row-tile side of
-/// the kernel.
-void ProductTB(const FitOperand& x, const Matrix& b, Matrix* out);
+/// \brief The design of `x`, its transposed copy written into `storage`,
+/// which grows only when too small: one storage serves any number of
+/// sequential fits, and a same-shape fit allocates nothing.
+template <typename T>
+Design<T> MakeDesign(const Slice<T>& x, bool squares,
+                     std::vector<T>* storage) {
+  constexpr int64_t kP = kEmRowAlign;
+  const int64_t n = x.rows, d = x.cols, panels = (n + kP - 1) / kP;
+  if (storage->size() < static_cast<size_t>(panels * d * kP)) {
+    storage->resize(static_cast<size_t>(panels * d * kP));
+  }
+  for (int64_t i = 0; i < panels * kP; ++i) {
+    T* dst = storage->data() + i / kP * d * kP + i % kP;
+    const T* row = x.data + (i < n ? i : 0) * x.stride;
+    for (int64_t j = 0; j < d; ++j) dst[j * kP] = i < n ? row[j] : T{0};
+  }
+  return Design<T>{x, squares, storage->data()};
+}
+
+/// \brief out = design · panelᵀ (EmEStepProducts) for a panel of W
+/// columns; out is reshaped to N x panel.rows() only when its shape
+/// differs (reusable across EM iterations).
+template <typename T>
+void EStepProducts(const Design<T>& x, const Matrix& panel, Matrix* out) {
+  const Slice<T>& s = x.slice;
+  EnsureShape(s.rows, panel.rows(), out);
+  EmEStepProducts(x.transposed, s.rows, s.cols, x.squares, panel.data(),
+                  panel.rows(), out->data());
+}
+
+/// \brief out = designᵀ · resp (EmMStepProducts) for resp (N x k); out is
+/// reshaped to W x k only when its shape differs. The output is the
+/// *transpose* of the textbook M-step moment matrix — callers index it
+/// (dimension, component).
+template <typename T>
+void MStepProducts(const Design<T>& x, const Matrix& resp, Matrix* out) {
+  const Slice<T>& s = x.slice;
+  EnsureShape(x.squares ? 2 * s.cols : s.cols, resp.cols(), out);
+  EmMStepProducts(s.data, s.stride, s.rows, s.cols, x.squares, resp.data(),
+                  resp.cols(), out->data());
+}
 
 /// \brief One row of LogSoftmaxRowsInPlace: adds offsets[c] to row[c]
 /// for c < k, replaces the row by its log-softmax and returns its
@@ -117,32 +156,33 @@ Status ValidateWeights(const std::vector<double>& weights, int64_t k,
 /// fields then hold every live restart's K columns (or panel rows) side
 /// by side, in restart order.
 struct Scratch {
-  Matrix panel;                 ///< K x D E-step parameter panel
+  Matrix panel;                 ///< K x W E-step parameter panel
   std::vector<double> offsets;  ///< per-component E-step offsets
   Matrix log_resp;              ///< N x K log responsibilities
   Matrix resp;                  ///< N x K responsibilities
   std::vector<double> nk;       ///< per-component responsibility mass
-  Matrix moments;               ///< D x K product design^T * resp
+  Matrix moments;               ///< W x K product design^T * resp
 };
 
 /// \brief M-step from `s->log_resp`: the shared prefix (responsibilities
 /// by ResponsibilitiesInto, their column sums nk, and moments =
-/// design^T * resp), then the model's `update(nk, moments, state)` of its
-/// per-component parameters.
-template <typename State, typename Update>
-void MStep(const FitOperand& x, const Update& update, Scratch* s,
+/// design^T * resp), then the model's `update(nk, moments, first, state)`
+/// of its per-component parameters, which reads component c's mass and
+/// moments at column first + c (first = 0 here).
+template <typename T, typename State, typename Update>
+void MStep(const Design<T>& x, const Update& update, Scratch* s,
            State* state) {
   ResponsibilitiesInto(s->log_resp, &s->resp);
   ColumnSums(s->resp, &s->nk);
-  ProductTB(x, s->resp, &s->moments);
-  update(s->nk, s->moments, state);
+  MStepProducts(x, s->resp, &s->moments);
+  update(s->nk, s->moments, 0, state);
 }
 
 /// \brief Fits a mixture by multi-restart EM and keeps the best restart.
 ///
-/// Packs `x` once (PackFitOperand); the packs are shared read-only by
-/// every restart and iteration, and by the caller's posterior. Restart r
-/// starts from `init(&rng, &scratch)` with rng = Rng(config.seed).Fork(r)
+/// The design `x` is shared read-only by every restart and iteration.
+/// Restart r starts from `init(&rng, &scratch)` with
+/// rng = Rng(config.seed).Fork(r)
 /// (an init may MStep on responsibilities it writes to scratch.log_resp);
 /// the inits run first, serially, in restart order. Each iteration is an
 /// E-step — `build_panel(state, &panel, &offsets)`, the design · panelᵀ
@@ -152,26 +192,25 @@ void MStep(const FitOperand& x, const Update& update, Scratch* s,
 /// until config.max_iters or an LL gain below config.tol.
 ///
 /// The restarts run in lockstep: an iteration stacks the live restarts'
-/// K x D panels into one (live·K) x D panel, so one ProductNT and one
-/// ProductTB serve all of them — a packed product costs about the same
-/// at 2 columns as at 8, and each one streams the whole design. Per
-/// element the stacked products keep DGemm's accumulation order (gemm.h:
-/// independent of the problem shape), and the epilogue, exp and column
+/// K x W panels into one (live·K) x W panel, so one E-step and one M-step
+/// product serve all of them, and each streams the design once. Per
+/// element the stacked products keep DGemmReference's accumulation order
+/// (independent of the column count), and the epilogue, exp and column
 /// sums work per column, so every restart follows the trajectory it
 /// would follow alone, bit for bit. A restart that meets its stop rule
 /// leaves the stack after that iteration's M-step. Nothing here fans
-/// out: the products parallelize inside DGemm (serially when nested in
+/// out: the product kernels parallelize inside (serially when nested in
 /// an outer ParallelFor or under ScopedSerialKernels), bit-identical at
 /// any thread count. The pick is serial in restart order: the first
 /// strict improvement of the final LL (0 for an empty history) wins and
 /// is moved into `best_state` / `best_history` (untouched if none beats
 /// -inf). Returns the winning final LL.
-template <typename Config, typename State, typename Init,
+template <typename T, typename Config, typename State, typename Init,
           typename BuildPanel, typename Update>
-double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
-                      const BuildPanel& build_panel, const Update& update,
-                      State* best_state, std::vector<double>* best_history) {
-  PackFitOperand(x);
+double FitBestRestart(const Design<T>& x, const Config& config,
+                      const Init& init, const BuildPanel& build_panel,
+                      const Update& update, State* best_state,
+                      std::vector<double>* best_history) {
   struct Run {
     State state;
     std::vector<double> history;
@@ -191,7 +230,7 @@ double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
 
   Scratch stack;
   std::vector<double> lls;
-  const int64_t n = x->raw.rows();
+  const int64_t n = x.slice.rows;
   for (int iter = 0; iter < config.max_iters && !live.empty(); ++iter) {
     // E-step: one product against the live restarts' stacked panels.
     const int64_t lanes = static_cast<int64_t>(live.size());
@@ -200,14 +239,11 @@ double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
       Scratch& s = run->s;
       build_panel(run->state, &s.panel, &s.offsets);
       k = s.panel.rows();
-      const int64_t w = s.panel.cols();
-      if (stack.panel.rows() != lanes * k || stack.panel.cols() != w) {
-        stack.panel = Matrix(lanes * k, w);
-      }
+      EnsureShape(lanes * k, s.panel.cols(), &stack.panel);
       std::copy(s.panel.data(), s.panel.data() + s.panel.size(),
                 stack.panel.RowPtr(lane++ * k));
     }
-    ProductNT(*x, stack.panel, &stack.log_resp);
+    EStepProducts(x, stack.panel, &stack.log_resp);
     lls.assign(static_cast<size_t>(lanes), 0.0);
     for (int64_t i = 0; i < n; ++i) {
       double* row = stack.log_resp.RowPtr(i);
@@ -219,24 +255,14 @@ double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
 
     // M-step: one product against all lanes' responsibilities, with no
     // subnormal operand (ResponsibilitiesInto); each restart's update
-    // reads its own K columns.
+    // reads its own K columns, from column l·K on.
     ResponsibilitiesInto(stack.log_resp, &stack.resp);
     ColumnSums(stack.resp, &stack.nk);
-    ProductTB(*x, stack.resp, &stack.moments);
-    const int64_t d = stack.moments.rows();
+    MStepProducts(x, stack.resp, &stack.moments);
     size_t kept = 0;
     for (int64_t l = 0; l < lanes; ++l) {
       Run& run = *live[static_cast<size_t>(l)];
-      Scratch& s = run.s;
-      s.nk.assign(stack.nk.begin() + l * k, stack.nk.begin() + (l + 1) * k);
-      if (s.moments.rows() != d || s.moments.cols() != k) {
-        s.moments = Matrix(d, k);
-      }
-      for (int64_t j = 0; j < d; ++j) {
-        const double* src = stack.moments.RowPtr(j) + l * k;
-        std::copy(src, src + k, s.moments.RowPtr(j));
-      }
-      update(s.nk, s.moments, &run.state);
+      update(stack.nk, stack.moments, l * k, &run.state);
       const double ll = lls[static_cast<size_t>(l)];
       run.history.push_back(ll);
       const bool stop = iter > 0 && ll - run.prev_ll < config.tol;
@@ -262,18 +288,17 @@ double FitBestRestart(FitOperand* x, const Config& config, const Init& init,
   return best_ll;
 }
 
-/// \brief Posterior responsibilities of the rows of `x` (a FitOperand or
-/// a plain Matrix) under `params`: the E-step of FitBestRestart with the
-/// same `build_panel`, then exp — one matrix end to end. The exp is the
+/// \brief Posterior responsibilities of the rows of `x` under `params`:
+/// the E-step of FitBestRestart with the same `build_panel`, then the
 /// plain ExpInto, not the M-step's ResponsibilitiesInto: fit-time LPs,
 /// served soft labels and saved artifacts keep every exact value.
-template <typename Operand, typename BuildPanel, typename State>
-Matrix Posterior(const Operand& x, const BuildPanel& build_panel,
+template <typename T, typename BuildPanel, typename State>
+Matrix Posterior(const Design<T>& x, const BuildPanel& build_panel,
                  const State& params) {
   Matrix panel, proba;
   std::vector<double> offsets;
   build_panel(params, &panel, &offsets);
-  ProductNT(x, panel, &proba);
+  EStepProducts(x, panel, &proba);
   LogSoftmaxRowsInPlace(offsets, &proba);
   ExpInto(proba, &proba);
   return proba;

@@ -73,21 +73,22 @@ Status BernoulliMixture::Fit(const Matrix& b) {
     return Status::InvalidArgument(
         "BernoulliMixture::Fit: fewer samples than components");
   }
-  em::FitOperand bop;
-  bop.raw = b;
+  std::vector<double> transposed;
+  const em::Design<double> design =
+      em::MakeDesign(em::WholeMatrix(b), /*squares=*/false, &transposed);
   const int64_t k = config_.num_components, l = b.cols();
   const double smoothing = config_.smoothing;
 
   // M-step (Eq. 11) with Laplace smoothing: `sums` = Bᵀ·R is (L x K),
   // indexed (feature, component).
   auto update = [n, l, smoothing](const std::vector<double>& nk,
-                                  const Matrix& sums,
+                                  const Matrix& sums, int64_t first,
                                   BernoulliMixtureParams* state) {
     for (int64_t c = 0; c < state->probs.rows(); ++c) {
-      const double mass = nk[static_cast<size_t>(c)];
+      const double mass = nk[static_cast<size_t>(first + c)];
       for (int64_t j = 0; j < l; ++j) {
         state->probs(c, j) =
-            (sums(j, c) + smoothing) / (mass + 2.0 * smoothing);
+            (sums(j, first + c) + smoothing) / (mass + 2.0 * smoothing);
       }
       state->weights[static_cast<size_t>(c)] =
           std::max(mass, 1e-12) / static_cast<double>(n);
@@ -111,10 +112,10 @@ Status BernoulliMixture::Fit(const Matrix& b) {
     }
     BernoulliMixtureParams state{
         Matrix(k, l), std::vector<double>(static_cast<size_t>(k), 0.0)};
-    em::MStep(bop, update, s, &state);
+    em::MStep(design, update, s, &state);
     return state;
   };
-  final_ll_ = em::FitBestRestart(&bop, config_, init, BuildBernoulliPanel,
+  final_ll_ = em::FitBestRestart(design, config_, init, BuildBernoulliPanel,
                                  update, &params_, &ll_history_);
   return Status::OK();
 }
@@ -132,7 +133,10 @@ Result<Matrix> BernoulliMixture::PredictProba(const Matrix& b) const {
     return Status::InvalidArgument(
         "BernoulliMixture::PredictProba: dimension mismatch");
   }
-  return em::Posterior(b, BuildBernoulliPanel, params_);
+  std::vector<double> transposed;
+  return em::Posterior(
+      em::MakeDesign(em::WholeMatrix(b), /*squares=*/false, &transposed),
+      BuildBernoulliPanel, params_);
 }
 
 Matrix OneHotConcatLabelPredictions(const std::vector<Matrix>& lps) {

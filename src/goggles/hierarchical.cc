@@ -116,10 +116,11 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
   const int64_t alpha = affinity.cols() / n;
   // All of `affinity` is one in-place block: slice f is function f.
   bool handed_over = false;
-  return FitBlocks(
+  return FitBlocks<double>(
       n, alpha,
-      [&](AffinityBlock* block) {
-        block->columns = &affinity;
+      [&](AffinityBlock<double>* block) {
+        block->data = affinity.data();
+        block->stride = affinity.cols();
         block->functions.clear();
         if (!handed_over) {
           block->functions.resize(static_cast<size_t>(alpha));
@@ -131,9 +132,10 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
       dev_indices, dev_labels, num_classes, fitted_out);
 }
 
+template <typename T>
 Result<LabelingResult> HierarchicalLabeler::FitBlocks(
     int64_t num_instances, int64_t num_functions,
-    const AffinityBlockStream& blocks, const std::vector<int>& dev_indices,
+    const AffinityBlockStream<T>& blocks, const std::vector<int>& dev_indices,
     const std::vector<int>& dev_labels, int num_classes,
     FittedHierarchicalModel* fitted_out) const {
   const int64_t n = num_instances, alpha = num_functions;
@@ -159,13 +161,13 @@ Result<LabelingResult> HierarchicalLabeler::FitBlocks(
                                                  : 0);
   GmmConfig base_config = config_.base;
   base_config.num_components = num_classes;
-  auto fit_base = [&](const Matrix& x, int64_t col_begin, int64_t f,
-                      em::FitOperand* workspace) -> Status {
+  auto fit_base = [&](const em::Slice<T>& x, int64_t f,
+                      std::vector<T>* workspace) -> Status {
     GmmConfig cfg = base_config;
     cfg.seed = base_config.seed + static_cast<uint64_t>(f) * 7919;
     DiagonalGmm gmm(cfg);
     Matrix& lp = lps[static_cast<size_t>(f)];
-    GOGGLES_RETURN_NOT_OK(gmm.FitPredict(x, col_begin, n, workspace, &lp));
+    GOGGLES_RETURN_NOT_OK(gmm.FitPredict(x, workspace, &lp));
     std::vector<int>& mapping = model.base_mappings[static_cast<size_t>(f)];
     GOGGLES_ASSIGN_OR_RETURN(
         mapping,
@@ -176,23 +178,21 @@ Result<LabelingResult> HierarchicalLabeler::FitBlocks(
     }
     return Status::OK();
   };
-  // One workspace per concurrent fit, kept across blocks, so the
-  // augmented design and its packs are allocated once per fit slot, not
-  // once per block. Each slot claims the block's functions one at a time.
-  std::vector<em::FitOperand> workspaces(
+  // One workspace (the slice's transposed copy) per concurrent fit, kept
+  // across blocks, so it is allocated once per fit slot, not once per
+  // block. Each slot claims the block's functions one at a time.
+  std::vector<std::vector<T>> workspaces(
       static_cast<size_t>(EffectiveNumThreads()));
   std::vector<char> arrived(static_cast<size_t>(alpha), 0);
   int64_t num_arrived = 0;
-  AffinityBlock block;
+  AffinityBlock<T> block;
   for (;;) {
     GOGGLES_RETURN_NOT_OK(blocks(&block));
     if (block.functions.empty()) break;
     const int64_t count = static_cast<int64_t>(block.functions.size());
-    if (block.columns == nullptr || block.columns->rows() != n ||
-        block.columns->cols() < count * n) {
+    if (block.data == nullptr || block.stride < count * n) {
       return Status::InvalidArgument(
-          "HierarchicalLabeler: a block needs N rows and N columns per "
-          "function");
+          "HierarchicalLabeler: a block needs N columns per function");
     }
     for (int64_t f : block.functions) {
       if (f < 0 || f >= alpha || arrived[static_cast<size_t>(f)]) {
@@ -209,7 +209,7 @@ Result<LabelingResult> HierarchicalLabeler::FitBlocks(
         [&](int64_t slot) {
           for (int64_t s = next++; s < count; s = next++) {
             statuses[static_cast<size_t>(s)] =
-                fit_base(*block.columns, s * n,
+                fit_base({block.data + s * n, n, n, block.stride},
                          block.functions[static_cast<size_t>(s)],
                          &workspaces[static_cast<size_t>(slot)]);
           }
@@ -245,6 +245,15 @@ Result<LabelingResult> HierarchicalLabeler::FitBlocks(
   if (fitted_out != nullptr) *fitted_out = std::move(model);
   return result;
 }
+
+template Result<LabelingResult> HierarchicalLabeler::FitBlocks(
+    int64_t, int64_t, const AffinityBlockStream<float>&,
+    const std::vector<int>&, const std::vector<int>&, int,
+    FittedHierarchicalModel*) const;
+template Result<LabelingResult> HierarchicalLabeler::FitBlocks(
+    int64_t, int64_t, const AffinityBlockStream<double>&,
+    const std::vector<int>&, const std::vector<int>&, int,
+    FittedHierarchicalModel*) const;
 
 uint64_t FittedHierarchicalModel::ApproxMemoryBytes() const {
   uint64_t bytes = sizeof(*this);

@@ -125,18 +125,23 @@ struct FittedHierarchicalModel {
   Result<LabelingResult> Infer(const Matrix& affinity_rows) const;
 };
 
-/// \brief One block of affinity columns for the base layer: `columns`
-/// has N rows, and its N-column slice s (columns [s*N, (s+1)*N)) is the
-/// slice A_f of function f = functions[s] (§2.2).
+/// \brief One block of affinity columns for the base layer: N rows of
+/// `stride` elements from `data`, whose N-column slice s (columns
+/// [s*N, (s+1)*N)) is the slice A_f of function f = functions[s] (§2.2).
+/// T is float when GogglesPipeline::Label streams the scorer's output,
+/// double for a Matrix.
+template <typename T>
 struct AffinityBlock {
-  const Matrix* columns = nullptr;  ///< the block's storage (N rows)
-  std::vector<int64_t> functions;   ///< global function of each slice
+  const T* data = nullptr;         ///< the block's row 0
+  int64_t stride = 0;              ///< elements per block row
+  std::vector<int64_t> functions;  ///< global function of each slice
 };
 
 /// \brief Hands the base layer its next block; a block with no functions
 /// ends the stream. The storage of an earlier block may be reused for the
 /// next one: the base layer is done with a block when it asks for more.
-using AffinityBlockStream = std::function<Status(AffinityBlock* next)>;
+template <typename T>
+using AffinityBlockStream = std::function<Status(AffinityBlock<T>* next)>;
 
 /// \brief Runs the full §4 inference stack on an affinity matrix.
 class HierarchicalLabeler {
@@ -165,15 +170,17 @@ class HierarchicalLabeler {
   /// tap layer at a time; Fit hands over all of `affinity` as one
   /// in-place block). Every function f in [0, num_functions) must arrive
   /// exactly once. Function f's base GMM sees the same column slice, seed
-  /// and LP slot however the functions are blocked, so the result is
+  /// and LP slot however the functions are blocked, and a float block fits
+  /// to the same bits as its widened double copy, so the result is
   /// bit-identical to Fit on the materialized matrix.
   ///
   /// \param num_instances N, the rows of every block.
   /// \param num_functions alpha.
   /// \param blocks        the stream of blocks.
+  template <typename T>
   Result<LabelingResult> FitBlocks(int64_t num_instances,
                                    int64_t num_functions,
-                                   const AffinityBlockStream& blocks,
+                                   const AffinityBlockStream<T>& blocks,
                                    const std::vector<int>& dev_indices,
                                    const std::vector<int>& dev_labels,
                                    int num_classes,

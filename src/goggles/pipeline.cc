@@ -57,7 +57,8 @@ Result<Matrix> GogglesPipeline::BuildAffinity(
   }
   // User functions only expose the pairwise Score() interface; fill their
   // columns the generic way.
-  FillAffinityMatrixColumns(user, num_library, static_cast<int>(n), &a);
+  FillAffinityMatrixColumns(user, num_library, static_cast<int>(n), a.cols(),
+                            a.data());
   return a;
 }
 
@@ -78,31 +79,35 @@ Result<LabelingResult> GogglesPipeline::Label(
   const int64_t n = static_cast<int64_t>(images.size());
   // The base layer takes A one block at a time: each tap layer's
   // functions (the columns BuildAffinity gives them, scored by the same
-  // kernel), then the user functions. One buffer, as wide as the widest
-  // block, holds each block in turn, so A itself is never built.
-  const size_t widest =
-      std::max(source.LayerFunctions(0, num_library).size(), user.size());
-  Matrix columns(n, static_cast<int64_t>(widest) * n);
+  // kernel), then the user functions. One float buffer, as wide as the
+  // widest block, holds each block in turn, so A itself is never built;
+  // every score is a float, so the block holds A's values exactly.
+  const int64_t stride = n * static_cast<int64_t>(std::max(
+                                 source.LayerFunctions(0, num_library).size(),
+                                 user.size()));
+  std::vector<float> columns(static_cast<size_t>(n * stride));
   int layer = 0;  // the next tap layer; num_layers stands for the user block
-  auto next_block = [&](AffinityBlock* block) -> Status {
-    block->columns = &columns;
+  auto next_block = [&](AffinityBlock<float>* block) -> Status {
+    block->data = columns.data();
+    block->stride = stride;
     block->functions.clear();
     if (layer < num_layers) {
       block->functions = source.LayerFunctions(layer, num_library);
-      GOGGLES_RETURN_NOT_OK(
-          source.ScorePoolLayerInto(layer, num_library, &columns));
+      GOGGLES_RETURN_NOT_OK(source.ScorePoolLayerInto(layer, num_library,
+                                                      stride, columns.data()));
     } else if (layer == num_layers) {
       for (size_t k = 0; k < user.size(); ++k) {
         block->functions.push_back(num_library + static_cast<int64_t>(k));
       }
-      FillAffinityMatrixColumns(user, 0, static_cast<int>(n), &columns);
+      FillAffinityMatrixColumns(user, 0, static_cast<int>(n), stride,
+                                columns.data());
     }
     ++layer;
     return Status::OK();
   };
   HierarchicalLabeler labeler(config_.inference);
-  return labeler.FitBlocks(n, alpha, next_block, dev_indices, dev_labels,
-                           num_classes, fitted_out);
+  return labeler.FitBlocks<float>(n, alpha, next_block, dev_indices,
+                                  dev_labels, num_classes, fitted_out);
 }
 
 }  // namespace goggles

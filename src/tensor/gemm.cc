@@ -107,6 +107,28 @@ void PanelStackProducts(const double* x, int64_t num_functions, int64_t dims,
                                        out);
 }
 
+void EmEStepProducts(const float* xt, int64_t n, int64_t d, bool squares,
+                     const double* panel, int64_t cols, double* out) {
+  ActiveKernels().em_estep_f(xt, n, d, squares, panel, cols, out);
+}
+
+void EmEStepProducts(const double* xt, int64_t n, int64_t d, bool squares,
+                     const double* panel, int64_t cols, double* out) {
+  ActiveKernels().em_estep_d(xt, n, d, squares, panel, cols, out);
+}
+
+void EmMStepProducts(const float* x, int64_t stride, int64_t n, int64_t d,
+                     bool squares, const double* resp, int64_t cols,
+                     double* out) {
+  ActiveKernels().em_mstep_f(x, stride, n, d, squares, resp, cols, out);
+}
+
+void EmMStepProducts(const double* x, int64_t stride, int64_t n, int64_t d,
+                     bool squares, const double* resp, int64_t cols,
+                     double* out) {
+  ActiveKernels().em_mstep_d(x, stride, n, d, squares, resp, cols, out);
+}
+
 void DGemmReference(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                     int64_t k, double alpha, const double* a, int64_t lda,
                     const double* b, int64_t ldb, double beta, double* c,

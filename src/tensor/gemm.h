@@ -5,17 +5,19 @@
 
 /// \file gemm.h
 /// \brief Packed cache-blocked GEMM in single precision (conv, linear)
-/// and double precision (the EM fit cores of the hierarchical generative
-/// model), plus the fused Eq. 2 prototype scorer (PrototypeMaxScores),
-/// which folds the max over positions into the GEMM register tile.
+/// and double precision (MatMul, the truncated SVD), plus the fused Eq. 2
+/// prototype scorer (PrototypeMaxScores), which folds the max over
+/// positions into the GEMM register tile, and the mixture products: the
+/// served posteriors (PanelStackProducts) and the EM E-step and M-step
+/// (EmEStepProducts, EmMStepProducts).
 ///
 /// The implementation is a cache-blocked, register-tiled, panel-packing
 /// kernel (BLIS-style): op(A) and op(B) are repacked into contiguous
 /// micro-panels once per cache block, and an MR x NR register micro-kernel
 /// runs over the packed data. Macro row-tiles are distributed across the
 /// kernel pool with ParallelForChunked. Packing scratch is thread_local and
-/// grow-only (a fresh allocation per call showed up in the EM fit cores'
-/// thousands of small products; a long-lived thread retains up to a few MB
+/// grow-only (a fresh allocation per call showed up when thousands of
+/// small products ran per fit; a long-lived thread retains up to a few MB
 /// of panel scratch until it exits). Concurrent GEMM calls from different
 /// threads remain safe and lock-free: each thread owns its scratch, and
 /// the kernels never re-enter themselves, so one call per thread holds
@@ -74,8 +76,8 @@ void SGemmWithThreads(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
 ///
 /// Same packing/blocking machinery, BLAS semantics and std::fma policy as
 /// SGemm, so results are bit-identical at any thread count AND
-/// bit-reproducible by the serial DGemmReference below. Used by the EM
-/// fit cores, whose state must stay double for likelihood stability.
+/// bit-reproducible by the serial DGemmReference below. Used by MatMul
+/// and the truncated SVD.
 void DGemm(bool transpose_a, bool transpose_b, int64_t m, int64_t n, int64_t k,
            double alpha, const double* a, int64_t lda, const double* b,
            int64_t ldb, double beta, double* c, int64_t ldc);
@@ -90,10 +92,10 @@ void DGemmWithThreads(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
 /// \brief Prepacked double-precision op(A): every KC-aligned k-block's
 /// MR-row micro-panels, in the exact layout the blocked driver consumes.
 /// Built once with DGemmPackOperandA and reused across many products —
-/// the EM fit cores multiply the same design matrix every iteration, and
-/// for their skinny products (n = #mixture components) the transposing
-/// repack of that operand would dominate the whole call. alpha is not
-/// folded (packing is value-preserving; the products run with alpha = 1).
+/// the truncated SVD's power iteration multiplies the same matrix every
+/// step, and for skinny products the transposing repack of that operand
+/// would dominate the whole call. alpha is not folded (packing is
+/// value-preserving; the products run with alpha = 1).
 struct DGemmPackedA {
   std::vector<double> data;         ///< packed micro-panels
   std::vector<int64_t> block_base;  ///< offset of each k-block in `data`
@@ -188,13 +190,60 @@ void PanelStackProducts(const double* x, int64_t num_functions, int64_t dims,
                         bool augment_squares, const double* stack,
                         int64_t components, double* out);
 
+/// \brief Row count of one panel of the transposed design that
+/// EmEStepProducts reads: element j < d of design row i sits at
+/// xt[(i / kEmRowAlign * d + j) * kEmRowAlign + i % kEmRowAlign], so a
+/// panel's d columns of kEmRowAlign rows are contiguous. The layout is the
+/// same at every ISA tier.
+inline constexpr int64_t kEmRowAlign = 16;
+
+/// \brief The E-step products of an EM design, read transposed:
+/// out[i * cols + c] = a_i · panel_c for every row i < n and column
+/// c < cols, where design row x_i is read from the kEmRowAlign-row panels
+/// of `xt` (each element widened to double) and a_i is the augmented
+/// [x_i ⊙ x_i | x_i] (width W = 2d; each square rounded once) when
+/// `squares`, else x_i (W = d). `panel` is cols x W row-major. The last
+/// panel's rows past n are read but their products dropped.
+///
+/// Bit-identical to DGemmReference(false, true, n, cols, W, 1, a, W,
+/// panel, W, 0, out, cols) on the widened augmented design: ascending
+/// depth, one std::fma partial sum per kGemmKChunk block, the partials
+/// added in block order to a total that starts at 0.0. Rows are the
+/// vector lanes, so no augmented or packed copy is stored. Parallel over
+/// panels; bit-identical at any thread count and ISA tier.
+void EmEStepProducts(const float* xt, int64_t n, int64_t d, bool squares,
+                     const double* panel, int64_t cols, double* out);
+/// \brief EmEStepProducts on a double design.
+void EmEStepProducts(const double* xt, int64_t n, int64_t d, bool squares,
+                     const double* panel, int64_t cols, double* out);
+
+/// \brief The M-step products of an EM design, read in place:
+/// out[j * cols + c] = Σ_i a_i[j] · resp[i * cols + c] for j < W and
+/// c < cols, with a_i the augmented row of EmEStepProducts built from row
+/// i of the n x d design at x + i * stride (widened to double). Rows
+/// [0, d) of `out` hold the squared moments when `squares`.
+///
+/// Bit-identical to DGemmReference(true, false, W, cols, n, 1, a, W, resp,
+/// cols, 0, out, cols): ascending rows, one std::fma partial sum per
+/// kGemmKChunk rows, added in block order to a total that starts at 0.0.
+/// Dimensions are the vector lanes, contiguous in the row-major design.
+/// Parallel over dimension tiles; bit-identical at any thread count and
+/// ISA tier.
+void EmMStepProducts(const float* x, int64_t stride, int64_t n, int64_t d,
+                     bool squares, const double* resp, int64_t cols,
+                     double* out);
+/// \brief EmMStepProducts on a double design.
+void EmMStepProducts(const double* x, int64_t stride, int64_t n, int64_t d,
+                     bool squares, const double* resp, int64_t cols,
+                     double* out);
+
 /// \brief Serial scalar reference with DGemm's exact accumulation
 /// semantics: per C element, one std::fma-accumulated partial sum per
 /// kGemmKChunk-sized k-block, added into C in ascending block order, with
 /// alpha folded into each A element up front (one rounding, as the packed
 /// kernel does). Bit-identical to DGemm/DGemmWithThreads by contract —
-/// the tests enforce the equality over randomized shapes and check the EM
-/// fit cores' products against it.
+/// the tests enforce the equality over randomized shapes and check the
+/// mixture products (PanelStackProducts, the EM kernels) against it.
 void DGemmReference(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                     int64_t k, double alpha, const double* a, int64_t lda,
                     const double* b, int64_t ldb, double beta, double* c,

@@ -44,6 +44,18 @@ struct TensorKernels {
                                int64_t dims, bool augment_squares,
                                const double* stack, int64_t components,
                                double* out);
+  /// EM products straight from a design slice (gemm.h EmEStepProducts,
+  /// EmMStepProducts), per element type of the slice.
+  void (*em_estep_f)(const float* xt, int64_t n, int64_t d, bool squares,
+                     const double* panel, int64_t cols, double* out);
+  void (*em_estep_d)(const double* xt, int64_t n, int64_t d, bool squares,
+                     const double* panel, int64_t cols, double* out);
+  void (*em_mstep_f)(const float* x, int64_t stride, int64_t n, int64_t d,
+                     bool squares, const double* resp, int64_t cols,
+                     double* out);
+  void (*em_mstep_d)(const double* x, int64_t stride, int64_t n, int64_t d,
+                     bool squares, const double* resp, int64_t cols,
+                     double* out);
   float (*dot_f)(const float* a, const float* b, int64_t n);
   float (*squared_distance_f)(const float* a, const float* b, int64_t n);
   /// One fused pass computing dot(a,b), |a|^2 and |b|^2.

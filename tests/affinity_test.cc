@@ -1,5 +1,6 @@
 #include "goggles/affinity.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -166,9 +167,9 @@ TEST_F(AffinityTest, MatrixLayoutMatchesPaperSection22) {
   }
 }
 
-// A layer's block holds, bit for bit, the matrix columns of that layer's
-// functions in rank order, also for a prefix that leaves the layers
-// uneven (7 of 15 functions: 2, 2, 1, 1, 1).
+// A layer's float block holds, widened bit for bit, the matrix columns of
+// that layer's functions in rank order, also for a prefix that leaves the
+// layers uneven (7 of 15 functions: 2, 2, 1, 1, 1).
 TEST_F(AffinityTest, LayerBlocksAreTheMatrixColumnsOfTheirFunctions) {
   AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 3);
   const PrototypeAffinitySource& source = *library.source;
@@ -181,15 +182,21 @@ TEST_F(AffinityTest, LayerBlocksAreTheMatrixColumnsOfTheirFunctions) {
         source.LayerFunctions(layer, num_functions);
     EXPECT_EQ(functions.size(), layer < 2 ? 2u : 1u) << "layer " << layer;
     const int64_t width = static_cast<int64_t>(functions.size()) * n;
-    Matrix block(n, width);
-    ASSERT_TRUE(source.ScorePoolLayerInto(layer, num_functions, &block).ok());
+    std::vector<float> block(static_cast<size_t>(n * width));
+    ASSERT_TRUE(
+        source.ScorePoolLayerInto(layer, num_functions, width, block.data())
+            .ok());
+    Matrix widened(n, width);
+    std::copy(block.begin(), block.end(), widened.data());
     for (size_t z = 0; z < functions.size(); ++z) {
       EXPECT_EQ(functions[z] % source.num_layers(), layer);
-      ExpectBitIdentical(block.Block(0, static_cast<int64_t>(z) * n, n, n),
+      ExpectBitIdentical(widened.Block(0, static_cast<int64_t>(z) * n, n, n),
                          a.Block(0, functions[z] * n, n, n));
     }
-    Matrix narrow(n, width - 1);
-    EXPECT_EQ(source.ScorePoolLayerInto(layer, num_functions, &narrow).code(),
+    EXPECT_EQ(source
+                  .ScorePoolLayerInto(layer, num_functions, width - 1,
+                                      block.data())
+                  .code(),
               StatusCode::kInvalidArgument);
     covered += static_cast<int64_t>(functions.size());
   }

@@ -22,16 +22,17 @@
 ///      (DGemmReference) bit for bit over randomized shapes, including
 ///      shapes crossing the kGemmKChunk accumulation boundary, and a
 ///      naive tolerance reference for plain correctness;
-///  (b) the EM products (em::ProductNT packed and unpacked, em::ProductTB
-///      after em::PackFitOperand) equal DGemmReference bit for bit on
-///      Gaussian [x² | x] and Bernoulli designs built here, at the fit
-///      shapes; DiagonalGmm::Fit / BernoulliMixture::Fit are bit-identical
-///      at serial vs parallel execution (ScopedSerialKernels forces
-///      1-thread kernels);
+///  (b) the EM products (em::EStepProducts, em::MStepProducts on an
+///      em::MakeDesign of a float or double slice) equal DGemmReference
+///      bit for bit on Gaussian [x² | x] and Bernoulli designs built here,
+///      at the fit shapes and 1-8 stacked columns; a float block fits like
+///      its widened Matrix; DiagonalGmm::Fit / BernoulliMixture::Fit are
+///      bit-identical at serial vs parallel execution (ScopedSerialKernels
+///      forces 1-thread kernels);
 ///  (c) DGemm passes the same transpose/alpha/beta/NaN semantics sweep as
 ///      tensor_gemm_test.cc does for SGemm;
 ///  (d) the posterior HierarchicalLabeler::Fit computes from each base
-///      fit's packed design equals DiagonalGmm::PredictProba on the same
+///      fit's own design equals DiagonalGmm::PredictProba on the same
 ///      affinity block;
 ///  (e) em::FitBestRestart's lockstep restarts each follow the trajectory
 ///      they follow alone: an R-restart fit equals the solo run of its
@@ -242,95 +243,215 @@ void ExpectBitEqual(const Matrix& got, const Matrix& want,
       << want.cols() << ")";
 }
 
-/// The EM products on one N x D design, as a fit runs them: the E-step's
-/// design · panelᵀ (packed and unpacked ProductNT, panel K x D) and the
-/// M-step's designᵀ · resp (ProductTB, resp N x K), both after
-/// PackFitOperand, must equal DGemmReference on the same operands bit for
-/// bit. Outputs start NaN-filled at their final shape, as a reused
-/// workspace's do. Everything else in EM is one shared implementation, so
-/// equal products mean equal fit trajectories.
-void CheckEmProducts(const Matrix& design, int64_t k, em::FitOperand* op,
-                     Rng* rng) {
-  const int64_t n = design.rows(), d = design.cols();
-  op->raw = design;
-  em::PackFitOperand(op);
-  Matrix panel(k, d);
-  for (int64_t i = 0; i < panel.size(); ++i) panel.data()[i] = rng->Gaussian();
-  Matrix resp = RandomMatrix(n, k, rng);
+/// A test block: `rows` x `stride` values of float precision, held as
+/// floats and as their widened doubles. A slice of it starts at column 3
+/// and leaves columns to its right, as an in-block slice does.
+struct TwinBlock {
+  std::vector<float> f32;
+  Matrix f64;
+  int64_t stride = 0;
 
-  Matrix want_nt(n, k), want_tb(d, k);
-  DGemmReference(/*transpose_a=*/false, /*transpose_b=*/true, n, k, d, 1.0,
-                 design.data(), d, panel.data(), d, 0.0, want_nt.data(), k);
-  DGemmReference(/*transpose_a=*/true, /*transpose_b=*/false, d, k, n, 1.0,
-                 design.data(), d, resp.data(), k, 0.0, want_tb.data(), k);
+  template <typename T>
+  em::Slice<T> SliceOf(int64_t cols) const;
+};
 
-  Matrix packed_nt(n, k, kNaN), plain_nt(n, k, kNaN), tb(d, k, kNaN);
-  em::ProductNT(*op, panel, &packed_nt);
-  em::ProductNT(design, panel, &plain_nt);
-  em::ProductTB(*op, resp, &tb);
-  ExpectBitEqual(packed_nt, want_nt, "packed ProductNT");
-  ExpectBitEqual(plain_nt, want_nt, "unpacked ProductNT");
-  ExpectBitEqual(tb, want_tb, "ProductTB");
+template <>
+em::Slice<float> TwinBlock::SliceOf(int64_t cols) const {
+  return {f32.data() + 3, f64.rows(), cols, stride};
+}
+template <>
+em::Slice<double> TwinBlock::SliceOf(int64_t cols) const {
+  return {f64.data() + 3, f64.rows(), cols, stride};
 }
 
-/// The augmented Gaussian design [x² | x] of an N x D sample, built here
-/// independently of the library.
-Matrix GaussianDesign(int64_t n, int64_t d, Rng* rng) {
-  Matrix x = RandomMatrix(n, d, rng);
-  Matrix design(n, 2 * d);
-  for (int64_t i = 0; i < n; ++i) {
+/// `values` draws each element: Uniform (Gaussian data), 0/1 (one-hot
+/// LPs) or a fraction (the no-one-hot ablation's LPs).
+enum class Values { kUniform, kBinary, kFraction };
+
+TwinBlock MakeTwinBlock(int64_t rows, int64_t cols, Values values, Rng* rng) {
+  TwinBlock block;
+  block.stride = cols + 5;
+  block.f32.resize(static_cast<size_t>(rows * block.stride));
+  block.f64 = Matrix(rows, block.stride);
+  for (size_t i = 0; i < block.f32.size(); ++i) {
+    const double v = values == Values::kBinary
+                         ? (rng->Bernoulli(0.5) ? 1.0 : 0.0)
+                         : rng->Uniform() * (values == Values::kUniform ? 2.0
+                                                                        : 1.0);
+    block.f32[i] = static_cast<float>(v);
+    block.f64.data()[i] = static_cast<double>(block.f32[i]);
+  }
+  return block;
+}
+
+/// The design a fit's products see, built here independently of the
+/// library: [x² | x] (each square rounded once) or x, N x W.
+Matrix ReferenceDesign(const em::Slice<double>& x, bool squares) {
+  const int64_t d = x.cols;
+  Matrix design(x.rows, squares ? 2 * d : d);
+  for (int64_t i = 0; i < x.rows; ++i) {
+    const double* row = x.data + i * x.stride;
     for (int64_t j = 0; j < d; ++j) {
-      design(i, j) = x(i, j) * x(i, j);
-      design(i, d + j) = x(i, j);
+      if (squares) design(i, j) = row[j] * row[j];
+      design(i, squares ? d + j : j) = row[j];
     }
   }
   return design;
 }
 
+/// The EM products on one slice, as a fit runs them: the E-step's
+/// design · panelᵀ (panel cols x W) and the M-step's designᵀ · resp (resp
+/// N x cols) must equal DGemmReference on ReferenceDesign bit for bit, for
+/// the float slice and its double twin, at every stacked column count
+/// from 1 to 8. Outputs start NaN-filled at their final shape, as a
+/// reused workspace's do. Everything else in EM is one shared
+/// implementation, so equal products mean equal fit trajectories.
+void CheckEmProducts(const TwinBlock& block, int64_t d, bool squares,
+                     Rng* rng) {
+  const em::Slice<double> x = block.SliceOf<double>(d);
+  const int64_t n = x.rows;
+  const Matrix design = ReferenceDesign(x, squares);
+  const int64_t w = design.cols();
+  std::vector<float> f32_storage;
+  std::vector<double> f64_storage;
+  const em::Design<float> f32_design =
+      em::MakeDesign(block.SliceOf<float>(d), squares, &f32_storage);
+  const em::Design<double> f64_design =
+      em::MakeDesign(x, squares, &f64_storage);
+  for (int64_t cols = 1; cols <= 8; ++cols) {
+    SCOPED_TRACE(testing::Message() << "cols=" << cols);
+    Matrix panel(cols, w);
+    for (int64_t i = 0; i < panel.size(); ++i) {
+      panel.data()[i] = rng->Gaussian();
+    }
+    const Matrix resp = RandomMatrix(n, cols, rng);
+    Matrix want_e(n, cols), want_m(w, cols);
+    DGemmReference(/*transpose_a=*/false, /*transpose_b=*/true, n, cols, w,
+                   1.0, design.data(), w, panel.data(), w, 0.0,
+                   want_e.data(), cols);
+    DGemmReference(/*transpose_a=*/true, /*transpose_b=*/false, w, cols, n,
+                   1.0, design.data(), w, resp.data(), cols, 0.0,
+                   want_m.data(), cols);
+    Matrix e32(n, cols, kNaN), e64(n, cols, kNaN);
+    Matrix m32(w, cols, kNaN), m64(w, cols, kNaN);
+    em::EStepProducts(f32_design, panel, &e32);
+    em::EStepProducts(f64_design, panel, &e64);
+    em::MStepProducts(f32_design, resp, &m32);
+    em::MStepProducts(f64_design, resp, &m64);
+    ExpectBitEqual(e32, want_e, "float E-step");
+    ExpectBitEqual(e64, want_e, "double E-step");
+    ExpectBitEqual(m32, want_m, "float M-step");
+    ExpectBitEqual(m64, want_m, "double M-step");
+  }
+}
+
+// n and d straddle every tier's row and dimension tiles and kEmRowAlign;
+// 2d > 256 (d >= 257) crosses kGemmKChunk on the E-step depth, once
+// inside the x² half (d = 300, 480) and at its end (d = 257 puts the
+// second chunk boundary at 512 > 2d); n >= 257 crosses it on the M-step
+// depth. 480 x 480 is a pool-480 base GMM's slice.
+const int64_t kEmSizes[] = {7, 33, 108, 257, 300, 480};
+
 TEST(EmProductTest, GaussianDesignProductsMatchDGemmReference) {
-  // Shapes straddle the register tiles; 2D > 512 (d = 300, 480) crosses
-  // kGemmKChunk twice on the E-step depth, and n = 300, 480 crosses it on
-  // the M-step depth. 480 x 480 at K = 2 is a pool-480 base GMM's slice.
-  // Each workspace is refilled with a second design of the same shape, as
-  // the base layer reuses one across functions.
-  struct Shape {
-    int64_t n, d, k;
-  };
   Rng rng(1);
-  for (const Shape& s : {Shape{40, 7, 2}, Shape{60, 33, 3}, Shape{25, 300, 2},
-                         Shape{130, 65, 4}, Shape{300, 20, 2},
-                         Shape{480, 480, 2}}) {
-    em::FitOperand workspace;
-    for (int refill = 0; refill < 2; ++refill) {
-      SCOPED_TRACE(testing::Message() << "n=" << s.n << " d=" << s.d
-                                      << " k=" << s.k << " refill=" << refill);
-      CheckEmProducts(GaussianDesign(s.n, s.d, &rng), s.k, &workspace, &rng);
+  for (const int64_t n : kEmSizes) {
+    for (const int64_t d : kEmSizes) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " d=" << d);
+      CheckEmProducts(MakeTwinBlock(n, d, Values::kUniform, &rng), d,
+                      /*squares=*/true, &rng);
     }
   }
 }
 
 TEST(EmProductTest, BernoulliDesignProductsMatchDGemmReference) {
-  // 0/1 one-hot LP designs, and a fractional one (the no-one-hot
-  // ablation's input).
-  struct Shape {
-    int64_t n, l, k;
-    bool fractional;
-  };
+  // 0/1 one-hot LP designs, and fractional ones (the no-one-hot
+  // ablation's input), squares off.
   Rng rng(11);
-  for (const Shape& s :
-       {Shape{30, 4, 2, false}, Shape{150, 100, 2, false},
-        Shape{80, 300, 3, false}, Shape{300, 600, 2, false},
-        Shape{60, 20, 2, true}}) {
-    SCOPED_TRACE(testing::Message() << "n=" << s.n << " l=" << s.l
-                                    << " k=" << s.k
-                                    << " fractional=" << s.fractional);
-    Matrix b(s.n, s.l);
-    for (int64_t i = 0; i < b.size(); ++i) {
-      b.data()[i] =
-          s.fractional ? rng.Uniform() : (rng.Bernoulli(0.5) ? 1.0 : 0.0);
+  for (const Values values : {Values::kBinary, Values::kFraction}) {
+    for (const int64_t n : kEmSizes) {
+      for (const int64_t d : kEmSizes) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " d=" << d
+                                        << " binary="
+                                        << (values == Values::kBinary));
+        CheckEmProducts(MakeTwinBlock(n, d, values, &rng), d,
+                        /*squares=*/false, &rng);
+      }
     }
-    em::FitOperand op;
-    CheckEmProducts(b, s.k, &op, &rng);
+  }
+}
+
+// A reused workspace: a second, smaller and then equal-shape design in
+// the same storage must not see the first one's entries (the padding
+// rows past N are zeroed again).
+TEST(EmProductTest, ReusedWorkspaceMatchesFreshOne) {
+  Rng rng(12);
+  std::vector<float> storage;
+  for (const int64_t n : {int64_t{300}, int64_t{108}, int64_t{108}}) {
+    const TwinBlock block = MakeTwinBlock(n, 60, Values::kUniform, &rng);
+    std::vector<float> fresh_storage;
+    const em::Design<float> reused =
+        em::MakeDesign(block.SliceOf<float>(60), true, &storage);
+    const em::Design<float> fresh =
+        em::MakeDesign(block.SliceOf<float>(60), true, &fresh_storage);
+    Matrix panel(4, 120);
+    for (int64_t i = 0; i < panel.size(); ++i) {
+      panel.data()[i] = rng.Gaussian();
+    }
+    Matrix got, want;
+    em::EStepProducts(reused, panel, &got);
+    em::EStepProducts(fresh, panel, &want);
+    ExpectBitEqual(got, want, "E-step on a reused workspace");
+  }
+}
+
+// The streamed fit hands the base GMMs float slices and Fit(const
+// Matrix&) double ones: a float block and its widened Matrix must fit to
+// the same parameters, LL history and posterior, bit for bit.
+TEST(EmProductTest, FloatBlockFitsLikeItsWidenedMatrix) {
+  Rng rng(13);
+  for (const int64_t n : {int64_t{108}, int64_t{257}}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    TwinBlock block;
+    block.stride = 2 * n + 3;
+    block.f32.resize(static_cast<size_t>(n * block.stride));
+    block.f64 = Matrix(n, block.stride);
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < block.stride; ++j) {
+        const bool same_class = (i % 2) == (j % 2);
+        const float v = static_cast<float>(
+            (same_class ? 0.52 : 0.48) + 0.4 * rng.Uniform());
+        block.f32[static_cast<size_t>(i * block.stride + j)] = v;
+        block.f64(i, j) = v;
+      }
+    }
+    GmmConfig config;
+    config.num_components = 2;
+    DiagonalGmm from_float(config), from_double(config);
+    std::vector<float> f32_workspace;
+    std::vector<double> f64_workspace;
+    Matrix float_posterior, double_posterior;
+    ASSERT_TRUE(from_float
+                    .FitPredict(block.SliceOf<float>(n), &f32_workspace,
+                                &float_posterior)
+                    .ok());
+    ASSERT_TRUE(from_double
+                    .FitPredict(block.SliceOf<double>(n), &f64_workspace,
+                                &double_posterior)
+                    .ok());
+    ASSERT_GE(from_double.log_likelihood_history().size(), 3u);
+    const std::vector<double>& got = from_float.log_likelihood_history();
+    const std::vector<double>& want = from_double.log_likelihood_history();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0);
+    ExpectBitEqual(from_float.means(), from_double.means(), "means");
+    ExpectBitEqual(from_float.variances(), from_double.variances(),
+                   "variances");
+    EXPECT_EQ(std::memcmp(from_float.weights().data(),
+                          from_double.weights().data(),
+                          from_double.weights().size() * sizeof(double)),
+              0);
+    ExpectBitEqual(float_posterior, double_posterior, "posterior");
   }
 }
 
@@ -429,8 +550,8 @@ TEST(EmThreadInvarianceTest, GmmFitBitIdenticalInsideWorkerThread) {
             0);
 }
 
-// The base layer's fit-time posterior comes from the fit's own packed
-// design (DiagonalGmm::FitPredict), not from a second augmentation: it
+// The base layer's fit-time posterior comes from the fit's own design
+// (DiagonalGmm::FitPredict), not from a second transposed copy: it
 // must equal the fitted model's PredictProba on the function's block,
 // mapped the same way, bit for bit.
 TEST(EmThreadInvarianceTest, FitTimePosteriorMatchesPredictProba) {
@@ -546,14 +667,16 @@ TEST(EmResponsibilityTest, FlushedSubnormalsAreAbsorbedByTheMStep) {
   GmmConfig config;
   config.num_components = 2;
   DiagonalGmm gmm(config);
-  em::FitOperand op;
-  ASSERT_TRUE(gmm.FitPredict(x, 0, n, &op, nullptr).ok());
+  ASSERT_TRUE(gmm.Fit(x).ok());
 
   Matrix panel;
   std::vector<double> offsets;
   gmm.EStepPanel(&panel, &offsets);
+  std::vector<double> storage;
+  const em::Design<double> design =
+      em::MakeDesign(em::WholeMatrix(x), /*squares=*/true, &storage);
   Matrix log_resp;
-  em::ProductNT(op, panel, &log_resp);
+  em::EStepProducts(design, panel, &log_resp);
   em::LogSoftmaxRowsInPlace(offsets, &log_resp);
 
   Matrix exact, flushed;
@@ -568,8 +691,8 @@ TEST(EmResponsibilityTest, FlushedSubnormalsAreAbsorbedByTheMStep) {
   std::vector<double> nk;
   em::ColumnSums(flushed, &nk);
   Matrix exact_moments, flushed_moments;
-  em::ProductTB(op, exact, &exact_moments);
-  em::ProductTB(op, flushed, &flushed_moments);
+  em::MStepProducts(design, exact, &exact_moments);
+  em::MStepProducts(design, flushed, &flushed_moments);
   int compared = 0;
   for (int64_t c = 0; c < flushed.cols(); ++c) {
     if (!(nk[static_cast<size_t>(c)] >= 1.0)) continue;
@@ -643,20 +766,20 @@ LockstepFit FitLockstep(const Matrix& design, int k,
     return state;
   };
   auto update = [n, d](const std::vector<double>& nk, const Matrix& moments,
-                       LockstepState* state) {
+                       int64_t first, LockstepState* state) {
     for (int64_t c = 0; c < state->means.rows(); ++c) {
-      const double mass = std::max(nk[static_cast<size_t>(c)], 1e-12);
+      const double mass = std::max(nk[static_cast<size_t>(first + c)], 1e-12);
       for (int64_t j = 0; j < d; ++j) {
-        state->means(c, j) = moments(j, c) / mass;
+        state->means(c, j) = moments(j, first + c) / mass;
       }
       state->weights[static_cast<size_t>(c)] = mass / static_cast<double>(n);
     }
   };
-  em::FitOperand op;
-  op.raw = design;
+  std::vector<double> storage;
   LockstepFit fit;
-  fit.ll = em::FitBestRestart(&op, config, init, BuildLockstepPanel, update,
-                              &fit.state, &fit.history);
+  fit.ll = em::FitBestRestart(
+      em::MakeDesign(em::WholeMatrix(design), /*squares=*/false, &storage),
+      config, init, BuildLockstepPanel, update, &fit.state, &fit.history);
   return fit;
 }
 

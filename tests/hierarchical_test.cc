@@ -462,10 +462,11 @@ TEST(HierarchicalTest, FitBlocksRejectsMalformedStreams) {
                  const Matrix* columns) {
     size_t next = 0;
     return labeler
-        .FitBlocks(
+        .FitBlocks<double>(
             10, 3,
-            [&](AffinityBlock* block) {
-              block->columns = columns;
+            [&](AffinityBlock<double>* block) {
+              block->data = columns->data();
+              block->stride = columns->cols();
               block->functions.clear();
               if (next < function_blocks.size()) {
                 block->functions = function_blocks[next++];

@@ -17,7 +17,7 @@
 /// graceful fallback when a binary carries tiers the host lacks, and —
 /// the load-bearing invariant — bit-identical f32/f64 kernel results at
 /// every tier the host can run (GEMM, conv, the BLAS-1 reductions, the
-/// mixture panel-stack products).
+/// mixture panel-stack products, the EM E-step and M-step products).
 
 namespace goggles {
 namespace {
@@ -366,6 +366,77 @@ TEST(TierBitIdentity, PanelStackProductsMatchChunkedFmaAtEveryTier) {
             << "tier=" << IsaTierName(tier) << " functions=" << cs.functions
             << " dims=" << cs.dims << " components=" << cs.components
             << " squares=" << cs.squares << " zeros=" << zeros;
+      }
+    }
+  }
+}
+
+// EmEStepProducts / EmMStepProducts vs DGemmReference on the widened
+// augmented design built here, at every tier, for float and double
+// designs: the E-step reads the design in kEmRowAlign-row panels (rows
+// past n zero), the M-step reads it in place with a row stride larger
+// than d. n and d (gmm_gemm_test's EmProductTest sizes) straddle the row
+// and dimension tiles and kGemmKChunk on both depths; 1-8 columns cover
+// the one- and two-sub-tile and multi-pass column groups; squares off is
+// the Bernoulli (ensemble) form.
+template <typename T>
+void CheckEmKernelsAtEveryTier(int64_t n, int64_t d, bool squares,
+                               Rng* rng) {
+  const int64_t stride = d + 3, w = squares ? 2 * d : d;
+  std::vector<T> x(static_cast<size_t>(n * stride));
+  for (auto& v : x) v = static_cast<T>(rng->Uniform());
+  std::vector<double> design(static_cast<size_t>(n * w));
+  const int64_t panels = (n + kEmRowAlign - 1) / kEmRowAlign;
+  std::vector<T> xt(static_cast<size_t>(panels * d * kEmRowAlign), T{0});
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < d; ++j) {
+      const T e = x[static_cast<size_t>(i * stride + j)];
+      const double v = static_cast<double>(e);
+      if (squares) design[static_cast<size_t>(i * w + j)] = v * v;
+      design[static_cast<size_t>(i * w + (squares ? d : 0) + j)] = v;
+      xt[static_cast<size_t>((i / kEmRowAlign * d + j) * kEmRowAlign +
+                             i % kEmRowAlign)] = e;
+    }
+  }
+  for (int64_t cols = 1; cols <= 8; ++cols) {
+    const std::vector<double> panel =
+        RandomVecD(static_cast<size_t>(cols * w), rng);
+    const std::vector<double> resp =
+        RandomVecD(static_cast<size_t>(n * cols), rng);
+    std::vector<double> want_e(static_cast<size_t>(n * cols));
+    std::vector<double> want_m(static_cast<size_t>(w * cols));
+    DGemmReference(false, true, n, cols, w, 1.0, design.data(), w,
+                   panel.data(), w, 0.0, want_e.data(), cols);
+    DGemmReference(true, false, w, cols, n, 1.0, design.data(), w,
+                   resp.data(), cols, 0.0, want_m.data(), cols);
+    for (const IsaTier tier : UsableTiers()) {
+      ASSERT_TRUE(ForceIsaTier(tier));
+      std::vector<double> got_e(want_e.size(), 1.0), got_m(want_m.size(), 1.0);
+      EmEStepProducts(xt.data(), n, d, squares, panel.data(), cols,
+                      got_e.data());
+      EmMStepProducts(x.data(), stride, n, d, squares, resp.data(), cols,
+                      got_m.data());
+      ASSERT_EQ(0, std::memcmp(want_e.data(), got_e.data(),
+                               want_e.size() * sizeof(double)))
+          << "E-step tier=" << IsaTierName(tier) << " n=" << n << " d=" << d
+          << " cols=" << cols << " squares=" << squares;
+      ASSERT_EQ(0, std::memcmp(want_m.data(), got_m.data(),
+                               want_m.size() * sizeof(double)))
+          << "M-step tier=" << IsaTierName(tier) << " n=" << n << " d=" << d
+          << " cols=" << cols << " squares=" << squares;
+    }
+  }
+}
+
+TEST(TierBitIdentity, EmProductsMatchChunkedFmaAtEveryTier) {
+  TierSweepGuard guard;
+  Rng rng(20261019);
+  const int64_t sizes[] = {7, 33, 108, 257, 300, 480};
+  for (const int64_t n : sizes) {
+    for (const int64_t d : sizes) {
+      for (const bool squares : {true, false}) {
+        CheckEmKernelsAtEveryTier<float>(n, d, squares, &rng);
+        CheckEmKernelsAtEveryTier<double>(n, d, squares, &rng);
       }
     }
   }
