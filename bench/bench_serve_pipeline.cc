@@ -367,12 +367,12 @@ void RunExperiment() {
 
 void BM_PipelineSubmitDrain(benchmark::State& state) {
   // Executor overhead floor: items through a 4-stage pipeline with no-op
-  // stage bodies (lane pushes, pops and wakeups only, no model work).
+  // stage bodies (queue pushes, pops and wakeups only, no model work).
   const int items = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Pipeline<int> pipe;
     for (const char* name : {"a", "b", "c", "d"}) {
-      pipe.AddStage({name, 1, 64, 8}, [](std::vector<int>&) {});
+      pipe.AddStage({name, 1, 8}, [](std::vector<int>&) {});
     }
     std::atomic<int> sunk{0};
     pipe.Start([&](int&&) { sunk.fetch_add(1, std::memory_order_relaxed); });

@@ -9,10 +9,10 @@
 ///                                                     # task-less requests
 ///
 /// Requests run through a staged flowgraph (decode → extract → infer) in
-/// which every stage worker reads one intake lane, bounded by the
-/// admission cap, and runs its kernels serially on its own thread; the
-/// flags below shape it. Settings come from flags only; an unset
-/// flag keeps the ServiceConfig / RegistryConfig default.
+/// which the workers of each stage share one intake queue and run their
+/// kernels serially on their own threads; the admission cap is its only
+/// bound. The flags below shape it. Settings come from flags only; an
+/// unset flag keeps the ServiceConfig / RegistryConfig default.
 ///
 /// Options:
 ///   --pipeline-decode N     decode-stage threads (default 1)
@@ -23,9 +23,8 @@
 ///                           the extraction stage groups them into
 ///                           batched scoring calls, never waiting for
 ///                           more (default 8)
-///   --pipeline-admission N  in-flight request cap, which also bounds
-///                           every stage worker's intake lane (default
-///                           64)
+///   --pipeline-admission N  in-flight request cap, the flowgraph's only
+///                           bound (default 64)
 ///   --pipeline-reject       shed over-capacity requests with an
 ///                           immediate error response instead of
 ///                           stalling the reader
@@ -102,7 +101,7 @@ void PrintUsage(const char* argv0) {
       "       [--request-deadline-ms N] [--pipeline-watchdog-ms N]\n"
       "Serves newline-delimited JSON labeling requests on stdin/stdout\n"
       "through a staged decode -> extract -> infer flowgraph;\n"
-      "--pipeline-admission also bounds each stage worker's intake lane.\n"
+      "--pipeline-admission is its only bound on queued requests.\n"
       "Ops: {\"op\":\"stats\"} | {\"op\":\"label\",\"image\":{...}} |\n"
       "     {\"op\":\"label_batch\",\"images\":[...]} |\n"
       "     {\"op\":\"list_tasks\"} | {\"op\":\"load\",\"task\":T} |\n"

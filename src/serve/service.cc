@@ -565,9 +565,6 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   const PipelineOptions& popt = config_.pipeline;
   const uint64_t admission_cap =
       static_cast<uint64_t>(popt.admission_capacity);
-  // In-flight requests never exceed the admission cap, so lanes bounded
-  // by it never fill; the reader alone waits, at admission.
-  const int lane_capacity = popt.admission_capacity;
   const int64_t deadline_micros = config_.request_deadline_micros;
   // Once the request aged past its deadline, answers it with the
   // deadline error, releases what it holds and returns true. Stages call
@@ -610,9 +607,9 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // exactly.
   pipe.AddStage(
       // max_batch lets one wake drain every queued line — items are
-      // still parsed one by one, the batching only amortizes lane
+      // still parsed one by one, the batching only amortizes queue
       // wakeups under load.
-      {"decode", popt.decode_threads, lane_capacity, popt.max_batch},
+      {"decode", popt.decode_threads, popt.max_batch},
       [this, &shed_expired](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.decode");
         for (PipeItem& item : items) {
@@ -650,7 +647,7 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // of the batch to BuildGroupedQueryRows, whose row i is bit-identical
   // to extracting image i alone.
   pipe.AddStage(
-      {"extract", popt.extract_threads, lane_capacity, popt.max_batch},
+      {"extract", popt.extract_threads, popt.max_batch},
       [this, &shed_expired](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.extract");
         std::vector<PipeItem*> pending;
@@ -679,7 +676,7 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // HandleRequest encodes it. Items are inferred independently; the
   // batch only amortizes wakeups.
   pipe.AddStage(
-      {"infer", popt.infer_threads, lane_capacity, popt.max_batch},
+      {"infer", popt.infer_threads, popt.max_batch},
       [this, &shed_expired](std::vector<PipeItem>& items) {
         GOGGLES_FAILPOINT("serve.stage.infer");
         for (PipeItem& item : items) {
@@ -725,14 +722,10 @@ Status Service::Run(std::istream& in, std::ostream& out) {
         JsonValue stage = JsonValue::MakeObject();
         stage.Set("name", JsonValue(s.name));
         stage.Set("threads", JsonValue(s.num_threads));
-        stage.Set("queue_capacity",
-                  JsonValue(static_cast<double>(s.queue_capacity)));
         stage.Set("queue_depth",
                   JsonValue(static_cast<double>(s.queue_depth)));
         stage.Set("items", JsonValue(static_cast<double>(s.items)));
         stage.Set("batches", JsonValue(static_cast<double>(s.batches)));
-        stage.Set("backpressured",
-                  JsonValue(static_cast<double>(s.backpressured)));
         stage.Set("stalls", JsonValue(static_cast<double>(s.stalls)));
         stages.Append(std::move(stage));
       }
@@ -771,7 +764,9 @@ Status Service::Run(std::istream& in, std::ostream& out) {
   // exceeds admission_cap: block mode stalls the reader — classic
   // backpressure on the input stream — while reject mode sheds the
   // request with an immediate error response that still occupies its
-  // slot in the output order.
+  // slot in the output order. This is the flowgraph's only bound:
+  // Submit never waits, and no stage queue can hold more than
+  // admission_cap items.
   std::string line;
   uint64_t seq = 0;
   while (!stop_requested_.load() && std::getline(in, line)) {

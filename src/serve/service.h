@@ -20,14 +20,15 @@
 /// requests in, one JSON response line per request out (in input order).
 ///
 /// Run() pushes requests through a staged flowgraph (decode → extract →
-/// infer, util/pipeline.h) in which every stage worker reads
-/// one mutex-guarded intake lane. The extraction stage takes whatever
+/// infer, util/pipeline.h) in which the workers of each stage share one
+/// mutex-guarded intake queue. The extraction stage takes whatever
 /// label requests are queued (up to `pipeline.max_batch`) and hands
 /// them to BuildGroupedQueryRows(): ONE batched
 /// `Session::BuildQueryRows` call per (session, shape) group, identical
 /// pixels scored once. The GEMM-bound extraction stage overlaps the
-/// EM-posterior inference stage across requests. Admission control bounds in-flight requests at the reader
-/// (block, or reject with a clean error response).
+/// EM-posterior inference stage across requests. Admission control
+/// bounds in-flight requests at the reader (block, or reject with a
+/// clean error response); it is the graph's only bound.
 /// Responses are bit-identical to the serial HandleLine() path at any
 /// thread/stage configuration — the scorer computes each output row on
 /// its own, in a fixed order independent of batch shape, so grouped
@@ -63,8 +64,8 @@ struct PipelineOptions {
   /// groups them into batched scoring calls. Grouping never waits — it
   /// takes what is queued.
   int max_batch = 8;
-  /// Admission cap on in-flight requests (submitted minus written). It
-  /// also bounds every stage worker's intake lane, so no lane can fill.
+  /// Admission cap on in-flight requests (submitted minus written), the
+  /// flowgraph's only bound: stage queues never hold more than this.
   int admission_capacity = 64;
   /// true: a request arriving with `admission_capacity` already in
   /// flight gets an immediate {"ok":false,...} response instead of
@@ -133,8 +134,8 @@ class Service {
   std::string HandleLine(const std::string& line) const;
 
   /// \brief Pumps `in` to exhaustion: reads request lines, runs them
-  /// through the staged flowgraph (decode → extract → infer over
-  /// per-worker lanes, with reader-side admission control), writes
+  /// through the staged flowgraph (decode → extract → infer over one
+  /// queue per stage, with reader-side admission control), writes
   /// responses to `out` in input order. Returns after every response is
   /// flushed.
   Status Run(std::istream& in, std::ostream& out);

@@ -23,33 +23,31 @@
 /// backbone (decode → extract → infer).
 ///
 /// A Pipeline<Item> is a fixed linear chain of stages, each on its own
-/// small thread pool, and every stage worker owns one intake lane: a
-/// mutex, `not_empty`/`not_full` condition variables, a bounded FIFO and
-/// a count of upstream producers still open. Producers round-robin over
-/// the next stage's lanes and push onto the first with room. A worker
-/// takes *whatever its lane holds* up to `max_batch` items per wakeup —
+/// small thread pool, and each stage owns one intake queue: a mutex, a
+/// `not_empty` condition variable, a FIFO and a count of upstream
+/// producers still open. Every worker of the stage waits on that queue
+/// and takes *whatever it holds* up to `max_batch` items per wakeup —
 /// natural micro-batching with zero added latency: a lone item is
-/// processed immediately, a burst is processed together.
+/// processed immediately, a burst is processed together, and an idle
+/// worker takes any queued item while a sibling is busy.
 ///
-/// Every wait is a predicate wait under the lane's mutex, so no wakeup
-/// can be lost. Idle workers (on `not_empty`) and producers that find
-/// every lane full (on `not_full`, counted as backpressure) wait with
-/// no timeout; the only timed wait is the opt-in stall watchdog's.
-/// Admission control lives with the external Submit() caller, which
-/// bounds how many items it has in flight.
+/// Every wait is a predicate wait under the queue's mutex, so no wakeup
+/// can be lost. Idle workers wait with no timeout; the only timed wait
+/// is the opt-in stall watchdog's. Queues are unbounded: Submit() never
+/// waits, and the external caller bounds how many items it has in
+/// flight (admission control), which bounds every queue too.
 ///
 /// A worker only takes, runs and pushes: it runs its stage function
 /// under ScopedSerialKernels, so the kernels inside stay on the worker
 /// and the stage thread counts alone set how wide the graph runs.
 ///
-/// Shutdown cascades: Drain() closes stage 0's lanes; each exiting
-/// worker decrements the open-producer count of every lane of the next
-/// stage, so stage s+1 sees end-of-stream only after all of stage s has
-/// flushed. Items reach the sink exactly once, in some interleaved
-/// order (the serving gateway re-sequences them). Nothing is duplicated,
-/// dropped or mutated outside the stage functions, so with per-item
-/// deterministic stages the (item, result) pairs are identical at any
-/// thread/stage count.
+/// Shutdown cascades: Drain() closes stage 0's queue; each exiting
+/// worker decrements the next stage's open-producer count once, so stage
+/// s+1 sees end-of-stream only after all of stage s has flushed. Items
+/// reach the sink exactly once, in some interleaved order (the serving
+/// gateway re-sequences them). Nothing is duplicated, dropped or mutated
+/// outside the stage functions, so with per-item deterministic stages
+/// the (item, result) pairs are identical at any thread/stage count.
 
 namespace goggles {
 
@@ -59,9 +57,6 @@ struct PipelineStageConfig {
   std::string name;
   /// Worker threads for this stage (clamped to >= 1).
   int num_threads = 1;
-  /// Bound of EACH worker's intake lane (clamped to >= 1). Lanes
-  /// allocate on demand, so a large bound costs nothing until used.
-  int queue_capacity = 64;
   /// Max items handed to one stage-function call. Workers never wait
   /// to fill a batch — this only caps how much of a burst is grouped.
   int max_batch = 1;
@@ -71,18 +66,13 @@ struct PipelineStageConfig {
 struct PipelineStageStats {
   std::string name;
   int num_threads = 0;
-  /// Bound of each of the stage's intake lanes.
-  size_t queue_capacity = 0;
-  /// Items sitting in this stage's lanes at snapshot time.
+  /// Items sitting in this stage's intake queue at snapshot time.
   size_t queue_depth = 0;
   /// Items that entered the stage function.
   uint64_t items = 0;
   /// Stage-function invocations (batches). items / batches = mean
   /// effective batch size.
   uint64_t batches = 0;
-  /// Times a producer found every lane of this stage full and had to
-  /// wait.
-  uint64_t backpressured = 0;
   /// Times the watchdog caught a worker inside one stage-function call
   /// for longer than the stall budget (0 when the watchdog is off). One
   /// stuck call counts once, not once per watchdog sweep.
@@ -90,7 +80,7 @@ struct PipelineStageStats {
 };
 
 /// \brief Fixed linear flowgraph of batch-capable stages, one intake
-/// lane per worker. Build with AddStage (in flow order), then Start,
+/// queue per stage. Build with AddStage (in flow order), then Start,
 /// then Submit items from ONE thread; Drain flushes and joins. Not
 /// reusable after Drain.
 template <typename Item>
@@ -121,31 +111,26 @@ class Pipeline {
   void AddStage(PipelineStageConfig config, BatchFn fn) {
     if (started_) return;
     if (config.num_threads < 1) config.num_threads = 1;
-    if (config.queue_capacity < 1) config.queue_capacity = 1;
     if (config.max_batch < 1) config.max_batch = 1;
     auto stage = std::make_unique<Stage>();
     stage->config = std::move(config);
     stage->fn = std::move(fn);
+    stage->watch = std::vector<WorkerWatch>(
+        static_cast<size_t>(stage->config.num_threads));
     stages_.push_back(std::move(stage));
   }
 
-  /// \brief Creates every worker's lane and launches the workers.
+  /// \brief Launches every stage's workers.
   void Start(SinkFn sink) {
     if (started_ || stages_.empty()) return;
     started_ = true;
     sink_ = std::move(sink);
     for (size_t s = 0; s < stages_.size(); ++s) {
-      Stage& st = *stages_[s];
-      const int producers = s == 0 ? 1 : stages_[s - 1]->config.num_threads;
-      for (int w = 0; w < st.config.num_threads; ++w) {
-        auto lane = std::make_unique<Lane>();
-        lane->capacity = static_cast<size_t>(st.config.queue_capacity);
-        lane->open_producers = producers;
-        st.lanes.push_back(std::move(lane));
-      }
+      stages_[s]->open_producers =
+          s == 0 ? 1 : stages_[s - 1]->config.num_threads;
     }
     for (size_t s = 0; s < stages_.size(); ++s) {
-      for (size_t w = 0; w < stages_[s]->lanes.size(); ++w) {
+      for (int w = 0; w < stages_[s]->config.num_threads; ++w) {
         stages_[s]->threads.emplace_back([this, s, w] { WorkerLoop(s, w); });
       }
     }
@@ -154,12 +139,12 @@ class Pipeline {
     }
   }
 
-  /// \brief Feeds one item into stage 0 (single external producer),
-  /// waiting (counted as stage-0 backpressure) until a lane has room.
+  /// \brief Feeds one item into stage 0 (single external producer).
+  /// Never waits: the caller bounds how many items it has in flight.
   /// Fails only before Start() or after Drain().
   bool Submit(Item&& item) {
     if (!started_ || drained_) return false;
-    Push(*stages_[0], submit_rr_, std::move(item));
+    Push(*stages_[0], std::move(item));
     return true;
   }
 
@@ -183,7 +168,7 @@ class Pipeline {
     }
   }
 
-  /// \brief Per-stage counters + live lane depths (approximate while
+  /// \brief Per-stage counters + live queue depths (approximate while
   /// the pipeline is running).
   std::vector<PipelineStageStats> Stats() const {
     std::vector<PipelineStageStats> out;
@@ -192,14 +177,12 @@ class Pipeline {
       PipelineStageStats s;
       s.name = stage->config.name;
       s.num_threads = stage->config.num_threads;
-      s.queue_capacity = static_cast<size_t>(stage->config.queue_capacity);
-      for (const auto& lane : stage->lanes) {
-        std::lock_guard<std::mutex> lock(lane->mu);
-        s.queue_depth += lane->items.size();
+      {
+        std::lock_guard<std::mutex> lock(stage->mu);
+        s.queue_depth = stage->queue.size();
       }
       s.items = stage->items.load(std::memory_order_relaxed);
       s.batches = stage->batches.load(std::memory_order_relaxed);
-      s.backpressured = stage->backpressured.load(std::memory_order_relaxed);
       s.stalls = stage->stalls.load(std::memory_order_relaxed);
       out.push_back(std::move(s));
     }
@@ -207,17 +190,8 @@ class Pipeline {
   }
 
  private:
-  /// One stage worker's intake. `items` and `open_producers` are guarded
-  /// by `mu`; `capacity` is fixed by Start().
-  struct Lane {
-    std::mutex mu;
-    std::condition_variable not_empty;
-    std::condition_variable not_full;
-    std::deque<Item> items;
-    size_t capacity = 1;
-    /// Upstream producers that may still push; 0 with `items` empty is
-    /// end-of-stream for this lane's worker.
-    int open_producers = 0;
+  /// One worker's watchdog slot.
+  struct WorkerWatch {
     /// MonotonicMicros() when the worker entered its current stage call,
     /// 0 outside one. Written only when the watchdog is armed.
     std::atomic<int64_t> batch_start{0};
@@ -225,99 +199,77 @@ class Pipeline {
     int64_t flagged_start = 0;
   };
 
+  /// One stage: its intake queue (`queue` and `open_producers` are
+  /// guarded by `mu`), its workers and its counters.
   struct Stage {
     PipelineStageConfig config;
     BatchFn fn;
-    std::vector<std::unique_ptr<Lane>> lanes;  // one per worker
+    std::mutex mu;
+    std::condition_variable not_empty;
+    std::deque<Item> queue;
+    /// Upstream producers that may still push; 0 with `queue` empty is
+    /// end-of-stream for the stage's workers.
+    int open_producers = 0;
+    std::vector<WorkerWatch> watch;  // one per worker
     std::vector<std::thread> threads;
     std::atomic<uint64_t> items{0};
     std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> backpressured{0};
     std::atomic<uint64_t> stalls{0};
   };
 
-  /// Pushes `item` onto the first of `st`'s lanes with room, trying them
-  /// round-robin from `rr`. If all are full: counts one backpressure
-  /// event, then waits for room on the first lane tried.
-  static void Push(Stage& st, uint64_t& rr, Item&& item) {
-    const auto push = [&](Lane& lane, std::unique_lock<std::mutex>& lock) {
-      lane.items.push_back(std::move(item));
-      lock.unlock();
-      lane.not_empty.notify_one();
-      ++rr;
-    };
-    const size_t n = st.lanes.size();
-    for (size_t i = 0; i < n; ++i) {
-      Lane& lane = *st.lanes[(rr + i) % n];
-      std::unique_lock<std::mutex> lock(lane.mu);
-      if (lane.items.size() < lane.capacity) return push(lane, lock);
+  /// Appends `item` to `st`'s queue and wakes one of its workers.
+  static void Push(Stage& st, Item&& item) {
+    {
+      std::lock_guard<std::mutex> lock(st.mu);
+      st.queue.push_back(std::move(item));
     }
-    st.backpressured.fetch_add(1, std::memory_order_relaxed);
-    Lane& lane = *st.lanes[rr % n];
-    std::unique_lock<std::mutex> lock(lane.mu);
-    lane.not_full.wait(lock,
-                       [&] { return lane.items.size() < lane.capacity; });
-    push(lane, lock);
+    st.not_empty.notify_one();
   }
 
-  /// Moves up to `max_batch` - batch.size() items from the front of
-  /// `lane` (locked by the caller) into `batch`, waking producers parked
-  /// on a full lane.
-  static void TakeLocked(Lane& lane, std::vector<Item>& batch,
-                         size_t max_batch) {
-    const bool was_full = lane.items.size() >= lane.capacity;
-    while (!lane.items.empty() && batch.size() < max_batch) {
-      batch.push_back(std::move(lane.items.front()));
-      lane.items.pop_front();
-    }
-    if (was_full) lane.not_full.notify_all();
-  }
-
-  /// One producer of `st` is done: decrements every lane's
-  /// open-producer count and wakes its worker to notice.
+  /// One producer of `st` is done: wakes every worker to notice.
   static void CloseOneProducer(Stage& st) {
-    for (auto& lane : st.lanes) {
-      {
-        std::lock_guard<std::mutex> lock(lane->mu);
-        --lane->open_producers;
-      }
-      lane->not_empty.notify_one();
+    {
+      std::lock_guard<std::mutex> lock(st.mu);
+      --st.open_producers;
     }
+    st.not_empty.notify_all();
   }
 
-  void WorkerLoop(size_t stage_idx, size_t worker) {
+  void WorkerLoop(size_t stage_idx, int worker) {
     ScopedSerialKernels serial_kernels;
     Stage& st = *stages_[stage_idx];
-    Lane& lane = *st.lanes[worker];
+    WorkerWatch& watch = st.watch[static_cast<size_t>(worker)];
     Stage* next = stage_idx + 1 < stages_.size()
                       ? stages_[stage_idx + 1].get()
                       : nullptr;
     const size_t max_batch = static_cast<size_t>(st.config.max_batch);
     std::vector<Item> batch;
     batch.reserve(max_batch);
-    uint64_t downstream_rr = worker;
 
     while (true) {
       batch.clear();
       {
-        std::unique_lock<std::mutex> lock(lane.mu);
-        lane.not_empty.wait(lock, [&lane] {
-          return !lane.items.empty() || lane.open_producers == 0;
+        std::unique_lock<std::mutex> lock(st.mu);
+        st.not_empty.wait(lock, [&st] {
+          return !st.queue.empty() || st.open_producers == 0;
         });
-        TakeLocked(lane, batch, max_batch);
+        while (!st.queue.empty() && batch.size() < max_batch) {
+          batch.push_back(std::move(st.queue.front()));
+          st.queue.pop_front();
+        }
         if (batch.empty()) break;  // closed and drained
       }
       st.items.fetch_add(batch.size(), std::memory_order_relaxed);
       st.batches.fetch_add(1, std::memory_order_relaxed);
       const bool timed = watchdog_budget_micros_ > 0;
       if (timed) {
-        lane.batch_start.store(MonotonicMicros(), std::memory_order_relaxed);
+        watch.batch_start.store(MonotonicMicros(), std::memory_order_relaxed);
       }
       st.fn(batch);
-      if (timed) lane.batch_start.store(0, std::memory_order_relaxed);
+      if (timed) watch.batch_start.store(0, std::memory_order_relaxed);
       for (auto& item : batch) {
         if (next != nullptr) {
-          Push(*next, downstream_rr, std::move(item));
+          Push(*next, std::move(item));
         } else {
           sink_(std::move(item));
         }
@@ -339,13 +291,13 @@ class Pipeline {
       if (watchdog_stop_) break;
       const int64_t now = MonotonicMicros();
       for (auto& stage : stages_) {
-        for (size_t w = 0; w < stage->lanes.size(); ++w) {
-          Lane& lane = *stage->lanes[w];
+        for (size_t w = 0; w < stage->watch.size(); ++w) {
+          WorkerWatch& watch = stage->watch[w];
           const int64_t start =
-              lane.batch_start.load(std::memory_order_relaxed);
+              watch.batch_start.load(std::memory_order_relaxed);
           if (start == 0 || now - start < budget) continue;
-          if (lane.flagged_start == start) continue;  // same stuck call
-          lane.flagged_start = start;
+          if (watch.flagged_start == start) continue;  // same stuck call
+          watch.flagged_start = start;
           stage->stalls.fetch_add(1, std::memory_order_relaxed);
           GOGGLES_LOG(WARNING)
               << "pipeline watchdog: stage '" << stage->config.name
@@ -360,7 +312,6 @@ class Pipeline {
   SinkFn sink_;
   bool started_ = false;
   bool drained_ = false;
-  uint64_t submit_rr_ = 0;
   int64_t watchdog_budget_micros_ = 0;
   std::thread watchdog_thread_;
   std::mutex watchdog_mu_;

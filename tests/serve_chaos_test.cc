@@ -529,7 +529,7 @@ TEST_F(ServeChaosTest, WatchdogFlagsStalledStage) {
   // overruns the budget is counted in its stalls stat and the pipeline
   // still drains normally.
   Pipeline<int> pipe;
-  pipe.AddStage({"stall", 1, 4, 1}, [](std::vector<int>& batch) {
+  pipe.AddStage({"stall", 1, 1}, [](std::vector<int>& batch) {
     for (int& v : batch) {
       if (v == 0) SleepForMicros(40'000);
       v += 1;

@@ -20,8 +20,9 @@
 #include "serve/service.h"
 
 /// The staged serving flowgraph: the pipeline executor (flow, batching,
-/// drain, backpressure, stats, exact lane wakeups: an idle graph and a
-/// blocked producer sleep, no wakeup is ever lost), and the
+/// drain, stats, one intake queue per stage: an idle worker takes items
+/// queued behind a stuck sibling, Submit never waits, an idle or gated
+/// graph sleeps and no wakeup is ever lost), and the
 /// Service-level guarantees — Run() responses bit-identical to serial
 /// HandleLine() calls at multiple stage/thread/batching configurations,
 /// grouped extraction rows bit-identical to singleton ones and its
@@ -36,15 +37,15 @@ namespace {
 
 TEST(PipelineTest, EveryItemFlowsThroughEveryStageOnce) {
   Pipeline<int> pipe;
-  pipe.AddStage({"add", 2, 4, 4},
+  pipe.AddStage({"add", 2, 4},
                 [](std::vector<int>& items) {
                   for (int& v : items) v += 1000;
                 });
-  pipe.AddStage({"double", 3, 4, 2},
+  pipe.AddStage({"double", 3, 2},
                 [](std::vector<int>& items) {
                   for (int& v : items) v *= 2;
                 });
-  pipe.AddStage({"sub", 2, 4, 1},
+  pipe.AddStage({"sub", 2, 1},
                 [](std::vector<int>& items) {
                   for (int& v : items) v -= 1;
                 });
@@ -69,7 +70,7 @@ TEST(PipelineTest, EveryItemFlowsThroughEveryStageOnce) {
 TEST(PipelineTest, MidStreamDrainFlushesEverything) {
   Pipeline<int> pipe;
   std::atomic<int> processed{0};
-  pipe.AddStage({"slow", 2, 2, 3}, [&](std::vector<int>& items) {
+  pipe.AddStage({"slow", 2, 3}, [&](std::vector<int>& items) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     processed.fetch_add(static_cast<int>(items.size()));
   });
@@ -90,7 +91,7 @@ TEST(PipelineTest, BatchingNeverExceedsMaxBatch) {
   Pipeline<int> pipe;
   std::atomic<int> oversized{0};
   std::atomic<int> batches{0};
-  pipe.AddStage({"batched", 1, 16, 4}, [&](std::vector<int>& items) {
+  pipe.AddStage({"batched", 1, 4}, [&](std::vector<int>& items) {
     batches.fetch_add(1);
     if (items.size() > 4) oversized.fetch_add(1);
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -108,8 +109,8 @@ TEST(PipelineTest, BatchingNeverExceedsMaxBatch) {
 
 TEST(PipelineTest, StatsCountItemsBatchesAndDepth) {
   Pipeline<int> pipe;
-  pipe.AddStage({"a", 2, 8, 2}, [](std::vector<int>&) {});
-  pipe.AddStage({"b", 1, 8, 1}, [](std::vector<int>&) {});
+  pipe.AddStage({"a", 2, 2}, [](std::vector<int>&) {});
+  pipe.AddStage({"b", 1, 1}, [](std::vector<int>&) {});
   pipe.Start([](int&&) {});
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(pipe.Submit(int(i)));
@@ -126,7 +127,7 @@ TEST(PipelineTest, StatsCountItemsBatchesAndDepth) {
     EXPECT_EQ(s.queue_depth, 0u) << "drained pipeline still holds items";
   }
   EXPECT_EQ(stats[0].num_threads, 2);
-  EXPECT_EQ(stats[0].queue_capacity, 8u);
+  EXPECT_EQ(stats[1].num_threads, 1);
 }
 
 TEST(PipelineTest, StageWorkersRunKernelsSerially) {
@@ -134,7 +135,7 @@ TEST(PipelineTest, StageWorkersRunKernelsSerially) {
   // machine width and the stage's thread count.
   Pipeline<int> pipe;
   std::atomic<int> observed{-1};
-  pipe.AddStage({"check", 2, 4, 1}, [&](std::vector<int>&) {
+  pipe.AddStage({"check", 2, 1}, [&](std::vector<int>&) {
     observed.store(EffectiveNumThreads());
   });
   pipe.Start([](int&&) {});
@@ -159,10 +160,10 @@ TEST(PipelineTest, IdleFlowgraphSleeps) {
   std::atomic<int> sunk{0};
   Pipeline<int> pipe;
   const auto noop = [](std::vector<int>&) {};
-  pipe.AddStage({"decode", 1, 64, 1}, noop);
-  pipe.AddStage({"extract", 2, 64, 8}, noop);
-  pipe.AddStage({"infer", 1, 64, 1}, noop);
-  pipe.AddStage({"encode", 1, 64, 1}, noop);
+  pipe.AddStage({"decode", 1, 1}, noop);
+  pipe.AddStage({"extract", 2, 8}, noop);
+  pipe.AddStage({"infer", 1, 1}, noop);
+  pipe.AddStage({"encode", 1, 1}, noop);
   pipe.Start([&](int&&) { sunk.fetch_add(1); });
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(pipe.Submit(int(i)));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
@@ -177,38 +178,89 @@ TEST(PipelineTest, IdleFlowgraphSleeps) {
   EXPECT_EQ(sunk.load(), 4);
 }
 
-TEST(PipelineTest, BlockedProducerSleeps) {
-  // Stage 2 is gated shut, so a blocking Submit soon finds every lane
-  // full. The parked producer must sleep until a lane has room, not poll.
+TEST(PipelineTest, IdleWorkerDrainsWhileSiblingIsStuck) {
+  // A 2-worker stage whose first call blocks on a gate. The items
+  // submitted after it must not wait behind the stuck worker: its idle
+  // sibling takes every one of them before the gate opens.
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_held = false;
+  bool gate_open = false;
+  std::atomic<int> sunk{0};
+  Pipeline<int> pipe;
+  pipe.AddStage({"gated", 2, 1}, [&](std::vector<int>& items) {
+    if (items[0] != 0) return;
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_held = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return gate_open; });
+  });
+  pipe.Start([&](int&&) { sunk.fetch_add(1); });
+  ASSERT_TRUE(pipe.Submit(0));
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return gate_held; });
+  }
+  constexpr int kLater = 10;
+  for (int i = 1; i <= kLater; ++i) ASSERT_TRUE(pipe.Submit(int(i)));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (sunk.load() < kLater && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(sunk.load(), kLater)
+      << "items stayed queued behind the stuck worker";
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  pipe.Drain();
+  EXPECT_EQ(sunk.load(), kLater + 1);
+}
+
+TEST(PipelineTest, GatedGraphAcceptsAndSleeps) {
+  // Stage 2 is gated shut. Submit never waits, so every item is accepted
+  // and the backlog queues at the gated stage; the parked graph must then
+  // sleep until the gate opens, not poll.
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
   std::atomic<int> sunk{0};
+  std::atomic<int> submitted{0};
   Pipeline<int> pipe;
-  pipe.AddStage({"first", 1, 2, 1}, [](std::vector<int>&) {});
-  pipe.AddStage({"gated", 1, 2, 1}, [&](std::vector<int>&) {
+  pipe.AddStage({"first", 1, 1}, [](std::vector<int>&) {});
+  pipe.AddStage({"gated", 1, 1}, [&](std::vector<int>&) {
     std::unique_lock<std::mutex> lock(gate_mu);
     gate_cv.wait(lock, [&] { return gate_open; });
   });
   pipe.Start([&](int&&) { sunk.fetch_add(1); });
-  constexpr int kItems = 32;  // far more than the graph can hold
+  constexpr int kItems = 32;
   std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) pipe.Submit(int(i));
+    for (int i = 0; i < kItems; ++i) {
+      if (pipe.Submit(int(i))) submitted.fetch_add(1);
+    }
   });
+  // The gated worker holds one item; the rest queue in front of it.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (pipe.Stats()[0].backpressured == 0 &&
+  while ((submitted.load() < kItems ||
+          pipe.Stats()[1].queue_depth < kItems - 1) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_GE(pipe.Stats()[0].backpressured, 1u) << "producer never blocked";
+  EXPECT_EQ(submitted.load(), kItems) << "Submit waited on a shut stage";
+  const auto stats = pipe.Stats();
+  EXPECT_EQ(stats[0].queue_depth, 0u);
+  EXPECT_EQ(stats[1].queue_depth, static_cast<size_t>(kItems - 1));
+  EXPECT_EQ(stats[1].items, 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
 
   const long before = VoluntaryContextSwitches();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const long switches = VoluntaryContextSwitches() - before;
   EXPECT_LE(switches, 20)
-      << "blocked producer woke " << switches << " times in 300 ms";
+      << "gated flowgraph woke " << switches << " times in 300 ms";
   {
     std::lock_guard<std::mutex> lock(gate_mu);
     gate_open = true;
@@ -234,7 +286,7 @@ void PingPong(int num_stages) {
   std::atomic<bool> values_ok{true};
   Pipeline<int> pipe;
   for (int s = 0; s < num_stages; ++s) {
-    pipe.AddStage({"s" + std::to_string(s), s == 1 ? 2 : 1, 4, 4},
+    pipe.AddStage({"s" + std::to_string(s), s == 1 ? 2 : 1, 4},
                   [](std::vector<int>& items) {
                     for (int& v : items) ++v;
                   });
@@ -601,8 +653,12 @@ TEST_F(ServePipelineTest, StatsOpReportsThePipelineSection) {
     const serve::JsonValue& stage = stages->items()[s];
     EXPECT_EQ(stage.Find("name")->str(), names[s]);
     EXPECT_GE(stage.Find("threads")->number(), 1.0);
-    EXPECT_GE(stage.Find("queue_capacity")->number(), 1.0);
+    EXPECT_GE(stage.Find("queue_depth")->number(), 0.0);
     EXPECT_GE(stage.Find("items")->number(), 0.0);
+    // Admission is the graph's only bound: stages report no queue
+    // bound and no backpressure.
+    EXPECT_EQ(stage.Find("queue_capacity"), nullptr);
+    EXPECT_EQ(stage.Find("backpressured"), nullptr);
   }
   // The decode stage has seen at least the label + this stats request.
   EXPECT_GE(stages->items()[0].Find("items")->number(), 2.0);
