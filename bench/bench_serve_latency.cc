@@ -9,6 +9,11 @@
 ///    against the fitted pool (O(B*N) scores + posterior evaluation),
 ///  - `LabelOne` latency percentiles (p50/p99) and throughput.
 ///
+/// It also times the gateway's decode of one label request: the median
+/// `JsonValue::Parse` of a 3x32x32 label line as the perfbench client
+/// writes it (`label_line_parse_us`, and `label_line_parse_mb_s` of line
+/// bytes per second).
+///
 /// Metrics land in BENCH_serve_latency.json via the bench_common.h hook;
 /// the headline metric is `poolN_speedup` = full-refit seconds divided by
 /// incremental seconds at the largest pool size.
@@ -16,6 +21,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -29,6 +36,7 @@ namespace {
 
 constexpr int kNewImages = 16;   ///< online batch size B per request
 constexpr int kLatencyCalls = 24;  ///< LabelOne samples for p50/p99
+constexpr int kLabelLineParses = 401;  ///< timed parses for the median
 
 double Percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
@@ -38,6 +46,47 @@ double Percentile(std::vector<double> values, double q) {
   const size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
+/// A label request shaped like perfbench's: a 3x32x32 image of seeded
+/// pixels in [0, 1), each float written as a `%.17g` double (~61 KB).
+std::string LabelLine() {
+  std::mt19937 rng(31);
+  std::uniform_real_distribution<float> pixel(0.0f, 1.0f);
+  serve::JsonValue pixels = serve::JsonValue::MakeArray();
+  for (int i = 0; i < 3 * 32 * 32; ++i) {
+    pixels.Append(serve::JsonValue(static_cast<double>(pixel(rng))));
+  }
+  serve::JsonValue image = serve::JsonValue::MakeObject();
+  image.Set("channels", serve::JsonValue(3));
+  image.Set("height", serve::JsonValue(32));
+  image.Set("width", serve::JsonValue(32));
+  image.Set("pixels", std::move(pixels));
+  serve::JsonValue request = serve::JsonValue::MakeObject();
+  request.Set("op", serve::JsonValue("label"));
+  request.Set("task", serve::JsonValue("task_0"));
+  request.Set("image", std::move(image));
+  return request.Dump();
+}
+
+/// Decode cost of one label request: the median over kLabelLineParses
+/// timed parses (the parsed value is destroyed outside the timer).
+void MeasureLabelLineParse() {
+  const std::string line = LabelLine();
+  std::vector<double> micros;
+  for (int i = 0; i < kLabelLineParses; ++i) {
+    WallTimer timer;
+    auto parsed = serve::JsonValue::Parse(line);
+    micros.push_back(timer.ElapsedMillis() * 1e3);
+    parsed.status().Abort("label line parse");
+  }
+  const double median_us = Percentile(micros, 0.5);
+  const double mb_per_s = static_cast<double>(line.size()) / median_us;
+  std::printf("Label line parse (%.1f KB): median %.1f us = %.0f MB/s\n",
+              static_cast<double>(line.size()) / 1024.0, median_us,
+              mb_per_s);
+  RecordBenchMetric("label_line_parse_us", median_us);
+  RecordBenchMetric("label_line_parse_mb_s", mb_per_s);
 }
 
 void RunExperiment() {
@@ -134,6 +183,7 @@ void RunExperiment() {
       "Incremental labeling skips feature re-extraction of the pool and the\n"
       "entire EM refit; the speedup must widen with the pool size (the\n"
       "refit's affinity matrix alone grows as alpha*(N+B)^2).\n");
+  MeasureLabelLineParse();
 }
 
 void BM_ServeJsonParse(benchmark::State& state) {
@@ -145,6 +195,18 @@ void BM_ServeJsonParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServeJsonParse)->Unit(benchmark::kMicrosecond);
+
+void BM_ServeJsonParseLabelLine(benchmark::State& state) {
+  // Decode of a 3x32x32 label request: the gateway's per-image parse.
+  const std::string line = LabelLine();
+  for (auto _ : state) {
+    auto parsed = serve::JsonValue::Parse(line);
+    benchmark::DoNotOptimize(parsed.ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(line.size()));
+}
+BENCHMARK(BM_ServeJsonParseLabelLine)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace goggles::bench

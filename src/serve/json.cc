@@ -36,6 +36,11 @@ class JsonValue::Parser {
       return Status::InvalidArgument("json: unexpected end of input");
     }
     const char c = text_[pos_];
+    if (GoesToParseNumber(c)) {
+      double value = 0.0;
+      GOGGLES_RETURN_NOT_OK(ParseNumber(&value));
+      return JsonValue(value);
+    }
     switch (c) {
       case '{':
         return ParseObject(depth);
@@ -52,12 +57,18 @@ class JsonValue::Parser {
       case 'f':
         GOGGLES_RETURN_NOT_OK(Expect("false"));
         return JsonValue(false);
-      case 'n':
+      default:  // 'n'
         GOGGLES_RETURN_NOT_OK(Expect("null"));
         return JsonValue();
-      default:
-        return ParseNumber();
     }
+  }
+
+  /// Every first character but those of a container, string or literal
+  /// goes to ParseNumber: a number token, or a stray character that
+  /// ParseNumber rejects.
+  static bool GoesToParseNumber(char c) {
+    return c != '{' && c != '[' && c != '"' && c != 't' && c != 'f' &&
+           c != 'n';
   }
 
   Result<JsonValue> ParseObject(int depth) {
@@ -106,8 +117,20 @@ class JsonValue::Parser {
       return arr;
     }
     while (true) {
-      GOGGLES_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      arr.Append(std::move(value));
+      // While every element so far was a number, numbers go straight
+      // into the packed vector, through the same ParseNumber that
+      // ParseValue would call; the first other element turns the array
+      // into nodes (Append), in document order.
+      SkipWhitespace();
+      if (arr.items_.empty() && depth < kMaxDepth && pos_ < text_.size() &&
+          GoesToParseNumber(text_[pos_])) {
+        double value = 0.0;
+        GOGGLES_RETURN_NOT_OK(ParseNumber(&value));
+        arr.numbers_.push_back(value);
+      } else {
+        GOGGLES_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
+        arr.Append(std::move(value));
+      }
       SkipWhitespace();
       if (pos_ >= text_.size()) {
         return Status::InvalidArgument("json: unterminated array");
@@ -230,30 +253,37 @@ class JsonValue::Parser {
     return Status::OK();
   }
 
-  Result<JsonValue> ParseNumber() {
+  /// The one number grammar, for single values and packed arrays alike:
+  /// the token is the longest run of number characters at pos_, and it
+  /// must convert as a whole to a finite double.
+  Status ParseNumber(double* out) {
     // Pixel arrays make this THE parser hot path (thousands of doubles
-    // per label request), so the token converts in place over
-    // [start, pos_) with std::from_chars — correctly rounded like
-    // strtod, but allocation-free and bounded by the scanned token, so
-    // it can never read past it. The token string is materialized only
-    // on the error path.
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-          c == '+' || c == '-') {
-        ++pos_;
-        continue;
+    // per label request), so the token converts in place with
+    // std::from_chars — correctly rounded like strtod, allocation-free,
+    // and bounded by the text. It runs first on the rest of the text: a
+    // finite value that stops before a non-number character consumed
+    // exactly the token, so the usual token is read once. Anything else
+    // (a malformed token, inf/nan spellings, out-of-range literals) is
+    // scanned out and judged as a whole below; the token string is
+    // materialized only on the error path.
+    const char* first = text_.data() + pos_;
+    const char* text_end = text_.data() + text_.size();
+    double value = 0.0;
+    {
+      const auto [end, ec] = std::from_chars(first, text_end, value);
+      if (ec == std::errc() && std::isfinite(value) &&
+          (end == text_end || !IsNumberChar(*end))) {
+        pos_ += static_cast<size_t>(end - first);
+        *out = value;
+        return Status::OK();
       }
-      break;
     }
+    const size_t start = pos_;
+    while (pos_ < text_.size() && IsNumberChar(text_[pos_])) ++pos_;
     if (pos_ == start) {
       return Status::InvalidArgument("json: unexpected character");
     }
-    const char* first = text_.data() + start;
     const char* last = text_.data() + pos_;
-    double value = 0.0;
     const auto [end, ec] = std::from_chars(first, last, value);
     if (ec != std::errc() || end != last || !std::isfinite(value)) {
       // Literals beyond double range (1e999, 1e-400) are rejected
@@ -263,7 +293,13 @@ class JsonValue::Parser {
       return Status::InvalidArgument("json: malformed number '" +
                                      text_.substr(start, pos_ - start) + "'");
     }
-    return JsonValue(value);
+    *out = value;
+    return Status::OK();
+  }
+
+  static bool IsNumberChar(char c) {
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
   }
 
   Status Expect(const char* literal) {
@@ -314,6 +350,16 @@ void DumpString(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
+void DumpNumber(double d, std::string* out) {
+  if (!std::isfinite(d)) {
+    *out += "null";  // NaN/inf are not valid JSON tokens
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  *out += buf;
+}
+
 void DumpValue(const JsonValue& v, std::string* out) {
   switch (v.type()) {
     case JsonValue::Type::kNull:
@@ -322,26 +368,25 @@ void DumpValue(const JsonValue& v, std::string* out) {
     case JsonValue::Type::kBool:
       *out += v.bool_value() ? "true" : "false";
       break;
-    case JsonValue::Type::kNumber: {
-      const double d = v.number();
-      if (!std::isfinite(d)) {
-        *out += "null";  // NaN/inf are not valid JSON tokens
-        break;
-      }
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", d);
-      *out += buf;
+    case JsonValue::Type::kNumber:
+      DumpNumber(v.number(), out);
       break;
-    }
     case JsonValue::Type::kString:
       DumpString(v.str(), out);
       break;
     case JsonValue::Type::kArray: {
       out->push_back('[');
-      const auto& items = v.items();
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) out->push_back(',');
-        DumpValue(items[i], out);
+      if (const std::vector<double>* numbers = v.number_array()) {
+        for (size_t i = 0; i < numbers->size(); ++i) {
+          if (i > 0) out->push_back(',');
+          DumpNumber((*numbers)[i], out);
+        }
+      } else {
+        const auto& items = v.items();
+        for (size_t i = 0; i < items.size(); ++i) {
+          if (i > 0) out->push_back(',');
+          DumpValue(items[i], out);
+        }
       }
       out->push_back(']');
       break;
@@ -373,6 +418,10 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
 
 void JsonValue::Append(JsonValue v) {
   if (type_ == Type::kNull) type_ = Type::kArray;
+  if (!numbers_.empty()) {  // a packed array becomes node-based
+    items();                // builds the element nodes
+    numbers_ = {};
+  }
   items_.push_back(std::move(v));
 }
 

@@ -16,6 +16,21 @@
 namespace goggles::serve {
 
 /// \brief A parsed JSON value (tagged union).
+///
+/// Packed number arrays: Parse stores a non-empty array whose elements
+/// are all numbers as one contiguous `std::vector<double>` (see
+/// number_array()) instead of one node per element, so a label
+/// request's pixels cost one allocation rather than thousands of nodes.
+/// Whether an array is packed depends only on its content: every
+/// element that Parse would read as a number counts (`.5` and `-.5`
+/// included), and an array that meets a non-number falls back to nodes,
+/// in document order. `[]` and arrays built with Append are node-based;
+/// Append onto a packed array converts it to nodes first. Dump writes
+/// the same bytes for either form. items() on a packed array builds the
+/// element nodes on first call and keeps them: that first call writes
+/// to the value, so it is NOT safe under concurrent const access (a
+/// parsed request is owned by one decode worker; call items() once
+/// before sharing a parsed packed array across threads).
 class JsonValue {
  public:
   /// \brief The JSON value kinds.
@@ -82,7 +97,19 @@ class JsonValue {
   /// \brief The string payload (valid when is_string()).
   const std::string& str() const { return string_; }
   /// \brief Array elements in document order (valid when is_array()).
-  const std::vector<JsonValue>& items() const { return items_; }
+  /// On a packed array the nodes are built on the first call (see the
+  /// class comment on thread safety).
+  const std::vector<JsonValue>& items() const {
+    if (items_.size() < numbers_.size()) {
+      items_.assign(numbers_.begin(), numbers_.end());
+    }
+    return items_;
+  }
+  /// \brief The elements of a packed number array in document order;
+  /// nullptr unless this is an array that Parse packed.
+  const std::vector<double>* number_array() const {
+    return numbers_.empty() ? nullptr : &numbers_;
+  }
   /// \brief Object members in insertion order (valid when is_object()); a
   /// parsed object keeps every member of a repeated key.
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
@@ -114,7 +141,10 @@ class JsonValue {
   bool bool_ = false;
   double number_ = 0.0;
   std::string string_;
-  std::vector<JsonValue> items_;
+  // A packed array keeps its elements in numbers_ (non-empty iff packed);
+  // items_ then caches their nodes once items() has been called.
+  std::vector<double> numbers_;
+  mutable std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 

@@ -66,23 +66,28 @@ Result<data::Image> ParseImage(const JsonValue& value) {
   }
   const size_t expected = static_cast<size_t>(c) * static_cast<size_t>(h) *
                           static_cast<size_t>(w);
-  if (pixels->items().size() != expected) {
+  const std::vector<double>* values = pixels->number_array();
+  if ((values != nullptr ? values->size() : pixels->items().size()) !=
+      expected) {
     return Status::InvalidArgument(
         "pixels array length must equal channels*height*width");
   }
+  // Parse packs every non-empty all-number array, so only an unpacked
+  // one can hold a non-number; pixels are checked in document order.
   data::Image image(c, h, w);
   for (size_t i = 0; i < expected; ++i) {
-    const JsonValue& px = pixels->items()[i];
-    if (!px.is_number()) {
+    if (values == nullptr && !pixels->items()[i].is_number()) {
       return Status::InvalidArgument("pixels must all be numbers");
     }
+    const double v =
+        values != nullptr ? (*values)[i] : pixels->items()[i].number();
     // A double beyond the float range has no float value (the cast is
     // undefined behavior), so it cannot be a pixel.
-    if (std::fabs(px.number()) > std::numeric_limits<float>::max()) {
+    if (std::fabs(v) > std::numeric_limits<float>::max()) {
       return Status::InvalidArgument(
           "pixels must lie within the float range (|v| <= FLT_MAX)");
     }
-    image.pixels[i] = static_cast<float>(px.number());
+    image.pixels[i] = static_cast<float>(v);
   }
   return image;
 }

@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -128,6 +130,202 @@ TEST(JsonTest, DeepNestingHitsTheDepthGuard) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(JsonValue::Parse(deep).ok());
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Packing must not change what the parser accepts or the values it
+// produces: a token means the same alone, as a one-element array, after
+// a number and before a string (which turns the array into nodes). A
+// one-token array is packed exactly when the token is a number.
+TEST(JsonTest, ArrayElementsFollowTheScalarNumberGrammar) {
+  const char* tokens[] = {
+      "0",     "-0",     "1.5",   ".5",   "-.5",
+      "1.",    "01",     "1e5",   "1E+5", "9.8813129168249309e-324",
+      "3.4e38", "1e-400", "1e999", "+1",   "-",
+      "1e",    "1.2.3",  "--1",   "1e5e5", "1.e5",
+      "0x1",   "inf",    "-inf",  "-nan", "true",
+      "null",  "\"s\"",  "x"};
+  for (const std::string tok : tokens) {
+    SCOPED_TRACE(tok);
+    auto single = JsonValue::Parse(tok);
+    auto alone = JsonValue::Parse("[" + tok + "]");
+    auto second = JsonValue::Parse("[0," + tok + "]");
+    auto before_string = JsonValue::Parse("[" + tok + ",\"x\"]");
+    ASSERT_EQ(alone.ok(), single.ok());
+    ASSERT_EQ(second.ok(), single.ok());
+    ASSERT_EQ(before_string.ok(), single.ok());
+    if (!single.ok()) {
+      EXPECT_EQ(alone.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    EXPECT_EQ(before_string->number_array(), nullptr);
+    EXPECT_EQ(before_string->Dump(), "[" + single->Dump() + ",\"x\"]");
+    if (!single->is_number()) {
+      EXPECT_EQ(alone->number_array(), nullptr);
+      EXPECT_EQ(alone->Dump(), "[" + single->Dump() + "]");
+      continue;
+    }
+    const double value = single->number();
+    ASSERT_NE(alone->number_array(), nullptr);
+    ASSERT_EQ(alone->number_array()->size(), 1u);
+    EXPECT_TRUE(SameBits((*alone->number_array())[0], value));
+    ASSERT_NE(second->number_array(), nullptr);
+    ASSERT_EQ(second->number_array()->size(), 2u);
+    EXPECT_TRUE(SameBits((*second->number_array())[1], value));
+    ASSERT_EQ(before_string->items().size(), 2u);
+    EXPECT_TRUE(SameBits(before_string->items()[0].number(), value));
+    // The lazy nodes of a packed array carry the same bits.
+    ASSERT_EQ(alone->items().size(), 1u);
+    EXPECT_TRUE(SameBits(alone->items()[0].number(), value));
+    EXPECT_EQ(alone->Dump(), "[" + single->Dump() + "]");
+  }
+
+  // A malformed token is reported whole, wherever it stands.
+  for (const auto& [text, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"[1.2.3]", "json: malformed number '1.2.3'"},
+           {"[0,1e]", "json: malformed number '1e'"},
+           {"[-inf]", "json: malformed number '-'"},
+           {"[inf]", "json: unexpected character"},
+           {"1e5e5", "json: malformed number '1e5e5'"}}) {
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().message(), message) << text;
+  }
+
+  // The depth guard counts a packed element like any other.
+  for (size_t depth : {64u, 65u}) {
+    const std::string open(depth, '['), close(depth, ']');
+    EXPECT_EQ(JsonValue::Parse(open + "1" + close).ok(), depth == 64u);
+    EXPECT_EQ(JsonValue::Parse(open + "\"s\"" + close).ok(), depth == 64u);
+  }
+}
+
+TEST(JsonTest, MixedArraysKeepDocumentOrder) {
+  for (const char* text :
+       {R"([1,2,"x",3])", R"(["x",1])", "[1,[2]]", "[]", "[[1,2],[]]"}) {
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_EQ(parsed->number_array(), nullptr) << text;
+    EXPECT_EQ(parsed->Dump(), text);
+  }
+  auto mixed = JsonValue::Parse(R"([1, 2 ,"x",3])");
+  ASSERT_TRUE(mixed.ok());
+  const auto& items = mixed->items();
+  ASSERT_EQ(items.size(), 4u);
+  EXPECT_EQ(items[0].number(), 1.0);
+  EXPECT_EQ(items[1].number(), 2.0);
+  EXPECT_EQ(items[2].str(), "x");
+  EXPECT_EQ(items[3].number(), 3.0);
+
+  auto packed = JsonValue::Parse("[ 1 , -2.5e-3,7 ]");
+  ASSERT_TRUE(packed.ok());
+  ASSERT_NE(packed->number_array(), nullptr);
+  EXPECT_EQ(*packed->number_array(), (std::vector<double>{1, -2.5e-3, 7}));
+  EXPECT_EQ(packed->Dump(), "[1,-0.0025000000000000001,7]");
+}
+
+TEST(JsonTest, AppendOntoAPackedArrayYieldsNodesInOrder) {
+  for (bool touched : {false, true}) {
+    auto parsed = JsonValue::Parse("[1,2.5]");
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_NE(parsed->number_array(), nullptr);
+    if (touched) {
+      ASSERT_EQ(parsed->items().size(), 2u);  // builds the nodes
+    }
+    parsed->Append(JsonValue("s"));
+    EXPECT_EQ(parsed->number_array(), nullptr);
+    ASSERT_EQ(parsed->items().size(), 3u);
+    EXPECT_EQ(parsed->items()[0].number(), 1.0);
+    EXPECT_EQ(parsed->items()[1].number(), 2.5);
+    EXPECT_EQ(parsed->items()[2].str(), "s");
+    EXPECT_EQ(parsed->Dump(), R"([1,2.5,"s"])");
+  }
+}
+
+/// Every packed array in `v` has lazy nodes equal to its packed values,
+/// bit for bit.
+void ExpectPackedItemsMatch(const JsonValue& v) {
+  if (const std::vector<double>* numbers = v.number_array()) {
+    const std::vector<JsonValue>& items = v.items();
+    ASSERT_EQ(items.size(), numbers->size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      ASSERT_TRUE(items[i].is_number());
+      ASSERT_TRUE(SameBits(items[i].number(), (*numbers)[i])) << i;
+    }
+    return;
+  }
+  if (v.is_array()) {
+    for (const JsonValue& item : v.items()) ExpectPackedItemsMatch(item);
+  }
+  for (const auto& member : v.members()) ExpectPackedItemsMatch(member.second);
+}
+
+// A seeded mutation fuzzer over request-shaped lines: every mutant either
+// parses into a value whose Dump is a parse fixed point, or is rejected
+// with InvalidArgument. Run under ASan and UBSan by the `serve` label.
+TEST(JsonFuzzTest, MutatedLinesParseOrFailCleanly) {
+  const std::vector<std::string> corpus = {
+      R"({"op":"label","task":"alpha","image":{"channels":1,"height":2,)"
+      R"("width":2,"pixels":[0.5,.25,-1e-3,0.12345678901234568]}})",
+      R"({"op":"label_batch","task":"beta","images":[{"channels":1,)"
+      R"("height":1,"width":2,"pixels":[1,0]},{"channels":1,"height":1,)"
+      R"("width":2,"pixels":[-0,3.4e38]}]})",
+      R"(["a\"b\\c\n\t\/\b\f\r","Aé€","😀"])",
+      R"({"a":{"b":{"c":[{"d":null},true,false]}},"e":{}})",
+      R"({"soft":[9.8813129168249309e-324,-1e-310,2.2250738585072014e-308]})",
+      R"([1,2,"x",3,[4,5],[],{"k":[6,"y"]},null,7.5e+2])",
+  };
+  const std::string splice = ",]-.eE0\"";
+  std::mt19937 rng(20261019);
+  auto pick = [&rng](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 100000; ++round) {
+    std::string text = corpus[pick(corpus.size())];
+    const size_t edits = 1 + pick(4);
+    for (size_t e = 0; e < edits && !text.empty(); ++e) {
+      const size_t at = pick(text.size());
+      switch (pick(5)) {
+        case 0:  // flip one bit
+          text[at] = static_cast<char>(text[at] ^ (1 << pick(8)));
+          break;
+        case 1:  // insert a structural byte
+          text.insert(at, 1, splice[pick(splice.size())]);
+          break;
+        case 2:  // delete a short run
+          text.erase(at, 1 + pick(3));
+          break;
+        case 3:  // truncate
+          text.resize(at);
+          break;
+        default:  // overwrite with a structural byte
+          text[at] = splice[pick(splice.size())];
+          break;
+      }
+    }
+    auto parsed = JsonValue::Parse(text);
+    if (!parsed.ok()) {
+      ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ExpectPackedItemsMatch(*parsed);
+    const std::string dumped = parsed->Dump();
+    auto reparsed = JsonValue::Parse(dumped);
+    ASSERT_TRUE(reparsed.ok()) << text << " dumped as " << dumped;
+    ASSERT_EQ(reparsed->Dump(), dumped) << text;
+    ExpectPackedItemsMatch(*reparsed);
+  }
+  // Both outcomes must actually be exercised.
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 // ---- Service --------------------------------------------------------------
@@ -292,6 +490,58 @@ TEST_F(ServeServiceTest, PixelsOutsideTheFloatRangeAreRejected) {
       JsonValue::Parse(service.HandleLine(with_first_pixel("3.4e38")));
   ASSERT_TRUE(accepted.ok());
   EXPECT_TRUE(accepted->Find("ok")->bool_value());
+}
+
+// The pixel checks run in a fixed order whatever form the parser gave the
+// array: length first, then each pixel in document order (a non-number,
+// or a number outside the float range). Both entry points answer with
+// the same bytes.
+TEST_F(ServeServiceTest, PixelErrorsKeepTheirPrecedence) {
+  serve::Service service(*session_);
+  const std::string base = ImageToJson(PatternImage(13));
+  const std::string first_pixel = R"("pixels":[)";
+  const size_t begin = base.find(first_pixel) + first_pixel.size();
+  const size_t first_end = base.find(',', begin);
+  const size_t last_begin = base.rfind(',') + 1;
+  const size_t last_end = base.rfind(']');
+  auto line_for = [&](const std::string& first, const std::string& last) {
+    return std::string(R"({"op":"label","image":)") + base.substr(0, begin) +
+           first + base.substr(first_end, last_begin - first_end) + last +
+           base.substr(last_end) + "}";
+  };
+  const std::string first = base.substr(begin, first_end - begin);
+  const std::string last = base.substr(last_begin, last_end - last_begin);
+  auto respond = [&](const std::string& line) {
+    const std::string direct = service.HandleLine(line);
+    std::istringstream in(line + "\n");
+    std::ostringstream out;
+    EXPECT_TRUE(service.Run(in, out).ok());
+    EXPECT_EQ(out.str(), direct + "\n");
+    return direct;
+  };
+  auto error_of = [&](const std::string& line) {
+    auto response = JsonValue::Parse(respond(line));
+    EXPECT_TRUE(response.ok());
+    EXPECT_FALSE(response->Find("ok")->bool_value());
+    return response->Find("error")->str();
+  };
+
+  EXPECT_EQ(error_of(R"({"op":"label","image":{"channels":3,"height":32,)"
+                     R"("width":32,"pixels":[0.5,"x"]}})"),
+            "pixels array length must equal channels*height*width");
+  // The last of 3,072 pixels turns the packed array into nodes.
+  EXPECT_EQ(error_of(line_for(first, R"("x")")),
+            "pixels must all be numbers");
+  EXPECT_EQ(error_of(line_for("1e39", R"("x")")),
+            "pixels must lie within the float range (|v| <= FLT_MAX)");
+  EXPECT_EQ(error_of(line_for("null", last)), "pixels must all be numbers");
+
+  // A pixel written `.5` is the number 0.5.
+  const std::string leading_dot = respond(line_for(".5", last));
+  EXPECT_EQ(leading_dot, respond(line_for("0.5", last)));
+  auto response = JsonValue::Parse(leading_dot);
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response->Find("ok")->bool_value()) << leading_dot;
 }
 
 TEST_F(ServeServiceTest, RunPreservesInputOrderAcrossWorkers) {
