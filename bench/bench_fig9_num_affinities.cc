@@ -91,7 +91,9 @@ void BM_InferencePerFunctionCount(benchmark::State& state) {
                                     truth[static_cast<size_t>(j)]
                                 ? 0.8
                                 : 0.2;
-        a(i, static_cast<int64_t>(f) * n + j) = base + rng.Gaussian() * 0.1;
+        // Affinities are floats; Fit refuses an entry that is not one.
+        a(i, static_cast<int64_t>(f) * n + j) =
+            static_cast<float>(base + rng.Gaussian() * 0.1);
       }
     }
   }
@@ -100,7 +102,11 @@ void BM_InferencePerFunctionCount(benchmark::State& state) {
   std::vector<int> dev_lab = {0, 1, 0, 1};
   for (auto _ : state) {
     auto result = labeler.Fit(a, dev_idx, dev_lab, 2);
-    benchmark::DoNotOptimize(result.ok());
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(result->hard_labels.data());
   }
 }
 BENCHMARK(BM_InferencePerFunctionCount)

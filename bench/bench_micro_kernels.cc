@@ -171,11 +171,15 @@ void BM_DiagonalGmmFit(benchmark::State& state) {
 BENCHMARK(BM_DiagonalGmmFit)->Arg(50)->Arg(100)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
-// One base GMM of a pool-480 fit as HierarchicalLabeler runs it:
-// DiagonalGmm::FitPredict at K = 2 and the default GmmConfig on the
-// second 480 x 480 slice of a two-function block of `stride` elements per
-// row, with a reused workspace and a posterior out, serial as the base
-// layer's slots run it; `em_iters` reports the best restart's iterations.
+// One 480 x 480 diagonal-GMM fit: DiagonalGmm::FitPredict at K = 2 and
+// the default GmmConfig on the second 480 x 480 slice of a two-function
+// block of `stride` elements per row, with a reused workspace and a
+// posterior out, serial as the base layer's slots run it; `em_iters`
+// reports the best restart's iterations. The double rows
+// (BM_BaseGmmFitPredict, BM_BaseGmmFitPredictSaturated) time the double
+// EM that the DiagonalGmm::Fit(Matrix) baselines run; the base layer of
+// every HierarchicalLabeler fit runs the float one
+// (BM_BaseGmmFitPredictFloat).
 template <typename T>
 void RunBaseGmmFitPredict(const T* block, int64_t n, int64_t stride,
                           benchmark::State& state) {
@@ -225,8 +229,8 @@ void BM_BaseGmmFitPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_BaseGmmFitPredict)->Unit(benchmark::kMillisecond);
 
-// The same fit on the float block GogglesPipeline::Label streams: the
-// planted block rounded to float (its own EM trajectory, not
+// The same fit on the float block the base layer reads: the planted
+// block rounded to float (its own EM trajectory, not
 // BM_BaseGmmFitPredict's).
 void BM_BaseGmmFitPredictFloat(benchmark::State& state) {
   const Matrix block = PlantedBlock();

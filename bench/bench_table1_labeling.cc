@@ -208,7 +208,11 @@ void BM_HierarchicalInference(benchmark::State& state) {
   for (auto _ : state) {
     Result<LabelingResult> r =
         labeler.Fit(*a, g_task->dev_indices, g_task->dev_labels, 2);
-    benchmark::DoNotOptimize(r.ok());
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r->hard_labels.data());
   }
 }
 BENCHMARK(BM_HierarchicalInference)->Unit(benchmark::kMillisecond);

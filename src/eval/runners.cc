@@ -1,5 +1,7 @@
 #include "eval/runners.h"
 
+#include <memory>
+
 #include "baselines/attribute_lfs.h"
 #include "baselines/end_model.h"
 #include "baselines/fsl.h"
@@ -10,7 +12,6 @@
 #include "eval/metrics.h"
 #include "features/hog.h"
 #include "goggles/base_gmm.h"
-#include "goggles/hierarchical.h"
 #include "linalg/pca.h"
 
 namespace goggles::eval {
@@ -56,17 +57,18 @@ Result<double> RunRepresentationAffinity(const LabelingTask& task,
     GOGGLES_ASSIGN_OR_RETURN(embedding,
                              ctx.extractor->Logits(task.train.images));
   }
-  VectorCosineAffinity affinity(
-      kind == RepresentationKind::kHog ? "hog" : "logits", std::move(embedding));
-  GOGGLES_RETURN_NOT_OK(affinity.Prepare(task.train.images));
-  std::vector<AffinityFunction*> fns = {&affinity};
-  GOGGLES_ASSIGN_OR_RETURN(
-      Matrix a, BuildAffinityMatrix(fns, static_cast<int>(task.train.size())));
-
-  HierarchicalLabeler labeler(ctx.goggles.inference);
+  // The cosine function is the pipeline's one function: no library
+  // (top_z = 0), so it is fitted the way Label fits every function.
+  GogglesConfig config = ctx.goggles;
+  config.top_z = 0;
+  GogglesPipeline pipeline(ctx.extractor, config);
+  pipeline.AddFunction(std::make_unique<VectorCosineAffinity>(
+      kind == RepresentationKind::kHog ? "hog" : "logits",
+      std::move(embedding)));
   GOGGLES_ASSIGN_OR_RETURN(
       LabelingResult result,
-      labeler.Fit(a, task.dev_indices, task.dev_labels, task.num_classes));
+      pipeline.Label(task.train.images, task.dev_indices, task.dev_labels,
+                     task.num_classes));
   return AccuracyExcluding(result.hard_labels, task.train.labels,
                            task.dev_indices);
 }

@@ -241,7 +241,7 @@ Status PrototypeAffinitySource::ScoreLayerRowsInto(
       if (static_cast<int64_t>(pos.size()) != area * c) {
         std::lock_guard<std::mutex> guard(status_mutex);
         status = Status::InvalidArgument(StrFormat(
-            "ScoreRowsInto: layer %d instance %lld position size %zu != "
+            "ScoreLayerRowsInto: layer %d instance %lld position size %zu != "
             "area*channels %lld — all instances of one call must share "
             "one resolution",
             layer, static_cast<long long>(i), pos.size(),
@@ -272,18 +272,6 @@ Status PrototypeAffinitySource::ScoreLayerRowsInto(
   return status;
 }
 
-Status PrototypeAffinitySource::ScoreRowsInto(
-    const std::vector<QueryFeatures>& instances, int num_functions,
-    Matrix* out) const {
-  const int l = num_layers();
-  for (int layer = 0; layer < l && layer < num_functions; ++layer) {
-    GOGGLES_RETURN_NOT_OK(
-        ScoreLayerRowsInto(instances, layer, num_functions, layer, l,
-                           out->cols(), out->data()));
-  }
-  return Status::OK();
-}
-
 Status PrototypeAffinitySource::CheckPoolPrepared(const char* who) const {
   if (num_images_ <= 0 ||
       static_cast<int>(pool_features_.size()) != num_images_) {
@@ -291,17 +279,6 @@ Status PrototypeAffinitySource::CheckPoolPrepared(const char* who) const {
         "PrototypeAffinitySource::%s: source not prepared", who));
   }
   return Status::OK();
-}
-
-Status PrototypeAffinitySource::ScorePoolRowsInto(int num_functions,
-                                                 Matrix* a) const {
-  GOGGLES_RETURN_NOT_OK(CheckPoolPrepared("ScorePoolRowsInto"));
-  if (a->rows() < num_images_ ||
-      a->cols() < static_cast<int64_t>(num_functions) * num_images_) {
-    return Status::InvalidArgument(
-        "ScorePoolRowsInto: output matrix too small");
-  }
-  return ScoreRowsInto(pool_features_, num_functions, a);
 }
 
 Status PrototypeAffinitySource::ScorePoolLayerInto(int layer,
@@ -335,7 +312,12 @@ Result<Matrix> PrototypeAffinitySource::ScoreQueryRowsBatched(
   }
   Matrix rows(static_cast<int64_t>(queries.size()),
               static_cast<int64_t>(num_functions) * num_images_);
-  GOGGLES_RETURN_NOT_OK(ScoreRowsInto(queries, num_functions, &rows));
+  const int l = num_layers();
+  for (int layer = 0; layer < l && layer < num_functions; ++layer) {
+    GOGGLES_RETURN_NOT_OK(ScoreLayerRowsInto(queries, layer, num_functions,
+                                             layer, l, rows.cols(),
+                                             rows.data()));
+  }
   return rows;
 }
 
@@ -412,40 +394,21 @@ AffinityLibrary BuildPrototypeAffinityLibrary(
       std::make_shared<PrototypeAffinitySource>(std::move(extractor), top_z)};
 }
 
-template <typename T>
 void FillAffinityMatrixColumns(
     const std::vector<AffinityFunction*>& functions, int first_block,
-    int num_images, int64_t stride, T* a) {
+    int num_images, int64_t stride, float* a) {
   if (functions.empty()) return;
   const int64_t n = num_images;
   ParallelFor(0, n, [&](int64_t i) {
-    T* row = a + i * stride;
+    float* row = a + i * stride;
     for (size_t k = 0; k < functions.size(); ++k) {
       const AffinityFunction* fn = functions[k];
-      T* dst = row + (first_block + static_cast<int64_t>(k)) * n;
+      float* dst = row + (first_block + static_cast<int64_t>(k)) * n;
       for (int64_t j = 0; j < n; ++j) {
-        dst[j] = static_cast<T>(
-            fn->Score(static_cast<int>(i), static_cast<int>(j)));
+        dst[j] = fn->Score(static_cast<int>(i), static_cast<int>(j));
       }
     }
   });
-}
-
-template void FillAffinityMatrixColumns(const std::vector<AffinityFunction*>&,
-                                        int, int, int64_t, float*);
-template void FillAffinityMatrixColumns(const std::vector<AffinityFunction*>&,
-                                        int, int, int64_t, double*);
-
-Result<Matrix> BuildAffinityMatrix(
-    const std::vector<AffinityFunction*>& functions, int num_images) {
-  if (functions.empty()) {
-    return Status::InvalidArgument("BuildAffinityMatrix: no functions");
-  }
-  const int64_t n = num_images;
-  const int64_t alpha = static_cast<int64_t>(functions.size());
-  Matrix a(n, alpha * n);
-  FillAffinityMatrixColumns(functions, 0, num_images, a.cols(), a.data());
-  return a;
 }
 
 }  // namespace goggles

@@ -129,34 +129,28 @@ class PrototypeAffinitySource {
   /// (function f = layer f % L, prototype rank f / L), by rank.
   std::vector<int64_t> LayerFunctions(int layer, int num_functions) const;
 
-  /// \brief One layer of pool-side scoring: fills the N x (count * N)
-  /// float block of the count = LayerFunctions(layer, num_functions).size()
-  /// functions of `layer`: column block z holds the function of rank z.
-  /// The scorer's own floats, so widened they are ScorePoolRowsInto's
-  /// columns of those functions bit for bit. `block` must hold N rows of
-  /// `stride` >= count * N floats. Needs Prepare().
+  /// \brief Pool-side scoring, one layer at a time: fills the
+  /// N x (count * N) float block of the count =
+  /// LayerFunctions(layer, num_functions).size() functions of `layer`, in
+  /// the layout of A (§2.2) restricted to them: column block z holds the
+  /// function of rank z. The layer runs the fused scorer
+  /// (PrototypeMaxScores, tensor/gemm.h) once per instance against the
+  /// packed prototype panel: the max over positions is folded into the
+  /// kernel's register tile, so no positions x prototypes score matrix is
+  /// stored — and duplicate prototypes (the z-wrap for images with fewer
+  /// than Z unique prototypes) are scored once instead of once per
+  /// wrapped z. `block` must hold N rows of `stride` >= count * N floats.
+  /// Needs Prepare().
   Status ScorePoolLayerInto(int layer, int num_functions, int64_t stride,
                             float* block) const;
 
-  /// \brief Batched pool-side scoring: fills columns f < `num_functions`
-  /// of the affinity matrix `a` (layout A[i, f*N + j], §2.2) for the
-  /// round-robin library ordering (function f = layer f % L, prototype
-  /// rank f / L). Each layer runs the fused scorer (PrototypeMaxScores,
-  /// tensor/gemm.h) once per instance against the packed prototype panel:
-  /// the max over positions is folded into the kernel's register tile, so
-  /// no positions x prototypes score matrix is stored — and duplicate
-  /// prototypes (the z-wrap for images with fewer than Z unique
-  /// prototypes) are scored once instead of once per wrapped z. `a` must
-  /// be pre-sized to at least num_functions * N cols. Needs Prepare().
-  Status ScorePoolRowsInto(int num_functions, Matrix* a) const;
-
   /// \brief Batched query-side scoring: the M x (num_functions * N) row
-  /// block for `queries` in the same layout (and with the same
-  /// float->double cast) as ScorePoolRowsInto. Both sides run the same
-  /// fused kernel, whose scores are bit-identical to SGemm followed by a
-  /// max over ascending positions. Row i depends only on query i, and a
-  /// query identical to a pool image reproduces its fit-time scores bit
-  /// for bit.
+  /// block for `queries` in the layout of A (§2.2), function f in column
+  /// block f, for the round-robin library ordering. Pool and query rows
+  /// run the same fused kernel, whose scores are bit-identical to SGemm
+  /// followed by a max over ascending positions. Row i depends only on
+  /// query i, and a query identical to a pool image reproduces, widened,
+  /// its ScorePoolLayerInto scores bit for bit.
   Result<Matrix> ScoreQueryRowsBatched(
       const std::vector<QueryFeatures>& queries, int num_functions) const;
 
@@ -175,16 +169,12 @@ class PrototypeAffinitySource {
   /// The one scorer of pool and query rows, one layer at a time: fills
   /// rows [0, instances.size()) of `out` (row stride `stride`) with the
   /// LayerFunctions of `layer`, the one of rank z into the N-column block
-  /// first_block + z * block_step.
+  /// first_block + z * block_step. T is float for the pool's layer blocks
+  /// and double for served query rows.
   template <typename T>
   Status ScoreLayerRowsInto(const std::vector<QueryFeatures>& instances,
                             int layer, int num_functions, int64_t first_block,
                             int64_t block_step, int64_t stride, T* out) const;
-
-  /// Every layer through ScoreLayerRowsInto, in the ScorePoolRowsInto
-  /// layout (function f in block f).
-  Status ScoreRowsInto(const std::vector<QueryFeatures>& instances,
-                       int num_functions, Matrix* out) const;
 
   /// Fails unless Prepare() has featurized the pool (`who` prefixes the
   /// error).
@@ -219,8 +209,8 @@ class VectorCosineAffinity : public AffinityFunction {
 };
 
 /// \brief The GOGGLES affinity function library: the 5 x Z Eq. 2 functions
-/// of one `PrototypeAffinitySource`, in the order its scorer writes them
-/// (see PrototypeAffinitySource::ScorePoolRowsInto). Truncated prefixes —
+/// of one `PrototypeAffinitySource`, in its round-robin order (see
+/// PrototypeAffinitySource::LayerFunctions). Truncated prefixes —
 /// used by the Figure 9 sweep — still span all five scales.
 struct AffinityLibrary {
   /// Shared per-pool caches and the scorer of every library function.
@@ -236,23 +226,15 @@ struct AffinityLibrary {
 AffinityLibrary BuildPrototypeAffinityLibrary(
     std::shared_ptr<features::FeatureExtractor> extractor, int top_z = 10);
 
-/// \brief Constructs the affinity matrix A in the paper's layout (§2.2):
-/// A[i, f*N + j] = f(x_i, x_j) for each function f and instance pair (i,j).
-///
-/// All functions must already be Prepare()d for `num_images` images.
-Result<Matrix> BuildAffinityMatrix(
-    const std::vector<AffinityFunction*>& functions, int num_images);
-
 /// \brief Fills column blocks [first_block, first_block + functions.size())
-/// of the num_images rows of `a` (row stride `stride`; T = float or
-/// double) via the generic pairwise Score() interface, in the layout
-/// above: function k owns block first_block + k. The single authoritative
-/// implementation of that layout/cast for functions without a batched
-/// scorer — used by BuildAffinityMatrix (whole matrix) and by
-/// GogglesPipeline (user functions after the library).
-template <typename T>
+/// of the num_images rows of the float block `a` (row stride `stride`)
+/// via the generic pairwise Score() interface, in the layout of A (§2.2):
+/// A[i, f*N + j] = f(x_i, x_j), function k owning block first_block + k.
+/// The one implementation of that layout for functions without a batched
+/// scorer; GogglesPipeline streams the user functions' block through it.
+/// All functions must already be Prepare()d for `num_images` images.
 void FillAffinityMatrixColumns(
     const std::vector<AffinityFunction*>& functions, int first_block,
-    int num_images, int64_t stride, T* a);
+    int num_images, int64_t stride, float* a);
 
 }  // namespace goggles

@@ -5,6 +5,7 @@
 
 #include "goggles/em_core.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace goggles {
 
@@ -163,6 +164,15 @@ Status DiagonalGmm::FitPredict(const em::Slice<T>& x,
     }
   };
   const std::vector<double> init_variances = InitialVariances(x, var_floor);
+  // A NaN or infinite entry makes its column's variance NaN (or +inf), so
+  // this O(D) check of a vector the fit needs anyway finds it.
+  for (size_t j = 0; j < init_variances.size(); ++j) {
+    if (!std::isfinite(init_variances[j])) {
+      return Status::InvalidArgument(StrFormat(
+          "DiagonalGmm::Fit: column %zu has a non-finite entry or variance",
+          j));
+    }
+  }
   auto init = [&](Rng* rng, em::Scratch*) {
     return InitState(x, config_.num_components, init_variances, rng);
   };

@@ -10,6 +10,7 @@
 #include "tensor/gemm.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/string_util.h"
 
 namespace goggles {
 namespace {
@@ -113,13 +114,27 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
         "HierarchicalLabeler: affinity width must be a multiple of N (one "
         "N-column block per affinity function)");
   }
+  // Every affinity is a float, so the base layer fits floats: narrow A
+  // once, refusing (not rounding) an entry no float holds exactly.
+  std::vector<float> narrowed(static_cast<size_t>(affinity.size()));
+  for (int64_t e = 0; e < affinity.size(); ++e) {
+    const double v = affinity.data()[e];
+    narrowed[static_cast<size_t>(e)] = static_cast<float>(v);
+    if (static_cast<double>(narrowed[static_cast<size_t>(e)]) != v) {
+      return Status::InvalidArgument(StrFormat(
+          "HierarchicalLabeler: affinity entry (%lld, %lld) = %.17g is not a "
+          "float",
+          static_cast<long long>(e / affinity.cols()),
+          static_cast<long long>(e % affinity.cols()), v));
+    }
+  }
+  // The copy is one block: slice f is function f.
   const int64_t alpha = affinity.cols() / n;
-  // All of `affinity` is one in-place block: slice f is function f.
   bool handed_over = false;
-  return FitBlocks<double>(
+  return FitBlocks(
       n, alpha,
-      [&](AffinityBlock<double>* block) {
-        block->data = affinity.data();
+      [&](AffinityBlock* block) {
+        block->data = narrowed.data();
         block->stride = affinity.cols();
         block->functions.clear();
         if (!handed_over) {
@@ -132,14 +147,17 @@ Result<LabelingResult> HierarchicalLabeler::Fit(
       dev_indices, dev_labels, num_classes, fitted_out);
 }
 
-template <typename T>
 Result<LabelingResult> HierarchicalLabeler::FitBlocks(
     int64_t num_instances, int64_t num_functions,
-    const AffinityBlockStream<T>& blocks, const std::vector<int>& dev_indices,
+    const AffinityBlockStream& blocks, const std::vector<int>& dev_indices,
     const std::vector<int>& dev_labels, int num_classes,
     FittedHierarchicalModel* fitted_out) const {
   const int64_t n = num_instances, alpha = num_functions;
   if (n <= 0) return Status::InvalidArgument("HierarchicalLabeler: empty data");
+  if (alpha < 1) {
+    return Status::InvalidArgument(
+        "HierarchicalLabeler: need at least one affinity function");
+  }
 
   // ---- Base layer: one diagonal GMM per affinity function (§4.1). ----
   // Fitting the alpha base models is embarrassingly parallel (the paper
@@ -161,8 +179,8 @@ Result<LabelingResult> HierarchicalLabeler::FitBlocks(
                                                  : 0);
   GmmConfig base_config = config_.base;
   base_config.num_components = num_classes;
-  auto fit_base = [&](const em::Slice<T>& x, int64_t f,
-                      std::vector<T>* workspace) -> Status {
+  auto fit_base = [&](const em::Slice<float>& x, int64_t f,
+                      std::vector<float>* workspace) -> Status {
     GmmConfig cfg = base_config;
     cfg.seed = base_config.seed + static_cast<uint64_t>(f) * 7919;
     DiagonalGmm gmm(cfg);
@@ -181,11 +199,11 @@ Result<LabelingResult> HierarchicalLabeler::FitBlocks(
   // One workspace (the slice's transposed copy) per concurrent fit, kept
   // across blocks, so it is allocated once per fit slot, not once per
   // block. Each slot claims the block's functions one at a time.
-  std::vector<std::vector<T>> workspaces(
+  std::vector<std::vector<float>> workspaces(
       static_cast<size_t>(EffectiveNumThreads()));
   std::vector<char> arrived(static_cast<size_t>(alpha), 0);
   int64_t num_arrived = 0;
-  AffinityBlock<T> block;
+  AffinityBlock block;
   for (;;) {
     GOGGLES_RETURN_NOT_OK(blocks(&block));
     if (block.functions.empty()) break;
@@ -245,15 +263,6 @@ Result<LabelingResult> HierarchicalLabeler::FitBlocks(
   if (fitted_out != nullptr) *fitted_out = std::move(model);
   return result;
 }
-
-template Result<LabelingResult> HierarchicalLabeler::FitBlocks(
-    int64_t, int64_t, const AffinityBlockStream<float>&,
-    const std::vector<int>&, const std::vector<int>&, int,
-    FittedHierarchicalModel*) const;
-template Result<LabelingResult> HierarchicalLabeler::FitBlocks(
-    int64_t, int64_t, const AffinityBlockStream<double>&,
-    const std::vector<int>&, const std::vector<int>&, int,
-    FittedHierarchicalModel*) const;
 
 uint64_t FittedHierarchicalModel::ApproxMemoryBytes() const {
   uint64_t bytes = sizeof(*this);

@@ -126,22 +126,18 @@ struct FittedHierarchicalModel {
 };
 
 /// \brief One block of affinity columns for the base layer: N rows of
-/// `stride` elements from `data`, whose N-column slice s (columns
+/// `stride` floats from `data`, whose N-column slice s (columns
 /// [s*N, (s+1)*N)) is the slice A_f of function f = functions[s] (§2.2).
-/// T is float when GogglesPipeline::Label streams the scorer's output,
-/// double for a Matrix.
-template <typename T>
 struct AffinityBlock {
-  const T* data = nullptr;         ///< the block's row 0
-  int64_t stride = 0;              ///< elements per block row
+  const float* data = nullptr;     ///< the block's row 0
+  int64_t stride = 0;              ///< floats per block row
   std::vector<int64_t> functions;  ///< global function of each slice
 };
 
 /// \brief Hands the base layer its next block; a block with no functions
 /// ends the stream. The storage of an earlier block may be reused for the
 /// next one: the base layer is done with a block when it asks for more.
-template <typename T>
-using AffinityBlockStream = std::function<Status(AffinityBlock<T>* next)>;
+using AffinityBlockStream = std::function<Status(AffinityBlock* next)>;
 
 /// \brief Runs the full §4 inference stack on an affinity matrix.
 class HierarchicalLabeler {
@@ -151,6 +147,11 @@ class HierarchicalLabeler {
       : config_(config) {}
 
   /// \brief Fits base + ensemble models and maps clusters to classes.
+  ///
+  /// Every affinity is a float, and the base layer fits floats: `affinity`
+  /// is narrowed once into a float copy, handed to FitBlocks as one block.
+  /// An entry that is not exactly a float (NaN included) is rejected with
+  /// InvalidArgument rather than rounded.
   ///
   /// \param affinity     N x (alpha*N) matrix in the §2.2 layout.
   /// \param dev_indices  rows with known labels (the development set).
@@ -167,20 +168,18 @@ class HierarchicalLabeler {
 
   /// \brief Fit with the affinity matrix handed over block by block, so
   /// only one block need be resident (GogglesPipeline::Label streams one
-  /// tap layer at a time; Fit hands over all of `affinity` as one
-  /// in-place block). Every function f in [0, num_functions) must arrive
-  /// exactly once. Function f's base GMM sees the same column slice, seed
-  /// and LP slot however the functions are blocked, and a float block fits
-  /// to the same bits as its widened double copy, so the result is
-  /// bit-identical to Fit on the materialized matrix.
+  /// tap layer at a time; Fit hands over its float copy as one block).
+  /// Every function f in [0, num_functions) must arrive exactly once, and
+  /// there must be at least one. Function f's base GMM sees the same
+  /// column slice, seed and LP slot however the functions are blocked, so
+  /// the result does not depend on the blocking.
   ///
   /// \param num_instances N, the rows of every block.
   /// \param num_functions alpha.
   /// \param blocks        the stream of blocks.
-  template <typename T>
   Result<LabelingResult> FitBlocks(int64_t num_instances,
                                    int64_t num_functions,
-                                   const AffinityBlockStream<T>& blocks,
+                                   const AffinityBlockStream& blocks,
                                    const std::vector<int>& dev_indices,
                                    const std::vector<int>& dev_labels,
                                    int num_classes,

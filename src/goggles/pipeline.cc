@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/parallel.h"
+
 namespace goggles {
 
 GogglesPipeline::GogglesPipeline(
@@ -21,7 +23,7 @@ int GogglesPipeline::num_functions() const {
                                    : total;
 }
 
-Result<std::vector<AffinityFunction*>> GogglesPipeline::PrepareFunctions(
+Result<AffinityBlockStream> GogglesPipeline::AffinityBlocks(
     const std::vector<data::Image>& images) const {
   const int alpha = num_functions();
   if (alpha == 0) {
@@ -38,28 +40,59 @@ Result<std::vector<AffinityFunction*>> GogglesPipeline::PrepareFunctions(
     user[k] = extra_functions_[k].get();
     GOGGLES_RETURN_NOT_OK(user[k]->Prepare(images));
   }
-  return user;
+  std::shared_ptr<const PrototypeAffinitySource> source = library_.source;
+  const int num_layers = std::min(source->num_layers(), num_library);
+  const int64_t n = static_cast<int64_t>(images.size());
+  // One float buffer, as wide as the widest block, holds each block in
+  // turn, so A itself is never built; every score is a float, so the
+  // block holds A's values exactly.
+  const int64_t stride = n * static_cast<int64_t>(std::max(
+                                 source->LayerFunctions(0, num_library).size(),
+                                 user.size()));
+  auto columns =
+      std::make_shared<std::vector<float>>(static_cast<size_t>(n * stride));
+  int layer = 0;  // the next tap layer; num_layers stands for the user block
+  return AffinityBlockStream(
+      [source, user, num_library, num_layers, n, stride, columns,
+       layer](AffinityBlock* block) mutable -> Status {
+        block->data = columns->data();
+        block->stride = stride;
+        block->functions.clear();
+        if (layer < num_layers) {
+          block->functions = source->LayerFunctions(layer, num_library);
+          GOGGLES_RETURN_NOT_OK(source->ScorePoolLayerInto(
+              layer, num_library, stride, columns->data()));
+        } else if (layer == num_layers) {
+          for (size_t k = 0; k < user.size(); ++k) {
+            block->functions.push_back(num_library + static_cast<int64_t>(k));
+          }
+          FillAffinityMatrixColumns(user, 0, static_cast<int>(n), stride,
+                                    columns->data());
+        }
+        ++layer;
+        return Status::OK();
+      });
 }
 
 Result<Matrix> GogglesPipeline::BuildAffinity(
     const std::vector<data::Image>& images) const {
-  GOGGLES_ASSIGN_OR_RETURN(std::vector<AffinityFunction*> user,
-                           PrepareFunctions(images));
-  const int alpha = num_functions();
-  const int num_library = alpha - static_cast<int>(user.size());
+  GOGGLES_ASSIGN_OR_RETURN(AffinityBlockStream blocks, AffinityBlocks(images));
   const int64_t n = static_cast<int64_t>(images.size());
-  Matrix a(n, static_cast<int64_t>(alpha) * n);
-  if (num_library > 0) {
-    // The library block goes through the fused Eq. 2 scorer — the same
-    // kernel (and accumulation order) the serving path uses for query
-    // rows, so a served image reproduces its fit-time scores bit for bit.
-    GOGGLES_RETURN_NOT_OK(library_.source->ScorePoolRowsInto(num_library, &a));
+  Matrix a(n, static_cast<int64_t>(num_functions()) * n);
+  // Slice s of each block, widened, is column block functions[s] of A.
+  AffinityBlock block;
+  for (;;) {
+    GOGGLES_RETURN_NOT_OK(blocks(&block));
+    if (block.functions.empty()) return a;
+    ParallelFor(0, n, [&](int64_t i) {
+      const float* row = block.data + i * block.stride;
+      for (size_t s = 0; s < block.functions.size(); ++s) {
+        std::copy(row + static_cast<int64_t>(s) * n,
+                  row + static_cast<int64_t>(s + 1) * n,
+                  a.RowPtr(i) + block.functions[s] * n);
+      }
+    });
   }
-  // User functions only expose the pairwise Score() interface; fill their
-  // columns the generic way.
-  FillAffinityMatrixColumns(user, num_library, static_cast<int>(n), a.cols(),
-                            a.data());
-  return a;
 }
 
 Result<LabelingResult> GogglesPipeline::Label(
@@ -70,44 +103,10 @@ Result<LabelingResult> GogglesPipeline::Label(
     return Status::InvalidArgument(
         "GogglesPipeline::Label: dev indices/labels size mismatch");
   }
-  GOGGLES_ASSIGN_OR_RETURN(std::vector<AffinityFunction*> user,
-                           PrepareFunctions(images));
-  const int alpha = num_functions();
-  const int num_library = alpha - static_cast<int>(user.size());
-  const PrototypeAffinitySource& source = *library_.source;
-  const int num_layers = std::min(source.num_layers(), num_library);
-  const int64_t n = static_cast<int64_t>(images.size());
-  // The base layer takes A one block at a time: each tap layer's
-  // functions (the columns BuildAffinity gives them, scored by the same
-  // kernel), then the user functions. One float buffer, as wide as the
-  // widest block, holds each block in turn, so A itself is never built;
-  // every score is a float, so the block holds A's values exactly.
-  const int64_t stride = n * static_cast<int64_t>(std::max(
-                                 source.LayerFunctions(0, num_library).size(),
-                                 user.size()));
-  std::vector<float> columns(static_cast<size_t>(n * stride));
-  int layer = 0;  // the next tap layer; num_layers stands for the user block
-  auto next_block = [&](AffinityBlock<float>* block) -> Status {
-    block->data = columns.data();
-    block->stride = stride;
-    block->functions.clear();
-    if (layer < num_layers) {
-      block->functions = source.LayerFunctions(layer, num_library);
-      GOGGLES_RETURN_NOT_OK(source.ScorePoolLayerInto(layer, num_library,
-                                                      stride, columns.data()));
-    } else if (layer == num_layers) {
-      for (size_t k = 0; k < user.size(); ++k) {
-        block->functions.push_back(num_library + static_cast<int64_t>(k));
-      }
-      FillAffinityMatrixColumns(user, 0, static_cast<int>(n), stride,
-                                columns.data());
-    }
-    ++layer;
-    return Status::OK();
-  };
-  HierarchicalLabeler labeler(config_.inference);
-  return labeler.FitBlocks<float>(n, alpha, next_block, dev_indices,
-                                  dev_labels, num_classes, fitted_out);
+  GOGGLES_ASSIGN_OR_RETURN(AffinityBlockStream blocks, AffinityBlocks(images));
+  return HierarchicalLabeler(config_.inference)
+      .FitBlocks(static_cast<int64_t>(images.size()), num_functions(), blocks,
+                 dev_indices, dev_labels, num_classes, fitted_out);
 }
 
 }  // namespace goggles

@@ -37,7 +37,9 @@ class GogglesPipeline {
                   GogglesConfig config = {});
 
   /// \brief Builds the affinity matrix for `images` using the prototype
-  /// affinity library (plus any extra functions added via AddFunction).
+  /// affinity library (plus any extra functions added via AddFunction):
+  /// the blocks Label fits, widened into one N x (alpha*N) matrix, for
+  /// the analyses and baselines that need all of A at once.
   Result<Matrix> BuildAffinity(const std::vector<data::Image>& images) const;
 
   /// \brief Full labeling run (Figure 3): affinity matrix + hierarchical
@@ -45,8 +47,9 @@ class GogglesPipeline {
   ///
   /// The affinity matrix is scored and fitted one tap layer at a time
   /// (HierarchicalLabeler::FitBlocks), so at most one layer's N x Z*N
-  /// block is resident; the result is bit-identical to
-  /// HierarchicalLabeler::Fit on BuildAffinity(images).
+  /// float block is resident; the result is bit-identical to
+  /// HierarchicalLabeler::Fit on BuildAffinity(images). A pipeline with
+  /// no function (top_z <= 0 and none added) is InvalidArgument.
   ///
   /// \param images      all N instances (unlabeled and development rows).
   /// \param dev_indices positions of development examples within `images`.
@@ -78,10 +81,13 @@ class GogglesPipeline {
   const GogglesConfig& config() const { return config_; }
 
  private:
-  /// Checks there is a function, prepares the library source (when any
-  /// library function is used) and the user functions in use on
-  /// `images`, and returns those user functions.
-  Result<std::vector<AffinityFunction*>> PrepareFunctions(
+  /// The one producer of A: checks there is a function, prepares the
+  /// library source (when any library function is used) and the user
+  /// functions in use on `images`, and returns the stream of A's blocks —
+  /// each tap layer's library functions (ScorePoolLayerInto), then the
+  /// user functions (FillAffinityMatrixColumns) — in one float buffer the
+  /// stream owns and reuses. The stream must not outlive the pipeline.
+  Result<AffinityBlockStream> AffinityBlocks(
       const std::vector<data::Image>& images) const;
 
   std::shared_ptr<features::FeatureExtractor> extractor_;

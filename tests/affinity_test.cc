@@ -49,14 +49,29 @@ class AffinityTest : public ::testing::Test {
 };
 
 /// The N x (num_functions * N) library block of `source`, prepared on
-/// `images`, through the fit path's scorer.
+/// `images`, through the fit path's scorer: each layer's float block,
+/// widened into the columns of its functions.
 Matrix PoolAffinity(PrototypeAffinitySource& source,
                     const std::vector<data::Image>& images,
                     int num_functions) {
   const int64_t n = static_cast<int64_t>(images.size());
   Matrix a(n, static_cast<int64_t>(num_functions) * n);
   Status status = source.Prepare(images);
-  if (status.ok()) status = source.ScorePoolRowsInto(num_functions, &a);
+  for (int layer = 0; status.ok() && layer < source.num_layers(); ++layer) {
+    const std::vector<int64_t> functions =
+        source.LayerFunctions(layer, num_functions);
+    const int64_t width = static_cast<int64_t>(functions.size()) * n;
+    std::vector<float> block(static_cast<size_t>(n * width));
+    status = source.ScorePoolLayerInto(layer, num_functions, width,
+                                       block.data());
+    for (int64_t i = 0; status.ok() && i < n; ++i) {
+      for (size_t z = 0; z < functions.size(); ++z) {
+        const float* src =
+            block.data() + i * width + static_cast<int64_t>(z) * n;
+        std::copy(src, src + n, a.RowPtr(i) + functions[z] * n);
+      }
+    }
+  }
   EXPECT_TRUE(status.ok()) << status.ToString();
   return a;
 }
@@ -76,20 +91,25 @@ TEST_F(AffinityTest, LibraryHasLayersTimesZFunctions) {
   EXPECT_EQ(library.num_functions(), 50);  // 5 layers x Z=10
   AffinityLibrary small = BuildPrototypeAffinityLibrary(extractor_, 3);
   ASSERT_EQ(small.num_functions(), 15);
-  // The scorer fills every column of the 15-function block and no more.
+  // Each layer's scorer fills every column of its 3-function block, and
+  // refuses a narrower one.
   const int64_t n = static_cast<int64_t>(images_.size());
   ASSERT_TRUE(small.source->Prepare(images_).ok());
-  Matrix a(n, 15 * n, std::nan(""));
-  ASSERT_TRUE(small.source->ScorePoolRowsInto(15, &a).ok());
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    for (int64_t c = 0; c < a.cols(); ++c) {
-      ASSERT_FALSE(std::isnan(a(i, c))) << "unscored (" << i << ", " << c
-                                         << ")";
+  for (int layer = 0; layer < small.source->num_layers(); ++layer) {
+    ASSERT_EQ(small.source->LayerFunctions(layer, 15).size(), 3u);
+    const int64_t width = 3 * n;
+    std::vector<float> block(static_cast<size_t>(n * width), std::nanf(""));
+    ASSERT_TRUE(
+        small.source->ScorePoolLayerInto(layer, 15, width, block.data()).ok());
+    for (size_t e = 0; e < block.size(); ++e) {
+      ASSERT_FALSE(std::isnan(block[e])) << "layer " << layer << " unscored "
+                                         << e;
     }
+    EXPECT_EQ(small.source->ScorePoolLayerInto(layer, 15, width - 1,
+                                               block.data())
+                  .code(),
+              StatusCode::kInvalidArgument);
   }
-  Matrix narrow(n, 15 * n - 1);
-  EXPECT_EQ(small.source->ScorePoolRowsInto(15, &narrow).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST_F(AffinityTest, ScoresAreBoundedCosines) {
@@ -168,14 +188,20 @@ TEST_F(AffinityTest, MatrixLayoutMatchesPaperSection22) {
 }
 
 // A layer's float block holds, widened bit for bit, the matrix columns of
-// that layer's functions in rank order, also for a prefix that leaves the
+// that layer's functions in rank order — the columns the query scorer
+// writes for the pool's own images — also for a prefix that leaves the
 // layers uneven (7 of 15 functions: 2, 2, 1, 1, 1).
 TEST_F(AffinityTest, LayerBlocksAreTheMatrixColumnsOfTheirFunctions) {
   AffinityLibrary library = BuildPrototypeAffinityLibrary(extractor_, 3);
   const PrototypeAffinitySource& source = *library.source;
   const int64_t n = static_cast<int64_t>(images_.size());
   const int num_functions = 7;
-  const Matrix a = PoolAffinity(*library.source, images_, num_functions);
+  ASSERT_TRUE(library.source->Prepare(images_).ok());
+  auto features = source.ExtractQueryFeatures(images_);
+  ASSERT_TRUE(features.ok()) << features.status().ToString();
+  auto rows = source.ScoreQueryRowsBatched(*features, num_functions);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  const Matrix& a = *rows;
   int64_t covered = 0;
   for (int layer = 0; layer < source.num_layers(); ++layer) {
     const std::vector<int64_t> functions =
@@ -268,15 +294,15 @@ TEST_F(AffinityTest, UserFunctionsFollowTheLibraryBlock) {
   EXPECT_EQ(user->prepares, 1);
   PrototypeAffinitySource source(extractor_, 2);
   const Matrix library_block = PoolAffinity(source, images_, 10);
-  auto user_block = BuildAffinityMatrix({user}, static_cast<int>(n));
-  ASSERT_TRUE(user_block.ok());
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t c = 0; c < 10 * n; ++c) {
       ASSERT_EQ((*a)(i, c), library_block(i, c)) << "(" << i << ", " << c
                                                   << ")";
     }
     for (int64_t j = 0; j < n; ++j) {
-      ASSERT_EQ((*a)(i, 10 * n + j), (*user_block)(i, j))
+      ASSERT_EQ((*a)(i, 10 * n + j),
+                static_cast<double>(
+                    user->Score(static_cast<int>(i), static_cast<int>(j))))
           << "(" << i << ", " << j << ")";
     }
   }
@@ -386,17 +412,15 @@ TEST_F(AffinityRestoreTest, RePreparedSourceMatchesFreshSourceBitForBit) {
   const int n = static_cast<int>(images_.size());
   const int num_functions = 15;  // 5 layers x z=3
   PrototypeAffinitySource fresh(extractor_, 3);
-  ASSERT_TRUE(fresh.Prepare(images_).ok());
-  Matrix expected(n, static_cast<int64_t>(num_functions) * n);
-  ASSERT_TRUE(fresh.ScorePoolRowsInto(num_functions, &expected).ok());
+  const Matrix expected = PoolAffinity(fresh, images_, num_functions);
 
   PrototypeAffinitySource restored(extractor_, 3);
   ASSERT_TRUE(restored.Restore(layers_, n, fingerprint_).ok());
-  Matrix got(n, static_cast<int64_t>(num_functions) * n);
-  EXPECT_EQ(restored.ScorePoolRowsInto(num_functions, &got).code(),
+  std::vector<float> block(static_cast<size_t>(n) * 3 * n);
+  EXPECT_EQ(restored.ScorePoolLayerInto(0, num_functions, 3 * n, block.data())
+                .code(),
             StatusCode::kInternal);
-  ASSERT_TRUE(restored.Prepare(images_).ok());
-  ASSERT_TRUE(restored.ScorePoolRowsInto(num_functions, &got).ok());
+  const Matrix got = PoolAffinity(restored, images_, num_functions);
   EXPECT_EQ(restored.fingerprint(), fresh.fingerprint());
   ExpectBitIdentical(got, expected);
 }
@@ -420,8 +444,36 @@ TEST(VectorCosineAffinityTest, PrepareValidatesRowCount) {
   EXPECT_FALSE(affinity.Prepare(two).ok());
 }
 
-TEST(BuildAffinityMatrixTest, EmptyFunctionListRejected) {
-  EXPECT_FALSE(BuildAffinityMatrix({}, 3).ok());
+// With no library (top_z = 0) the pipeline's functions are the user
+// functions alone: none is InvalidArgument, and one labels the pool on
+// its own, the way Table 1's HOG and Logits rows run.
+TEST_F(AffinityTest, PipelineWithoutLibraryLabelsWithItsUserFunction) {
+  GogglesConfig config;
+  config.top_z = 0;
+  GogglesPipeline empty(extractor_, config);
+  EXPECT_EQ(empty.num_functions(), 0);
+  EXPECT_EQ(empty.Label(images_, {0, 1}, {0, 1}, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(empty.BuildAffinity(images_).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const int64_t n = static_cast<int64_t>(images_.size());
+  Matrix embeddings(n, 3);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t d = 0; d < 3; ++d) {
+      embeddings(i, d) = (i % 3 == d ? 1.0 : 0.1) + 0.01 * i;
+    }
+  }
+  GogglesPipeline single(extractor_, config);
+  single.AddFunction(
+      std::make_unique<VectorCosineAffinity>("user", embeddings));
+  ASSERT_EQ(single.num_functions(), 1);
+  auto result = single.Label(images_, {0, 1}, {0, 1}, 2);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->hard_labels.size(), static_cast<size_t>(n));
+  EXPECT_EQ(result->base_label_predictions.size(), 1u);
+  EXPECT_FALSE(single.library().source->num_images() > 0)
+      << "a library-free pipeline must not prepare the prototype source";
 }
 
 }  // namespace

@@ -404,9 +404,9 @@ TEST(EmProductTest, ReusedWorkspaceMatchesFreshOne) {
   }
 }
 
-// The streamed fit hands the base GMMs float slices and Fit(const
-// Matrix&) double ones: a float block and its widened Matrix must fit to
-// the same parameters, LL history and posterior, bit for bit.
+// The base layer fits float slices and the DiagonalGmm::Fit(Matrix)
+// baselines double ones, on one EM: a float block and its widened Matrix
+// must fit to the same parameters, LL history and posterior, bit for bit.
 TEST(EmProductTest, FloatBlockFitsLikeItsWidenedMatrix) {
   Rng rng(13);
   for (const int64_t n : {int64_t{108}, int64_t{257}}) {
@@ -557,7 +557,11 @@ TEST(EmThreadInvarianceTest, GmmFitBitIdenticalInsideWorkerThread) {
 TEST(EmThreadInvarianceTest, FitTimePosteriorMatchesPredictProba) {
   Rng rng(24);
   const int64_t n = 40, alpha = 3;
+  // Affinities are floats: Fit refuses entries no float holds exactly.
   Matrix affinity = RandomMatrix(n, alpha * n, &rng);
+  for (int64_t i = 0; i < affinity.size(); ++i) {
+    affinity.data()[i] = static_cast<float>(affinity.data()[i]);
+  }
   std::vector<int> dev_indices, dev_labels;
   for (int i = 0; i < 8; ++i) {
     dev_indices.push_back(i);

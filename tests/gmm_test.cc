@@ -1,6 +1,8 @@
 #include "goggles/base_gmm.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +148,34 @@ TEST(DiagonalGmmTest, InvalidInputsRejected) {
   }
   DiagonalGmm unfitted{GmmConfig{}};
   EXPECT_FALSE(unfitted.PredictProba(Matrix(3, 2)).ok());
+}
+
+// A NaN or infinite entry is refused with the column it sits in, both by
+// Fit and by the base layer's FitPredict on a float slice, and leaves the
+// model unfitted.
+TEST(DiagonalGmmTest, NonFiniteInputRejected) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(testing::Message() << "entry " << bad);
+    Rng rng(13);
+    Matrix x = TwoBlobs(20, 3, 5.0, &rng);
+    x(17, 2) = bad;
+    DiagonalGmm gmm{GmmConfig{}};
+    const Status status = gmm.Fit(x);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("column 2"), std::string::npos)
+        << status;
+    EXPECT_FALSE(gmm.PredictProba(x).ok());
+
+    std::vector<float> block(x.data(), x.data() + x.size());
+    std::vector<float> workspace;
+    Matrix posterior;
+    const Status slice_status =
+        DiagonalGmm{GmmConfig{}}.FitPredict(
+            em::Slice<float>{block.data(), x.rows(), x.cols(), x.cols()},
+            &workspace, &posterior);
+    EXPECT_EQ(slice_status.code(), StatusCode::kInvalidArgument)
+        << slice_status;
+  }
 }
 
 TEST(DiagonalGmmTest, PredictDimensionMismatchRejected) {

@@ -1,5 +1,6 @@
 #include "goggles/hierarchical.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -20,7 +21,8 @@ namespace {
 
 /// Builds a synthetic affinity matrix in the paper's layout: `good`
 /// functions produce block structure (same-class pairs score high), `noisy`
-/// functions produce pure noise — mirroring Figure 5.
+/// functions produce pure noise — mirroring Figure 5. Every entry is a
+/// float, as every affinity function's score is.
 Matrix SyntheticAffinity(const std::vector<int>& truth, int num_good,
                          int num_noisy, double noise, Rng* rng) {
   const int n = static_cast<int>(truth.size());
@@ -40,7 +42,7 @@ Matrix SyntheticAffinity(const std::vector<int>& truth, int num_good,
         } else {
           v = rng->Uniform();
         }
-        a(i, static_cast<int64_t>(f) * n + j) = v;
+        a(i, static_cast<int64_t>(f) * n + j) = static_cast<float>(v);
       }
     }
   }
@@ -457,16 +459,17 @@ TEST(HierarchicalTest, FitBlocksRejectsMalformedStreams) {
   Rng rng(37);
   const std::vector<int> truth = AlternatingTruth(10);
   const Matrix a = SyntheticAffinity(truth, 2, 1, 0.1, &rng);
+  const std::vector<float> columns(a.data(), a.data() + a.size());
   HierarchicalLabeler labeler{HierarchicalConfig{}};
   auto fit = [&](std::vector<std::vector<int64_t>> function_blocks,
-                 const Matrix* columns) {
+                 int64_t stride) {
     size_t next = 0;
     return labeler
-        .FitBlocks<double>(
+        .FitBlocks(
             10, 3,
-            [&](AffinityBlock<double>* block) {
-              block->data = columns->data();
-              block->stride = columns->cols();
+            [&](AffinityBlock* block) {
+              block->data = columns.data();
+              block->stride = stride;
               block->functions.clear();
               if (next < function_blocks.size()) {
                 block->functions = function_blocks[next++];
@@ -476,12 +479,13 @@ TEST(HierarchicalTest, FitBlocksRejectsMalformedStreams) {
             {0, 1}, {0, 1}, 2)
         .status();
   };
-  EXPECT_TRUE(fit({{0, 1}, {2}}, &a).ok());
-  EXPECT_EQ(fit({{0, 1}}, &a).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(fit({{0, 1}, {1, 2}}, &a).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(fit({{0, 1, 2, 3}}, &a).code(), StatusCode::kInvalidArgument);
-  const Matrix narrow = a.Block(0, 0, 10, 20);
-  EXPECT_EQ(fit({{0, 1, 2}}, &narrow).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fit({{0, 1}, {2}}, a.cols()).ok());
+  EXPECT_EQ(fit({{0, 1}}, a.cols()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fit({{0, 1}, {1, 2}}, a.cols()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fit({{0, 1, 2, 3}}, a.cols()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fit({{0, 1, 2}}, 20).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(HierarchicalTest, RejectsMalformedAffinity) {
@@ -489,6 +493,36 @@ TEST(HierarchicalTest, RejectsMalformedAffinity) {
   EXPECT_FALSE(labeler.Fit(Matrix(), {}, {}, 2).ok());
   // Width not a multiple of N.
   EXPECT_FALSE(labeler.Fit(Matrix(4, 7), {}, {}, 2).ok());
+  // N rows and no affinity function, with and without the ensemble.
+  for (const bool use_ensemble : {true, false}) {
+    HierarchicalConfig config;
+    config.use_ensemble = use_ensemble;
+    const Status status =
+        HierarchicalLabeler{config}.Fit(Matrix(4, 0), {0, 1}, {0, 1}, 2)
+            .status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "use_ensemble=" << use_ensemble << ": " << status;
+    EXPECT_NE(status.message().find("affinity function"), std::string::npos)
+        << status;
+  }
+}
+
+// The base layer fits floats, so Fit refuses an entry that no float holds
+// exactly (NaN and out-of-range values among them) instead of rounding it.
+TEST(HierarchicalTest, FitRejectsEntriesThatAreNotFloats) {
+  Rng rng(41);
+  const std::vector<int> truth = AlternatingTruth(10);
+  const Matrix a = SyntheticAffinity(truth, 2, 1, 0.1, &rng);
+  HierarchicalLabeler labeler{HierarchicalConfig{}};
+  ASSERT_TRUE(labeler.Fit(a, {0, 1}, {0, 1}, 2).ok());
+  for (const double bad : {0.1, std::nan(""), 1e300}) {
+    Matrix b = a;
+    b(7, 23) = bad;
+    const Status status = labeler.Fit(b, {0, 1}, {0, 1}, 2).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << bad << ": " << status;
+    EXPECT_NE(status.message().find("(7, 23)"), std::string::npos) << status;
+  }
 }
 
 TEST(HierarchicalTest, ThreeClassInference) {
