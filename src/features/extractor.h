@@ -22,7 +22,7 @@ namespace goggles::features {
 ///
 /// Extraction entry points are thread-safe and run concurrently: they go
 /// through the backbone's const inference path
-/// (Sequential::ForwardWithTaps const), which keeps all scratch state in
+/// (Sequential::ForwardTaps), which keeps all scratch state in
 /// the call instead of in the layers. N serving sessions sharing one
 /// extractor therefore scale with cores — there is no forward mutex — and
 /// concurrent extraction is bit-identical to a serial run. Mutating the

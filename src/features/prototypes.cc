@@ -53,18 +53,4 @@ std::vector<Prototype> ExtractTopZPrototypes(const Tensor& filter_map, int z) {
   return prototypes;
 }
 
-std::vector<std::vector<float>> AllPositionVectors(const Tensor& filter_map) {
-  const int64_t c = filter_map.dim(0);
-  const int64_t area = filter_map.dim(1) * filter_map.dim(2);
-  std::vector<std::vector<float>> out(static_cast<size_t>(area));
-  for (int64_t p = 0; p < area; ++p) {
-    auto& vec = out[static_cast<size_t>(p)];
-    vec.resize(static_cast<size_t>(c));
-    for (int64_t ch = 0; ch < c; ++ch) {
-      vec[static_cast<size_t>(ch)] = filter_map[ch * area + p];
-    }
-  }
-  return out;
-}
-
 }  // namespace goggles::features

@@ -31,8 +31,4 @@ struct Prototype {
 /// (duplicates are dropped, keeping the first/highest-activation one).
 std::vector<Prototype> ExtractTopZPrototypes(const Tensor& filter_map, int z);
 
-/// \brief All positional vectors of a filter map: H*W rows of length C
-/// (row index = h * W + w). This is the "all prototypes" set rho_i of §3.1.
-std::vector<std::vector<float>> AllPositionVectors(const Tensor& filter_map);
-
 }  // namespace goggles::features

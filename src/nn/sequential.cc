@@ -23,27 +23,6 @@ Result<Tensor> Sequential::Forward(const Tensor& x) const {
   return cur;
 }
 
-Result<Tensor> Sequential::ForwardWithTaps(const Tensor& x,
-                                           const std::vector<int>& tap_layers,
-                                           std::vector<Tensor>* taps) {
-  taps->clear();
-  taps->reserve(tap_layers.size());
-  size_t next_tap = 0;
-  Tensor cur = x;
-  for (int i = 0; i < num_layers(); ++i) {
-    GOGGLES_ASSIGN_OR_RETURN(cur, layers_[static_cast<size_t>(i)]->Forward(cur));
-    if (next_tap < tap_layers.size() && tap_layers[next_tap] == i) {
-      taps->push_back(cur);
-      ++next_tap;
-    }
-  }
-  if (next_tap != tap_layers.size()) {
-    return Status::InvalidArgument(
-        "ForwardWithTaps: tap_layers must be ascending valid layer indices");
-  }
-  return cur;
-}
-
 Status Sequential::ForwardTaps(const Tensor& x,
                                const std::vector<int>& tap_layers,
                                std::vector<Tensor>* taps) const {
@@ -68,17 +47,6 @@ Status Sequential::ForwardTaps(const Tensor& x,
     }
   }
   return Status::OK();
-}
-
-Result<Tensor> Sequential::ForwardUpTo(const Tensor& x, int upto_layer) {
-  if (upto_layer < 0 || upto_layer >= num_layers()) {
-    return Status::OutOfRange("ForwardUpTo: layer index out of range");
-  }
-  Tensor cur = x;
-  for (int i = 0; i <= upto_layer; ++i) {
-    GOGGLES_ASSIGN_OR_RETURN(cur, layers_[static_cast<size_t>(i)]->Forward(cur));
-  }
-  return cur;
 }
 
 Result<Tensor> Sequential::Backward(const Tensor& grad_output) {

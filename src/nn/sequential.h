@@ -44,24 +44,16 @@ class Sequential {
   /// concurrently. Backward must not follow this call.
   Result<Tensor> Forward(const Tensor& x) const;
 
-  /// \brief Forward pass that also captures the outputs of `tap_layers`
-  /// (indices into the layer stack, ascending). `taps[i]` receives the
-  /// output of layer `tap_layers[i]`.
-  Result<Tensor> ForwardWithTaps(const Tensor& x,
-                                 const std::vector<int>& tap_layers,
-                                 std::vector<Tensor>* taps);
-
   /// \brief Thread-safe taps-only inference: runs layers [0, last tap]
-  /// and captures the requested outputs, skipping everything after the
-  /// last tap. Besides saving the unused tail compute (feature extraction
-  /// discards the classifier head's output), this accepts any input
-  /// resolution the tapped prefix supports — e.g. conv/pool filter maps
-  /// for images larger than the classifier head was sized for.
+  /// and captures the outputs of `tap_layers` (indices into the layer
+  /// stack, strictly ascending; `taps[i]` receives the output of layer
+  /// `tap_layers[i]`), skipping everything after the last tap. Besides
+  /// saving the unused tail compute (feature extraction discards the
+  /// classifier head's output), this accepts any input resolution the
+  /// tapped prefix supports — e.g. conv/pool filter maps for images
+  /// larger than the classifier head was sized for.
   Status ForwardTaps(const Tensor& x, const std::vector<int>& tap_layers,
                      std::vector<Tensor>* taps) const;
-
-  /// \brief Forward only through layers [0, upto_layer] inclusive.
-  Result<Tensor> ForwardUpTo(const Tensor& x, int upto_layer);
 
   /// \brief Backward pass through every layer (after a full Forward).
   Result<Tensor> Backward(const Tensor& grad_output);

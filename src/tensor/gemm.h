@@ -35,8 +35,8 @@
 /// std::fma, which is correctly rounded whether it lowers to the hardware
 /// instruction or the library fallback. Results are therefore bit-portable
 /// across machines, compile flags and runtime ISA tiers: the kernels are
-/// compiled once per ISA tier (scalar/SSE2/AVX2/AVX-512/NEON translation
-/// units, see isa.h) and dispatched at startup, and every tier reproduces
+/// compiled once per ISA tier (scalar/AVX2/AVX-512 translation units, see
+/// isa.h) and dispatched at startup, and every tier reproduces
 /// the same bits as a scalar loop applying std::fma in the same chunked
 /// order — the contract the retained scalar references (SGemmReference,
 /// DGemmReference) are built on, and what lets one portable binary and
@@ -63,10 +63,9 @@ void SGemm(bool transpose_a, bool transpose_b, int64_t m, int64_t n, int64_t k,
 
 /// \brief SGemm with an explicit worker-thread count.
 ///
-/// `num_threads <= 0` resolves to DefaultNumThreads(). Pass 1 to force a
-/// serial run — e.g. from code that already parallelizes at a coarser
-/// granularity (per-image conv batching) and must not oversubscribe.
-/// Results are bit-identical for every thread count.
+/// `num_threads <= 0` resolves to DefaultNumThreads(); 1 forces a serial
+/// run. The GEMM tests call it to check that results are bit-identical
+/// for every thread count.
 void SGemmWithThreads(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                       int64_t k, float alpha, const float* a, int64_t lda,
                       const float* b, int64_t ldb, float beta, float* c,

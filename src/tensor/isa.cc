@@ -25,14 +25,10 @@ const char* IsaTierName(IsaTier tier) {
   switch (tier) {
     case IsaTier::kScalar:
       return "scalar";
-    case IsaTier::kSse2:
-      return "sse2";
     case IsaTier::kAvx2:
       return "avx2";
     case IsaTier::kAvx512:
       return "avx512";
-    case IsaTier::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -50,17 +46,11 @@ bool ParseIsaTierName(const std::string& name, IsaTier* out) {
 
 uint32_t CompiledIsaMask() {
   uint32_t mask = IsaTierBit(IsaTier::kScalar);
-#if defined(GOGGLES_ISA_HAVE_SSE2)
-  mask |= IsaTierBit(IsaTier::kSse2);
-#endif
 #if defined(GOGGLES_ISA_HAVE_AVX2)
   mask |= IsaTierBit(IsaTier::kAvx2);
 #endif
 #if defined(GOGGLES_ISA_HAVE_AVX512)
   mask |= IsaTierBit(IsaTier::kAvx512);
-#endif
-#if defined(GOGGLES_ISA_HAVE_NEON)
-  mask |= IsaTierBit(IsaTier::kNeon);
 #endif
   return mask;
 }
@@ -68,7 +58,6 @@ uint32_t CompiledIsaMask() {
 uint32_t HostIsaMask() {
   uint32_t mask = IsaTierBit(IsaTier::kScalar);
 #if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("sse2")) mask |= IsaTierBit(IsaTier::kSse2);
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     mask |= IsaTierBit(IsaTier::kAvx2);
   }
@@ -78,9 +67,6 @@ uint32_t HostIsaMask() {
       __builtin_cpu_supports("avx512vl")) {
     mask |= IsaTierBit(IsaTier::kAvx512);
   }
-#elif defined(__aarch64__)
-  // NEON (with fused multiply-add) is part of the aarch64 base ISA.
-  mask |= IsaTierBit(IsaTier::kNeon);
 #endif
   return mask;
 }
@@ -108,7 +94,7 @@ IsaTier ResolveIsaRequest(const std::string& request, uint32_t host_mask,
     } else {
       GOGGLES_LOG(WARNING)
           << "GOGGLES_ISA=\"" << request
-          << "\" is not a tier name (scalar|sse2|avx2|avx512|neon); "
+          << "\" is not a tier name (scalar|avx2|avx512); "
              "using auto-detection";
     }
   }
@@ -185,10 +171,6 @@ const TensorKernels* KernelsForTier(IsaTier tier) {
   switch (tier) {
     case IsaTier::kScalar:
       return &isa_impl::scalar::GetKernels();
-#if defined(GOGGLES_ISA_HAVE_SSE2)
-    case IsaTier::kSse2:
-      return &isa_impl::sse2::GetKernels();
-#endif
 #if defined(GOGGLES_ISA_HAVE_AVX2)
     case IsaTier::kAvx2:
       return &isa_impl::avx2::GetKernels();
@@ -196,10 +178,6 @@ const TensorKernels* KernelsForTier(IsaTier tier) {
 #if defined(GOGGLES_ISA_HAVE_AVX512)
     case IsaTier::kAvx512:
       return &isa_impl::avx512::GetKernels();
-#endif
-#if defined(GOGGLES_ISA_HAVE_NEON)
-    case IsaTier::kNeon:
-      return &isa_impl::neon::GetKernels();
 #endif
     default:
       return nullptr;

@@ -7,7 +7,7 @@
 /// \brief Runtime ISA dispatch for the tensor kernel core.
 ///
 /// The packed GEMM / conv / reduction kernels are compiled once per ISA
-/// tier (scalar baseline, SSE2, AVX2, AVX-512, NEON), each translation
+/// tier (scalar baseline, AVX2, AVX-512), each translation
 /// unit built with its own -m flags, and one tier is selected at startup
 /// from a cpuid probe of the host. A portable binary (built with
 /// GOGGLES_NATIVE_ARCH=OFF, the default) therefore runs on any host of
@@ -22,7 +22,7 @@
 /// tier choice is a pure speed knob, never a numerics knob.
 ///
 /// Selection order:
-///  1. `GOGGLES_ISA=scalar|sse2|avx2|avx512|neon` forces a tier. An
+///  1. `GOGGLES_ISA=scalar|avx2|avx512` forces a tier. An
 ///     unknown value warns and falls back to auto-detection; a known tier
 ///     the binary lacks or the host cannot execute warns and falls back
 ///     to the best available tier.
@@ -31,25 +31,24 @@
 
 namespace goggles {
 
-/// \brief The ISA tiers a binary can carry, ascending by capability
-/// within an architecture (kNeon is the aarch64 baseline vector tier).
+/// \brief The ISA tiers a binary can carry, ascending by capability.
+/// kScalar is compiled at the architecture baseline (SSE2 vectors on
+/// x86-64, NEON on aarch64) and is the only tier on aarch64.
 enum class IsaTier : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
-  kNeon = 4,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
-inline constexpr int kNumIsaTiers = 5;
+inline constexpr int kNumIsaTiers = 3;
 
 /// \brief Bit for `tier` in the availability masks below.
 inline constexpr uint32_t IsaTierBit(IsaTier tier) {
   return 1u << static_cast<int>(tier);
 }
 
-/// \brief Lower-case tier name ("scalar", "sse2", "avx2", "avx512",
-/// "neon") — the exact spelling GOGGLES_ISA accepts.
+/// \brief Lower-case tier name ("scalar", "avx2", "avx512") — the exact
+/// spelling GOGGLES_ISA accepts.
 const char* IsaTierName(IsaTier tier);
 
 /// \brief Strict parse of a GOGGLES_ISA value. Returns false (leaving
@@ -60,8 +59,8 @@ bool ParseIsaTierName(const std::string& name, IsaTier* out);
 /// Always contains kScalar.
 uint32_t CompiledIsaMask();
 
-/// \brief Tiers the host CPU can execute (cpuid-probed on x86; the
-/// architecture baseline elsewhere). Always contains kScalar.
+/// \brief Tiers the host CPU can execute (cpuid-probed on x86; kScalar
+/// alone elsewhere). Always contains kScalar.
 uint32_t HostIsaMask();
 
 /// \brief Pure tier-selection policy, factored out for tests: picks

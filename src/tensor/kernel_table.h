@@ -74,11 +74,6 @@ namespace isa_impl {
 namespace scalar {
 const TensorKernels& GetKernels();
 }
-#if defined(GOGGLES_ISA_HAVE_SSE2)
-namespace sse2 {
-const TensorKernels& GetKernels();
-}
-#endif
 #if defined(GOGGLES_ISA_HAVE_AVX2)
 namespace avx2 {
 const TensorKernels& GetKernels();
@@ -86,11 +81,6 @@ const TensorKernels& GetKernels();
 #endif
 #if defined(GOGGLES_ISA_HAVE_AVX512)
 namespace avx512 {
-const TensorKernels& GetKernels();
-}
-#endif
-#if defined(GOGGLES_ISA_HAVE_NEON)
-namespace neon {
 const TensorKernels& GetKernels();
 }
 #endif

@@ -149,7 +149,6 @@ Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
   // way.
   const int total_threads = EffectiveNumThreads();
   const bool image_parallel = total_threads > 1 && n >= total_threads;
-  const int gemm_threads = image_parallel ? 1 : 0;
 
   // Fused batched-inference path: when the images run serially anyway
   // (single thread, nested-parallel collapse, or a batch narrower than
@@ -201,10 +200,9 @@ Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
           Im2Col(x.data() + i * c * h * wd, c, h, wd, kh, kw, params.stride,
                  params.pad, col.data());
           // y_i [oc, out_area] = w [oc, col_rows] * col [col_rows, out_area]
-          SGemmWithThreads(false, false, oc, out_area, col_rows, 1.0f,
-                           w.data(), col_rows, col.data(), out_area, 0.0f,
-                           y.data() + i * oc * out_area, out_area,
-                           gemm_threads);
+          SGemm(false, false, oc, out_area, col_rows, 1.0f, w.data(),
+                col_rows, col.data(), out_area, 0.0f,
+                y.data() + i * oc * out_area, out_area);
           float* yi = y.data() + i * oc * out_area;
           for (int64_t o = 0; o < oc; ++o) {
             const float bias = b[o];
@@ -467,23 +465,6 @@ Result<SoftmaxCrossEntropyResult> SoftmaxCrossEntropy(const Tensor& logits,
   }
   result.loss = loss / static_cast<double>(n);
   return result;
-}
-
-Result<Tensor> GlobalMaxPool(const Tensor& x) {
-  if (x.ndim() != 4) {
-    return Status::InvalidArgument("global max pool: x must be NCHW");
-  }
-  const int64_t n = x.dim(0), c = x.dim(1), area = x.dim(2) * x.dim(3);
-  Tensor y({n, c});
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (i * c + ch) * area;
-      float best = plane[0];
-      for (int64_t p = 1; p < area; ++p) best = std::max(best, plane[p]);
-      y.At2(i, ch) = best;
-    }
-  }
-  return y;
 }
 
 }  // namespace goggles

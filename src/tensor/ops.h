@@ -131,7 +131,4 @@ struct SoftmaxCrossEntropyResult {
 Result<SoftmaxCrossEntropyResult> SoftmaxCrossEntropy(const Tensor& logits,
                                                       const Tensor& targets);
 
-/// \brief Per-channel global max pooling: [N, C, H, W] -> [N, C].
-Result<Tensor> GlobalMaxPool(const Tensor& x);
-
 }  // namespace goggles

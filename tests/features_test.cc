@@ -68,16 +68,6 @@ TEST(PrototypeTest, ZLargerThanChannelsClamps) {
   EXPECT_LE(protos.size(), 3u);
 }
 
-TEST(PrototypeTest, AllPositionVectorsLayout) {
-  Tensor fmap = Example4FilterMap();
-  std::vector<std::vector<float>> positions = AllPositionVectors(fmap);
-  ASSERT_EQ(positions.size(), 4u);  // H*W = 4
-  // Position (0,1) -> row 1 spans channels: {0.5, 0.7, 0.9}.
-  EXPECT_FLOAT_EQ(positions[1][0], 0.5f);
-  EXPECT_FLOAT_EQ(positions[1][1], 0.7f);
-  EXPECT_FLOAT_EQ(positions[1][2], 0.9f);
-}
-
 TEST(PrototypeTest, SingleChannelSinglePrototype) {
   Tensor fmap({1, 3, 3}, 0.0f);
   fmap[4] = 2.0f;  // center

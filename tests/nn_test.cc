@@ -79,28 +79,39 @@ TEST(SequentialTest, ForwardBackwardShapes) {
   EXPECT_EQ(dx->shape(), (std::vector<int64_t>{5, 2}));
 }
 
-TEST(SequentialTest, ForwardWithTapsCapturesIntermediates) {
-  Sequential net = MakeTinyNet(5);
+TEST(SequentialTest, ForwardTapsCapturesIntermediates) {
+  const Sequential net = MakeTinyNet(5);
   std::vector<Tensor> taps;
-  Result<Tensor> y = net.ForwardWithTaps(Tensor({3, 2}), {0, 1}, &taps);
-  ASSERT_TRUE(y.ok());
+  ASSERT_TRUE(net.ForwardTaps(Tensor({3, 2}), {0, 1}, &taps).ok());
   ASSERT_EQ(taps.size(), 2u);
   EXPECT_EQ(taps[0].shape(), (std::vector<int64_t>{3, 16}));
   EXPECT_EQ(taps[1].shape(), (std::vector<int64_t>{3, 16}));
 }
 
-TEST(SequentialTest, ForwardWithTapsRejectsBadIndices) {
-  Sequential net = MakeTinyNet(6);
+TEST(SequentialTest, ForwardTapsRejectsBadIndices) {
+  const Sequential net = MakeTinyNet(6);
   std::vector<Tensor> taps;
-  EXPECT_FALSE(net.ForwardWithTaps(Tensor({1, 2}), {7}, &taps).ok());
+  for (const std::vector<int>& bad :
+       {std::vector<int>{7}, std::vector<int>{-1}, std::vector<int>{1, 0},
+        std::vector<int>{0, 0}}) {
+    EXPECT_FALSE(net.ForwardTaps(Tensor({1, 2}), bad, &taps).ok());
+  }
 }
 
-TEST(SequentialTest, ForwardUpToStopsEarly) {
-  Sequential net = MakeTinyNet(7);
-  Result<Tensor> y = net.ForwardUpTo(Tensor({2, 2}), 0);
-  ASSERT_TRUE(y.ok());
-  EXPECT_EQ(y->shape(), (std::vector<int64_t>{2, 16}));
-  EXPECT_FALSE(net.ForwardUpTo(Tensor({2, 2}), 99).ok());
+TEST(SequentialTest, ForwardTapsStopsAtLastTap) {
+  // The head expects 4 inputs but gets 16, so only a pass that stops at
+  // the last tap succeeds.
+  Rng rng(7);
+  Sequential net;
+  net.Add(std::make_unique<Linear>(2, 16, &rng));
+  net.Add(std::make_unique<ReLU>());
+  net.Add(std::make_unique<Linear>(4, 2, &rng));
+  const Sequential& inference = net;
+  std::vector<Tensor> taps;
+  ASSERT_TRUE(inference.ForwardTaps(Tensor({2, 2}), {0}, &taps).ok());
+  ASSERT_EQ(taps.size(), 1u);
+  EXPECT_EQ(taps[0].shape(), (std::vector<int64_t>{2, 16}));
+  EXPECT_FALSE(inference.Forward(Tensor({2, 2})).ok());
 }
 
 /// A linearly-separable 2-D two-class problem.
@@ -201,9 +212,12 @@ TEST(VggTest, BuilderShapesAndTaps) {
   EXPECT_EQ(model->pool_layer_indices.size(), 5u);
   EXPECT_EQ(model->feature_dim, 16);  // 16 channels * 1 * 1
 
+  const Sequential& net = model->net;
   std::vector<Tensor> taps;
-  Result<Tensor> logits = model->net.ForwardWithTaps(
-      Tensor({2, 3, 32, 32}), model->pool_layer_indices, &taps);
+  ASSERT_TRUE(
+      net.ForwardTaps(Tensor({2, 3, 32, 32}), model->pool_layer_indices, &taps)
+          .ok());
+  Result<Tensor> logits = net.Forward(Tensor({2, 3, 32, 32}));
   ASSERT_TRUE(logits.ok());
   EXPECT_EQ(logits->shape(), (std::vector<int64_t>{2, 16}));
   ASSERT_EQ(taps.size(), 5u);

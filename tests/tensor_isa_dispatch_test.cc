@@ -10,6 +10,7 @@
 #include "linalg/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "util/env.h"
 #include "util/rng.h"
 
 /// \file tensor_isa_dispatch_test.cc
@@ -56,23 +57,21 @@ std::vector<double> RandomVecD(size_t size, Rng* rng) {
 // ---------------------------------------------------------------------------
 
 TEST(IsaParsing, AcceptsExactTierNames) {
-  IsaTier tier = IsaTier::kScalar;
+  IsaTier tier = IsaTier::kAvx512;
   EXPECT_TRUE(ParseIsaTierName("scalar", &tier));
   EXPECT_EQ(tier, IsaTier::kScalar);
-  EXPECT_TRUE(ParseIsaTierName("sse2", &tier));
-  EXPECT_EQ(tier, IsaTier::kSse2);
   EXPECT_TRUE(ParseIsaTierName("avx2", &tier));
   EXPECT_EQ(tier, IsaTier::kAvx2);
   EXPECT_TRUE(ParseIsaTierName("avx512", &tier));
   EXPECT_EQ(tier, IsaTier::kAvx512);
-  EXPECT_TRUE(ParseIsaTierName("neon", &tier));
-  EXPECT_EQ(tier, IsaTier::kNeon);
 }
 
 TEST(IsaParsing, RejectsEverythingElse) {
   IsaTier tier = IsaTier::kAvx2;
+  // "sse2" and "neon" are host CPU flags, not tiers: the scalar tier is
+  // built at that baseline.
   for (const char* bad : {"", "AVX2", "avx-512", "avx512f", "native", "auto",
-                          "scalar ", " sse2", "sse", "3"}) {
+                          "scalar ", " avx2", "sse2", "neon", "sse", "2"}) {
     EXPECT_FALSE(ParseIsaTierName(bad, &tier)) << "accepted: '" << bad << "'";
     EXPECT_EQ(tier, IsaTier::kAvx2) << "clobbered out param on '" << bad << "'";
   }
@@ -80,15 +79,13 @@ TEST(IsaParsing, RejectsEverythingElse) {
 
 TEST(IsaResolution, AutoPicksHighestUsableTier) {
   const uint32_t scalar = IsaTierBit(IsaTier::kScalar);
-  const uint32_t sse2 = IsaTierBit(IsaTier::kSse2);
   const uint32_t avx2 = IsaTierBit(IsaTier::kAvx2);
   const uint32_t avx512 = IsaTierBit(IsaTier::kAvx512);
-  EXPECT_EQ(ResolveIsaTier(false, IsaTier::kScalar, scalar | sse2 | avx2,
-                           scalar | sse2 | avx2),
+  EXPECT_EQ(ResolveIsaTier(false, IsaTier::kScalar, scalar | avx2,
+                           scalar | avx2),
             IsaTier::kAvx2);
-  EXPECT_EQ(ResolveIsaTier(false, IsaTier::kScalar,
-                           scalar | sse2 | avx2 | avx512,
-                           scalar | sse2 | avx2 | avx512),
+  EXPECT_EQ(ResolveIsaTier(false, IsaTier::kScalar, scalar | avx2 | avx512,
+                           scalar | avx2 | avx512),
             IsaTier::kAvx512);
   EXPECT_EQ(ResolveIsaTier(false, IsaTier::kScalar, scalar, scalar),
             IsaTier::kScalar);
@@ -96,8 +93,9 @@ TEST(IsaResolution, AutoPicksHighestUsableTier) {
 
 TEST(IsaResolution, HonorsUsableRequest) {
   const uint32_t all = IsaTierBit(IsaTier::kScalar) |
-                       IsaTierBit(IsaTier::kSse2) | IsaTierBit(IsaTier::kAvx2);
-  EXPECT_EQ(ResolveIsaTier(true, IsaTier::kSse2, all, all), IsaTier::kSse2);
+                       IsaTierBit(IsaTier::kAvx2) |
+                       IsaTierBit(IsaTier::kAvx512);
+  EXPECT_EQ(ResolveIsaTier(true, IsaTier::kAvx2, all, all), IsaTier::kAvx2);
   EXPECT_EQ(ResolveIsaTier(true, IsaTier::kScalar, all, all),
             IsaTier::kScalar);
 }
@@ -105,11 +103,10 @@ TEST(IsaResolution, HonorsUsableRequest) {
 TEST(IsaResolution, BinaryCarriesTierHostLacks) {
   // A fat binary with AVX-512 kernels on an AVX2-only host: both the
   // explicit request and auto-detection must degrade to AVX2.
-  const uint32_t compiled =
-      IsaTierBit(IsaTier::kScalar) | IsaTierBit(IsaTier::kSse2) |
-      IsaTierBit(IsaTier::kAvx2) | IsaTierBit(IsaTier::kAvx512);
+  const uint32_t compiled = IsaTierBit(IsaTier::kScalar) |
+                            IsaTierBit(IsaTier::kAvx2) |
+                            IsaTierBit(IsaTier::kAvx512);
   const uint32_t host = IsaTierBit(IsaTier::kScalar) |
-                        IsaTierBit(IsaTier::kSse2) |
                         IsaTierBit(IsaTier::kAvx2);
   EXPECT_EQ(ResolveIsaTier(true, IsaTier::kAvx512, host, compiled),
             IsaTier::kAvx2);
@@ -121,8 +118,8 @@ TEST(IsaResolution, HostTierNotCompiledIn) {
   // The mirror case: a lean binary (scalar only) on a capable host.
   const uint32_t compiled = IsaTierBit(IsaTier::kScalar);
   const uint32_t host = IsaTierBit(IsaTier::kScalar) |
-                        IsaTierBit(IsaTier::kSse2) |
-                        IsaTierBit(IsaTier::kAvx2);
+                        IsaTierBit(IsaTier::kAvx2) |
+                        IsaTierBit(IsaTier::kAvx512);
   EXPECT_EQ(ResolveIsaTier(true, IsaTier::kAvx2, host, compiled),
             IsaTier::kScalar);
   EXPECT_EQ(ResolveIsaTier(false, IsaTier::kScalar, host, compiled),
@@ -132,15 +129,18 @@ TEST(IsaResolution, HostTierNotCompiledIn) {
 TEST(IsaResolution, RequestStringPath) {
   // ResolveIsaRequest is the exact env-handling path of ActiveIsaTier().
   const uint32_t usable = IsaTierBit(IsaTier::kScalar) |
-                          IsaTierBit(IsaTier::kSse2);
-  EXPECT_EQ(ResolveIsaRequest("sse2", usable, usable), IsaTier::kSse2);
+                          IsaTierBit(IsaTier::kAvx2);
+  EXPECT_EQ(ResolveIsaRequest("avx2", usable, usable), IsaTier::kAvx2);
   EXPECT_EQ(ResolveIsaRequest("scalar", usable, usable), IsaTier::kScalar);
-  // Unknown value: warn + auto (highest usable), never a crash.
-  EXPECT_EQ(ResolveIsaRequest("fastest-please", usable, usable),
-            IsaTier::kSse2);
-  EXPECT_EQ(ResolveIsaRequest("", usable, usable), IsaTier::kSse2);
+  // Unknown value: warn + auto (highest usable), never a crash. "sse2"
+  // and "neon" are host CPU flags, not tiers, so they are unknown too.
+  for (const char* unknown : {"fastest-please", "sse2", "neon"}) {
+    EXPECT_EQ(ResolveIsaRequest(unknown, usable, usable), IsaTier::kAvx2)
+        << unknown;
+  }
+  EXPECT_EQ(ResolveIsaRequest("", usable, usable), IsaTier::kAvx2);
   // Known tier the binary/host cannot run: warn + best usable.
-  EXPECT_EQ(ResolveIsaRequest("avx512", usable, usable), IsaTier::kSse2);
+  EXPECT_EQ(ResolveIsaRequest("avx512", usable, usable), IsaTier::kAvx2);
 }
 
 TEST(IsaRuntime, MasksAndActiveTierAreCoherent) {
@@ -152,6 +152,17 @@ TEST(IsaRuntime, MasksAndActiveTierAreCoherent) {
   EXPECT_NE((compiled & host) & IsaTierBit(active), 0u);
   EXPECT_FALSE(std::string(IsaTierName(active)).empty());
   EXPECT_FALSE(HostCpuFlagsString().empty());
+}
+
+TEST(IsaRuntime, ForcedTierResolvesToItsName) {
+  // A suite run under GOGGLES_ISA=<tier> must really run that tier: an
+  // unknown or unusable value would only warn and run the fallback tier
+  // under the forced tier's name.
+  const std::string request = GetEnvOr("GOGGLES_ISA", "");
+  if (request.empty()) GTEST_SKIP() << "GOGGLES_ISA is unset";
+  EXPECT_EQ(IsaTierName(ResolveIsaRequest(request, HostIsaMask(),
+                                          CompiledIsaMask())),
+            request);
 }
 
 TEST(IsaRuntime, ForceIsaTierRejectsUnusableTier) {

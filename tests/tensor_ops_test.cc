@@ -306,14 +306,5 @@ TEST(SoftmaxCrossEntropyTest, GradientIsProbMinusTarget) {
   }
 }
 
-TEST(GlobalMaxPoolTest, PerChannelMaximum) {
-  Tensor x({1, 2, 2, 2});
-  for (int i = 0; i < 8; ++i) x[i] = static_cast<float>(i);
-  Result<Tensor> y = GlobalMaxPool(x);
-  ASSERT_TRUE(y.ok());
-  EXPECT_FLOAT_EQ(y->At2(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(y->At2(0, 1), 7.0f);
-}
-
 }  // namespace
 }  // namespace goggles
