@@ -1,6 +1,7 @@
 /// \file bench_micro_kernels.cc
 /// \brief google-benchmark microbenchmarks for the computational kernels
-/// behind the paper's pipeline: GEMM/conv (backbone), prototype affinity
+/// behind the paper's pipeline: GEMM/conv and the packed backbone forward
+/// (per stage and whole), prototype affinity
 /// scoring (§3.2), base-GMM and Bernoulli-ensemble EM (§4.2), one-row
 /// inference through the fitted §4 stack (the serve infer stage), the
 /// assignment solver for cluster mapping (§4.3), the theory DP (§4.4),
@@ -11,6 +12,7 @@
 
 #include "baselines/kmeans.h"
 #include "data/raster.h"
+#include "features/extractor.h"
 #include "features/hog.h"
 #include "goggles/base_gmm.h"
 #include "goggles/ensemble.h"
@@ -19,6 +21,8 @@
 #include "linalg/hungarian.h"
 #include "linalg/kernels.h"
 #include "linalg/svd.h"
+#include "nn/layers.h"
+#include "nn/vgg.h"
 #include "tensor/gemm.h"
 #include "tensor/isa.h"
 #include "tensor/ops.h"
@@ -103,6 +107,97 @@ void BM_Conv2dBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMillisecond);
+
+/// The default VggMini (3x32x32 input, stages of 8/16/32/48/64 channels)
+/// with every conv bias drawn nonzero, as a trained backbone has them.
+nn::VggMini RandomBiasBackbone() {
+  Result<nn::VggMini> model = nn::BuildVggMini(nn::VggMiniConfig{});
+  model.status().Abort("BuildVggMini");
+  Rng rng(9);
+  for (nn::Parameter* p : model->net.Params()) {
+    if (p->name != "conv.bias") continue;
+    for (int64_t i = 0; i < p->value.NumElements(); ++i) {
+      p->value[i] = static_cast<float>(rng.Gaussian(0.0, 0.1));
+    }
+  }
+  return std::move(*model);
+}
+
+data::Image RandomImage(int channels, int size, uint64_t seed) {
+  Rng rng(seed);
+  data::Image img(channels, size, size);
+  for (float& v : img.pixels) v = static_cast<float>(rng.Uniform());
+  return img;
+}
+
+/// One stage of the extractor's packed plan on one image, serially: stage
+/// s's prepacked 3x3 conv, bias, ReLU and 2x2 max pool, fused in one
+/// Conv3x3BiasReluPool call, on the previous stage's tap of a random
+/// image. Arg = stage.
+void BM_BackboneStage(benchmark::State& state) {
+  const int stage = static_cast<int>(state.range(0));
+  const nn::VggMini model = RandomBiasBackbone();
+  const auto* conv = dynamic_cast<const nn::Conv2D*>(model.net.layer(3 * stage));
+  if (conv == nullptr) {
+    state.SkipWithError("stage layout");
+    return;
+  }
+  const data::Image image = RandomImage(3, 32, 10);
+  Tensor in = data::StackImages({image});
+  if (stage > 0) {
+    std::vector<Tensor> taps;
+    model.net.ForwardTaps(in, {model.pool_layer_indices[stage - 1]}, &taps)
+        .Abort("ForwardTaps");
+    in = taps[0];
+  }
+  const int64_t c = in.dim(1), h = in.dim(2), w = in.dim(3);
+  const int64_t oc = conv->out_channels(), depth = c * 9;
+  std::vector<float> panel(
+      static_cast<size_t>(PrototypePanelFloats(oc, depth)), 0.0f);
+  PackPrototypePanel(conv->weight().data(), oc, depth, 0, panel.data());
+  std::vector<float> scratch(
+      static_cast<size_t>(Conv3x3ScratchFloats(c, h, w, oc, true)));
+  std::vector<float> out(static_cast<size_t>(oc * (h / 2) * (w / 2)));
+  ScopedSerialKernels serial;
+  for (auto _ : state) {
+    Conv3x3BiasReluPool(in.data(), c, h, w, panel.data(),
+                        conv->bias().data(), oc, /*pool=*/true,
+                        scratch.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(oc * depth * h * w),
+      benchmark::Counter::kIsIterationInvariantRate,
+      benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_BackboneStage)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
+
+/// All five pool taps of one 3x32x32 image, serially. Arg 0 runs the
+/// backbone layer by layer (Sequential::ForwardTaps: im2col + SGemm conv,
+/// then separate ReLU and max-pool passes); Arg 1 runs the extractor's
+/// packed plan (FeatureExtractor::PoolFeatureMaps).
+void BM_BackboneForward(benchmark::State& state) {
+  nn::VggMini model = RandomBiasBackbone();
+  const data::Image image = RandomImage(3, 32, 11);
+  ScopedSerialKernels serial;
+  if (state.range(0) == 0) {
+    const Tensor x = data::StackImages({image});
+    std::vector<Tensor> taps;
+    for (auto _ : state) {
+      model.net.ForwardTaps(x, model.pool_layer_indices, &taps)
+          .Abort("ForwardTaps");
+      benchmark::DoNotOptimize(taps.data());
+    }
+    return;
+  }
+  const features::FeatureExtractor extractor(std::move(model));
+  const std::vector<data::Image> images = {image};
+  for (auto _ : state) {
+    auto maps = extractor.PoolFeatureMaps(images);
+    benchmark::DoNotOptimize(maps.ok());
+  }
+}
+BENCHMARK(BM_BackboneForward)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_CosineKernel(benchmark::State& state) {
   const int64_t d = state.range(0);

@@ -30,14 +30,6 @@ Tensor StackImages(const std::vector<Image>& images) {
   return out;
 }
 
-Tensor StackImageSubset(const std::vector<Image>& images,
-                        const std::vector<int>& indices) {
-  std::vector<Image> subset;
-  subset.reserve(indices.size());
-  for (int idx : indices) subset.push_back(images[static_cast<size_t>(idx)]);
-  return StackImages(subset);
-}
-
 void ClampImage(Image* img) {
   for (float& v : img->pixels) v = std::clamp(v, 0.0f, 1.0f);
 }

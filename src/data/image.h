@@ -37,10 +37,6 @@ struct Image {
 /// \brief Stacks images (all same shape) into an [N, C, H, W] tensor.
 Tensor StackImages(const std::vector<Image>& images);
 
-/// \brief Stacks a subset of images selected by `indices`.
-Tensor StackImageSubset(const std::vector<Image>& images,
-                        const std::vector<int>& indices);
-
 /// \brief Clamps all pixels to [0, 1].
 void ClampImage(Image* img);
 

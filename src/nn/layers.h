@@ -31,6 +31,10 @@ class Conv2D : public Layer {
   std::string name() const override { return "Conv2D"; }
 
   int64_t out_channels() const { return weight_.value.dim(0); }
+  /// [OC, C, KH, KW]; read by the packed inference plan (features/).
+  const Tensor& weight() const { return weight_.value; }
+  const Tensor& bias() const { return bias_.value; }
+  const Conv2dParams& params() const { return params_; }
 
  private:
   Conv2dParams params_;
@@ -48,6 +52,9 @@ class MaxPool2D : public Layer {
   Result<Tensor> ForwardInference(const Tensor& x) const override;
   Result<Tensor> Backward(const Tensor& grad_output) override;
   std::string name() const override { return "MaxPool2D"; }
+
+  int64_t kernel() const { return kernel_; }
+  int64_t stride() const { return stride_; }
 
  private:
   int64_t kernel_;

@@ -131,6 +131,12 @@ void DGemmWithPackedA(const DGemmPackedA& packed_a, bool transpose_b,
 /// last prototype are zero. The layout is the same at every ISA tier.
 inline constexpr int64_t kPrototypePanelCols = 16;
 
+/// \brief Tallest position tile (rows per register tile) of any tier's
+/// panel kernels (PrototypeMaxScores, Conv3x3BiasReluPool in ops.h):
+/// scratch sized for it fits every tier, so a forced tier switch between
+/// sizing and running cannot overrun it.
+inline constexpr int64_t kPanelTileRowsMax = 8;
+
 /// \brief Floats of a panel holding `num_protos` prototypes of `channels`.
 inline int64_t PrototypePanelFloats(int64_t num_protos, int64_t channels) {
   return (num_protos + kPrototypePanelCols - 1) / kPrototypePanelCols *

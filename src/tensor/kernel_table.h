@@ -38,6 +38,13 @@ struct TensorKernels {
   void (*prototype_max_scores)(const float* positions, int64_t area,
                                int64_t channels, const float* panel,
                                int64_t num_protos, float* best);
+  /// One prepacked conv + bias + ReLU (+ 2x2 max pool) of one image
+  /// (ops.h Conv3x3BiasReluPool).
+  void (*conv3x3_bias_relu_pool)(const float* x, int64_t channels,
+                                 int64_t height, int64_t width,
+                                 const float* panel, const float* bias,
+                                 int64_t out_channels, bool pool,
+                                 float* scratch, float* out);
   /// Lane-per-function mixture E-step products (gemm.h
   /// PanelStackProducts).
   void (*panel_stack_products)(const double* x, int64_t num_functions,

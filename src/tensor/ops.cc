@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "tensor/gemm.h"
+#include "tensor/kernel_table.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
 
@@ -212,6 +213,22 @@ Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
       },
       image_parallel ? total_threads : 1);
   return y;
+}
+
+int64_t Conv3x3ScratchFloats(int64_t channels, int64_t height, int64_t width,
+                             int64_t out_channels, bool pool) {
+  return channels * (height + 2) * (width + 2) +
+         kPanelTileRowsMax * channels * 9 +
+         (pool ? out_channels * height * width : 0);
+}
+
+void Conv3x3BiasReluPool(const float* x, int64_t channels, int64_t height,
+                         int64_t width, const float* panel, const float* bias,
+                         int64_t out_channels, bool pool, float* scratch,
+                         float* out) {
+  ActiveKernels().conv3x3_bias_relu_pool(x, channels, height, width, panel,
+                                         bias, out_channels, pool, scratch,
+                                         out);
 }
 
 Result<Conv2dGrads> Conv2dBackward(const Tensor& x, const Tensor& w,

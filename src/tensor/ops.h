@@ -57,6 +57,36 @@ void Col2Im(const float* col, int64_t channels, int64_t height, int64_t width,
 Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
                              const Conv2dParams& params);
 
+/// \brief Floats of `scratch` one Conv3x3BiasReluPool call needs: the
+/// zero-padded input, one position tile of packed patches (sized for the
+/// tallest tile of any ISA tier) and, when `pool`, the conv output the
+/// pool reads.
+int64_t Conv3x3ScratchFloats(int64_t channels, int64_t height, int64_t width,
+                             int64_t out_channels, bool pool);
+
+/// \brief One prepacked backbone conv of one image, fused with its bias,
+/// ReLU and (when `pool`) the 2x2/2 max pool that follows it:
+/// out = [maxpool2x2](max(0, conv3x3(x, w) + b)), stride 1, pad 1.
+///
+/// `x` is [channels, height, width]; `panel` holds w [out_channels,
+/// channels, 3, 3] as the out_channels rows of depth channels * 9 that
+/// PackPrototypePanel writes (gemm.h), so the weights are packed once per
+/// backbone, not once per call. `out` receives [out_channels, height,
+/// width], or with `pool` [out_channels, ConvOutDim(height, 2, 2, 0),
+/// ConvOutDim(width, 2, 2, 0)] with windows clipped at the edge as in
+/// MaxPool2dInference. `scratch` holds Conv3x3ScratchFloats floats and
+/// must not overlap `x` or `out`.
+///
+/// Bit-identical to Conv2dForward + ReluForward (+ MaxPool2dInference)
+/// at every ISA tier: each output is SGemm's per-element std::fma chain
+/// over the im2col depth order (one partial sum per kGemmKChunk block,
+/// added to 0.0f in block order), then + bias, then std::max(0.0f, v).
+/// Serial; callers parallelize over images.
+void Conv3x3BiasReluPool(const float* x, int64_t channels, int64_t height,
+                         int64_t width, const float* panel, const float* bias,
+                         int64_t out_channels, bool pool, float* scratch,
+                         float* out);
+
 /// \brief Gradients of a conv2d w.r.t. input, weight and bias.
 struct Conv2dGrads {
   Tensor dx;

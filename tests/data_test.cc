@@ -23,9 +23,6 @@ TEST(ImageTest, AccessorsAndStacking) {
   Tensor stacked = StackImages({img, img});
   EXPECT_EQ(stacked.shape(), (std::vector<int64_t>{2, 3, 4, 5}));
   EXPECT_FLOAT_EQ(stacked.At4(1, 2, 3, 4), 0.75f);
-
-  Tensor subset = StackImageSubset({img, img, img}, {1});
-  EXPECT_EQ(subset.dim(0), 1);
 }
 
 TEST(ImageTest, ClampAndMean) {

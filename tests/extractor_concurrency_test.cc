@@ -33,11 +33,15 @@ data::Image PatternImage(int variant) {
   return img;
 }
 
-std::shared_ptr<FeatureExtractor> MakeExtractor() {
+nn::VggMiniConfig SmallConfig() {
   nn::VggMiniConfig config;
   config.stage_channels = {4, 8, 8, 8, 8};
   config.num_classes = 4;
-  Result<nn::VggMini> model = nn::BuildVggMini(config);
+  return config;
+}
+
+std::shared_ptr<FeatureExtractor> MakeExtractor() {
+  Result<nn::VggMini> model = nn::BuildVggMini(SmallConfig());
   model.status().Abort("vgg");
   return std::make_shared<FeatureExtractor>(std::move(*model));
 }
@@ -134,12 +138,15 @@ TEST(ExtractorConcurrencyTest, InferencePathMatchesTrainingForward) {
   auto extractor = MakeExtractor();
   std::vector<data::Image> images;
   for (int i = 0; i < 4; ++i) images.push_back(PatternImage(i));
-  Tensor batch = data::StackImageSubset(images, {0, 1, 2, 3});
+  Tensor batch = data::StackImages(images);
 
   const nn::Sequential& net = extractor->backbone().net;
   auto inference = net.Forward(batch);  // const overload
   ASSERT_TRUE(inference.ok());
-  auto training = extractor->mutable_backbone()->net.Forward(batch);
+  // A second build of the same config holds the same weights.
+  Result<nn::VggMini> twin = nn::BuildVggMini(SmallConfig());
+  ASSERT_TRUE(twin.ok());
+  auto training = twin->net.Forward(batch);
   ASSERT_TRUE(training.ok());
   ASSERT_EQ(inference->shape(), training->shape());
   ASSERT_EQ(std::memcmp(inference->data(), training->data(),

@@ -1,10 +1,15 @@
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "data/raster.h"
 #include "features/extractor.h"
 #include "features/hog.h"
 #include "features/prototypes.h"
+#include "nn/layers.h"
 #include "nn/vgg.h"
+#include "util/rng.h"
 
 namespace goggles::features {
 namespace {
@@ -207,6 +212,170 @@ TEST_F(ExtractorTest, IdenticalImagesGetIdenticalFeatures) {
   ASSERT_TRUE(logits.ok());
   for (int64_t j = 0; j < logits->cols(); ++j) {
     EXPECT_DOUBLE_EQ((*logits)(0, j), (*logits)(1, j));
+  }
+}
+
+TEST_F(ExtractorTest, BatchSizeBelowOneIsRejected) {
+  for (int batch_size : {0, -2}) {
+    SCOPED_TRACE(batch_size);
+    const Status maps =
+        extractor_->PoolFeatureMaps(images_, batch_size).status();
+    const Status logits = extractor_->Logits(images_, batch_size).status();
+    const Status features =
+        extractor_->PenultimateFeatures(images_, batch_size).status();
+    for (const Status& st : {maps, logits, features}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find("batch_size"), std::string::npos)
+          << st.ToString();
+    }
+  }
+}
+
+TEST(FeatureExtractorTest, UnsupportedBackboneIsRejected) {
+  // A 5x5 conv is outside what the packed plan covers: every entry point
+  // reports it instead of extracting through some other route.
+  nn::VggMini model;
+  Rng rng(3);
+  model.net.Add(std::make_unique<nn::Conv2D>(3, 4, 5, 1, 2, &rng));
+  model.net.Add(std::make_unique<nn::ReLU>());
+  model.pool_layer_indices = {
+      model.net.Add(std::make_unique<nn::MaxPool2D>(2, 2))};
+  model.flatten_layer_index = model.net.Add(std::make_unique<nn::Flatten>());
+  const FeatureExtractor extractor(std::move(model));
+  const std::vector<data::Image> images = {EdgeImage()};
+  for (const Status& st : {extractor.PoolFeatureMaps(images).status(),
+                           extractor.Logits(images).status(),
+                           extractor.PenultimateFeatures(images).status()}) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+}
+
+/// A VggMini at the default widths — stages 3 and 4 span more than one
+/// kGemmKChunk of depth, so the chunk partials' order is exercised — with
+/// every bias nonzero, so the bias add's place in that order shows.
+std::unique_ptr<FeatureExtractor> RandomBiasExtractor(int in_channels,
+                                                      int convs_per_stage) {
+  nn::VggMiniConfig config;
+  config.in_channels = in_channels;
+  config.convs_per_stage = convs_per_stage;
+  Result<nn::VggMini> model = nn::BuildVggMini(config);
+  model.status().Abort("vgg");
+  Rng rng(static_cast<uint64_t>(17 * in_channels + convs_per_stage));
+  for (nn::Parameter* p : model->net.Params()) {
+    if (p->name != "conv.bias" && p->name != "linear.bias") continue;
+    for (int64_t i = 0; i < p->value.NumElements(); ++i) {
+      p->value[i] = static_cast<float>(rng.Gaussian(0.0, 0.3));
+    }
+  }
+  return std::make_unique<FeatureExtractor>(std::move(*model));
+}
+
+/// `count` random images; the second (when there is one) holds a NaN, a
+/// +inf and a -inf pixel.
+std::vector<data::Image> RandomImages(int count, int channels, int height,
+                                      int width, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<data::Image> images;
+  for (int i = 0; i < count; ++i) {
+    data::Image img(channels, height, width);
+    for (float& v : img.pixels) v = static_cast<float>(rng.Uniform());
+    images.push_back(std::move(img));
+  }
+  if (count > 1) {
+    std::vector<float>& px = images[1].pixels;
+    px[0] = std::numeric_limits<float>::quiet_NaN();
+    px[px.size() / 2] = std::numeric_limits<float>::infinity();
+    px.back() = -std::numeric_limits<float>::infinity();
+  }
+  return images;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every PoolFeatureMaps tap against Sequential::ForwardTaps on the
+/// stacked batch, PenultimateFeatures against the Flatten tap and, when
+/// `with_logits`, Logits against the const Sequential::Forward.
+void ExpectPlanMatchesForward(const FeatureExtractor& extractor,
+                              const std::vector<data::Image>& images,
+                              bool with_logits) {
+  const nn::VggMini& backbone = extractor.backbone();
+  const Tensor batch = data::StackImages(images);
+  std::vector<Tensor> taps;
+  ASSERT_TRUE(
+      backbone.net.ForwardTaps(batch, backbone.pool_layer_indices, &taps).ok());
+  Result<std::vector<std::vector<Tensor>>> maps =
+      extractor.PoolFeatureMaps(images, /*batch_size=*/2);
+  ASSERT_TRUE(maps.ok()) << maps.status();
+  ASSERT_EQ(maps->size(), taps.size());
+  for (size_t layer = 0; layer < taps.size(); ++layer) {
+    const Tensor& ref = taps[layer];
+    const int64_t floats = ref.NumElements() / ref.dim(0);
+    for (size_t i = 0; i < images.size(); ++i) {
+      const Tensor& map = (*maps)[layer][i];
+      ASSERT_EQ(map.shape(),
+                (std::vector<int64_t>{ref.dim(1), ref.dim(2), ref.dim(3)}));
+      ASSERT_EQ(std::memcmp(map.data(),
+                            ref.data() + static_cast<int64_t>(i) * floats,
+                            static_cast<size_t>(floats) * sizeof(float)),
+                0)
+          << "tap " << layer << " image " << i;
+    }
+  }
+
+  std::vector<Tensor> flat;
+  ASSERT_TRUE(
+      backbone.net.ForwardTaps(batch, {backbone.flatten_layer_index}, &flat)
+          .ok());
+  Result<Matrix> features = extractor.PenultimateFeatures(images, 2);
+  ASSERT_TRUE(features.ok()) << features.status();
+  ASSERT_EQ(features->cols(), flat[0].dim(1));
+  for (int64_t i = 0; i < features->rows(); ++i) {
+    for (int64_t j = 0; j < features->cols(); ++j) {
+      ASSERT_TRUE(SameBits((*features)(i, j), flat[0].At2(i, j)))
+          << "penultimate (" << i << ", " << j << ")";
+    }
+  }
+  if (!with_logits) return;
+  Result<Tensor> ref_logits = backbone.net.Forward(batch);
+  ASSERT_TRUE(ref_logits.ok());
+  Result<Matrix> logits = extractor.Logits(images, 2);
+  ASSERT_TRUE(logits.ok()) << logits.status();
+  ASSERT_EQ(logits->cols(), ref_logits->dim(1));
+  for (int64_t i = 0; i < logits->rows(); ++i) {
+    for (int64_t j = 0; j < logits->cols(); ++j) {
+      ASSERT_TRUE(SameBits((*logits)(i, j), ref_logits->At2(i, j)))
+          << "logit (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(FeatureExtractorTest, PlanMatchesLayerByLayerForward) {
+  struct Size {
+    int height, width;
+  };
+  // The configured 32x32; odd and non-square (every stage non-empty); and
+  // maps whose late stages pool 1x1 through a clipped window.
+  const Size sizes[] = {{32, 32}, {35, 33}, {16, 16}, {2, 2}};
+  for (int convs : {1, 2}) {
+    for (int channels : {1, 3}) {
+      const std::unique_ptr<FeatureExtractor> extractor =
+          RandomBiasExtractor(channels, convs);
+      for (const Size& size : sizes) {
+        for (int count : {1, 3, 17}) {
+          SCOPED_TRACE(testing::Message()
+                       << "convs_per_stage " << convs << ", " << channels
+                       << "x" << size.height << "x" << size.width << ", "
+                       << count << " images");
+          ExpectPlanMatchesForward(
+              *extractor,
+              RandomImages(count, channels, size.height, size.width,
+                           static_cast<uint64_t>(count * 131 + size.width)),
+              /*with_logits=*/size.height == 32 && size.width == 32);
+        }
+      }
+    }
   }
 }
 

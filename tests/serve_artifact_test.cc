@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -552,6 +553,90 @@ TEST_F(ServeArtifactTest, CorruptionMatrixZeroByteFile) {
   auto loaded = serve::Artifact::Load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
+// Seeded mutation fuzzing of every section's payload. Each mutant is
+// re-framed with valid CRCs, so it reaches the section parsers instead of
+// stopping at the checksum. Whatever the mutation, Artifact::Load must
+// return either an artifact or an error status (never crash, hang or
+// over-allocate, which the sanitizer jobs would catch), and an artifact
+// that loads must restore through Session::Load or fail cleanly there.
+TEST_F(ServeArtifactTest, MutatedSectionsLoadOrFailCleanly) {
+  const std::string path = TempPath("fuzz.ggsa");
+  ASSERT_TRUE(session_->Save(path).ok());
+  const std::string bytes = ReadFile(path);
+  std::vector<std::pair<uint32_t, std::string>> sections;
+  for (const SectionSpan& span : ParseSectionSpans(bytes)) {
+    uint32_t tag = 0;
+    std::memcpy(&tag, bytes.data() + span.header, sizeof(tag));
+    sections.emplace_back(tag,
+                          bytes.substr(span.payload, span.end - span.payload));
+  }
+  ASSERT_GE(sections.size(), 4u);
+
+  std::mt19937 rng(20261020);
+  auto below = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % static_cast<uint32_t>(n));
+  };
+  // Little-endian count values: 4-byte and 8-byte fields alike.
+  auto le = [](uint64_t v, size_t width) {
+    std::string out(width, '\0');
+    std::memcpy(out.data(), &v, width);
+    return out;
+  };
+  const std::vector<std::string> counts = {
+      le(0, 4), le(1, 4), le(INT32_MAX, 4), le(0, 8), le(1, 8),
+      le(INT32_MAX, 8), le(uint64_t{1} << 40, 8)};
+
+  int mutants = 0, loaded = 0;
+  auto check = [&](size_t s, const std::string& payload) {
+    std::vector<std::pair<uint32_t, std::string>> framed = sections;
+    framed[s].second = payload;
+    WriteFile(path, FramedArtifact(framed));
+    ++mutants;
+    Result<serve::Artifact> artifact = serve::Artifact::Load(path);
+    if (!artifact.ok()) {
+      EXPECT_FALSE(artifact.status().message().empty());
+      return;
+    }
+    ++loaded;
+    Result<serve::Session> session = serve::Session::Load(path, *extractor_);
+    if (!session.ok()) {
+      EXPECT_FALSE(session.status().message().empty());
+    }
+  };
+  for (size_t s = 0; s < sections.size(); ++s) {
+    const std::string& payload = sections[s].second;
+    ASSERT_FALSE(payload.empty());
+    for (int round = 0; round < 40; ++round) {
+      std::string flipped = payload;
+      for (int bit = 0, n = 1 + round % 3; bit < n; ++bit) {
+        flipped[below(flipped.size())] ^= static_cast<char>(1 << below(8));
+      }
+      check(s, flipped);
+      check(s, payload.substr(0, below(payload.size())));
+      std::string inserted = payload;
+      std::string extra(1 + below(8), '\0');
+      for (char& c : extra) c = static_cast<char>(below(256));
+      inserted.insert(below(payload.size() + 1), extra);
+      check(s, inserted);
+    }
+    // Counts sit in each payload's leading fields; overwrite every offset
+    // there, then random offsets deeper in.
+    for (size_t i = 0; i < 64; ++i) {
+      const size_t at = i < 32 ? i : below(payload.size());
+      for (const std::string& value : counts) {
+        if (at + value.size() > payload.size()) continue;
+        std::string overwritten = payload;
+        overwritten.replace(at, value.size(), value);
+        check(s, overwritten);
+      }
+    }
+  }
+  RecordProperty("mutants", mutants);
+  RecordProperty("loaded", loaded);
+  EXPECT_GT(mutants, 1000);
   std::remove(path.c_str());
 }
 
