@@ -199,18 +199,6 @@ void BM_BackboneForward(benchmark::State& state) {
 }
 BENCHMARK(BM_BackboneForward)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-void BM_CosineKernel(benchmark::State& state) {
-  const int64_t d = state.range(0);
-  Rng rng(4);
-  std::vector<float> a(static_cast<size_t>(d)), b(a.size());
-  for (auto& v : a) v = static_cast<float>(rng.Gaussian());
-  for (auto& v : b) v = static_cast<float>(rng.Gaussian());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CosineSimilarityF(a.data(), b.data(), d));
-  }
-}
-BENCHMARK(BM_CosineKernel)->Arg(8)->Arg(64)->Arg(512);
-
 /// Eq. 2 as the serving path runs it: one query's positions at one tap
 /// against every prototype of a pool-480 task (480 images x top-10), via
 /// the fused scorer over the packed panel. Args: area, channels,

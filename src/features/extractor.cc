@@ -14,11 +14,7 @@ namespace {
 
 /// Every image of one call runs the plan at one shape, sized from the
 /// first image.
-Status CheckInputs(const std::vector<data::Image>& images, int batch_size) {
-  if (batch_size < 1) {
-    return Status::InvalidArgument(StrFormat(
-        "FeatureExtractor: batch_size must be >= 1, got %d", batch_size));
-  }
+Status CheckInputs(const std::vector<data::Image>& images) {
   if (images.empty()) {
     return Status::InvalidArgument("FeatureExtractor: no images");
   }
@@ -178,8 +174,8 @@ Status FeatureExtractor::RunPlan(const std::vector<data::Image>& images,
 }
 
 Result<std::vector<std::vector<Tensor>>> FeatureExtractor::PoolFeatureMaps(
-    const std::vector<data::Image>& images, int batch_size) const {
-  GOGGLES_RETURN_NOT_OK(CheckInputs(images, batch_size));
+    const std::vector<data::Image>& images) const {
+  GOGGLES_RETURN_NOT_OK(CheckInputs(images));
   const std::vector<std::vector<int64_t>> shapes =
       TapShapes(images[0].height, images[0].width);
   // Allocated on the calling thread: maps allocated by the pool's workers
@@ -195,56 +191,43 @@ Result<std::vector<std::vector<Tensor>>> FeatureExtractor::PoolFeatureMaps(
 }
 
 Result<Matrix> FeatureExtractor::RunHead(const std::vector<data::Image>& images,
-                                         int last_layer,
-                                         int batch_size) const {
-  GOGGLES_RETURN_NOT_OK(CheckInputs(images, batch_size));
+                                         int last_layer) const {
+  GOGGLES_RETURN_NOT_OK(CheckInputs(images));
   GOGGLES_RETURN_NOT_OK(plan_status_);
-  // The last tap, [c, h, w] per image, lands straight in its batch of the
-  // head's input.
-  const std::vector<int64_t> shape =
+  // The last tap, [c, h, w] per image, lands straight in its row of the
+  // head's input. The head's LinearForward gives the same bits at any
+  // row count, so it runs once over every row.
+  std::vector<int64_t> shape =
       TapShapes(images[0].height, images[0].width).back();
-  const int64_t c = shape[0], h = shape[1], w = shape[2];
   const int64_t n = static_cast<int64_t>(images.size());
-  const int64_t tap_floats = c * h * w;
+  const int64_t tap_floats = shape[0] * shape[1] * shape[2];
   const int last_tap = num_pool_layers() - 1;
-  std::vector<Tensor> batches;
-  for (int64_t start = 0; start < n; start += batch_size) {
-    batches.emplace_back(std::vector<int64_t>{
-        std::min<int64_t>(batch_size, n - start), c, h, w});
-  }
+  shape.insert(shape.begin(), n);
+  Tensor cur(shape);
   GOGGLES_RETURN_NOT_OK(RunPlan(images, [&](int tap, int64_t i) -> float* {
-    if (tap != last_tap) return nullptr;
-    return batches[static_cast<size_t>(i / batch_size)].data() +
-           i % batch_size * tap_floats;
+    return tap == last_tap ? cur.data() + i * tap_floats : nullptr;
   }));
 
-  Matrix out;
-  for (size_t b = 0; b < batches.size(); ++b) {
-    const int64_t start = static_cast<int64_t>(b) * batch_size;
-    Tensor cur = std::move(batches[b]);
-    for (int l = backbone_.pool_layer_indices.back() + 1; l <= last_layer;
-         ++l) {
-      GOGGLES_ASSIGN_OR_RETURN(cur,
-                               backbone_.net.layer(l)->ForwardInference(cur));
-    }
-    if (out.rows() == 0) out = Matrix(n, cur.dim(1));
-    for (int64_t i = 0; i < cur.dim(0); ++i) {
-      for (int64_t j = 0; j < cur.dim(1); ++j) {
-        out(start + i, j) = static_cast<double>(cur.At2(i, j));
-      }
+  for (int l = backbone_.pool_layer_indices.back() + 1; l <= last_layer; ++l) {
+    GOGGLES_ASSIGN_OR_RETURN(cur, backbone_.net.layer(l)->ForwardInference(cur));
+  }
+  Matrix out(n, cur.dim(1));
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < cur.dim(1); ++j) {
+      out(i, j) = static_cast<double>(cur.At2(i, j));
     }
   }
   return out;
 }
 
-Result<Matrix> FeatureExtractor::Logits(const std::vector<data::Image>& images,
-                                        int batch_size) const {
-  return RunHead(images, backbone_.net.num_layers() - 1, batch_size);
+Result<Matrix> FeatureExtractor::Logits(
+    const std::vector<data::Image>& images) const {
+  return RunHead(images, backbone_.net.num_layers() - 1);
 }
 
 Result<Matrix> FeatureExtractor::PenultimateFeatures(
-    const std::vector<data::Image>& images, int batch_size) const {
-  return RunHead(images, backbone_.flatten_layer_index, batch_size);
+    const std::vector<data::Image>& images) const {
+  return RunHead(images, backbone_.flatten_layer_index);
 }
 
 }  // namespace goggles::features

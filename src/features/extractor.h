@@ -47,22 +47,18 @@ class FeatureExtractor {
   }
 
   /// \brief Filter maps at every pool layer for every image. Accepts any
-  /// image size the conv/pool prefix does. `batch_size` must be >= 1; the
-  /// plan runs image by image, so the maps do not depend on it.
+  /// image size the conv/pool prefix does.
   ///
   /// \returns maps[layer][image] = Tensor of shape [C_layer, H, W].
   Result<std::vector<std::vector<Tensor>>> PoolFeatureMaps(
-      const std::vector<data::Image>& images, int batch_size = 16) const;
+      const std::vector<data::Image>& images) const;
 
-  /// \brief Logits matrix, one row per image; the classifier head runs on
-  /// `batch_size` (>= 1) rows at a time.
-  Result<Matrix> Logits(const std::vector<data::Image>& images,
-                        int batch_size = 16) const;
+  /// \brief Logits matrix, one row per image.
+  Result<Matrix> Logits(const std::vector<data::Image>& images) const;
 
-  /// \brief Penultimate (post-Flatten) features, one row per image;
-  /// Flatten runs on `batch_size` (>= 1) rows at a time.
-  Result<Matrix> PenultimateFeatures(const std::vector<data::Image>& images,
-                                     int batch_size = 16) const;
+  /// \brief Penultimate (post-Flatten) features, one row per image.
+  Result<Matrix> PenultimateFeatures(
+      const std::vector<data::Image>& images) const;
 
   const nn::VggMini& backbone() const { return backbone_; }
 
@@ -89,10 +85,10 @@ class FeatureExtractor {
   Status RunPlan(const std::vector<data::Image>& images,
                  const TapOut& tap_out) const;
 
-  /// Runs layers (last pool, `last_layer`] on the stacked last taps,
-  /// `batch_size` rows at a time, into one matrix row per image.
+  /// Runs layers (last pool, `last_layer`] once on the stacked last taps
+  /// of every image, into one matrix row per image.
   Result<Matrix> RunHead(const std::vector<data::Image>& images,
-                         int last_layer, int batch_size) const;
+                         int last_layer) const;
 
   nn::VggMini backbone_;
   std::vector<PackedConv> plan_;

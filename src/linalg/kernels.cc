@@ -6,7 +6,7 @@
 
 namespace goggles {
 
-// These entry points dispatch to the per-ISA kernel table (tensor/isa.h):
+// DotF and NormF dispatch to the per-ISA kernel table (tensor/isa.h):
 // fixed-16-lane std::fma accumulation with a fixed tree reduction, so the
 // results are bit-identical at every tier — the vector width only decides
 // how many of the 16 virtual lanes map onto one register.
@@ -17,21 +17,6 @@ float DotF(const float* a, const float* b, int64_t n) {
 
 float NormF(const float* a, int64_t n) {
   return std::sqrt(ActiveKernels().dot_f(a, a, n));
-}
-
-float CosineSimilarityF(const float* a, const float* b, int64_t n) {
-  // Single fused pass: dot, |a|^2 and |b|^2 together, instead of the
-  // three full walks (two NormF + one DotF) this kernel used to make.
-  float dot = 0.0f, na2 = 0.0f, nb2 = 0.0f;
-  ActiveKernels().cosine_terms_f(a, b, n, &dot, &na2, &nb2);
-  const float na = std::sqrt(na2);
-  const float nb = std::sqrt(nb2);
-  if (na < 1e-12f || nb < 1e-12f) return 0.0f;
-  return dot / (na * nb);
-}
-
-float SquaredDistanceF(const float* a, const float* b, int64_t n) {
-  return ActiveKernels().squared_distance_f(a, b, n);
 }
 
 void NormalizeF(float* a, int64_t n) {

@@ -5,12 +5,13 @@
 /// \file kernels.h
 /// \brief BLAS-1 style float kernels on raw pointers.
 ///
-/// These are the inner loops of affinity computation (Eq. 3 of the paper:
-/// cosine similarity between prototype vectors), kept allocation-free.
-/// They dispatch to the per-ISA kernel tables (tensor/isa.h) and are
-/// bit-identical at every tier: fixed-16-lane std::fma accumulation with
-/// a fixed tree reduction, so the host's vector width never changes the
-/// result.
+/// Featurization normalizes position and prototype vectors with
+/// NormalizeF, and the scalar ScoreQuery reference takes Eq. 3's cosine as
+/// a DotF of normalized vectors; the fit and served scorers run the fused
+/// PrototypeMaxScores (tensor/gemm.h) instead. DotF dispatches to the
+/// per-ISA kernel tables (tensor/isa.h) and is bit-identical at every
+/// tier: fixed-16-lane std::fma accumulation with a fixed tree reduction,
+/// so the host's vector width never changes the result.
 
 namespace goggles {
 
@@ -19,12 +20,6 @@ float DotF(const float* a, const float* b, int64_t n);
 
 /// \brief Euclidean (L2) norm of a length-n float vector.
 float NormF(const float* a, int64_t n);
-
-/// \brief Cosine similarity (Eq. 3); returns 0 when either vector is ~0.
-float CosineSimilarityF(const float* a, const float* b, int64_t n);
-
-/// \brief Squared Euclidean distance between two length-n vectors.
-float SquaredDistanceF(const float* a, const float* b, int64_t n);
 
 /// \brief Scales a vector so it has unit L2 norm (no-op on ~zero vectors).
 void NormalizeF(float* a, int64_t n);

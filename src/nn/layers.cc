@@ -50,7 +50,9 @@ Result<Tensor> MaxPool2D::Backward(const Tensor& grad_output) {
 }
 
 Result<Tensor> MaxPool2D::ForwardInference(const Tensor& x) const {
-  return MaxPool2dInference(x, kernel_, stride_);
+  GOGGLES_ASSIGN_OR_RETURN(MaxPoolResult result,
+                           MaxPool2dForward(x, kernel_, stride_));
+  return std::move(result.y);
 }
 
 Result<Tensor> ReLU::Forward(const Tensor& x) {

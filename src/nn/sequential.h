@@ -10,8 +10,9 @@
 /// \brief Ordered layer container with feature taps.
 ///
 /// Besides plain forward/backward, `Sequential` can return the activations
-/// of selected intermediate layers in a single pass — GOGGLES taps the five
-/// max-pool outputs to extract prototypes (paper §3.1).
+/// of selected intermediate layers in a single pass: the five max-pool
+/// outputs GOGGLES extracts prototypes from (paper §3.1), computed layer
+/// by layer as the reference for FeatureExtractor's packed plan.
 
 namespace goggles::nn {
 
@@ -47,11 +48,12 @@ class Sequential {
   /// \brief Thread-safe taps-only inference: runs layers [0, last tap]
   /// and captures the outputs of `tap_layers` (indices into the layer
   /// stack, strictly ascending; `taps[i]` receives the output of layer
-  /// `tap_layers[i]`), skipping everything after the last tap. Besides
-  /// saving the unused tail compute (feature extraction discards the
-  /// classifier head's output), this accepts any input resolution the
-  /// tapped prefix supports — e.g. conv/pool filter maps for images
-  /// larger than the classifier head was sized for.
+  /// `tap_layers[i]`), skipping everything after the last tap, so it
+  /// accepts any input resolution the tapped prefix supports — e.g.
+  /// conv/pool filter maps for images larger than the classifier head was
+  /// sized for. Extraction does not call it: FeatureExtractor runs its
+  /// packed plan, and the tests compare that plan with these taps bit
+  /// for bit.
   Status ForwardTaps(const Tensor& x, const std::vector<int>& tap_layers,
                      std::vector<Tensor>* taps) const;
 

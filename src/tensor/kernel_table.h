@@ -64,10 +64,6 @@ struct TensorKernels {
                      bool squares, const double* resp, int64_t cols,
                      double* out);
   float (*dot_f)(const float* a, const float* b, int64_t n);
-  float (*squared_distance_f)(const float* a, const float* b, int64_t n);
-  /// One fused pass computing dot(a,b), |a|^2 and |b|^2.
-  void (*cosine_terms_f)(const float* a, const float* b, int64_t n,
-                         float* dot, float* na2, float* nb2);
 };
 
 /// \brief Table of the active tier (resolving it on first use).

@@ -13,23 +13,15 @@ namespace goggles {
 
 void Im2Col(const float* x, int64_t channels, int64_t height, int64_t width,
             int64_t kh, int64_t kw, int64_t stride, int64_t pad, float* col) {
-  const int64_t out_area =
-      ConvOutDim(height, kh, stride, pad) * ConvOutDim(width, kw, stride, pad);
-  Im2ColStrided(x, channels, height, width, kh, kw, stride, pad, col,
-                out_area);
-}
-
-void Im2ColStrided(const float* x, int64_t channels, int64_t height,
-                   int64_t width, int64_t kh, int64_t kw, int64_t stride,
-                   int64_t pad, float* col, int64_t ld) {
   const int64_t oh = ConvOutDim(height, kh, stride, pad);
   const int64_t ow = ConvOutDim(width, kw, stride, pad);
+  const int64_t out_area = oh * ow;
   int64_t row = 0;
   for (int64_t c = 0; c < channels; ++c) {
     const float* xc = x + c * height * width;
     for (int64_t dh = 0; dh < kh; ++dh) {
       for (int64_t dw = 0; dw < kw; ++dw, ++row) {
-        float* dst = col + row * ld;
+        float* dst = col + row * out_area;
         // For stride 1 the in-bounds output positions form one contiguous
         // span copied straight from the input row; only the pad fringe is
         // written element-free. xo maps to in_x = xo - pad + dw, valid for
@@ -144,54 +136,11 @@ Result<Tensor> Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
   // so every image's GEMM can use all cores (nested parallelism inside
   // an image worker would collapse to serial, see ParallelForChunked).
   // The width is the one a ParallelFor from this thread would get, so a
-  // nested call or a serial one (a serve stage worker) sees its real
-  // width and takes the fused path below. Per-element GEMM results
+  // nested or serial call sees its real width. Per-element GEMM results
   // are thread-count-independent, so the output is bit-identical either
   // way.
   const int total_threads = EffectiveNumThreads();
   const bool image_parallel = total_threads > 1 && n >= total_threads;
-
-  // Fused batched-inference path: when the images run serially anyway
-  // (single thread, nested-parallel collapse, or a batch narrower than
-  // the machine) and the spatial output is small, expand every image's
-  // columns side by side and run ONE GEMM per layer instead of one per
-  // image. This packs the weight panel once for the whole batch and fills
-  // the register tile's N dimension at the late backbone layers (out_area
-  // as low as 4 vs a 16-wide tile), so small-image batches stop being
-  // setup-bound — measured ~3x on the 2x2/4x4 stages. Large spatial
-  // outputs keep the per-image path: their GEMMs already fill the tile,
-  // and the strided fused im2col only costs cache locality there.
-  // Per-element accumulation order is unchanged (the GEMM is
-  // bit-deterministic across shapes), so results are bit-identical to the
-  // per-image path.
-  constexpr int64_t kFusedMaxOutArea = 64;
-  if (!image_parallel && n > 1 && out_area <= kFusedMaxOutArea) {
-    const int64_t fused_cols = n * out_area;
-    std::vector<float>& scratch =
-        Im2ColScratch((col_rows + oc) * fused_cols);
-    float* cols = scratch.data();
-    float* gemm_out = cols + col_rows * fused_cols;
-    for (int64_t i = 0; i < n; ++i) {
-      Im2ColStrided(x.data() + i * c * h * wd, c, h, wd, kh, kw,
-                    params.stride, params.pad, cols + i * out_area,
-                    fused_cols);
-    }
-    // gemm_out [oc, n*out_area] = w [oc, col_rows] * cols
-    SGemm(false, false, oc, fused_cols, col_rows, 1.0f, w.data(), col_rows,
-          cols, fused_cols, 0.0f, gemm_out, fused_cols);
-    // Scatter back to the image-major output layout, adding the bias in
-    // the same pass (the per-image path also adds it after the GEMM).
-    for (int64_t i = 0; i < n; ++i) {
-      float* yi = y.data() + i * oc * out_area;
-      for (int64_t o = 0; o < oc; ++o) {
-        const float bias = b[o];
-        const float* src = gemm_out + o * fused_cols + i * out_area;
-        float* dst = yi + o * out_area;
-        for (int64_t p = 0; p < out_area; ++p) dst[p] = src[p] + bias;
-      }
-    }
-    return y;
-  }
 
   ParallelForChunked(
       0, n,
@@ -322,41 +271,6 @@ Result<MaxPoolResult> MaxPool2dForward(const Tensor& x, int64_t kernel,
     }
   }
   return result;
-}
-
-Result<Tensor> MaxPool2dInference(const Tensor& x, int64_t kernel,
-                                  int64_t stride) {
-  if (x.ndim() != 4) return Status::InvalidArgument("maxpool: x must be NCHW");
-  const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int64_t oh = ConvOutDim(h, kernel, stride, /*pad=*/0);
-  const int64_t ow = ConvOutDim(w, kernel, stride, /*pad=*/0);
-  if (oh <= 0 || ow <= 0) {
-    return Status::InvalidArgument("maxpool: output would be empty");
-  }
-  Tensor y({n, c, oh, ow});
-  ParallelForChunked(0, n * c, [&](int64_t begin, int64_t end) {
-    for (int64_t plane_idx = begin; plane_idx < end; ++plane_idx) {
-      const float* plane = x.data() + plane_idx * h * w;
-      float* out = y.data() + plane_idx * oh * ow;
-      for (int64_t yo = 0; yo < oh; ++yo) {
-        for (int64_t xo = 0; xo < ow; ++xo) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (int64_t dy = 0; dy < kernel; ++dy) {
-            const int64_t in_y = yo * stride + dy;
-            if (in_y >= h) break;
-            const float* row = plane + in_y * w;
-            for (int64_t dx = 0; dx < kernel; ++dx) {
-              const int64_t in_x = xo * stride + dx;
-              if (in_x >= w) break;
-              best = std::max(best, row[in_x]);
-            }
-          }
-          out[yo * ow + xo] = best;
-        }
-      }
-    }
-  });
-  return y;
 }
 
 Result<Tensor> MaxPool2dBackward(const std::vector<int64_t>& argmax,

@@ -31,25 +31,20 @@ inline int64_t ConvOutDim(int64_t in, int64_t kernel, int64_t stride,
 void Im2Col(const float* x, int64_t channels, int64_t height, int64_t width,
             int64_t kh, int64_t kw, int64_t stride, int64_t pad, float* col);
 
-/// \brief Im2Col into a column matrix with row stride `ld` >= OH*OW:
-/// this image's columns land in col[row * ld + 0 .. OH*OW), so several
-/// images' expansions can sit side by side in one fused GEMM operand
-/// (the batched-inference conv path).
-void Im2ColStrided(const float* x, int64_t channels, int64_t height,
-                   int64_t width, int64_t kh, int64_t kw, int64_t stride,
-                   int64_t pad, float* col, int64_t ld);
-
 /// \brief Accumulates columns back into image gradient (inverse of Im2Col).
 void Col2Im(const float* col, int64_t channels, int64_t height, int64_t width,
             int64_t kh, int64_t kw, int64_t stride, int64_t pad, float* x);
 
 /// \brief y = conv2d(x, w) + b.
 ///
-/// Lowered through im2col + GEMM. The im2col expansion runs in a reusable
-/// per-thread scratch buffer (no allocation per image once the buffer has
-/// grown to the working size), and the batch dimension is distributed
-/// across worker threads, each running a serial GEMM — so concurrent
-/// Conv2dForward calls from different threads are safe and lock-free.
+/// Lowered through im2col + one GEMM per image. The im2col expansion runs
+/// in a reusable per-thread scratch buffer (no allocation per image once
+/// the buffer has grown to the working size). A batch at least as wide as
+/// the kernel pool is split across its workers, each running serial
+/// GEMMs; a narrower one runs its images in turn, each GEMM on the whole
+/// pool. Concurrent Conv2dForward calls from different threads are safe
+/// and lock-free. This is the training path and the un-fused reference
+/// for Conv3x3BiasReluPool; feature extraction does not call it.
 ///
 /// \param x input  [N, C, H, W]
 /// \param w weight [OC, C, KH, KW]
@@ -74,10 +69,10 @@ int64_t Conv3x3ScratchFloats(int64_t channels, int64_t height, int64_t width,
 /// backbone, not once per call. `out` receives [out_channels, height,
 /// width], or with `pool` [out_channels, ConvOutDim(height, 2, 2, 0),
 /// ConvOutDim(width, 2, 2, 0)] with windows clipped at the edge as in
-/// MaxPool2dInference. `scratch` holds Conv3x3ScratchFloats floats and
+/// MaxPool2dForward. `scratch` holds Conv3x3ScratchFloats floats and
 /// must not overlap `x` or `out`.
 ///
-/// Bit-identical to Conv2dForward + ReluForward (+ MaxPool2dInference)
+/// Bit-identical to Conv2dForward + ReluForward (+ MaxPool2dForward)
 /// at every ISA tier: each output is SGemm's per-element std::fma chain
 /// over the im2col depth order (one partial sum per kGemmKChunk block,
 /// added to 0.0f in block order), then + bias, then std::max(0.0f, v).
@@ -109,12 +104,6 @@ struct MaxPoolResult {
 /// \brief y = maxpool2d(x) with square window `kernel` and stride `stride`.
 Result<MaxPoolResult> MaxPool2dForward(const Tensor& x, int64_t kernel,
                                        int64_t stride);
-
-/// \brief Inference-only max pool: same output values as MaxPool2dForward
-/// but no argmax bookkeeping, parallelized over the N*C planes. Used by
-/// the thread-safe (const) layer inference path.
-Result<Tensor> MaxPool2dInference(const Tensor& x, int64_t kernel,
-                                  int64_t stride);
 
 /// \brief Routes `dy` back through the recorded argmax indices.
 Result<Tensor> MaxPool2dBackward(const std::vector<int64_t>& argmax,

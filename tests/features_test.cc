@@ -163,7 +163,7 @@ class ExtractorTest : public ::testing::Test {
 
 TEST_F(ExtractorTest, PoolFeatureMapShapes) {
   Result<std::vector<std::vector<Tensor>>> maps =
-      extractor_->PoolFeatureMaps(images_, /*batch_size=*/2);
+      extractor_->PoolFeatureMaps(images_);
   ASSERT_TRUE(maps.ok());
   ASSERT_EQ(maps->size(), 5u);  // 5 pool layers
   for (int layer = 0; layer < 5; ++layer) {
@@ -173,34 +173,15 @@ TEST_F(ExtractorTest, PoolFeatureMapShapes) {
   EXPECT_EQ((*maps)[4][0].shape(), (std::vector<int64_t>{8, 1, 1}));
 }
 
-TEST_F(ExtractorTest, BatchSizeDoesNotChangeResults) {
-  Result<std::vector<std::vector<Tensor>>> a =
-      extractor_->PoolFeatureMaps(images_, 1);
-  Result<std::vector<std::vector<Tensor>>> b =
-      extractor_->PoolFeatureMaps(images_, 4);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  for (size_t layer = 0; layer < a->size(); ++layer) {
-    for (size_t i = 0; i < images_.size(); ++i) {
-      const Tensor& ta = (*a)[layer][i];
-      const Tensor& tb = (*b)[layer][i];
-      ASSERT_EQ(ta.NumElements(), tb.NumElements());
-      for (int64_t e = 0; e < ta.NumElements(); ++e) {
-        ASSERT_FLOAT_EQ(ta[e], tb[e]);
-      }
-    }
-  }
-}
-
 TEST_F(ExtractorTest, LogitsShape) {
-  Result<Matrix> logits = extractor_->Logits(images_, 2);
+  Result<Matrix> logits = extractor_->Logits(images_);
   ASSERT_TRUE(logits.ok());
   EXPECT_EQ(logits->rows(), 5);
   EXPECT_EQ(logits->cols(), 6);
 }
 
 TEST_F(ExtractorTest, PenultimateFeaturesShape) {
-  Result<Matrix> features = extractor_->PenultimateFeatures(images_, 3);
+  Result<Matrix> features = extractor_->PenultimateFeatures(images_);
   ASSERT_TRUE(features.ok());
   EXPECT_EQ(features->rows(), 5);
   EXPECT_EQ(features->cols(), 8);  // 8 channels * 1 * 1
@@ -212,22 +193,6 @@ TEST_F(ExtractorTest, IdenticalImagesGetIdenticalFeatures) {
   ASSERT_TRUE(logits.ok());
   for (int64_t j = 0; j < logits->cols(); ++j) {
     EXPECT_DOUBLE_EQ((*logits)(0, j), (*logits)(1, j));
-  }
-}
-
-TEST_F(ExtractorTest, BatchSizeBelowOneIsRejected) {
-  for (int batch_size : {0, -2}) {
-    SCOPED_TRACE(batch_size);
-    const Status maps =
-        extractor_->PoolFeatureMaps(images_, batch_size).status();
-    const Status logits = extractor_->Logits(images_, batch_size).status();
-    const Status features =
-        extractor_->PenultimateFeatures(images_, batch_size).status();
-    for (const Status& st : {maps, logits, features}) {
-      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(st.message().find("batch_size"), std::string::npos)
-          << st.ToString();
-    }
   }
 }
 
@@ -306,7 +271,7 @@ void ExpectPlanMatchesForward(const FeatureExtractor& extractor,
   ASSERT_TRUE(
       backbone.net.ForwardTaps(batch, backbone.pool_layer_indices, &taps).ok());
   Result<std::vector<std::vector<Tensor>>> maps =
-      extractor.PoolFeatureMaps(images, /*batch_size=*/2);
+      extractor.PoolFeatureMaps(images);
   ASSERT_TRUE(maps.ok()) << maps.status();
   ASSERT_EQ(maps->size(), taps.size());
   for (size_t layer = 0; layer < taps.size(); ++layer) {
@@ -328,7 +293,7 @@ void ExpectPlanMatchesForward(const FeatureExtractor& extractor,
   ASSERT_TRUE(
       backbone.net.ForwardTaps(batch, {backbone.flatten_layer_index}, &flat)
           .ok());
-  Result<Matrix> features = extractor.PenultimateFeatures(images, 2);
+  Result<Matrix> features = extractor.PenultimateFeatures(images);
   ASSERT_TRUE(features.ok()) << features.status();
   ASSERT_EQ(features->cols(), flat[0].dim(1));
   for (int64_t i = 0; i < features->rows(); ++i) {
@@ -340,7 +305,7 @@ void ExpectPlanMatchesForward(const FeatureExtractor& extractor,
   if (!with_logits) return;
   Result<Tensor> ref_logits = backbone.net.Forward(batch);
   ASSERT_TRUE(ref_logits.ok());
-  Result<Matrix> logits = extractor.Logits(images, 2);
+  Result<Matrix> logits = extractor.Logits(images);
   ASSERT_TRUE(logits.ok()) << logits.status();
   ASSERT_EQ(logits->cols(), ref_logits->dim(1));
   for (int64_t i = 0; i < logits->rows(); ++i) {

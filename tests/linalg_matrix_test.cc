@@ -139,26 +139,8 @@ TEST(KernelsTest, DotAndNorm) {
   EXPECT_FLOAT_EQ(NormF(a, 4), std::sqrt(30.0f));
 }
 
-TEST(KernelsTest, CosineSimilarityBoundsAndIdentity) {
-  const float a[3] = {1, 2, 3};
-  const float opposite[3] = {-1, -2, -3};
-  EXPECT_NEAR(CosineSimilarityF(a, a, 3), 1.0f, 1e-6f);
-  EXPECT_NEAR(CosineSimilarityF(a, opposite, 3), -1.0f, 1e-6f);
-  const float zero[3] = {0, 0, 0};
-  EXPECT_FLOAT_EQ(CosineSimilarityF(a, zero, 3), 0.0f);
-}
-
-TEST(KernelsTest, CosineMatchesEq3Definition) {
-  // Paper Eq. 3: sim(a, b) = a.b / (||a|| ||b||).
-  const float a[2] = {3, 0};
-  const float b[2] = {3, 4};
-  EXPECT_NEAR(CosineSimilarityF(a, b, 2), 9.0f / (3.0f * 5.0f), 1e-6f);
-}
-
-TEST(KernelsTest, SquaredDistanceAndNormalize) {
+TEST(KernelsTest, Normalize) {
   float a[2] = {3, 4};
-  const float b[2] = {0, 0};
-  EXPECT_FLOAT_EQ(SquaredDistanceF(a, b, 2), 25.0f);
   NormalizeF(a, 2);
   EXPECT_NEAR(NormF(a, 2), 1.0f, 1e-6f);
   float zero[2] = {0, 0};

@@ -136,41 +136,10 @@ TEST(ConvTest, ShapeValidation) {
   EXPECT_FALSE(Conv2dForward(x, w, b, {1, 1}).ok());
 }
 
-TEST(ConvTest, FusedBatchPathIsBitIdenticalToPerImage) {
-  // The small-spatial batched-inference path (one fused GEMM over every
-  // image's im2col columns) must reproduce the per-image path bit for
-  // bit: the serve extract stage's grouped extraction depends on
-  // batch-vs-singleton equality.
-  Rng rng(20260727);
-  for (const int64_t hw : {2, 4, 8}) {  // all <= the fused threshold
-    Tensor x = Tensor::RandomNormal({8, 24, hw, hw}, 1.0f, &rng);
-    Tensor w = Tensor::RandomNormal({32, 24, 3, 3}, 0.5f, &rng);
-    Tensor b = Tensor::RandomNormal({32}, 0.1f, &rng);
-    Result<Tensor> batched = Conv2dForward(x, w, b, {1, 1});
-    ASSERT_TRUE(batched.ok());
-    const int64_t per_image = 24 * hw * hw;
-    for (int64_t i = 0; i < 8; ++i) {
-      Tensor xi({1, 24, hw, hw});
-      std::copy(x.data() + i * per_image, x.data() + (i + 1) * per_image,
-                xi.data());
-      Result<Tensor> single = Conv2dForward(xi, w, b, {1, 1});
-      ASSERT_TRUE(single.ok());
-      ASSERT_EQ(single->NumElements(), batched->NumElements() / 8);
-      const float* batch_i =
-          batched->data() + i * single->NumElements();
-      for (int64_t e = 0; e < single->NumElements(); ++e) {
-        ASSERT_EQ((*single)[e], batch_i[e])
-            << "fused conv diverges at hw=" << hw << " image " << i
-            << " element " << e;
-      }
-    }
-  }
-}
-
 TEST(ConvTest, SerialBatchIsBitIdenticalToParallel) {
-  // Conv2dForward picks its strategy from the width a ParallelFor would
-  // really get: under ScopedSerialKernels (a serve stage worker) a batch
-  // of 8 takes the fused path instead of the serial per-image loop.
+  // Conv2dForward picks its parallel axis from the width a ParallelFor
+  // would really get: a batch of 8 on a pool of up to 8 workers is split
+  // across images, and under ScopedSerialKernels the images run in turn.
   // Either way the output bits are the same.
   Rng rng(20261017);
   Tensor x = Tensor::RandomNormal({8, 3, 8, 8}, 1.0f, &rng);
